@@ -27,8 +27,8 @@ from .limits import (NonRelParams, coulomb_energy, hulthen_residual,
 from .oracle import OracleConfig, dirac_eigenvalue, schrodinger_eigenvalue
 from .potentials import PotentialParams, SymmetryLimit
 from .spectra import (QuantumNumbers, doublet_partner, nu_residual_pseudo,
-                      nu_residual_spin, select_table_root, solve_levels,
-                      sweep_delta)
+                      nu_residual_spin, scan_v0_c, select_table_root,
+                      solve_levels, sweep_delta)
 from .susyqm import susy_residual_pseudo, susy_residual_spin
 from .wavefunctions import solve_wavefunction
 
@@ -366,21 +366,16 @@ def cmd_scan(cfg: RunConfig) -> int:
     v0_values = _grid(cfg.v0_start, cfg.v0_stop, cfg.v0_step)
     c_values = _grid(cfg.c_start, cfg.c_stop, cfg.c_step)
     header = ["C"] + [f"{v0:.8f}" for v0 in v0_values]
+    # The V0 = 0 column is written as NA without solving.
+    solved = [v0 for v0 in v0_values if v0 != 0.0]
     paths = []
     for qn in states:
+        grid = scan_v0_c(qn, cfg.symmetry, cfg.potential(), solved, c_values)
         rows = []
-        for c in c_values:
-            sym = SymmetryLimit(cfg.symmetry, c)
-            row: list = [c]
-            for v0 in v0_values:
-                if v0 == 0.0:
-                    row.append(None)
-                    continue
-                p = PotentialParams(V0=v0, A=v0, B=v0, delta=cfg.delta,
-                                    H=cfg.H, M=cfg.M)
-                root = select_table_root(solve_levels(qn, sym, p))
-                row.append(None if root is None else root.E)
-            rows.append(row)
+        for c, energies in zip(c_values, grid.tolist()):
+            cells = iter(energies)
+            rows.append([c] + [None if v0 == 0.0 else next(cells)
+                               for v0 in v0_values])
         units = {"C": "fm^-1", "cells": "fm^-1 (columns are V0 in fm^-1)"}
         path = write_rows(cfg, f"scan_{cfg.symmetry}_{_safe_label(qn)}",
                           header, rows, units)

@@ -3,9 +3,12 @@
 For each symmetry limit the quantization condition of the reduced radial
 problem is a transcendental relation between the energy E and the potential
 parameters.  It is expressed here as a residual g(E) whose zeros are the
-closed-form eigenvalues.  Both sides of the underlying relation depend on E,
-so roots are extracted by scanning an energy window, bracketing sign changes
-and bisecting.
+closed-form eigenvalues.  The square-root discriminant D under g is linear
+in E, so with t = sqrt(D) the energy is quadratic in t and g(E) times a
+positive factor is a degree-6 polynomial in t.  `solve_levels` takes every
+root of that polynomial from its companion matrix, maps the real roots
+t >= 0 back to E and polishes each one by bisection on g itself; no energy
+grid is scanned, so close root pairs are resolved.
 
 The residual is built from the squared form of the quantization relation.
 That form admits two root families, distinguished by the sign of the
@@ -18,7 +21,7 @@ both are returned, flagged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -123,11 +126,10 @@ class EnergyRoot:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Energy window and refinement settings for the root scan."""
+    """Energy window and polishing tolerance for the root search."""
 
     e_min: Optional[float] = None
     e_max: Optional[float] = None
-    step: float = 1e-3
     tol: float = 1e-12
 
 
@@ -170,32 +172,39 @@ def aux_pseudo(E: float, p: PotentialParams, C_PS: float,
     )
 
 
-def _parts(E, p: PotentialParams, C: float, qn: QuantumNumbers, kind: str):
-    """Vectorized pieces of the residual: (lhs, Q, D) as arrays over E."""
-    E = np.asarray(E, dtype=float)
+def _relation(p: PotentialParams, kind: str, qn: QuantumNumbers):
+    """(s, lam, m): s = +1 spin or -1 pseudospin, lam, polynomial degree."""
+    s = 1.0 if kind == "spin" else -1.0
     eta = qn.kappa + p.H
+    return s, eta * (eta + s), radial_poly_degree(qn, kind)
+
+
+def _parts(E, p: PotentialParams, C: float, qn: QuantumNumbers, kind: str):
+    """Pieces of the residual, (lhs, Q, D), over an array of E or one float.
+
+    The coupling factor is M + s E - s C.  A float E stays a Python float
+    throughout, which is far cheaper than a 0-d array inside a polishing
+    loop.
+    """
+    s, lam, m = _relation(p, kind, qn)
     four_d2 = 4.0 * p.delta ** 2
-    if kind == "spin":
-        coupling = p.M + E - C
-        lhs = p.M ** 2 - E ** 2 - C * (p.M - E)
-        alpha2 = (p.V0 + p.v0_prime) * coupling / four_d2
-        gamma2 = -p.b_prime * coupling / four_d2
-        lam = eta * (eta + 1.0)
+    coupling = p.M + s * E - s * C
+    lhs = p.M ** 2 - E ** 2 - s * C * (p.M - s * E)
+    alpha2 = s * (p.V0 + p.v0_prime) * coupling / four_d2
+    # 1/4 + lam first: it is exactly 0 when eta = -1/2 or +1/2, so a small
+    # gamma2 keeps its sign instead of vanishing beside 1/4.
+    D = 0.25 + lam - s * p.b_prime * coupling / four_d2
+    if isinstance(E, float):
+        sqrtD = math.sqrt(D) if D >= 0.0 else math.nan
     else:
-        coupling = p.M - E + C
-        lhs = p.M ** 2 - E ** 2 + C * (p.M + E)
-        alpha2 = -(p.V0 + p.v0_prime) * coupling / four_d2
-        gamma2 = p.b_prime * coupling / four_d2
-        lam = eta * (eta - 1.0)
-    m = radial_poly_degree(qn, kind)
-    D = 0.25 + gamma2 + lam
-    sqrtD = np.sqrt(np.where(D >= 0.0, D, np.nan))
+        sqrtD = np.sqrt(np.where(D >= 0.0, D, np.nan))
     Q = (alpha2 - lam - 0.5 - m * (m + 1.0) - (2.0 * m + 1.0) * sqrtD) \
         / (m + 0.5 + sqrtD)
     return lhs, Q, D
 
 
 def _residual(E, p, C, qn, kind):
+    E = np.asarray(E, dtype=float)
     lhs, Q, D = _parts(E, p, C, qn, kind)
     g = lhs - p.delta ** 2 * Q ** 2
     if np.ndim(E) == 0:
@@ -220,11 +229,6 @@ def nu_residual_spin(E, p: PotentialParams, C_S: float, qn: QuantumNumbers):
 def nu_residual_pseudo(E, p: PotentialParams, C_PS: float, qn: QuantumNumbers):
     """Pseudospin-limit quantization residual; conventions as nu_residual_spin."""
     return _residual(E, p, C_PS, qn, "pseudospin")
-
-
-def residual_for(sym: SymmetryLimit):
-    """The residual function matching a symmetry limit."""
-    return nu_residual_spin if sym.is_spin else nu_residual_pseudo
 
 
 def classify_root(E: float, p: PotentialParams, sym: SymmetryLimit,
@@ -252,28 +256,106 @@ def classify_root(E: float, p: PotentialParams, sym: SymmetryLimit,
     )
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float, f_hi: float,
-            tol: float) -> float:
-    """Bisection on a bracketed sign change; unconditionally convergent."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) == (f_mid < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return 0.5 * (lo + hi)
+def _candidates(p: PotentialParams, C: float, qn: QuantumNumbers, kind: str,
+                e_lo: float, e_hi: float) -> list[float]:
+    """Unpolished real zeros of the residual, from polynomial roots.
+
+    In powers of E, lhs = l0 + C E - E^2, D = d0 + d1 E with d1 = -B, and
+    Q (h + t) = a0 + a1 E - w t with h = m + 1/2, w = 2m + 1, t = sqrt(D),
+    so g (h + t)^2 = lhs (h + t)^2 - delta^2 (a0 + a1 E - w t)^2.  For
+    B != 0, t = t0 + sigma v and E = e0 + (2 t0 + sigma v) v / scale, with
+    scale = t0 + sqrt|d1|, sigma = d1 / scale and t0^2 = d0 + d1 e0, give
+    D = t^2 and a degree-6 polynomial in v; every zero of g is one of its
+    real roots with t >= 0.  t0 = sqrt(d0) when D stays near d0 over the
+    window, which keeps the roots apart as B -> 0 (in t they bunch at
+    sqrt(d0)); otherwise t0 = 0, which keeps roots near D = 0 simple.
+    Roots in [e_lo, e_hi] have |v| <= V, so leading coefficients negligible
+    there are dropped.  For B = 0, D is constant and g is quadratic in E.
+    """
+    s, lam, m = _relation(p, kind, qn)
+    va = s * (p.V0 + p.v0_prime) / (4.0 * p.delta ** 2)
+    vb = -s * p.b_prime / (4.0 * p.delta ** 2)
+    k0 = p.M - s * C
+    h, w = m + 0.5, 2.0 * m + 1.0
+    l0, d2 = p.M * k0, p.delta ** 2
+    a0, a1 = va * k0 - lam - 0.5 - m * (m + 1.0), va * s
+    d0, d1 = 0.25 + lam + vb * k0, vb * s
+    if d1 == 0.0:
+        if d0 < 0.0:
+            return []
+        t = math.sqrt(d0)
+        q0, q1 = (a0 - w * t) / (h + t), a1 / (h + t)
+        roots = np.roots([-1.0 - d2 * q1 * q1, C - 2.0 * d2 * q0 * q1,
+                          l0 - d2 * q0 * q0])
+        return [z.real for z in roots.tolist() if _is_real(z)]
+    shift = d0 > 2.0 * abs(d1) * max(abs(e_lo), abs(e_hi))
+    t0 = math.sqrt(d0) if shift else 0.0
+    e0 = 0.0 if shift else -d0 / d1
+    scale = t0 + math.sqrt(abs(d1))
+    sigma = d1 / scale
+    V = 2.0 * max(abs(e_lo - e0), abs(e_hi - e0)) + 4.0
+    # Polynomials in x = v / V, coefficients from the highest power down.
+    e_x = np.array([sigma / scale * V * V, 2.0 * t0 / scale * V, e0])
+    lhs = -np.convolve(e_x, e_x)
+    lhs[2:] += C * e_x
+    lhs[4] += l0
+    num = a1 * e_x
+    num[1:] -= w * sigma * V, w * t0
+    num[2] += a0
+    den = np.array([sigma * V, h + t0])
+    poly = np.convolve(lhs, np.convolve(den, den))
+    poly[2:] -= d2 * np.convolve(num, num)
+    size = np.abs(poly).max()
+    while abs(poly[0]) <= 1e-16 * size:
+        poly = poly[1:]
+    return [e0 + (2.0 * t0 + sigma * v) * v / scale
+            for v in (V * z.real for z in np.roots(poly).tolist()
+                      if _is_real(z))
+            if t0 + sigma * v >= -1e-9]
+
+
+def _is_real(z: complex) -> bool:
+    return abs(z.imag) <= 1e-7 * (1.0 + abs(z.real))
+
+
+def _polish(g, E: float, tol: float) -> Optional[float]:
+    """Bisect g to tol on the narrowest bracket at E where it changes sign.
+
+    The bracket starts at 1e-10 (1 + |E|) on either side of E and grows by
+    4 up to 1e-5, because the t -> E map magnifies companion-root error when
+    D depends weakly on E.  Returns None when no sign change is found.
+    """
+    g_E = g(E)
+    width = 1e-10 * (1.0 + abs(E))
+    while g_E != 0.0 and width <= 1e-5:
+        for x in (E - width, E + width):
+            g_x = g(x)
+            if g_x * g_E < 0.0:
+                lo, hi = min(E, x), max(E, x)
+                g_lo = g_E if lo == E else g_x
+                while hi - lo > tol:
+                    mid = 0.5 * (lo + hi)
+                    g_mid = g(mid)
+                    if g_mid == 0.0:
+                        return mid
+                    if (g_lo < 0.0) == (g_mid < 0.0):
+                        lo, g_lo = mid, g_mid
+                    else:
+                        hi = mid
+                return 0.5 * (lo + hi)
+        width *= 4.0
+    return E if g_E == 0.0 else None
 
 
 def solve_levels(qn: QuantumNumbers, sym: SymmetryLimit, p: PotentialParams,
                  search: Optional[SearchConfig] = None) -> list[EnergyRoot]:
     """All real zeros of the quantization residual in the energy window.
 
-    Scans the window on a uniform grid, skips sub-intervals where the
-    residual is undefined (negative discriminant), brackets every sign
-    change and refines each bracket by bisection.  Returns roots ordered by
+    Enumerates the zeros exactly as roots of a polynomial (see the module
+    docstring), keeps those inside the window, polishes each one by
+    bisection on the residual to the search tolerance and drops those that
+    show no sign change: a zero where g only touches 0, or one exactly at
+    the D = 0 edge of its domain, is not returned.  Returns roots ordered by
     energy, each with recomputed validity flags; an empty list means no
     bound state in the window.
     """
@@ -284,23 +366,16 @@ def solve_levels(qn: QuantumNumbers, sym: SymmetryLimit, p: PotentialParams,
     if e_hi <= e_lo:
         raise DomainError("empty energy window")
 
-    grid = np.arange(e_lo, e_hi + 0.5 * cfg.step, cfg.step)
-    g = _residual(grid, p, sym.constant, qn, sym.kind)
-    finite = np.isfinite(g)
+    def g(E: float) -> float:
+        lhs, Q, _ = _parts(E, p, sym.constant, qn, sym.kind)
+        return lhs - p.delta ** 2 * Q ** 2
 
-    def scalar_residual(E):
-        return _residual(float(E), p, sym.constant, qn, sym.kind)
-
-    roots: list[float] = []
-    sign_change = (finite[:-1] & finite[1:]
-                   & (np.sign(g[:-1]) * np.sign(g[1:]) < 0))
-    for i in np.nonzero(sign_change)[0]:
-        roots.append(_bisect(scalar_residual, float(grid[i]),
-                             float(grid[i + 1]), float(g[i]),
-                             float(g[i + 1]), cfg.tol))
-    exact = np.nonzero(finite & (g == 0.0))[0]
-    roots.extend(float(grid[i]) for i in exact)
-
+    roots = []
+    for E in _candidates(p, sym.constant, qn, sym.kind, e_lo, e_hi):
+        if e_lo <= E <= e_hi:
+            polished = _polish(g, E, cfg.tol)
+            if polished is not None:
+                roots.append(polished)
     roots.sort()
     deduped: list[float] = []
     for r in roots:

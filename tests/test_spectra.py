@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracbound import (
     DomainError,
@@ -115,10 +117,108 @@ def test_select_table_root_prefers_smallest_valid_energy(params_h0, spin_sym,
 
 
 def test_solve_levels_search_window_override(params_h0, spin_sym):
-    search = SearchConfig(e_min=0.0, e_max=0.3, step=1e-3, tol=1e-12)
+    search = SearchConfig(e_min=0.0, e_max=0.3, tol=1e-12)
     roots = solve_levels(QuantumNumbers(0, -2), spin_sym, params_h0, search)
     assert len(roots) == 1
     assert roots[0].E == pytest.approx(0.24181258, abs=1e-6)
+
+
+def test_solve_levels_resolves_close_root_pair():
+    # The two roots at V0 = 17 are 8.4e-4 apart, closer than the 1e-3 grid
+    # step the solver once scanned, which lost both and left the cell NA.
+    qn = QuantumNumbers(0, -2)
+    sym = SymmetryLimit.spin(9.5)
+    tied = {v0: PotentialParams(V0=v0, A=v0, B=v0, delta=0.05, H=5.0,
+                                M=4.76) for v0 in (17.0, 19.5)}
+    energies = [r.E for r in solve_levels(qn, sym, tied[17.0])]
+    for expected in (4.748127, 4.748968):
+        assert any(abs(E - expected) < 1e-6 for E in energies)
+    assert select_table_root(solve_levels(qn, sym, tied[17.0])).E \
+        == pytest.approx(4.74812740, abs=5e-9)
+    assert select_table_root(solve_levels(qn, sym, tied[19.5])).E \
+        == pytest.approx(4.74709486, abs=5e-9)
+
+
+def _residual(E, p, sym, qn):
+    """g over an array of E, NaN where the discriminant is negative."""
+    residual = nu_residual_spin if sym.is_spin else nu_residual_pseudo
+    return residual(np.asarray(E, dtype=float), p, sym.constant, qn)
+
+
+def _scan_roots(p, sym, qn, step=1e-3, tol=1e-12):
+    """Sign changes of g on a uniform grid over the default window, bisected."""
+    pad = p.M + abs(sym.constant) + 1.0
+    grid = np.arange(-pad, pad + 0.5 * step, step)
+    g = _residual(grid, p, sym, qn)
+    change = np.nonzero(np.isfinite(g[:-1]) & np.isfinite(g[1:])
+                        & (np.sign(g[:-1]) * np.sign(g[1:]) < 0))[0]
+    lo, hi, g_lo = grid[change], grid[change + 1], g[change]
+    while lo.size and np.max(hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        g_mid = _residual(mid, p, sym, qn)
+        keep_hi = np.sign(g_mid) == np.sign(g_lo)
+        lo = np.where(keep_hi, mid, lo)
+        g_lo = np.where(keep_hi, g_mid, g_lo)
+        hi = np.where(keep_hi, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@st.composite
+def _problems(draw):
+    delta = draw(st.floats(0.01, 0.25))
+    B = draw(st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 1e-4, exclude_max=True).map(lambda x: x / delta ** 2),
+        st.floats(0.0, 20.0)))
+    p = PotentialParams(V0=draw(st.floats(0.0, 20.0)),
+                        A=draw(st.floats(0.0, 20.0)), B=B, delta=delta,
+                        H=draw(st.floats(0.0, 6.0)),
+                        M=draw(st.floats(0.5, 8.0)))
+    sym = SymmetryLimit(draw(st.sampled_from(["spin", "pseudospin"])),
+                        draw(st.floats(-20.0, 20.0)))
+    qn = QuantumNumbers(draw(st.integers(0, 3)),
+                        draw(st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])))
+    return p, sym, qn
+
+
+def _assert_complete(p, sym, qn):
+    """Every scanned root is returned, and every returned root is a zero."""
+    found = np.array([r.E for r in solve_levels(qn, sym, p)])
+    for E in _scan_roots(p, sym, qn):
+        assert found.size and np.min(np.abs(found - E)) <= 1e-9, \
+            f"scanned root {E!r} missing from {found.tolist()}"
+    for E in found:
+        w = 1e-8 * (1.0 + abs(E))
+        g_lo, g_E, g_hi = _residual([E - w, E, E + w], p, sym, qn)
+        if sym.is_spin:
+            lhs = p.M ** 2 - E ** 2 - sym.constant * (p.M - E)
+        else:
+            lhs = p.M ** 2 - E ** 2 + sym.constant * (p.M + E)
+        assert (g_lo * g_E <= 0.0 or g_E * g_hi <= 0.0
+                or abs(g_E) <= 1e-9 * (1.0 + abs(lhs))), \
+            f"returned root {E!r} is not a zero of the residual"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_problems())
+def test_solve_levels_finds_every_scanned_root(problem):
+    _assert_complete(*problem)
+
+
+@pytest.mark.parametrize("B", [1e-300, 1e-20, 1e-17, 1e-15, 1e-12])
+def test_solve_levels_complete_where_discriminant_vanishes(B):
+    # With eta = -1/2 (spin) or +1/2 (pseudospin), 1/4 + lam is exactly 0,
+    # so D = gamma2 is tiny and changes sign inside the window.
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        kind = str(rng.choice(["spin", "pseudospin"]))
+        kappa = int(rng.choice([-1, -2, -3]))
+        H = -0.5 - kappa if kind == "spin" else 0.5 - kappa
+        p = PotentialParams(V0=rng.uniform(0.0, 20.0), A=rng.uniform(0.0, 20.0),
+                            B=B, delta=rng.uniform(0.01, 0.25), H=H,
+                            M=rng.uniform(0.5, 8.0))
+        sym = SymmetryLimit(kind, rng.uniform(-20.0, 20.0))
+        _assert_complete(p, sym, QuantumNumbers(int(rng.integers(0, 4)), kappa))
 
 
 def test_doublet_partner_maps(spin_sym, pseudo_sym):
