@@ -146,7 +146,7 @@ def _residual(E, p, sym, qn):
 
 
 def _scan_roots(p, sym, qn, step=1e-3, tol=1e-12):
-    """Sign changes of g on a uniform grid over the default window, bisected."""
+    """Sign changes of g on a uniform grid over the default window."""
     pad = p.M + abs(sym.constant) + 1.0
     grid = np.arange(-pad, pad + 0.5 * step, step)
     g = _residual(grid, p, sym, qn)
@@ -214,11 +214,13 @@ def test_solve_levels_complete_where_discriminant_vanishes(B):
         kind = str(rng.choice(["spin", "pseudospin"]))
         kappa = int(rng.choice([-1, -2, -3]))
         H = -0.5 - kappa if kind == "spin" else 0.5 - kappa
-        p = PotentialParams(V0=rng.uniform(0.0, 20.0), A=rng.uniform(0.0, 20.0),
-                            B=B, delta=rng.uniform(0.01, 0.25), H=H,
+        p = PotentialParams(V0=rng.uniform(0.0, 20.0),
+                            A=rng.uniform(0.0, 20.0), B=B,
+                            delta=rng.uniform(0.01, 0.25), H=H,
                             M=rng.uniform(0.5, 8.0))
         sym = SymmetryLimit(kind, rng.uniform(-20.0, 20.0))
-        _assert_complete(p, sym, QuantumNumbers(int(rng.integers(0, 4)), kappa))
+        qn = QuantumNumbers(int(rng.integers(0, 4)), kappa)
+        _assert_complete(p, sym, qn)
 
 
 def test_doublet_partner_maps(spin_sym, pseudo_sym):
