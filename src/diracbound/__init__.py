@@ -18,6 +18,7 @@ from .potentials import (
     BENCHMARK_C_PSEUDO,
     BENCHMARK_C_SPIN,
     PotentialParams,
+    ReducedEquation,
     SymmetryLimit,
     approx_potential,
     benchmark_params,
@@ -25,6 +26,7 @@ from .potentials import (
     centrifugal_exact,
     effective_potential,
     exact_potential,
+    radial_poly_degree,
     spin_orbit_strength,
     target_eigenvalue,
 )
@@ -36,16 +38,12 @@ from .oracle import (
     schrodinger_eigenvalue,
 )
 from .spectra import (
-    AuxiliaryParams,
     EnergyRoot,
     QuantumNumbers,
     SearchConfig,
-    aux_pseudo,
-    aux_spin,
     doublet_partner,
     nu_residual_pseudo,
     nu_residual_spin,
-    radial_poly_degree,
     scan_v0_c,
     select_table_root,
     solve_levels,

@@ -27,11 +27,4 @@ class NoEigenvalueError(RuntimeError):
 
 
 class NotConvergedError(RuntimeError):
-    """An iterative solve exhausted its iteration budget.
-
-    Carries diagnostic state so callers can report how the iteration ended.
-    """
-
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = history if history is not None else []
+    """An iterative solve exhausted its iteration budget."""

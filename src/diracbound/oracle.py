@@ -19,9 +19,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, NoEigenvalueError, NotConvergedError
-from .potentials import (PotentialParams, SymmetryLimit, effective_potential,
-                         target_eigenvalue)
-from .spectra import QuantumNumbers, radial_poly_degree
+from .potentials import (PotentialParams, ReducedEquation, SymmetryLimit,
+                         effective_potential, target_eigenvalue)
+from .spectra import QuantumNumbers
 
 __all__ = [
     "OracleConfig",
@@ -49,7 +49,6 @@ class OracleConfig:
     num_points: int = 20000
     match_fraction: float = 0.35
     outer_tol: float = 1e-8
-    max_outer_iters: int = 60
     centrifugal_mode: str = "approximated"
 
     def __post_init__(self):
@@ -115,7 +114,7 @@ def _series_seed(r_grid, f0, f1, r0, r1):
     return p, a1
 
 
-def _outward(wU, c, h, r, p, a1, match_idx, count_cap=None):
+def _outward(wU, c, r, p, a1, match_idx, count_cap=None):
     """Outward sweep of u'' = f u with Numerov weights w_i = wU[i] + c.
 
     Starts at the first index where the weight is close enough to 1 for the
@@ -225,14 +224,14 @@ class _InnerSolver:
         return (self.h * self.h / 12.0) * eps
 
     def nodes(self, eps: float) -> Optional[int]:
-        n, _, _ = _outward(self.wU, self._weight_shift(eps), self.h, self.r,
-                           self.p, self.a1, self.match_idx)
+        n, _, _ = _outward(self.wU, self._weight_shift(eps), self.r, self.p,
+                           self.a1, self.match_idx)
         return n
 
     def defect(self, eps: float):
         """(sturm_nodes, log-derivative mismatch at the matching point)."""
         c = self._weight_shift(eps)
-        n, _, trip = _outward(self.wU, c, self.h, self.r, self.p, self.a1,
+        n, _, trip = _outward(self.wU, c, self.r, self.p, self.a1,
                               self.match_idx)
         if n is None or trip is None or trip[1] == 0.0:
             return n, None
@@ -256,7 +255,7 @@ class _InnerSolver:
         cap = self.match_idx
         if allowed.size:
             cap = min(self.match_idx, int(allowed[-1]) + 10)
-        n, n_match, _ = _outward(self.wU, c, self.h, self.r, self.p, self.a1,
+        n, n_match, _ = _outward(self.wU, c, self.r, self.p, self.a1,
                                  self.match_idx, count_cap=cap)
         if n is None:
             return None
@@ -362,17 +361,15 @@ def _defect_sign(p: PotentialParams, sym: SymmetryLimit, qn: QuantumNumbers,
     return +1 if n <= n_target else -1
 
 
-def _energy_window(p: PotentialParams, sym: SymmetryLimit):
+def _energy_window(eq: ReducedEquation):
     """Open interval of E where eps_target < 0 (a decaying tail is possible).
 
-    eps_target is an upward parabola in E, negative strictly between its two
-    real roots; returns None when it never goes negative.
+    eps_target = E^2 - C E + s C M - M^2 is an upward parabola in E,
+    negative strictly between its two real roots; returns None when it
+    never goes negative.
     """
-    M, C = p.M, sym.constant
-    if sym.is_spin:
-        disc = C * C - 4.0 * (C * M - M * M)
-    else:
-        disc = C * C + 4.0 * (M * M + C * M)
+    M, C = eq.M, eq.C
+    disc = C * C - 4.0 * (eq.s * C * M - M * M)
     if disc <= 0.0:
         return None
     s = math.sqrt(disc)
@@ -395,9 +392,10 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
     the window, NotConvergedError when the final defect check fails.
     """
     cfg = cfg or OracleConfig()
-    n_target = radial_poly_degree(qn, sym.kind)
+    eq = ReducedEquation.of(p, sym, qn)
+    n_target = eq.degree
 
-    window = _energy_window(p, sym)
+    window = _energy_window(eq)
     if window is None:
         raise NoEigenvalueError("no energy admits a decaying tail")
 

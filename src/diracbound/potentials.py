@@ -24,6 +24,8 @@ from .errors import DomainError
 __all__ = [
     "PotentialParams",
     "SymmetryLimit",
+    "ReducedEquation",
+    "radial_poly_degree",
     "benchmark_params",
     "BENCHMARK_C_SPIN",
     "BENCHMARK_C_PSEUDO",
@@ -100,6 +102,14 @@ class SymmetryLimit:
     @property
     def is_spin(self) -> bool:
         return self.kind == "spin"
+
+    @property
+    def sign(self) -> float:
+        """s = +1.0 in the spin limit, -1.0 in the pseudospin limit.
+
+        This is the only place the limit picks a sign; see ReducedEquation.
+        """
+        return 1.0 if self.is_spin else -1.0
 
     @classmethod
     def spin(cls, constant: float) -> "SymmetryLimit":
@@ -180,6 +190,79 @@ def centrifugal_exact(r):
     return _maybe_scalar(1.0 / rr ** 2, r)
 
 
+def radial_poly_degree(qn, kind: str) -> int:
+    """Degree of the polynomial factor of the solved radial component.
+
+    The spin reduction solves for the upper component, whose node count (and
+    polynomial degree) equals the radial label n.  The pseudospin reduction
+    solves for the lower component, which carries one extra node when
+    kappa > 0, so its polynomial degree is n + 1 there.
+    """
+    if kind == "pseudospin" and qn.kappa > 0:
+        return qn.n + 1
+    return qn.n
+
+
+@dataclass(frozen=True)
+class ReducedEquation:
+    """The reduced radial equation of one state in one symmetry limit.
+
+    Eliminating one spinor component leaves u'' = [U_eff(r; E) - eps(E)] u
+    with U_eff = lam c(r) + s coupling(E) V(r).  The pseudospin reduction
+    is the spin reduction under the charge-conjugation map
+    (E, C, V0, A, B, eta) -> (-E, -C, -V0, -A, -B, -eta), so with
+    s = +1 (spin) or -1 (pseudospin) every coefficient is written once:
+
+        coupling = M + s E - s C
+        lhs      = M^2 - E^2 - s C (M - s E)          (= -eps)
+        alpha2   = s (V0 + 2 A delta) coupling / (4 delta^2)
+        gamma2   = -s 4 B delta^2 coupling / (4 delta^2)
+        D        = 1/4 + lam + gamma2,   lam = eta (eta + s)
+
+    Only the polynomial degree does not follow from the map, so it is
+    stored.  The fields s_v = s (V0 + 2 A delta) and s_b = s 4 B delta^2
+    are the leading factors of alpha2 and gamma2, evaluated first as in the
+    formulas above; multiplying by s = +-1 is exact, so each limit gets the
+    same bits as its formulas written out separately.  Build one with
+    ReducedEquation.of.
+    """
+
+    s: float
+    C: float
+    M: float
+    lam: float
+    degree: int
+    s_v: float
+    s_b: float
+    four_d2: float
+    d2: float
+
+    @classmethod
+    def of(cls, p: PotentialParams, sym: SymmetryLimit,
+           qn) -> "ReducedEquation":
+        """The record of state qn (only n and kappa are used) in limit sym."""
+        s = sym.sign
+        eta = qn.kappa + p.H
+        return cls(s=s, C=sym.constant, M=p.M, lam=eta * (eta + s),
+                   degree=radial_poly_degree(qn, sym.kind),
+                   s_v=s * (p.V0 + p.v0_prime), s_b=s * p.b_prime,
+                   four_d2=4.0 * p.delta ** 2, d2=p.delta ** 2)
+
+    def coupling(self, E):
+        """First-order coupling factor M + s E - s C."""
+        return self.M + self.s * E - self.s * self.C
+
+    def terms(self, E):
+        """(coupling, lhs, alpha2, gamma2, D) at E, a float or an array."""
+        coupling = self.coupling(E)
+        lhs = self.M ** 2 - E ** 2 - self.s * self.C * (self.M - self.s * E)
+        gamma2 = -self.s_b * coupling / self.four_d2
+        # 1/4 + lam first: it is exactly 0 when eta = -s/2, so a small
+        # gamma2 keeps its sign instead of vanishing beside 1/4.
+        return (coupling, lhs, self.s_v * coupling / self.four_d2, gamma2,
+                0.25 + self.lam + gamma2)
+
+
 def spin_orbit_strength(kappa: float, H: float, kind: str) -> float:
     """Strength of the centrifugal-like term in the reduced radial equation.
 
@@ -188,27 +271,24 @@ def spin_orbit_strength(kappa: float, H: float, kind: str) -> float:
     component).  At H=0 these collapse to l(l+1) and ltilde(ltilde+1).
     """
     eta = kappa + H
-    if kind == "spin":
-        return eta * (eta + 1.0)
-    if kind == "pseudospin":
-        return eta * (eta - 1.0)
-    raise DomainError(f"kind must be 'spin' or 'pseudospin', got {kind!r}")
+    return eta * (eta + SymmetryLimit(kind, 0.0).sign)
 
 
 def target_eigenvalue(E: float, sym: SymmetryLimit, M: float) -> float:
     """Eigenvalue of the reduced radial operator implied by energy E.
 
     The second-order radial equation reads u'' = [U_eff(r; E) - eps] u, and
-    this returns eps:
+    this returns eps, the negated lhs of ReducedEquation:
 
         eps = E^2 - M^2 + C_S (M - E)   (spin)
         eps = E^2 - M^2 - C_PS (M + E)  (pseudospin)
 
-    Bound states need eps < 0 (exponential decay at large r).
+    Bound states need eps < 0 (exponential decay at large r).  It is not
+    computed as -lhs: the squares here are products, and a float's E**2
+    can differ from E*E in the last bit.
     """
-    if sym.is_spin:
-        return E * E - M * M + sym.constant * (M - E)
-    return E * E - M * M - sym.constant * (M + E)
+    s = sym.sign
+    return E * E - M * M + s * sym.constant * (M - s * E)
 
 
 def effective_potential(r, E: float, p: PotentialParams, sym: SymmetryLimit,
@@ -238,15 +318,11 @@ def effective_potential(r, E: float, p: PotentialParams, sym: SymmetryLimit,
     """
     if mode not in ("approximated", "exact"):
         raise DomainError(f"mode must be 'approximated' or 'exact', got {mode!r}")
-    lam = spin_orbit_strength(qn.kappa, p.H, sym.kind)
+    eq = ReducedEquation.of(p, sym, qn)
     if mode == "approximated":
         cent = centrifugal_approx(r, p.delta)
         pot = approx_potential(r, p)
     else:
         cent = centrifugal_exact(r)
         pot = exact_potential(r, p)
-    if sym.is_spin:
-        coupling = p.M + E - sym.constant
-        return lam * cent + coupling * pot
-    coupling = p.M - E + sym.constant
-    return lam * cent - coupling * pot
+    return eq.lam * cent + eq.s * eq.coupling(E) * pot

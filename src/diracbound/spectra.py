@@ -27,17 +27,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .potentials import PotentialParams, SymmetryLimit
+from .potentials import (PotentialParams, ReducedEquation, SymmetryLimit,
+                         radial_poly_degree)
 
 __all__ = [
     "QuantumNumbers",
-    "AuxiliaryParams",
     "EnergyRoot",
     "SearchConfig",
     "SPECTROSCOPIC_LETTERS",
     "radial_poly_degree",
-    "aux_spin",
-    "aux_pseudo",
     "nu_residual_spin",
     "nu_residual_pseudo",
     "solve_levels",
@@ -89,16 +87,6 @@ class QuantumNumbers:
 
 
 @dataclass(frozen=True)
-class AuxiliaryParams:
-    """Energy-dependent combinations entering the quantization relation."""
-
-    alpha2: float
-    beta2: float
-    gamma2: float
-    eta: float
-
-
-@dataclass(frozen=True)
 class EnergyRoot:
     """A solved energy with validity classification.
 
@@ -133,80 +121,28 @@ class SearchConfig:
     tol: float = 1e-12
 
 
-def radial_poly_degree(qn: QuantumNumbers, kind: str) -> int:
-    """Degree of the polynomial factor of the solved radial component.
-
-    The spin reduction solves for the upper component, whose node count (and
-    polynomial degree) equals the radial label n.  The pseudospin reduction
-    solves for the lower component, which carries one extra node when
-    kappa > 0, so its polynomial degree is n + 1 there.
-    """
-    if kind == "pseudospin" and qn.kappa > 0:
-        return qn.n + 1
-    return qn.n
-
-
-def aux_spin(E: float, p: PotentialParams, C_S: float,
-             qn: QuantumNumbers) -> AuxiliaryParams:
-    """Auxiliary combinations for the spin-limit quantization relation."""
-    coupling = p.M + E - C_S
-    four_d2 = 4.0 * p.delta ** 2
-    return AuxiliaryParams(
-        alpha2=(p.V0 + p.v0_prime) * coupling / four_d2,
-        beta2=(p.M ** 2 - E ** 2 - C_S * (p.M - E)) / four_d2,
-        gamma2=-p.b_prime * coupling / four_d2,
-        eta=qn.kappa + p.H,
-    )
-
-
-def aux_pseudo(E: float, p: PotentialParams, C_PS: float,
-               qn: QuantumNumbers) -> AuxiliaryParams:
-    """Auxiliary combinations for the pseudospin-limit relation."""
-    coupling = p.M - E + C_PS
-    four_d2 = 4.0 * p.delta ** 2
-    return AuxiliaryParams(
-        alpha2=-(p.V0 + p.v0_prime) * coupling / four_d2,
-        beta2=(p.M ** 2 - E ** 2 + C_PS * (p.M + E)) / four_d2,
-        gamma2=p.b_prime * coupling / four_d2,
-        eta=qn.kappa + p.H,
-    )
-
-
-def _relation(p: PotentialParams, kind: str, qn: QuantumNumbers):
-    """(s, lam, m): s = +1 spin or -1 pseudospin, lam, polynomial degree."""
-    s = 1.0 if kind == "spin" else -1.0
-    eta = qn.kappa + p.H
-    return s, eta * (eta + s), radial_poly_degree(qn, kind)
-
-
-def _parts(E, p: PotentialParams, C: float, qn: QuantumNumbers, kind: str):
+def _parts(E, eq: ReducedEquation):
     """Pieces of the residual, (lhs, Q, D), over an array of E or one float.
 
-    The coupling factor is M + s E - s C.  A float E stays a Python float
-    throughout, which is far cheaper than a 0-d array inside a polishing
-    loop.
+    A float E stays a Python float throughout, which is far cheaper than a
+    0-d array inside a polishing loop.
     """
-    s, lam, m = _relation(p, kind, qn)
-    four_d2 = 4.0 * p.delta ** 2
-    coupling = p.M + s * E - s * C
-    lhs = p.M ** 2 - E ** 2 - s * C * (p.M - s * E)
-    alpha2 = s * (p.V0 + p.v0_prime) * coupling / four_d2
-    # 1/4 + lam first: it is exactly 0 when eta = -1/2 or +1/2, so a small
-    # gamma2 keeps its sign instead of vanishing beside 1/4.
-    D = 0.25 + lam - s * p.b_prime * coupling / four_d2
+    m = eq.degree
+    _, lhs, alpha2, _, D = eq.terms(E)
     if isinstance(E, float):
         sqrtD = math.sqrt(D) if D >= 0.0 else math.nan
     else:
         sqrtD = np.sqrt(np.where(D >= 0.0, D, np.nan))
-    Q = (alpha2 - lam - 0.5 - m * (m + 1.0) - (2.0 * m + 1.0) * sqrtD) \
+    Q = (alpha2 - eq.lam - 0.5 - m * (m + 1.0) - (2.0 * m + 1.0) * sqrtD) \
         / (m + 0.5 + sqrtD)
     return lhs, Q, D
 
 
 def _residual(E, p, C, qn, kind):
+    eq = ReducedEquation.of(p, SymmetryLimit(kind, C), qn)
     E = np.asarray(E, dtype=float)
-    lhs, Q, D = _parts(E, p, C, qn, kind)
-    g = lhs - p.delta ** 2 * Q ** 2
+    lhs, Q, D = _parts(E, eq)
+    g = lhs - eq.d2 * Q ** 2
     if np.ndim(E) == 0:
         if not np.isfinite(g):
             raise DomainError(
@@ -231,34 +167,30 @@ def nu_residual_pseudo(E, p: PotentialParams, C_PS: float, qn: QuantumNumbers):
     return _residual(E, p, C_PS, qn, "pseudospin")
 
 
-def classify_root(E: float, p: PotentialParams, sym: SymmetryLimit,
+def classify_root(E: float, eq: ReducedEquation, sym: SymmetryLimit,
                   qn: QuantumNumbers) -> EnergyRoot:
     """Build an EnergyRoot with freshly computed validity flags."""
-    lhs, Q, D = _parts(E, p, sym.constant, qn, sym.kind)
-    residual = float(lhs - p.delta ** 2 * Q ** 2) if np.isfinite(Q) else math.nan
+    lhs, Q, D = _parts(E, eq)
+    residual = float(lhs - eq.d2 * Q ** 2) if np.isfinite(Q) else math.nan
     if sym.is_spin:
-        coupling = p.M + E - sym.constant
         sign_ok = E > 0.0
     else:
-        coupling = p.M - E + sym.constant
-        threshold = p.M + sym.constant
-        sign_ok = E < 0.0 and abs(E - threshold) > 1e-9
+        sign_ok = E < 0.0 and abs(E - (eq.M + eq.C)) > 1e-9
     return EnergyRoot(
         E=float(E),
         symmetry=sym,
         qn=qn,
         residual=residual,
         sqrt_domain_ok=bool(D >= 0.0),
-        M_bound_ok=bool(abs(E) < p.M),
-        C_bound_ok=bool(coupling > 0.0),
+        M_bound_ok=bool(abs(E) < eq.M),
+        C_bound_ok=bool(eq.coupling(E) > 0.0),
         sign_ok=bool(sign_ok),
         nu_branch=+1 if Q > 0.0 else -1,
     )
 
 
-def _candidates(p: PotentialParams, C: float, qn: QuantumNumbers, kind: str,
-                e_lo: float, e_hi: float) -> list[float]:
-    """Unpolished real zeros of the residual, from polynomial roots.
+def _polynomial(eq: ReducedEquation, e_lo: float, e_hi: float):
+    """(poly, e_of_x, t_of_x): the residual as a polynomial in x, or None.
 
     In powers of E, lhs = l0 + C E - E^2, D = d0 + d1 E with d1 = -B, and
     Q (h + t) = a0 + a1 E - w t with h = m + 1/2, w = 2m + 1, t = sqrt(D),
@@ -269,32 +201,34 @@ def _candidates(p: PotentialParams, C: float, qn: QuantumNumbers, kind: str,
     real roots with t >= 0.  t0 = sqrt(d0) when D stays near d0 over the
     window, which keeps the roots apart as B -> 0 (in t they bunch at
     sqrt(d0)); otherwise t0 = 0, which keeps roots near D = 0 simple.
-    Roots in [e_lo, e_hi] have |v| <= V, so leading coefficients negligible
-    there are dropped.  For B = 0, D is constant and g is quadratic in E.
+    Roots in [e_lo, e_hi] have |v| <= V, so the polynomial is returned in
+    x = v / V, coefficients from the highest power down, with leading
+    coefficients negligible there dropped; e_of_x and t_of_x map x to E
+    and t.  For B = 0, D is constant and g itself is a quadratic in x = E;
+    None means D < 0 for every E.
     """
-    s, lam, m = _relation(p, kind, qn)
-    va = s * (p.V0 + p.v0_prime) / (4.0 * p.delta ** 2)
-    vb = -s * p.b_prime / (4.0 * p.delta ** 2)
-    k0 = p.M - s * C
+    s, C, m = eq.s, eq.C, eq.degree
+    va = eq.s_v / eq.four_d2
+    vb = -eq.s_b / eq.four_d2
+    k0 = eq.M - s * C
     h, w = m + 0.5, 2.0 * m + 1.0
-    l0, d2 = p.M * k0, p.delta ** 2
-    a0, a1 = va * k0 - lam - 0.5 - m * (m + 1.0), va * s
-    d0, d1 = 0.25 + lam + vb * k0, vb * s
+    l0, d2 = eq.M * k0, eq.d2
+    a0, a1 = va * k0 - eq.lam - 0.5 - m * (m + 1.0), va * s
+    d0, d1 = 0.25 + eq.lam + vb * k0, vb * s
     if d1 == 0.0:
         if d0 < 0.0:
-            return []
+            return None
         t = math.sqrt(d0)
         q0, q1 = (a0 - w * t) / (h + t), a1 / (h + t)
-        roots = np.roots([-1.0 - d2 * q1 * q1, C - 2.0 * d2 * q0 * q1,
-                          l0 - d2 * q0 * q0])
-        return [z.real for z in roots.tolist() if _is_real(z)]
+        poly = np.array([-1.0 - d2 * q1 * q1, C - 2.0 * d2 * q0 * q1,
+                         l0 - d2 * q0 * q0])
+        return poly, lambda x: x, lambda x: t
     shift = d0 > 2.0 * abs(d1) * max(abs(e_lo), abs(e_hi))
     t0 = math.sqrt(d0) if shift else 0.0
     e0 = 0.0 if shift else -d0 / d1
     scale = t0 + math.sqrt(abs(d1))
     sigma = d1 / scale
     V = 2.0 * max(abs(e_lo - e0), abs(e_hi - e0)) + 4.0
-    # Polynomials in x = v / V, coefficients from the highest power down.
     e_x = np.array([sigma / scale * V * V, 2.0 * t0 / scale * V, e0])
     lhs = -np.convolve(e_x, e_x)
     lhs[2:] += C * e_x
@@ -308,10 +242,24 @@ def _candidates(p: PotentialParams, C: float, qn: QuantumNumbers, kind: str,
     size = np.abs(poly).max()
     while abs(poly[0]) <= 1e-16 * size:
         poly = poly[1:]
-    return [e0 + (2.0 * t0 + sigma * v) * v / scale
-            for v in (V * z.real for z in np.roots(poly).tolist()
-                      if _is_real(z))
-            if t0 + sigma * v >= -1e-9]
+
+    def e_of_x(x):
+        v = V * x
+        return e0 + (2.0 * t0 + sigma * v) * v / scale
+
+    return poly, e_of_x, lambda x: t0 + sigma * (V * x)
+
+
+def _candidates(eq: ReducedEquation, e_lo: float,
+                e_hi: float) -> list[float]:
+    """Unpolished real zeros of the residual: real polynomial roots, t >= 0."""
+    built = _polynomial(eq, e_lo, e_hi)
+    if built is None:
+        return []
+    poly, e_of_x, t_of_x = built
+    return [e_of_x(x) for x in (z.real for z in np.roots(poly).tolist()
+                                if _is_real(z))
+            if t_of_x(x) >= -1e-9]
 
 
 def _is_real(z: complex) -> bool:
@@ -366,12 +314,15 @@ def solve_levels(qn: QuantumNumbers, sym: SymmetryLimit, p: PotentialParams,
     if e_hi <= e_lo:
         raise DomainError("empty energy window")
 
+    eq = ReducedEquation.of(p, sym, qn)
+    d2 = eq.d2
+
     def g(E: float) -> float:
-        lhs, Q, _ = _parts(E, p, sym.constant, qn, sym.kind)
-        return lhs - p.delta ** 2 * Q ** 2
+        lhs, Q, _ = _parts(E, eq)
+        return lhs - d2 * Q ** 2
 
     roots = []
-    for E in _candidates(p, sym.constant, qn, sym.kind, e_lo, e_hi):
+    for E in _candidates(eq, e_lo, e_hi):
         if e_lo <= E <= e_hi:
             polished = _polish(g, E, cfg.tol)
             if polished is not None:
@@ -381,7 +332,7 @@ def solve_levels(qn: QuantumNumbers, sym: SymmetryLimit, p: PotentialParams,
     for r in roots:
         if not deduped or abs(r - deduped[-1]) > 10.0 * cfg.tol:
             deduped.append(r)
-    return [classify_root(r, p, sym, qn) for r in deduped]
+    return [classify_root(r, eq, sym, qn) for r in deduped]
 
 
 def select_table_root(roots: list[EnergyRoot]) -> Optional[EnergyRoot]:

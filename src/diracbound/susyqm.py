@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidBranchError
-from .potentials import PotentialParams
-from .spectra import QuantumNumbers, aux_pseudo, aux_spin, radial_poly_degree
+from .potentials import PotentialParams, ReducedEquation, SymmetryLimit
+from .spectra import QuantumNumbers
 
 __all__ = [
     "SuperpotentialConstants",
@@ -57,15 +57,6 @@ class SuperpotentialConstants:
                 f"B_w must be positive, got {self.B_w:.6g}")
 
 
-def _aux_and_lam(E: float, p: PotentialParams, C: float, qn: QuantumNumbers,
-                 kind: str):
-    if kind == "spin":
-        aux = aux_spin(E, p, C, qn)
-        return aux, aux.eta * (aux.eta + 1.0)
-    aux = aux_pseudo(E, p, C, qn)
-    return aux, aux.eta * (aux.eta - 1.0)
-
-
 def solve_constants(E: float, p: PotentialParams, sym, qn: QuantumNumbers
                     ) -> SuperpotentialConstants:
     """Superpotential constants from the compatibility relations.
@@ -76,13 +67,12 @@ def solve_constants(E: float, p: PotentialParams, sym, qn: QuantumNumbers
     when A_w comes out >= 0 (the state is not representable by this
     superpotential at the given energy).
     """
-    aux, lam = _aux_and_lam(E, p, sym.constant, qn, sym.kind)
-    disc = 0.25 + lam + aux.gamma2
+    _, _, alpha2, gamma2, disc = ReducedEquation.of(p, sym, qn).terms(E)
     if disc < 0.0:
         raise DomainError(
             f"superpotential discriminant negative ({disc:.6g}) at E={E}")
     b_w = p.delta * (1.0 + 2.0 * math.sqrt(disc))
-    a_w = -0.5 * b_w + 2.0 * p.delta ** 2 * (aux.alpha2 + aux.gamma2) / b_w
+    a_w = -0.5 * b_w + 2.0 * p.delta ** 2 * (alpha2 + gamma2) / b_w
     if a_w >= 0.0:
         raise InvalidBranchError(
             f"A_w={a_w:.6g} >= 0 at E={E}: not representable "
@@ -158,23 +148,10 @@ def _susy_residual(E, p: PotentialParams, C: float, qn: QuantumNumbers,
 
     J = 2 (alpha^2+gamma^2)/T - T/2,  T = 1 + 2m + 2 sqrt(1/4 + lambda + gamma^2).
     """
+    eq = ReducedEquation.of(p, SymmetryLimit(kind, C), qn)
     E = np.asarray(E, dtype=float)
-    eta = qn.kappa + p.H
-    four_d2 = 4.0 * p.delta ** 2
-    if kind == "spin":
-        coupling = p.M + E - C
-        lhs = p.M ** 2 - E ** 2 - C * (p.M - E)
-        alpha2 = (p.V0 + p.v0_prime) * coupling / four_d2
-        gamma2 = -p.b_prime * coupling / four_d2
-        lam = eta * (eta + 1.0)
-    else:
-        coupling = p.M - E + C
-        lhs = p.M ** 2 - E ** 2 + C * (p.M + E)
-        alpha2 = -(p.V0 + p.v0_prime) * coupling / four_d2
-        gamma2 = p.b_prime * coupling / four_d2
-        lam = eta * (eta - 1.0)
-    m = radial_poly_degree(qn, kind)
-    disc = 0.25 + lam + gamma2
+    _, lhs, alpha2, gamma2, disc = eq.terms(E)
+    m = eq.degree
     sqrt_disc = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
     T = 1.0 + 2.0 * m + 2.0 * sqrt_disc
     J = 2.0 * (alpha2 + gamma2) / T - 0.5 * T

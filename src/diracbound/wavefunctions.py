@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import (DomainError, NoEigenvalueError, PoleError,
                      SingularCouplingError)
-from .potentials import PotentialParams, SymmetryLimit
-from .spectra import (QuantumNumbers, SearchConfig, aux_pseudo, aux_spin,
-                      radial_poly_degree, select_table_root, solve_levels)
+from .potentials import PotentialParams, ReducedEquation, SymmetryLimit
+from .spectra import (QuantumNumbers, SearchConfig, select_table_root,
+                      solve_levels)
 
 __all__ = [
     "WaveContext",
@@ -155,26 +155,20 @@ def wave_context(qn: QuantumNumbers, sym: SymmetryLimit, p: PotentialParams,
     Raises DomainError when the energy does not correspond to a bound state
     (non-positive beta^2) or the barrier discriminant is negative.
     """
-    if sym.is_spin:
-        aux = aux_spin(E, p, sym.constant, qn)
-        lam = aux.eta * (aux.eta + 1.0)
-        coupling = p.M + E - sym.constant
-    else:
-        aux = aux_pseudo(E, p, sym.constant, qn)
-        lam = aux.eta * (aux.eta - 1.0)
-        coupling = p.M - E + sym.constant
-    if aux.beta2 <= 0.0:
+    eq = ReducedEquation.of(p, sym, qn)
+    coupling, lhs, _, _, disc = eq.terms(E)
+    beta2 = lhs / eq.four_d2
+    if beta2 <= 0.0:
         raise DomainError(
-            f"E={E:.8f} is not a bound state (beta^2={aux.beta2:.6g} <= 0)")
-    disc = 0.25 + aux.gamma2 + lam
+            f"E={E:.8f} is not a bound state (beta^2={beta2:.6g} <= 0)")
     if disc < 0.0:
         raise DomainError(
             f"barrier discriminant negative ({disc:.6g}) at E={E:.8f}")
     return WaveContext(
         qn=qn, symmetry=sym, E=float(E), p=p,
-        beta=math.sqrt(aux.beta2),
+        beta=math.sqrt(beta2),
         xi=0.5 + math.sqrt(disc),
-        degree=radial_poly_degree(qn, sym.kind),
+        degree=eq.degree,
         coupling=float(coupling),
     )
 
@@ -219,8 +213,8 @@ def _solved_component_deriv(r, ctx: WaveContext, norm: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _constructed_component(r, ctx: WaveContext, norm: float, sign: float):
-    """[chi' + sign*(eta/r)*chi] / coupling for the paired component."""
+def _constructed_component(r, ctx: WaveContext, norm: float):
+    """[chi' + s*(eta/r)*chi] / coupling for the paired component."""
     if ctx.coupling == 0.0:
         raise SingularCouplingError(
             "first-order coupling factor vanishes (exact-symmetry "
@@ -229,7 +223,7 @@ def _constructed_component(r, ctx: WaveContext, norm: float, sign: float):
     eta = ctx.qn.kappa + ctx.p.H
     chi = _solved_component(r, ctx, norm)
     dchi = _solved_component_deriv(r, ctx, norm)
-    out = (dchi + sign * (eta / r) * chi) / ctx.coupling
+    out = (dchi + ctx.symmetry.sign * (eta / r) * chi) / ctx.coupling
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -248,7 +242,7 @@ def lower_g_spin(r, ctx: WaveContext, norm: float = 1.0):
     """
     if not ctx.symmetry.is_spin:
         raise DomainError("lower_g_spin needs a spin-limit context")
-    return _constructed_component(r, ctx, norm, +1.0)
+    return _constructed_component(r, ctx, norm)
 
 
 def lower_g_pseudo(r, ctx: WaveContext, norm: float = 1.0):
@@ -266,7 +260,7 @@ def upper_f_pseudo(r, ctx: WaveContext, norm: float = 1.0):
     """
     if ctx.symmetry.is_spin:
         raise DomainError("upper_f_pseudo needs a pseudospin-limit context")
-    return _constructed_component(r, ctx, norm, -1.0)
+    return _constructed_component(r, ctx, norm)
 
 
 def norm_constant(ctx: WaveContext) -> float:

@@ -4,14 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracbound import (
     DomainError,
     PotentialParams,
+    ReducedEquation,
     SymmetryLimit,
     approx_potential,
-    aux_pseudo,
-    aux_spin,
     benchmark_params,
     centrifugal_approx,
     centrifugal_exact,
@@ -133,22 +134,109 @@ def test_auxiliary_parameters_match_reduction_coefficients():
     p = PotentialParams(V0=2.0, A=1.0, B=1.0, delta=0.05, H=0.0, M=4.76)
     qn = QuantumNumbers(0, -2)
     E, C = 0.2, 5.0
-    a = aux_spin(E, p, C, qn)
+    coupling, lhs, alpha2, gamma2, D = ReducedEquation.of(
+        p, SymmetryLimit.spin(C), qn).terms(E)
     coup = p.M + E - C
     four_d2 = 4.0 * p.delta ** 2
-    assert a.alpha2 == pytest.approx((p.V0 + p.v0_prime) * coup / four_d2)
-    assert a.gamma2 == pytest.approx(-p.b_prime * coup / four_d2)
-    assert a.beta2 == pytest.approx(
+    assert coupling == pytest.approx(coup)
+    assert alpha2 == pytest.approx((p.V0 + p.v0_prime) * coup / four_d2)
+    assert gamma2 == pytest.approx(-p.b_prime * coup / four_d2)
+    assert lhs / four_d2 == pytest.approx(
         (p.M ** 2 - E ** 2 - C * (p.M - E)) / four_d2)
-    assert a.eta == qn.kappa + p.H
+    eta = qn.kappa + p.H
+    assert D == pytest.approx(0.25 + eta * (eta + 1.0) + gamma2)
 
     E, C = -0.2, -5.0
-    b = aux_pseudo(E, p, C, qn)
+    coupling, lhs, alpha2, gamma2, D = ReducedEquation.of(
+        p, SymmetryLimit.pseudospin(C), qn).terms(E)
     coup = p.M - E + C
-    assert b.alpha2 == pytest.approx(-(p.V0 + p.v0_prime) * coup / four_d2)
-    assert b.gamma2 == pytest.approx(p.b_prime * coup / four_d2)
-    assert b.beta2 == pytest.approx(
+    assert coupling == pytest.approx(coup)
+    assert alpha2 == pytest.approx(-(p.V0 + p.v0_prime) * coup / four_d2)
+    assert gamma2 == pytest.approx(p.b_prime * coup / four_d2)
+    assert lhs / four_d2 == pytest.approx(
         (p.M ** 2 - E ** 2 + C * (p.M + E)) / four_d2)
+    assert D == pytest.approx(0.25 + eta * (eta - 1.0) + gamma2)
+
+
+def _spin_formulas(E, C, V0, A, B, delta, kappa, H, M):
+    """Spin-limit coefficients of the reduced equation, written out."""
+    eta = kappa + H
+    lam = eta * (eta + 1.0)
+    four_d2 = 4.0 * delta ** 2
+    coupling = M + E - C
+    gamma2 = -(4.0 * B * delta ** 2) * coupling / four_d2
+    return {"coupling": coupling,
+            "lhs": M ** 2 - E ** 2 - C * (M - E),
+            "alpha2": (V0 + 2.0 * A * delta) * coupling / four_d2,
+            "gamma2": gamma2,
+            "D": 0.25 + lam + gamma2,
+            "lam": lam,
+            "eps": E * E - M * M + C * (M - E)}
+
+
+def _pseudo_formulas(E, C, V0, A, B, delta, kappa, H, M):
+    """Pseudospin-limit coefficients of the reduced equation, written out."""
+    eta = kappa + H
+    lam = eta * (eta - 1.0)
+    four_d2 = 4.0 * delta ** 2
+    coupling = M - E + C
+    gamma2 = 4.0 * B * delta ** 2 * coupling / four_d2
+    return {"coupling": coupling,
+            "lhs": M ** 2 - E ** 2 + C * (M + E),
+            "alpha2": -(V0 + 2.0 * A * delta) * coupling / four_d2,
+            "gamma2": gamma2,
+            "D": 0.25 + lam + gamma2,
+            "lam": lam,
+            "eps": E * E - M * M - C * (M + E)}
+
+
+def _record_values(eq, E, sym, M):
+    coupling, lhs, alpha2, gamma2, D = eq.terms(E)
+    return {"coupling": coupling, "lhs": lhs, "alpha2": alpha2,
+            "gamma2": gamma2, "D": D, "lam": eq.lam,
+            "eps": target_eigenvalue(E, sym, M)}
+
+
+@st.composite
+def _coefficient_draws(draw):
+    strength = st.floats(-20.0, 20.0)
+    inputs = {"E": draw(st.floats(-30.0, 30.0)),
+              "C": draw(strength), "V0": draw(strength),
+              "A": draw(strength), "B": draw(strength),
+              "delta": draw(st.floats(0.01, 0.5)),
+              "kappa": draw(st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])),
+              "H": draw(st.floats(-6.0, 6.0)),
+              "M": draw(st.floats(0.5, 8.0))}
+    return inputs, draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_coefficient_draws())
+def test_reduced_equation_is_charge_conjugate_of_spin(draw):
+    x, n = draw
+    p = PotentialParams(V0=x["V0"], A=x["A"], B=x["B"], delta=x["delta"],
+                        H=x["H"], M=x["M"])
+    qn = QuantumNumbers(n, x["kappa"])
+    scale = (1.0 + abs(x["E"]) + abs(x["C"]) + x["M"]) ** 2 \
+        * (1.0 + abs(x["V0"]) + abs(x["A"]) + abs(x["B"])
+           + (abs(x["kappa"]) + abs(x["H"])) ** 2) / x["delta"] ** 2
+    for sym, formulas, degree in (
+            (SymmetryLimit.spin(x["C"]), _spin_formulas, n),
+            (SymmetryLimit.pseudospin(x["C"]), _pseudo_formulas,
+             n + 1 if x["kappa"] > 0 else n)):
+        eq = ReducedEquation.of(p, sym, qn)
+        assert eq.degree == degree
+        got = _record_values(eq, x["E"], sym, x["M"])
+        for key, value in formulas(**x).items():
+            assert math.isclose(got[key], value, rel_tol=1e-12,
+                                abs_tol=1e-13 * scale), key
+        assert math.isclose(got["eps"], -got["lhs"], rel_tol=1e-12,
+                            abs_tol=1e-13 * scale)
+    # The pseudospin record (got, from the last pass) is the spin reduction
+    # at the conjugate point (E, C, V0, A, B, eta) -> (-E, -C, -V0, -A, -B,
+    # -eta), bit for bit; only the degree is not carried by the map.
+    conjugate = {k: (v if k in ("delta", "M") else -v) for k, v in x.items()}
+    assert got == _spin_formulas(**conjugate)
 
 
 def test_effective_potential_modes_and_consistency():

@@ -9,10 +9,9 @@ from diracbound import (
     DomainError,
     PotentialParams,
     QuantumNumbers,
+    ReducedEquation,
     SuperpotentialConstants,
     SymmetryLimit,
-    aux_pseudo,
-    aux_spin,
     benchmark_params,
     ground_state_unnormalized,
     nu_residual_pseudo,
@@ -36,11 +35,10 @@ def test_constants_sign_conventions(params_h0, spin_sym):
                              QuantumNumbers(0, -2))
     assert consts.B_w > 0.0
     assert consts.A_w < 0.0
-    aux = aux_spin(0.24181258, params_h0, spin_sym.constant,
-                   QuantumNumbers(0, -2))
-    lam = aux.eta * (aux.eta + 1.0)
+    eq = ReducedEquation.of(params_h0, spin_sym, QuantumNumbers(0, -2))
+    _, _, _, gamma2, _ = eq.terms(0.24181258)
     expected_b = params_h0.delta * (
-        1.0 + 2.0 * math.sqrt(0.25 + lam + aux.gamma2))
+        1.0 + 2.0 * math.sqrt(0.25 + eq.lam + gamma2))
     assert consts.B_w == pytest.approx(expected_b, rel=1e-12)
 
 
@@ -105,8 +103,9 @@ def test_shape_invariance_remainder_telescopes(params_h0, spin_sym):
     qn = QuantumNumbers(3, -2)
     root = select_table_root(solve_levels(qn, spin_sym, params_h0))
     consts = solve_constants(root.E, params_h0, spin_sym, qn)
-    aux = aux_spin(root.E, params_h0, spin_sym.constant, qn)
-    g = aux.alpha2 + aux.gamma2
+    eq = ReducedEquation.of(params_h0, spin_sym, qn)
+    _, lhs, alpha2, gamma2, _ = eq.terms(root.E)
+    g = alpha2 + gamma2
     delta = params_h0.delta
     m = radial_poly_degree(qn, "spin")
 
@@ -118,8 +117,8 @@ def test_shape_invariance_remainder_telescopes(params_h0, spin_sym):
     a_m = a_of(consts.B_w + 2.0 * m * delta)
     assert total == pytest.approx(consts.A_w ** 2 - a_m ** 2, rel=1e-10)
     # At a quantization root the m-step ladder closure pins the envelope
-    # exponent: 4 delta^2 beta^2 = A_m^2.
-    assert 4.0 * delta ** 2 * aux.beta2 == pytest.approx(a_m ** 2, rel=1e-8)
+    # exponent: 4 delta^2 beta^2 = lhs = A_m^2.
+    assert lhs == pytest.approx(a_m ** 2, rel=1e-8)
     with pytest.raises(DomainError):
         shape_invariance_remainder(0, consts, g, delta)
 

@@ -27,7 +27,8 @@ from diracbound import (
     upper_f_spin,
     wave_context,
 )
-from diracbound.spectra import aux_pseudo, aux_spin, radial_poly_degree
+from diracbound.potentials import ReducedEquation
+from diracbound.spectra import radial_poly_degree
 
 
 def test_jacobi_polynomial_against_scipy_reference():
@@ -89,22 +90,22 @@ def test_wave_context_exponents_and_coupling(params_h5, spin_sym, pseudo_sym):
     qn = QuantumNumbers(0, 1)
     E = 0.26229015
     ctx = wave_context(qn, spin_sym, params_h5, E)
-    aux = aux_spin(E, params_h5, spin_sym.constant, qn)
-    lam = aux.eta * (aux.eta + 1.0)
-    assert ctx.beta == pytest.approx(math.sqrt(aux.beta2), rel=1e-12)
+    eq = ReducedEquation.of(params_h5, spin_sym, qn)
+    _, lhs, _, gamma2, _ = eq.terms(E)
+    assert ctx.beta == pytest.approx(math.sqrt(lhs / eq.four_d2), rel=1e-12)
     assert (2.0 * ctx.xi - 1.0) ** 2 == pytest.approx(
-        1.0 + 4.0 * (aux.gamma2 + lam), rel=1e-12)
+        1.0 + 4.0 * (gamma2 + eq.lam), rel=1e-12)
     assert ctx.coupling == pytest.approx(params_h5.M + E - spin_sym.constant)
     assert ctx.degree == radial_poly_degree(qn, "spin")
 
     qn = QuantumNumbers(0, 2)
     E = -0.28786907
     ctx = wave_context(qn, pseudo_sym, params_h5, E)
-    aux = aux_pseudo(E, params_h5, pseudo_sym.constant, qn)
-    lam = aux.eta * (aux.eta - 1.0)
-    assert ctx.beta == pytest.approx(math.sqrt(aux.beta2), rel=1e-12)
+    eq = ReducedEquation.of(params_h5, pseudo_sym, qn)
+    _, lhs, _, gamma2, _ = eq.terms(E)
+    assert ctx.beta == pytest.approx(math.sqrt(lhs / eq.four_d2), rel=1e-12)
     assert (2.0 * ctx.xi - 1.0) ** 2 == pytest.approx(
-        1.0 + 4.0 * (aux.gamma2 + lam), rel=1e-12)
+        1.0 + 4.0 * (gamma2 + eq.lam), rel=1e-12)
     assert ctx.coupling == pytest.approx(params_h5.M - E + pseudo_sym.constant)
     assert ctx.degree == radial_poly_degree(qn, "pseudospin")
 
