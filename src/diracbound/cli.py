@@ -700,12 +700,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-_FLAG_FIELDS = ("out", "format", "oracle", "symmetry", "C", "H", "V0", "A",
-                "B", "delta", "M", "states", "delta_start", "delta_stop",
-                "delta_step", "v0_start", "v0_stop", "v0_step", "c_start",
-                "c_stop", "c_step")
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Assemble the effective RunConfig from defaults, file, preset, flags."""
     cfg = RunConfig()
@@ -720,10 +714,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         cfg.symmetry = args.symmetry
     if args.preset is not None:
         cfg = apply_preset(cfg, args.preset)
-    for name in _FLAG_FIELDS:
-        value = getattr(args, name, None)
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, name, value)
+            setattr(cfg, f.name, value)
     cfg.validate()
     parse_states(cfg.states, cfg.symmetry, args.command)
     return cfg

@@ -32,40 +32,41 @@ __all__ = [
 ]
 
 _RESCALE_AT = 1e250
+_R_MIN = 1e-6            # first grid point (fm)
+_MATCH_FRACTION = 0.35   # matching point, as a fraction of the grid length
+_OUTER_TOL = 1e-8        # largest final |eps_inner - eps_target| for converged
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Grid and iteration settings for the shooting solver.
+    """Grid settings for the shooting solver.
 
+    The grid runs from r = 1e-6 fm to r_max with num_points steps.
     r_max=None picks max(40, 12/sqrt(|eps_ref|)) fm from the problem's own
-    energy scale.  match_fraction places the log-derivative matching point as
-    a fraction of the grid length.  centrifugal_mode selects the approximated
-    (screened) or exact (1/r^2 plus exact potential) radial equation.
+    energy scale.  centrifugal_mode selects the approximated (screened) or
+    exact (1/r^2 plus exact potential) radial equation.
     """
 
-    r_min: float = 1e-6
     r_max: Optional[float] = None
     num_points: int = 20000
-    match_fraction: float = 0.35
-    outer_tol: float = 1e-8
     centrifugal_mode: str = "approximated"
 
     def __post_init__(self):
-        if self.r_min <= 0 or (self.r_max is not None
-                               and self.r_max <= self.r_min):
-            raise DomainError("need 0 < r_min < r_max")
+        if self.r_max is not None and self.r_max <= _R_MIN:
+            raise DomainError(f"r_max must exceed the grid start {_R_MIN:g}")
         if self.num_points < 1000:
             raise DomainError("num_points must be at least 1000")
-        if not 0.0 < self.match_fraction < 1.0:
-            raise DomainError("match_fraction must lie in (0, 1)")
         if self.centrifugal_mode not in ("approximated", "exact"):
             raise DomainError("centrifugal_mode must be 'approximated' or 'exact'")
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Converged self-consistent eigenvalue and its diagnostics."""
+    """Self-consistent eigenvalue from `dirac_eigenvalue`, with diagnostics.
+
+    converged is False when the final |eps_inner(E) - eps_target(E)| exceeds
+    1e-8; E is then still returned, so callers must check the flag.
+    """
 
     E: float
     inner_eigenvalue: float
@@ -100,7 +101,7 @@ def numerov_integrate(r: np.ndarray, Q: np.ndarray, u0: float, u1: float):
     return u
 
 
-def _series_seed(r_grid, f0, f1, r0, r1):
+def _series_seed(f0, f1, r0, r1):
     """Leading small-r behavior of u for f(r) ~ lam/r^2 - c1/r + O(1).
 
     Extracts lam and c1 numerically from the first two samples of f and
@@ -114,130 +115,120 @@ def _series_seed(r_grid, f0, f1, r0, r1):
     return p, a1
 
 
-def _outward(wU, c, r, p, a1, match_idx, count_cap=None):
-    """Outward sweep of u'' = f u with Numerov weights w_i = wU[i] + c.
+def _sweep(w, c, u0, u1, i, stop, step, mark, cap):
+    """Numerov sweep of u'' = f u with weights w[j] + c, in direction step.
 
-    Starts at the first index where the weight is close enough to 1 for the
-    recurrence to be accurate, seeding with the power-series behavior.
-    Returns (nodes_full, nodes_to_match, triplet around match_idx or None).
-    nodes_full is the Sturm oscillation count over the whole grid (it steers
-    the eigenvalue bisection); nodes_to_match stops at count_cap (the
-    matching point by default) and, combined with the inward count, gives
-    the interior node count of the eigenfunction without the divergent-tail
-    artifact.
+    u0 = u[i - step] and u1 = u[i] seed the recurrence, which fills
+    u[i + step], ... up to index stop (step = +1 outward, -1 inward).
+    Returns (nodes, nodes before cap, (u[mark - step], u[mark],
+    u[mark + step]) or None).  A node is a sign change above the roundoff
+    floor, so the noise that takes over deep in a forbidden region cannot
+    fake one; it lies before cap when found at an index i short of cap in
+    the sweep direction.  |u| is rescaled whenever it passes _RESCALE_AT,
+    so only ratios of u are meaningful.
     """
-    N = len(wU)
-    if count_cap is None:
-        count_cap = match_idx
-    i0 = None
-    for i in range(N):
-        if abs(1.0 - (wU[i] + c)) <= 0.05:
-            i0 = i
-            break
-    if i0 is None or i0 > match_idx - 2:
-        return None, None, None
-    u0 = (r[i0] ** p) * (1.0 + a1 * r[i0])
-    u1 = (r[i0 + 1] ** p) * (1.0 + a1 * r[i0 + 1])
-    if not (math.isfinite(u0) and math.isfinite(u1)) or u1 == 0.0:
-        u0, u1 = 0.0, 1e-10
     nodes = 0
-    nodes_to_match = 0
+    nodes_to_cap = 0
     trip = None
     amax = abs(u1)
-    wm = wU[i0] + c
-    wi = wU[i0 + 1] + c
-    i = i0 + 1
-    while i < N - 1:
-        wp = wU[i + 1] + c
+    wm = w[i - step] + c
+    wi = w[i] + c
+    while i != stop:
+        wp = w[i + step] + c
         u2 = ((12.0 - 10.0 * wi) * u1 - wm * u0) / wp
         a2 = abs(u2)
         if a2 > amax:
             amax = a2
-        # a sign change counts only above the roundoff floor, so the noise
-        # that takes over deep in a forbidden region cannot fake a node
         if u2 != 0.0 and u1 != 0.0 and (u2 < 0.0) != (u1 < 0.0) \
                 and a2 > 1e-12 * amax:
             nodes += 1
-            if i < count_cap:
-                nodes_to_match += 1
-        if i == match_idx:
+            if (cap - i) * step > 0:
+                nodes_to_cap += 1
+        if i == mark:
             trip = (u0, u1, u2)
-        elif a2 > _RESCALE_AT and i + 1 != match_idx:
+        # i + 1 == mark only occurs outward: inward sweeps stop at mark - 1
+        elif a2 > _RESCALE_AT and i + 1 != mark:
             u1 /= _RESCALE_AT
             u2 /= _RESCALE_AT
             amax /= _RESCALE_AT
         u0, u1 = u1, u2
         wm, wi = wi, wp
-        i += 1
-    return nodes, nodes_to_match, trip
-
-
-def _inward(wU, c, h, match_idx, f_end):
-    """Inward sweep from the decaying tail down to match_idx.
-
-    Returns (triplet (v[m-1], v[m], v[m+1]), node count over the swept
-    range) or (None, 0) when the sweep cannot reach the matching point.
-    """
-    N = len(wU)
-    k = math.sqrt(f_end) if f_end > 0.0 else 0.0
-    v1 = 1e-120
-    v0 = v1 * math.exp(min(k * h, 300.0))
-    wp = wU[N - 1] + c
-    wi = wU[N - 2] + c
-    vi1, vi = v1, v0
-    nodes = 0
-    amax = abs(vi)
-    i = N - 2
-    while i > 0:
-        wm = wU[i - 1] + c
-        vm1 = ((12.0 - 10.0 * wi) * vi - wp * vi1) / wm
-        a2 = abs(vm1)
-        if a2 > amax:
-            amax = a2
-        if vm1 != 0.0 and vi != 0.0 and (vm1 < 0.0) != (vi < 0.0) \
-                and a2 > 1e-12 * amax and i - 1 >= match_idx:
-            nodes += 1
-        if i - 1 == match_idx - 1:
-            return (vm1, vi, vi1), nodes
-        if a2 > _RESCALE_AT:
-            vi /= _RESCALE_AT
-            vm1 /= _RESCALE_AT
-            amax /= _RESCALE_AT
-        vi1, vi = vi, vm1
-        wp, wi = wi, wm
-        i -= 1
-    return None, nodes
+        i += step
+    return nodes, nodes_to_cap, trip
 
 
 class _InnerSolver:
     """Node counting and log-derivative matching machinery for a fixed U(r)."""
 
-    def __init__(self, U: np.ndarray, r: np.ndarray, match_fraction: float):
+    def __init__(self, U: np.ndarray, r: np.ndarray):
         self.U = U
         self.r = r
         self.h = r[1] - r[0]
-        self.match_idx = int(match_fraction * r.size)
+        self.match_idx = int(_MATCH_FRACTION * r.size)
         self.wU = (1.0 - (self.h * self.h / 12.0) * U).tolist()
-        self.p, self.a1 = _series_seed(r, U[0], U[1], r[0], r[1])
+        self.p, self.a1 = _series_seed(U[0], U[1], r[0], r[1])
 
     def _weight_shift(self, eps):
         return (self.h * self.h / 12.0) * eps
 
+    def _start(self, c):
+        """Series-seeded (u0, u1, i) for the outward sweep, or None.
+
+        The sweep starts at the first index where the weight is close
+        enough to 1 for the recurrence to be accurate.
+        """
+        for i0, wu in enumerate(self.wU):
+            if abs(1.0 - (wu + c)) <= 0.05:
+                break
+        else:
+            return None
+        if i0 > self.match_idx - 2:
+            return None
+        r0, r1 = self.r[i0], self.r[i0 + 1]
+        u0 = (r0 ** self.p) * (1.0 + self.a1 * r0)
+        u1 = (r1 ** self.p) * (1.0 + self.a1 * r1)
+        if not (math.isfinite(u0) and math.isfinite(u1)) or u1 == 0.0:
+            u0, u1 = 0.0, 1e-10
+        return u0, u1, i0 + 1
+
+    def _shoot_out(self, c, cap):
+        """Outward sweep from the series-seeded start to the grid end.
+
+        Returns (nodes, nodes before cap, triplet around match_idx), or
+        three Nones when the grid offers no accurate start.
+        """
+        start = self._start(c)
+        if start is None:
+            return None, None, None
+        return _sweep(self.wU, c, *start, len(self.wU) - 1, 1,
+                      self.match_idx, cap)
+
+    def _shoot_in(self, c, eps):
+        """Inward sweep from the decaying tail down to match_idx.
+
+        Returns (nodes above match_idx, (v[m-1], v[m], v[m+1])).
+        """
+        f_end = float(self.U[-1]) - eps
+        k = math.sqrt(f_end) if f_end > 0.0 else 0.0
+        v_end = 1e-120
+        v_next = v_end * math.exp(min(k * self.h, 300.0))
+        m = self.match_idx
+        _, n, trip = _sweep(self.wU, c, v_end, v_next, len(self.wU) - 2,
+                            m - 1, -1, m, m)
+        return n, trip[::-1]
+
     def nodes(self, eps: float) -> Optional[int]:
-        n, _, _ = _outward(self.wU, self._weight_shift(eps), self.r, self.p,
-                           self.a1, self.match_idx)
-        return n
+        """Sturm oscillation count of the outward sweep over the whole grid."""
+        return self._shoot_out(self._weight_shift(eps), self.match_idx)[0]
 
     def defect(self, eps: float):
         """(sturm_nodes, log-derivative mismatch at the matching point)."""
         c = self._weight_shift(eps)
-        n, _, trip = _outward(self.wU, c, self.r, self.p, self.a1,
-                              self.match_idx)
-        if n is None or trip is None or trip[1] == 0.0:
+        n, _, trip = self._shoot_out(c, self.match_idx)
+        if n is None or trip[1] == 0.0:
             return n, None
-        tin, _ = _inward(self.wU, c, self.h, self.match_idx,
-                         float(self.U[-1]) - eps)
-        if tin is None or tin[1] == 0.0:
+        _, tin = self._shoot_in(c, eps)
+        if tin[1] == 0.0:
             return n, None
         dout = (trip[2] - trip[0]) / (2.0 * self.h * trip[1])
         din = (tin[2] - tin[0]) / (2.0 * self.h * tin[1])
@@ -255,21 +246,19 @@ class _InnerSolver:
         cap = self.match_idx
         if allowed.size:
             cap = min(self.match_idx, int(allowed[-1]) + 10)
-        n, n_match, _ = _outward(self.wU, c, self.r, self.p, self.a1,
-                                 self.match_idx, count_cap=cap)
+        n, n_match, _ = self._shoot_out(c, cap)
         if n is None:
             return None
-        _, n_in = _inward(self.wU, c, self.h, self.match_idx,
-                          float(self.U[-1]) - eps)
+        n_in, _ = self._shoot_in(c, eps)
         return n_match + n_in
 
-    def floor(self, n_target: int) -> Optional[float]:
-        """A search floor below the n_target eigenvalue.
+    def floor(self, n_target: int):
+        """A search floor below the n_target eigenvalue and its node count.
 
         The raw grid minimum of U can be dominated by an attractive
         singularity at tiny r, so the floor starts from the minimum over the
         resolvable region and deepens adaptively until the node count at the
-        floor does not exceed n_target.
+        floor does not exceed n_target.  Returns (floor, nodes) or None.
         """
         i_skip = min(np.searchsorted(self.r, 100.0 * self.h), self.U.size - 2)
         floor = float(self.U[i_skip:].min())
@@ -278,7 +267,7 @@ class _InnerSolver:
         for _ in range(6):
             n = self.nodes(floor)
             if n is not None and n <= n_target:
-                return floor
+                return floor, n
             floor *= 4.0
         return None
 
@@ -289,13 +278,13 @@ class _InnerSolver:
         by the matching defect inside it.  The defect decreases through zero
         at the eigenvalue.
         """
-        lo = self.floor(n_target)
-        if lo is None:
+        found = self.floor(n_target)
+        if found is None:
             raise NoEigenvalueError(
                 "potential admits no bound spectrum on this grid")
+        lo, n_lo = found
         n_hi = self.nodes(0.0)
-        n_lo = self.nodes(lo)
-        if n_hi is None or n_lo is None or not (n_lo <= n_target < n_hi):
+        if n_hi is None or n_hi <= n_target:
             raise NoEigenvalueError(
                 f"no eigenvalue with {n_target} nodes in the search window "
                 f"(node count spans [{n_lo}, {n_hi}))")
@@ -325,7 +314,7 @@ def _build_grid(cfg: OracleConfig, eps_ref: float, num_points: Optional[int] = N
     r_max = cfg.r_max
     if r_max is None:
         r_max = max(40.0, 12.0 / math.sqrt(max(abs(eps_ref), 1e-12)))
-    return np.linspace(cfg.r_min, r_max, n + 1)
+    return np.linspace(_R_MIN, r_max, n + 1)
 
 
 def schrodinger_eigenvalue(U_eff: Callable, n_target: int,
@@ -339,7 +328,7 @@ def schrodinger_eigenvalue(U_eff: Callable, n_target: int,
     """
     r = _build_grid(cfg, eps_ref)
     U = np.asarray(U_eff(r), dtype=float)
-    solver = _InnerSolver(U, r, cfg.match_fraction)
+    solver = _InnerSolver(U, r)
     return solver.eigenvalue(n_target)
 
 
@@ -353,7 +342,7 @@ def _defect_sign(p: PotentialParams, sym: SymmetryLimit, qn: QuantumNumbers,
     eigenproblem.  Returns +1, -1 or None (integration impossible).
     """
     U = effective_potential(r, E, p, sym, qn, cfg.centrifugal_mode)
-    solver = _InnerSolver(U, r, cfg.match_fraction)
+    solver = _InnerSolver(U, r)
     eps_t = target_eigenvalue(E, sym, p.M)
     n = solver.nodes(eps_t)
     if n is None:
@@ -389,7 +378,13 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
     confirmed by a full inner eigensolve at the final energy.
 
     Raises NoEigenvalueError when no self-consistent bound state exists in
-    the window, NotConvergedError when the final defect check fails.
+    the window, and NotConvergedError only when the inner eigensolve at the
+    bisected energy fails.  A final defect |eps_inner - eps_target| above
+    1e-8, including one left by a bisection cut short by a lost sweep, does
+    not raise: the result comes back with converged=False (for example
+    E = 2.53444863427006 for spin (0, -3) at H = 2.2314, C = 7.2786), so
+    callers must check the flag.  Raising there instead waits for the
+    benchmark to accept a typed failure (ROADMAP items 1 and 2).
     """
     cfg = cfg or OracleConfig()
     eq = ReducedEquation.of(p, sym, qn)
@@ -443,7 +438,7 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
 
     E = 0.5 * (lo + hi)
     U = effective_potential(r_fine, E, p, sym, qn, cfg.centrifugal_mode)
-    solver = _InnerSolver(U, r_fine, cfg.match_fraction)
+    solver = _InnerSolver(U, r_fine)
     try:
         eps_inner, nodes = solver.eigenvalue(n_target)
     except NoEigenvalueError as err:
@@ -451,7 +446,7 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
             f"bisected to E={E:.8f} but the inner eigensolve failed there: "
             f"{err}") from err
     defect = eps_inner - target_eigenvalue(E, sym, p.M)
-    converged = abs(defect) <= cfg.outer_tol
+    converged = abs(defect) <= _OUTER_TOL
     return OracleResult(E=float(E), inner_eigenvalue=float(eps_inner),
                         node_count=int(nodes), outer_iters=outer,
                         converged=bool(converged))
