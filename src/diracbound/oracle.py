@@ -13,6 +13,7 @@ Nothing in this module uses the closed-form spectrum; it exists to check it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -20,7 +21,8 @@ import numpy as np
 
 from .errors import DomainError, NoEigenvalueError, NotConvergedError
 from .potentials import (PotentialParams, ReducedEquation, SymmetryLimit,
-                         effective_potential, target_eigenvalue)
+                         _effective_parts, effective_potential,
+                         target_eigenvalue)
 from .spectra import QuantumNumbers
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
 ]
 
 _RESCALE_AT = 1e250
+_CHUNK = 4096            # weights per list that a scalar sweep converts
 _R_MIN = 1e-6            # first grid point (fm)
 _MATCH_FRACTION = 0.35   # matching point, as a fraction of the grid length
 _OUTER_TOL = 1e-8        # largest final |eps_inner - eps_target| for converged
@@ -52,10 +55,14 @@ class OracleConfig:
     centrifugal_mode: str = "approximated"
 
     def __post_init__(self):
-        if self.r_max is not None and self.r_max <= _R_MIN:
-            raise DomainError(f"r_max must exceed the grid start {_R_MIN:g}")
-        if self.num_points < 1000:
-            raise DomainError("num_points must be at least 1000")
+        if self.r_max is not None and not (
+                math.isfinite(self.r_max) and self.r_max > _R_MIN):
+            raise DomainError(f"r_max must be finite and exceed the grid "
+                              f"start {_R_MIN:g}, got {self.r_max!r}")
+        if not isinstance(self.num_points, numbers.Integral) \
+                or self.num_points < 1000:
+            raise DomainError(f"num_points must be an integer of at least "
+                              f"1000, got {self.num_points!r}")
         if self.centrifugal_mode not in ("approximated", "exact"):
             raise DomainError("centrifugal_mode must be 'approximated' or 'exact'")
 
@@ -115,6 +122,20 @@ def _series_seed(f0, f1, r0, r1):
     return p, a1
 
 
+def _seed(r, p, a1, i0):
+    """Series-seeded (u0, u1, i) for an outward sweep from index i0.
+
+    u ~ r^p (1 + a1 r) at r[i0] and r[i0 + 1]; a tiny linear start replaces
+    it when the series does not give finite, nonzero values.
+    """
+    r0, r1 = r[i0], r[i0 + 1]
+    u0 = (r0 ** p) * (1.0 + a1 * r0)
+    u1 = (r1 ** p) * (1.0 + a1 * r1)
+    if not (math.isfinite(u0) and math.isfinite(u1)) or u1 == 0.0:
+        u0, u1 = 0.0, 1e-10
+    return u0, u1, i0 + 1
+
+
 def _sweep(w, c, u0, u1, i, stop, step, mark, cap):
     """Numerov sweep of u'' = f u with weights w[j] + c, in direction step.
 
@@ -127,34 +148,132 @@ def _sweep(w, c, u0, u1, i, stop, step, mark, cap):
     the sweep direction.  |u| is rescaled whenever it passes _RESCALE_AT,
     so only ratios of u are meaningful.
     """
+    # The weights w[j] + c and 12 - 10 (w[j] + c) of the swept span, in
+    # sweep order.  Elementwise float64 arithmetic gives the bits the
+    # step-by-step sums would, and the steps run on Python floats, several
+    # times faster than on numpy scalars; the conversion goes a chunk at a
+    # time, so no long list is held.
+    lo, hi = sorted((i - step, stop))
+    wc = np.asarray(w[lo:hi + 1], dtype=float) + c
+    if step < 0:
+        wc = wc[::-1]
+    kc = 12.0 - 10.0 * wc
+    u0, u1 = float(u0), float(u1)
     nodes = 0
     nodes_to_cap = 0
     trip = None
     amax = abs(u1)
-    wm = w[i - step] + c
-    wi = w[i] + c
-    while i != stop:
-        wp = w[i + step] + c
-        u2 = ((12.0 - 10.0 * wi) * u1 - wm * u0) / wp
-        a2 = abs(u2)
-        if a2 > amax:
-            amax = a2
-        if u2 != 0.0 and u1 != 0.0 and (u2 < 0.0) != (u1 < 0.0) \
-                and a2 > 1e-12 * amax:
-            nodes += 1
-            if (cap - i) * step > 0:
-                nodes_to_cap += 1
-        if i == mark:
-            trip = (u0, u1, u2)
-        # i + 1 == mark only occurs outward: inward sweeps stop at mark - 1
-        elif a2 > _RESCALE_AT and i + 1 != mark:
-            u1 /= _RESCALE_AT
-            u2 /= _RESCALE_AT
-            amax /= _RESCALE_AT
-        u0, u1 = u1, u2
-        wm, wi = wi, wp
-        i += step
+    neg1 = u1 < 0.0
+    for a in range(0, wc.size - 2, _CHUNK):
+        ws = wc[a:a + _CHUNK + 2].tolist()
+        for wm, k, wp in zip(ws, kc[a + 1:a + _CHUNK + 1].tolist(), ws[2:]):
+            u2 = (k * u1 - wm * u0) / wp
+            if u2 < 0.0:
+                a2, neg2 = -u2, True
+            else:
+                a2, neg2 = u2, False
+            if a2 > amax:
+                amax = a2
+            if neg2 != neg1 and u2 != 0.0 and u1 != 0.0 \
+                    and a2 > 1e-12 * amax:
+                nodes += 1
+                if (cap - i) * step > 0:
+                    nodes_to_cap += 1
+            if i == mark:
+                trip = (u0, u1, u2)
+            # i + 1 == mark only occurs outward: inward sweeps stop at
+            # mark - 1
+            elif a2 > _RESCALE_AT and i + 1 != mark:
+                u1 /= _RESCALE_AT
+                u2 /= _RESCALE_AT
+                amax /= _RESCALE_AT
+            u0, u1, neg1 = u1, u2, neg2
+            i += step
     return nodes, nodes_to_cap, trip
+
+
+def _weight_rows(lam_cent, pot, g, c, hh12):
+    """Numerov weights of a batch of sweeps, one grid row at a time.
+
+    Column k has U_eff = lam_cent + g[k] pot, summed in effective_potential's
+    order, and the weight 1 - hh12 U_eff + c[k] that _InnerSolver and _sweep
+    form from it, so each column carries the bits of its scalar sweep.
+    Rows are built on the fly: no (K, N) array exists.
+    """
+    for lc, v in zip(lam_cent, pot):
+        yield 1.0 - hh12 * (lc + g * v) + c
+
+
+def _batch_starts(rows, width, limit):
+    """Per column, the first row index i <= limit with |1 - w[i]| <= 0.05.
+
+    This is _InnerSolver._start's rule for the first accurate step; None
+    marks a column with no such index.
+    """
+    starts = {}
+    for i, w in enumerate(rows):
+        if i > limit or len(starts) == width:
+            break
+        for k in np.flatnonzero(np.abs(1.0 - w) <= 0.05):
+            starts.setdefault(int(k), i)
+    return [starts.get(k) for k in range(width)]
+
+
+def _sweep_batch(rows, seeds, mark):
+    """_sweep's outward sweeps for a batch of weight columns, in lockstep.
+
+    rows yields the weight rows from grid index 0 (see _weight_rows).
+    Column k runs _sweep(w_k, 0.0, *seeds[k], N - 1, 1, mark, mark) on its
+    weights w_k, with the same recurrence, node rule and rescaling, the
+    rescale skipped at mark - 1 and mark included; seeds[k] = None leaves
+    the column out.  Returns (node counts, with None for a left-out column;
+    the (3, K) array of u[mark - 1], u[mark], u[mark + 1]).
+    """
+    width = len(seeds)
+    # columns by the index where their first step is taken
+    begin = {}
+    for k, seed in enumerate(seeds):
+        if seed is not None:
+            begin.setdefault(seed[2], []).append(k)
+    if not begin:
+        return [None] * width, None
+    first = min(begin)
+    rows = iter(rows)
+    for _ in range(first - 1):
+        next(rows)
+    wm, wi = next(rows), next(rows)
+    u0, u1 = np.zeros(width), np.zeros(width)
+    amax = np.zeros(width)
+    neg1 = np.zeros(width, dtype=bool)
+    nodes = np.zeros(width, dtype=int)
+    trip = None
+    # A column not yet started holds u = 0: it steps to 0 and counts nothing.
+    for i, wp in enumerate(rows, first):
+        cols = begin.get(i)
+        if cols is not None:
+            u0[cols] = [seeds[k][0] for k in cols]
+            u1[cols] = [seeds[k][1] for k in cols]
+            amax[cols] = np.abs(u1[cols])
+            neg1[cols] = u1[cols] < 0.0
+        u2 = ((12.0 - 10.0 * wi) * u1 - wm * u0) / wp
+        a2 = np.abs(u2)
+        np.fmax(amax, a2, out=amax)
+        neg2 = u2 < 0.0
+        flip = neg2 != neg1
+        if flip.any():
+            nodes += flip & (u2 != 0.0) & (u1 != 0.0) & (a2 > 1e-12 * amax)
+        if i == mark:
+            trip = np.array([u0, u1, u2])
+        elif i + 1 != mark:
+            big = a2 > _RESCALE_AT
+            if big.any():
+                u1 = np.where(big, u1 / _RESCALE_AT, u1)
+                u2 = np.where(big, u2 / _RESCALE_AT, u2)
+                amax = np.where(big, amax / _RESCALE_AT, amax)
+        u0, u1, neg1 = u1, u2, neg2
+        wm, wi = wi, wp
+    return [None if seed is None else int(n)
+            for seed, n in zip(seeds, nodes)], trip
 
 
 class _InnerSolver:
@@ -165,31 +284,25 @@ class _InnerSolver:
         self.r = r
         self.h = r[1] - r[0]
         self.match_idx = int(_MATCH_FRACTION * r.size)
-        self.wU = (1.0 - (self.h * self.h / 12.0) * U).tolist()
+        self.hh12 = self.h * self.h / 12.0
+        self.wU = 1.0 - self.hh12 * U
         self.p, self.a1 = _series_seed(U[0], U[1], r[0], r[1])
 
     def _weight_shift(self, eps):
-        return (self.h * self.h / 12.0) * eps
+        return self.hh12 * eps
 
     def _start(self, c):
         """Series-seeded (u0, u1, i) for the outward sweep, or None.
 
         The sweep starts at the first index where the weight is close
-        enough to 1 for the recurrence to be accurate.
+        enough to 1 for the recurrence to be accurate, and no later than
+        two points before match_idx.
         """
-        for i0, wu in enumerate(self.wU):
-            if abs(1.0 - (wu + c)) <= 0.05:
-                break
-        else:
+        near = np.abs(1.0 - (self.wU[:self.match_idx - 1] + c)) <= 0.05
+        i0 = int(near.argmax())
+        if not near[i0]:
             return None
-        if i0 > self.match_idx - 2:
-            return None
-        r0, r1 = self.r[i0], self.r[i0 + 1]
-        u0 = (r0 ** self.p) * (1.0 + self.a1 * r0)
-        u1 = (r1 ** self.p) * (1.0 + self.a1 * r1)
-        if not (math.isfinite(u0) and math.isfinite(u1)) or u1 == 0.0:
-            u0, u1 = 0.0, 1e-10
-        return u0, u1, i0 + 1
+        return _seed(self.r, self.p, self.a1, i0)
 
     def _shoot_out(self, c, cap):
         """Outward sweep from the series-seeded start to the grid end.
@@ -221,11 +334,15 @@ class _InnerSolver:
         """Sturm oscillation count of the outward sweep over the whole grid."""
         return self._shoot_out(self._weight_shift(eps), self.match_idx)[0]
 
-    def defect(self, eps: float):
-        """(sturm_nodes, log-derivative mismatch at the matching point)."""
+    def defect(self, eps: float, n_target: int):
+        """(sturm_nodes, log-derivative mismatch at the matching point).
+
+        The mismatch costs an inward sweep and steers the eigenvalue search
+        only at n_target nodes, so at any other count it is None.
+        """
         c = self._weight_shift(eps)
         n, _, trip = self._shoot_out(c, self.match_idx)
-        if n is None or trip[1] == 0.0:
+        if n != n_target or trip[1] == 0.0:
             return n, None
         _, tin = self._shoot_in(c, eps)
         if tin[1] == 0.0:
@@ -291,7 +408,7 @@ class _InnerSolver:
         a, b = lo, 0.0
         for _ in range(220):
             mid = 0.5 * (a + b)
-            n, d = self.defect(mid)
+            n, d = self.defect(mid, n_target)
             if n is None:
                 raise NoEigenvalueError("integration lost inside the window")
             if n > n_target:
@@ -323,9 +440,12 @@ def schrodinger_eigenvalue(U_eff: Callable, n_target: int,
 
     U_eff is a callable accepting an array of radii.  eps_ref sets the
     automatic r_max scale when the config leaves r_max unset.  Returns
-    (eps, nodes); raises NoEigenvalueError when the requested level does not
-    exist in the searchable window (eps < 0).
+    (eps, nodes); raises DomainError for a negative n_target and
+    NoEigenvalueError when the requested level does not exist in the
+    searchable window (eps < 0).
     """
+    if n_target < 0:
+        raise DomainError(f"n_target must be >= 0, got {n_target}")
     r = _build_grid(cfg, eps_ref)
     U = np.asarray(U_eff(r), dtype=float)
     solver = _InnerSolver(U, r)
@@ -348,6 +468,36 @@ def _defect_sign(p: PotentialParams, sym: SymmetryLimit, qn: QuantumNumbers,
     if n is None:
         return None
     return +1 if n <= n_target else -1
+
+
+def _probe_signs(p: PotentialParams, sym: SymmetryLimit, qn: QuantumNumbers,
+                 n_target: int, cfg: OracleConfig, r: np.ndarray,
+                 probes: np.ndarray):
+    """[_defect_sign(p, sym, qn, n_target, cfg, r, E) for E in probes].
+
+    One batched outward sweep does the work of the scalar ones: U_eff is
+    affine in E, so every probe's weights come from the same E-independent
+    parts, and each column gets the start index, series seed and node
+    count its own _defect_sign would.
+    """
+    eq, lam_cent, pot = _effective_parts(r, p, sym, qn, cfg.centrifugal_mode)
+    g = eq.s * eq.coupling(probes)
+    h = r[1] - r[0]
+    hh12 = h * h / 12.0
+    c = hh12 * target_eigenvalue(probes, sym, p.M)
+    mark = int(_MATCH_FRACTION * r.size)
+    starts = _batch_starts(_weight_rows(lam_cent, pot, g, c, hh12),
+                           len(probes), mark - 2)
+    seeds = []
+    for k, i0 in enumerate(starts):
+        # U_eff at the first two grid points, as effective_potential has them
+        seeds.append(None if i0 is None else _seed(r, *_series_seed(
+            lam_cent[0] + g[k] * pot[0], lam_cent[1] + g[k] * pot[1],
+            r[0], r[1]), i0))
+    counts, _ = _sweep_batch(_weight_rows(lam_cent, pot, g, c, hh12), seeds,
+                             mark)
+    return [None if n is None else (+1 if n <= n_target else -1)
+            for n in counts]
 
 
 def _energy_window(eq: ReducedEquation):
@@ -373,9 +523,11 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
     Solves eps_inner(E) = eps_target(E) where eps_inner is the inner
     eigenvalue with the node count fixed by the quantum numbers (the degree
     of the polynomial factor of the solved component).  The energy window is
-    scanned for sign changes of the defect using single Numerov sweeps, the
-    bracket nearest e_seed (when given) is bisected, and the result is
-    confirmed by a full inner eigensolve at the final energy.
+    scanned at 160 probe energies for sign changes of the defect, all of
+    them in one batched outward Numerov sweep on a coarse grid; the bracket
+    nearest e_seed (when given) is bisected with single sweeps on the fine
+    grid, and the result is confirmed by a full inner eigensolve at the
+    final energy.
 
     Raises NoEigenvalueError when no self-consistent bound state exists in
     the window, and NotConvergedError only when the inner eigensolve at the
@@ -405,10 +557,9 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
     r_coarse = _build_grid(cfg, eps_ref, max(2000, cfg.num_points // 5))
     r_fine = _build_grid(cfg, eps_ref)
 
-    # scan for defect sign changes with single sweeps on the coarse grid
+    # scan for defect sign changes with one batched sweep on the coarse grid
     probes = np.linspace(e_lo, e_hi, 160)
-    signs = [_defect_sign(p, sym, qn, n_target, cfg, r_coarse, E)
-             for E in probes]
+    signs = _probe_signs(p, sym, qn, n_target, cfg, r_coarse, probes)
     brackets = []
     for i in range(len(probes) - 1):
         if signs[i] is not None and signs[i + 1] is not None \

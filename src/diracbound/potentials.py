@@ -316,6 +316,18 @@ def effective_potential(r, E: float, p: PotentialParams, sym: SymmetryLimit,
         mode: "approximated" (screened centrifugal + approximated potential)
             or "exact" (1/r^2 centrifugal + exact potential).
     """
+    eq, lam_cent, pot = _effective_parts(r, p, sym, qn, mode)
+    return lam_cent + eq.s * eq.coupling(E) * pot
+
+
+def _effective_parts(r, p: PotentialParams, sym: SymmetryLimit, qn,
+                     mode: str):
+    """(eq, lam c(r), V(r)): the E-independent parts of U_eff.
+
+    U_eff(r; E) = lam c(r) + (eq.s * eq.coupling(E)) V(r), evaluated in
+    that order, which is what effective_potential returns.  A caller that
+    needs U_eff at many energies builds it from these parts.
+    """
     if mode not in ("approximated", "exact"):
         raise DomainError(f"mode must be 'approximated' or 'exact', got {mode!r}")
     eq = ReducedEquation.of(p, sym, qn)
@@ -325,4 +337,4 @@ def effective_potential(r, E: float, p: PotentialParams, sym: SymmetryLimit,
     else:
         cent = centrifugal_exact(r)
         pot = exact_potential(r, p)
-    return eq.lam * cent + eq.s * eq.coupling(E) * pot
+    return eq, eq.lam * cent, pot

@@ -12,6 +12,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy.integrate import quad
 
 from diracbound import (
@@ -262,6 +263,7 @@ def normalizable_roots(qn, sym, p):
             and abs(r.E) < p.M and target_eigenvalue(r.E, sym, p.M) < 0.0]
 
 
+@pytest.mark.slow
 def test_ac5_oracle_cross_check():
     started = time.perf_counter()
     lines = []
@@ -436,6 +438,7 @@ def _dual_path_draws():
     return worst, draws
 
 
+@pytest.mark.slow
 def test_ac7_limiting_cases():
     # (a) Coulomb closed form against the screened root at delta = 1e-6.
     gap_spin, e_spin = _coulomb_limit_gap("spin", QuantumNumbers(0, 1),

@@ -10,17 +10,24 @@ from diracbound import (
     NoEigenvalueError,
     NonRelParams,
     OracleConfig,
+    PotentialParams,
     QuantumNumbers,
+    ReducedEquation,
     SymmetryLimit,
     benchmark_params,
     dirac_eigenvalue,
+    effective_potential,
     nonrel_energy_hulthen,
     numerov_integrate,
     schrodinger_eigenvalue,
     count_nodes,
     solve_levels,
+    target_eigenvalue,
 )
-from diracbound.oracle import _RESCALE_AT, _sweep
+from diracbound import oracle
+from diracbound.oracle import (_RESCALE_AT, _defect_sign, _energy_window,
+                               _probe_signs, _sweep, _sweep_batch,
+                               _weight_rows)
 
 
 def test_numerov_reproduces_sine_solution():
@@ -119,6 +126,160 @@ def test_sweep_counts_nodes_like_count_nodes(step):
     assert before_cap == (4 if step > 0 else 5)
 
 
+@pytest.mark.parametrize("case, at_guard", [
+    ("forward-oscillating", False),
+    ("forward-growing", False),
+    ("forward-growing", True),
+])
+def test_sweep_batch_matches_sweep(case, at_guard):
+    # Columns differ in g, c and start index; each must give the node count
+    # and the triplet of its own scalar _sweep, bit for bit.  The case's Q
+    # is lam_cent, and g * pot deepens it near r = 0, so counts differ.  In
+    # the growing cases the guard fires; at_guard puts mark at the first
+    # point where column 0 (g = c = 0, exact seed) passes the guard, so both
+    # sweeps must skip the rescale there.
+    _, q, r_end, seed_solution, mark = _SWEEP_CASES[case]
+    r = np.arange(round(r_end / _H) + 1) * _H
+    lam_cent = q(r)
+    pot = -150.0 * np.exp(-r)
+    hh12 = _H * _H / 12.0
+    g = np.linspace(0.0, 2.0, 7)
+    c = hh12 * np.linspace(0.0, 3.0, 7)
+    if at_guard:
+        mark = int(np.argmax(seed_solution(r) > _RESCALE_AT))
+    seeds = [None if i is None else
+             (float(seed_solution(r[i - 1])), float(seed_solution(r[i])), i)
+             for i in [1, 2, 5, 9, 40, None, 3]]
+    counts, trip = _sweep_batch(_weight_rows(lam_cent, pot, g, c, hh12),
+                                seeds, mark)
+    for k, seed in enumerate(seeds):
+        if seed is None:
+            assert counts[k] is None
+            continue
+        w = 1.0 - hh12 * (lam_cent + g[k] * pot)
+        nodes, _, ref = _sweep(w, c[k], *seed, r.size - 1, 1, mark, mark)
+        assert counts[k] == nodes
+        assert trip[:, k].tolist() == list(ref)
+    assert len(set(n for n in counts if n is not None)) > 1
+    if case.endswith("growing"):
+        assert seed_solution(r[mark]) > _RESCALE_AT
+
+
+def test_sweep_batch_node_rule_matches_sweep():
+    # All weights are exactly 1, so u falls on the exact line A - j/1024 and
+    # reaches A - 1 at j = 1024: a sign change there below 1e-12 max|u|
+    # (A = 1 - 2**-53) or through an exact zero (A = 1) is no node, and one
+    # above it (A = 1 + 2**-52, the next point) is.
+    n = 1100
+    zeros = np.zeros(n)
+    heads = [1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52]
+    seeds = [(a, a - 2.0 ** -10, 1) for a in heads]
+    counts, _ = _sweep_batch(
+        _weight_rows(zeros, zeros, np.zeros(3), np.zeros(3), 1.0), seeds,
+        500)
+    ref = [_sweep(np.ones(n), 0.0, *seed, n - 1, 1, 500, 500)[0]
+           for seed in seeds]
+    assert counts == ref == [0, 0, 1]
+
+
+@pytest.mark.parametrize("kind, C, V0, qn, mode", [
+    ("spin", 5.0, 2.0, QuantumNumbers(0, -2), "approximated"),
+    ("pseudospin", -5.0, -2.0, QuantumNumbers(0, -1), "exact"),
+])
+def test_probe_signs_match_defect_sign(kind, C, V0, qn, mode, monkeypatch):
+    # The batched coarse scan gives the 160 signs of the scalar one, and
+    # hands the kernel, per probe, the weights and series seed that the
+    # probe's own _InnerSolver sweeps from, bit for bit.
+    p = PotentialParams(V0=V0, A=V0 / 2.0, B=V0 / 2.0, delta=0.05, H=0.0,
+                        M=4.76)
+    sym = SymmetryLimit(kind, C)
+    eq = ReducedEquation.of(p, sym, qn)
+    lo, hi = _energy_window(eq)
+    probes = np.linspace(lo + 1e-6, hi - 1e-6, 160)
+    args = (p, sym, qn, eq.degree,
+            OracleConfig(num_points=1000, centrifugal_mode=mode),
+            np.linspace(1e-6, 60.0, 2001))
+    fed = {}
+
+    def spy(rows, seeds, mark):
+        fed.update(rows=np.array(list(rows)), seeds=seeds, mark=mark)
+        return _sweep_batch(fed["rows"], seeds, mark)
+
+    monkeypatch.setattr(oracle, "_sweep_batch", spy)
+    signs = _probe_signs(*args, probes)
+    assert signs == [_defect_sign(*args, E) for E in probes]
+    assert {+1, -1} <= set(signs)
+    r = args[-1]
+    for k, E in enumerate(probes):
+        solver = oracle._InnerSolver(
+            effective_potential(r, E, p, sym, qn, mode), r)
+        c = solver._weight_shift(target_eigenvalue(E, sym, p.M))
+        assert np.array_equal(fed["rows"][:, k], solver.wU + c)
+        assert fed["seeds"][k] == solver._start(c)
+    assert fed["mark"] == solver.match_idx
+
+
+# dirac_eigenvalue and schrodinger_eigenvalue outputs recorded as float.hex
+# before the batched probe scan and the float-only sweep: a faster oracle
+# must keep every bit.  Dirac cases: (limit, C, V0 = 2 A = 2 B, H, (n, kappa),
+# centrifugal mode, num_points) -> (E, inner_eigenvalue, node_count,
+# outer_iters, converged).  The pseudospin case is the charge conjugate of
+# the spin one (V0, A, B, C and eta negated), on its own grid.
+_PINNED_DIRAC = {
+    ("spin", 5.0, 2.0, 0.0, (0, -2), "approximated", 1000):
+        ("0x1.b16af40227f8cp-2", "-0x1.96e95ba44e344p-1", 0, 29, True),
+    ("pseudospin", -5.0, -2.0, 0.0, (0, -1), "approximated", 1500):
+        ("-0x1.b16b7f1e734fcp-2", "-0x1.96ea7c8a30c68p-1", 0, 29, True),
+    ("spin", 7.0, 2.0, 0.0, (0, -1), "exact", 2000):
+        ("0x1.22863ba869ab0p+1", "-0x1.2f2a12de1e14bp-4", 0, 28, True),
+    ("spin", 5.0, 2.0, 5.0, (1, -2), "approximated", 2000):
+        ("0x1.37d064f0902a8p+0", "-0x1.bb68d31f916dcp+1", 1, 29, True),
+}
+_PINNED_HYDROGEN = {0: "-0x1.0006283fef2c8p+0", 1: "-0x1.000251fe6e248p-2"}
+
+
+def test_oracle_outputs_are_pinned():
+    for (kind, C, V0, H, nk, mode, num), want in _PINNED_DIRAC.items():
+        p = PotentialParams(V0=V0, A=V0 / 2.0, B=V0 / 2.0, delta=0.05, H=H,
+                            M=4.76)
+        res = dirac_eigenvalue(QuantumNumbers(*nk), SymmetryLimit(kind, C),
+                               p, OracleConfig(num_points=num,
+                                               centrifugal_mode=mode))
+        got = (res.E.hex(), res.inner_eigenvalue.hex(), res.node_count,
+               res.outer_iters, res.converged)
+        assert got == want, (kind, C, nk)
+    with pytest.raises(NoEigenvalueError) as err:
+        dirac_eigenvalue(QuantumNumbers(1, -1), SymmetryLimit.pseudospin(-5.0),
+                         benchmark_params(H=0.0),
+                         OracleConfig(num_points=1000))
+    assert str(err.value) == ("no self-consistent bound state in the energy "
+                              "window [-4.7600, -0.2400]")
+    cfg = OracleConfig(r_max=60.0, num_points=3000)
+    for n, want in _PINNED_HYDROGEN.items():
+        eps, nodes = schrodinger_eigenvalue(lambda r: -2.0 / r, n, cfg)
+        assert (float(eps).hex(), nodes) == (want, n)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"r_max": float("nan")},
+    {"r_max": float("inf")},
+    {"r_max": 1e-6},
+    {"num_points": 2000.5},
+    {"num_points": 2000.0},
+    {"num_points": 999},
+    {"centrifugal_mode": "other"},
+])
+def test_oracle_config_rejects_bad_values(kwargs):
+    with pytest.raises(DomainError):
+        OracleConfig(**kwargs)
+
+
+def test_schrodinger_eigenvalue_rejects_negative_level():
+    with pytest.raises(DomainError):
+        schrodinger_eigenvalue(lambda r: -2.0 / r, -1,
+                               OracleConfig(r_max=60.0, num_points=3000))
+
+
 def test_inner_solver_on_coulomb_levels():
     cfg = OracleConfig(r_max=60.0, num_points=12000)
 
@@ -159,6 +320,7 @@ def test_inner_solver_reports_missing_level():
         schrodinger_eigenvalue(shallow, 3, cfg)
 
 
+@pytest.mark.slow
 def test_dirac_oracle_agrees_with_principal_branch_root(params_h0, spin_sym):
     # The self-consistent shooting solve lands on the analytic root of the
     # positive quantization branch to far better than its own tolerance.
@@ -173,6 +335,7 @@ def test_dirac_oracle_agrees_with_principal_branch_root(params_h0, spin_sym):
     assert result.E == pytest.approx(roots[0].E, abs=1e-6)
 
 
+@pytest.mark.slow
 def test_dirac_oracle_raises_when_no_bound_state(params_h0, pseudo_sym):
     with pytest.raises(NoEigenvalueError):
         dirac_eigenvalue(QuantumNumbers(1, -1), pseudo_sym, params_h0)
