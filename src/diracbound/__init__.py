@@ -27,7 +27,6 @@ from .potentials import (
     effective_potential,
     exact_potential,
     radial_poly_degree,
-    spin_orbit_strength,
     target_eigenvalue,
 )
 from .oracle import (
@@ -40,10 +39,8 @@ from .oracle import (
 from .spectra import (
     EnergyRoot,
     QuantumNumbers,
-    SearchConfig,
     doublet_partner,
-    nu_residual_pseudo,
-    nu_residual_spin,
+    nu_residual,
     scan_v0_c,
     select_table_root,
     solve_levels,
@@ -57,12 +54,10 @@ from .wavefunctions import (
     hyp2f1_terminating,
     jacobi_p,
     jacobi_rodrigues,
-    lower_g_pseudo,
-    lower_g_spin,
     norm_constant,
+    paired_component,
     solve_wavefunction,
-    upper_f_pseudo,
-    upper_f_spin,
+    solved_component,
     wave_context,
 )
 from .susyqm import (
@@ -73,8 +68,7 @@ from .susyqm import (
     solve_constants,
     superpotential_at,
     superpotential_deriv_at,
-    susy_residual_pseudo,
-    susy_residual_spin,
+    susy_residual,
 )
 from .limits import (
     NonRelParams,

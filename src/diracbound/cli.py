@@ -26,10 +26,9 @@ from .limits import (NonRelParams, coulomb_energy, hulthen_residual,
                      nonrel_energy_hulthen)
 from .oracle import OracleConfig, dirac_eigenvalue, schrodinger_eigenvalue
 from .potentials import PotentialParams, SymmetryLimit
-from .spectra import (QuantumNumbers, doublet_partner, nu_residual_pseudo,
-                      nu_residual_spin, scan_v0_c, select_table_root,
-                      solve_levels, sweep_delta)
-from .susyqm import susy_residual_pseudo, susy_residual_spin
+from .spectra import (QuantumNumbers, doublet_partner, nu_residual,
+                      scan_v0_c, select_table_root, solve_levels, sweep_delta)
+from .susyqm import susy_residual
 from .wavefunctions import solve_wavefunction
 
 EXIT_OK = 0
@@ -40,6 +39,9 @@ EXIT_VERIFY = 3
 PRESET_NAME = "paper-benchmark"
 
 _TABLE_H_PAIR_DEFAULT = 5.0
+
+# sweep and scan grids: <axis>_start, <axis>_stop, <axis>_step
+_GRID_AXES = ("delta", "v0", "c")
 
 
 # ---------------------------------------------------------------------------
@@ -132,16 +134,21 @@ class RunConfig:
             raise DomainError(f"format must be csv or json, got {self.format!r}")
         if self.oracle not in ("on", "off"):
             raise DomainError(f"oracle must be on or off, got {self.oracle!r}")
-        for name in ("V0", "A", "B", "delta", "M", "H", "C"):
+        grid = [f"{axis}_{end}" for axis in _GRID_AXES
+                for end in ("start", "stop", "step")]
+        for name in ("V0", "A", "B", "delta", "M", "H", "C", *grid):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
         if self.delta <= 0:
             raise DomainError(f"delta must be positive, got {self.delta}")
         if self.M <= 0:
             raise DomainError(f"M must be positive, got {self.M}")
-        for name in ("delta_step", "v0_step", "c_step"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
+        for axis in _GRID_AXES:
+            if getattr(self, f"{axis}_step") <= 0:
+                raise DomainError(f"{axis}_step must be positive")
+            if getattr(self, f"{axis}_stop") < getattr(self, f"{axis}_start"):
+                raise DomainError(
+                    f"{axis}_stop must not be below {axis}_start")
 
     def potential(self, H: float | None = None) -> PotentialParams:
         return PotentialParams(V0=self.V0, A=self.A, B=self.B,
@@ -426,15 +433,13 @@ def _verify_equivalence(cfg: RunConfig) -> tuple[str, str]:
                             int(rng.choice([-4, -3, -2, -1, 1, 2, 3])))
         E = rng.uniform(-0.95, 0.95) * p.M
         try:
-            nu_s = nu_residual_spin(E, p, C, qn)
-            susy_s = susy_residual_spin(E, p, C, qn)
-            nu_p = nu_residual_pseudo(E, p, C, qn)
-            susy_p = susy_residual_pseudo(E, p, C, qn)
+            pairs = [(nu_residual(E, p, sym, qn), susy_residual(E, p, sym, qn))
+                     for sym in (SymmetryLimit.spin(C),
+                                 SymmetryLimit.pseudospin(C))]
         except DomainError:
             continue
-        worst = max(worst,
-                    abs(nu_s - susy_s) / (1.0 + abs(nu_s)),
-                    abs(nu_p - susy_p) / (1.0 + abs(nu_p)))
+        worst = max(worst, *(abs(nu - susy) / (1.0 + abs(nu))
+                             for nu, susy in pairs))
         checked += 1
     status = "PASS" if worst <= 1e-9 else "FAIL"
     return status, f"max relative gap {worst:.2e} over {checked} draws"

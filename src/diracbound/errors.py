@@ -27,4 +27,5 @@ class NoEigenvalueError(RuntimeError):
 
 
 class NotConvergedError(RuntimeError):
-    """An iterative solve exhausted its iteration budget."""
+    """The shooting solver bisected to an energy but the final inner
+    eigensolve there failed (raised by dirac_eigenvalue)."""

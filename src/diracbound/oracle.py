@@ -516,8 +516,8 @@ def _energy_window(eq: ReducedEquation):
 
 
 def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
-                     p: PotentialParams, cfg: Optional[OracleConfig] = None,
-                     e_seed: Optional[float] = None) -> OracleResult:
+                     p: PotentialParams,
+                     cfg: Optional[OracleConfig] = None) -> OracleResult:
     """Self-consistent bound-state energy of the reduced radial equation.
 
     Solves eps_inner(E) = eps_target(E) where eps_inner is the inner
@@ -525,9 +525,8 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
     of the polynomial factor of the solved component).  The energy window is
     scanned at 160 probe energies for sign changes of the defect, all of
     them in one batched outward Numerov sweep on a coarse grid; the bracket
-    nearest e_seed (when given) is bisected with single sweeps on the fine
-    grid, and the result is confirmed by a full inner eigensolve at the
-    final energy.
+    nearest E = 0 is bisected with single sweeps on the fine grid, and the
+    result is confirmed by a full inner eigensolve at the final energy.
 
     Raises NoEigenvalueError when no self-consistent bound state exists in
     the window, and NotConvergedError only when the inner eigensolve at the
@@ -569,10 +568,7 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
         raise NoEigenvalueError(
             "no self-consistent bound state in the energy window "
             f"[{e_lo:.4f}, {e_hi:.4f}]")
-    if e_seed is not None:
-        lo, hi = min(brackets, key=lambda br: abs(0.5 * (br[0] + br[1]) - e_seed))
-    else:
-        lo, hi = min(brackets, key=lambda br: abs(0.5 * (br[0] + br[1])))
+    lo, hi = min(brackets, key=lambda br: abs(0.5 * (br[0] + br[1])))
 
     outer = 0
     s_lo = _defect_sign(p, sym, qn, n_target, cfg, r_fine, lo)

@@ -33,7 +33,6 @@ __all__ = [
     "approx_potential",
     "centrifugal_approx",
     "centrifugal_exact",
-    "spin_orbit_strength",
     "effective_potential",
     "target_eigenvalue",
 ]
@@ -261,17 +260,6 @@ class ReducedEquation:
         # gamma2 keeps its sign instead of vanishing beside 1/4.
         return (coupling, lhs, self.s_v * coupling / self.four_d2, gamma2,
                 0.25 + self.lam + gamma2)
-
-
-def spin_orbit_strength(kappa: float, H: float, kind: str) -> float:
-    """Strength of the centrifugal-like term in the reduced radial equation.
-
-    With eta = kappa + H this is eta*(eta+1) for the spin reduction (upper
-    component) and eta*(eta-1) for the pseudospin reduction (lower
-    component).  At H=0 these collapse to l(l+1) and ltilde(ltilde+1).
-    """
-    eta = kappa + H
-    return eta * (eta + SymmetryLimit(kind, 0.0).sign)
 
 
 def target_eigenvalue(E: float, sym: SymmetryLimit, M: float) -> float:

@@ -33,11 +33,9 @@ from .potentials import (PotentialParams, ReducedEquation, SymmetryLimit,
 __all__ = [
     "QuantumNumbers",
     "EnergyRoot",
-    "SearchConfig",
     "SPECTROSCOPIC_LETTERS",
     "radial_poly_degree",
-    "nu_residual_spin",
-    "nu_residual_pseudo",
+    "nu_residual",
     "solve_levels",
     "select_table_root",
     "doublet_partner",
@@ -46,6 +44,11 @@ __all__ = [
 ]
 
 SPECTROSCOPIC_LETTERS = "spdfghik"
+
+# solve_levels searches E in [-(M + |C| + _WINDOW_PAD), M + |C| + _WINDOW_PAD]
+# and polishes each root to _TOL.
+_WINDOW_PAD = 1.0
+_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -112,15 +115,6 @@ class EnergyRoot:
     nu_branch: int
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Energy window and polishing tolerance for the root search."""
-
-    e_min: Optional[float] = None
-    e_max: Optional[float] = None
-    tol: float = 1e-12
-
-
 def _parts(E, eq: ReducedEquation):
     """Pieces of the residual, (lhs, Q, D), over an array of E or one float.
 
@@ -138,8 +132,15 @@ def _parts(E, eq: ReducedEquation):
     return lhs, Q, D
 
 
-def _residual(E, p, C, qn, kind):
-    eq = ReducedEquation.of(p, SymmetryLimit(kind, C), qn)
+def nu_residual(E, p: PotentialParams, sym: SymmetryLimit,
+                qn: QuantumNumbers):
+    """Quantization residual g(E) in limit sym; zero at the eigenvalues.
+
+    Scalar E raises DomainError where the square-root discriminant is
+    negative (no bound-state relation there); array E returns NaN at such
+    points so window scans can skip domain holes.
+    """
+    eq = ReducedEquation.of(p, sym, qn)
     E = np.asarray(E, dtype=float)
     lhs, Q, D = _parts(E, eq)
     g = lhs - eq.d2 * Q ** 2
@@ -150,21 +151,6 @@ def _residual(E, p, C, qn, kind):
                 f"(discriminant {float(D):.6g} < 0)")
         return float(g)
     return g
-
-
-def nu_residual_spin(E, p: PotentialParams, C_S: float, qn: QuantumNumbers):
-    """Spin-limit quantization residual g(E); zero at the eigenvalues.
-
-    Scalar E raises DomainError where the square-root discriminant is
-    negative (no bound-state relation there); array E returns NaN at such
-    points so window scans can skip domain holes.
-    """
-    return _residual(E, p, C_S, qn, "spin")
-
-
-def nu_residual_pseudo(E, p: PotentialParams, C_PS: float, qn: QuantumNumbers):
-    """Pseudospin-limit quantization residual; conventions as nu_residual_spin."""
-    return _residual(E, p, C_PS, qn, "pseudospin")
 
 
 def classify_root(E: float, eq: ReducedEquation, sym: SymmetryLimit,
@@ -266,8 +252,8 @@ def _is_real(z: complex) -> bool:
     return abs(z.imag) <= 1e-7 * (1.0 + abs(z.real))
 
 
-def _polish(g, E: float, tol: float) -> Optional[float]:
-    """Bisect g to tol on the narrowest bracket at E where it changes sign.
+def _polish(g, E: float) -> Optional[float]:
+    """Bisect g to _TOL on the narrowest bracket at E where it changes sign.
 
     The bracket starts at 1e-10 (1 + |E|) on either side of E and grows by
     4 up to 1e-5, because the t -> E map magnifies companion-root error when
@@ -281,7 +267,7 @@ def _polish(g, E: float, tol: float) -> Optional[float]:
             if g_x * g_E < 0.0:
                 lo, hi = min(E, x), max(E, x)
                 g_lo = g_E if lo == E else g_x
-                while hi - lo > tol:
+                while hi - lo > _TOL:
                     mid = 0.5 * (lo + hi)
                     g_mid = g(mid)
                     if g_mid == 0.0:
@@ -295,25 +281,20 @@ def _polish(g, E: float, tol: float) -> Optional[float]:
     return E if g_E == 0.0 else None
 
 
-def solve_levels(qn: QuantumNumbers, sym: SymmetryLimit, p: PotentialParams,
-                 search: Optional[SearchConfig] = None) -> list[EnergyRoot]:
+def solve_levels(qn: QuantumNumbers, sym: SymmetryLimit,
+                 p: PotentialParams) -> list[EnergyRoot]:
     """All real zeros of the quantization residual in the energy window.
 
     Enumerates the zeros exactly as roots of a polynomial (see the module
-    docstring), keeps those inside the window, polishes each one by
-    bisection on the residual to the search tolerance and drops those that
-    show no sign change: a zero where g only touches 0, or one exactly at
-    the D = 0 edge of its domain, is not returned.  Returns roots ordered by
-    energy, each with recomputed validity flags; an empty list means no
-    bound state in the window.
+    docstring), keeps those in the window |E| <= M + |C| + 1, polishes each
+    one by bisection on the residual to 1e-12 and drops those that show no
+    sign change: a zero where g only touches 0, or one exactly at the D = 0
+    edge of its domain, is not returned.  Returns roots ordered by energy,
+    each with recomputed validity flags; an empty list means no bound state
+    in the window.
     """
-    cfg = search or SearchConfig()
-    pad = p.M + abs(sym.constant) + 1.0
-    e_lo = cfg.e_min if cfg.e_min is not None else -pad
-    e_hi = cfg.e_max if cfg.e_max is not None else pad
-    if e_hi <= e_lo:
-        raise DomainError("empty energy window")
-
+    e_hi = p.M + abs(sym.constant) + _WINDOW_PAD
+    e_lo = -e_hi
     eq = ReducedEquation.of(p, sym, qn)
     d2 = eq.d2
 
@@ -324,13 +305,13 @@ def solve_levels(qn: QuantumNumbers, sym: SymmetryLimit, p: PotentialParams,
     roots = []
     for E in _candidates(eq, e_lo, e_hi):
         if e_lo <= E <= e_hi:
-            polished = _polish(g, E, cfg.tol)
+            polished = _polish(g, E)
             if polished is not None:
                 roots.append(polished)
     roots.sort()
     deduped: list[float] = []
     for r in roots:
-        if not deduped or abs(r - deduped[-1]) > 10.0 * cfg.tol:
+        if not deduped or abs(r - deduped[-1]) > 10.0 * _TOL:
             deduped.append(r)
     return [classify_root(r, eq, sym, qn) for r in deduped]
 
@@ -367,8 +348,7 @@ def doublet_partner(qn: QuantumNumbers, sym: SymmetryLimit) -> QuantumNumbers:
 
 
 def sweep_delta(states: list[QuantumNumbers], sym: SymmetryLimit,
-                p: PotentialParams, deltas,
-                search: Optional[SearchConfig] = None) -> list[dict]:
+                p: PotentialParams, deltas) -> list[dict]:
     """Tabulated energy of each state as the screening parameter varies.
 
     Returns one dict per delta value with key "delta" plus one key per state
@@ -384,15 +364,14 @@ def sweep_delta(states: list[QuantumNumbers], sym: SymmetryLimit,
                 continue
             pd = PotentialParams(V0=p.V0, A=p.A, B=p.B, delta=float(d),
                                  H=p.H, M=p.M)
-            root = select_table_root(solve_levels(qn, sym, pd, search))
+            root = select_table_root(solve_levels(qn, sym, pd))
             row[qn.label] = None if root is None else root.E
         rows.append(row)
     return rows
 
 
 def scan_v0_c(qn: QuantumNumbers, sym_kind: str, p: PotentialParams,
-              v0_values, c_values,
-              search: Optional[SearchConfig] = None) -> np.ndarray:
+              v0_values, c_values) -> np.ndarray:
     """Selected energy over a (V0, C) grid with V0 = A = B tied.
 
     Returns an array of shape (len(c_values), len(v0_values)); entries are
@@ -406,7 +385,7 @@ def scan_v0_c(qn: QuantumNumbers, sym_kind: str, p: PotentialParams,
         for k, v0 in enumerate(v0_values):
             pv = PotentialParams(V0=float(v0), A=float(v0), B=float(v0),
                                  delta=p.delta, H=p.H, M=p.M)
-            root = select_table_root(solve_levels(qn, sym, pv, search))
+            root = select_table_root(solve_levels(qn, sym, pv))
             if root is not None:
                 out[i, k] = root.E
     return out

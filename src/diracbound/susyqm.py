@@ -32,8 +32,7 @@ __all__ = [
     "superpotential_deriv_at",
     "partner_potentials_at",
     "shape_invariance_remainder",
-    "susy_residual_spin",
-    "susy_residual_pseudo",
+    "susy_residual",
     "ground_state_unnormalized",
 ]
 
@@ -142,13 +141,20 @@ def shape_invariance_remainder(i: int, consts: SuperpotentialConstants,
     return a_of(b_prev) ** 2 - a_of(b_cur) ** 2
 
 
-def _susy_residual(E, p: PotentialParams, C: float, qn: QuantumNumbers,
-                   kind: str):
-    """Residual lhs - delta^2 J^2 with the ladder-closure bracket J.
+def susy_residual(E, p: PotentialParams, sym: SymmetryLimit,
+                  qn: QuantumNumbers):
+    """Quantization residual in limit sym from the shape-invariance ladder.
 
-    J = 2 (alpha^2+gamma^2)/T - T/2,  T = 1 + 2m + 2 sqrt(1/4 + lambda + gamma^2).
+    The residual is lhs - delta^2 J^2 with the ladder-closure bracket
+
+        J = 2 (alpha^2+gamma^2)/T - T/2,
+        T = 1 + 2m + 2 sqrt(1/4 + lambda + gamma^2).
+
+    Coded independently of the spectra module residual; the two have
+    identical zero sets.  Scalar E raises DomainError outside the
+    square-root domain, array E yields NaN there.
     """
-    eq = ReducedEquation.of(p, SymmetryLimit(kind, C), qn)
+    eq = ReducedEquation.of(p, sym, qn)
     E = np.asarray(E, dtype=float)
     _, lhs, alpha2, gamma2, disc = eq.terms(E)
     m = eq.degree
@@ -163,23 +169,6 @@ def _susy_residual(E, p: PotentialParams, C: float, qn: QuantumNumbers,
                 f"(discriminant {float(disc):.6g} < 0)")
         return float(g)
     return g
-
-
-def susy_residual_spin(E, p: PotentialParams, C_S: float,
-                       qn: QuantumNumbers):
-    """Spin-limit quantization residual from the shape-invariance ladder.
-
-    Coded independently of the spectra module residual; the two have
-    identical zero sets.  Scalar E raises DomainError outside the
-    square-root domain, array E yields NaN there.
-    """
-    return _susy_residual(E, p, C_S, qn, "spin")
-
-
-def susy_residual_pseudo(E, p: PotentialParams, C_PS: float,
-                         qn: QuantumNumbers):
-    """Pseudospin-limit ladder residual; conventions as susy_residual_spin."""
-    return _susy_residual(E, p, C_PS, qn, "pseudospin")
 
 
 def ground_state_unnormalized(r, consts: SuperpotentialConstants,

@@ -24,8 +24,7 @@ import numpy as np
 from .errors import (DomainError, NoEigenvalueError, PoleError,
                      SingularCouplingError)
 from .potentials import PotentialParams, ReducedEquation, SymmetryLimit
-from .spectra import (QuantumNumbers, SearchConfig, select_table_root,
-                      solve_levels)
+from .spectra import QuantumNumbers, select_table_root, solve_levels
 
 __all__ = [
     "WaveContext",
@@ -34,10 +33,8 @@ __all__ = [
     "jacobi_p",
     "jacobi_rodrigues",
     "wave_context",
-    "upper_f_spin",
-    "lower_g_spin",
-    "lower_g_pseudo",
-    "upper_f_pseudo",
+    "solved_component",
+    "paired_component",
     "norm_constant",
     "count_nodes",
     "default_grid",
@@ -189,8 +186,12 @@ def _poly_prefactor(ctx: WaveContext) -> float:
                     - math.lgamma(m + 1.0))
 
 
-def _solved_component(r, ctx: WaveContext, norm: float):
-    """norm * s^beta (1-s)^xi * prefac * 2F1(-m, 2b+2x+m; 1+2b; s)."""
+def solved_component(r, ctx: WaveContext, norm: float = 1.0):
+    """The component the reduced equation solves: F (spin) or G (pseudospin).
+
+    norm * s^beta (1-s)^xi * prefac * 2F1(-m, 2b+2x+m; 1+2b; s), with
+    prefac = (2beta+1)_m / m!.
+    """
     r, s, oms = _s_vars(r, ctx.p.delta)
     m, tb = ctx.degree, 2.0 * ctx.beta
     y = hyp2f1_terminating(m, tb + 2.0 * ctx.xi + m, 1.0 + tb, s)
@@ -213,54 +214,24 @@ def _solved_component_deriv(r, ctx: WaveContext, norm: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _constructed_component(r, ctx: WaveContext, norm: float):
-    """[chi' + s*(eta/r)*chi] / coupling for the paired component."""
+def paired_component(r, ctx: WaveContext, norm: float = 1.0):
+    """The component built from the solved one: G (spin) or F (pseudospin).
+
+    It is [chi' + s (eta/r) chi] / coupling with chi the solved component
+    and s = +1 (spin) or -1 (pseudospin), so G = [F' + (eta/r) F]/(M+E-C)
+    and F = [G' - (eta/r) G]/(M-E+C).  Raises SingularCouplingError when
+    the coupling factor vanishes.
+    """
     if ctx.coupling == 0.0:
         raise SingularCouplingError(
             "first-order coupling factor vanishes (exact-symmetry "
             "singular case); the paired component is undefined")
     r = np.asarray(r, dtype=float)
     eta = ctx.qn.kappa + ctx.p.H
-    chi = _solved_component(r, ctx, norm)
+    chi = solved_component(r, ctx, norm)
     dchi = _solved_component_deriv(r, ctx, norm)
     out = (dchi + ctx.symmetry.sign * (eta / r) * chi) / ctx.coupling
     return float(out) if np.ndim(out) == 0 else out
-
-
-def upper_f_spin(r, ctx: WaveContext, norm: float = 1.0):
-    """Upper component F of a spin-limit state (the solved component)."""
-    if not ctx.symmetry.is_spin:
-        raise DomainError("upper_f_spin needs a spin-limit context")
-    return _solved_component(r, ctx, norm)
-
-
-def lower_g_spin(r, ctx: WaveContext, norm: float = 1.0):
-    """Lower component G of a spin-limit state.
-
-    Constructed from the first-order relation G = [F' + (eta/r)F]/(M+E-C).
-    Raises SingularCouplingError when M+E-C = 0.
-    """
-    if not ctx.symmetry.is_spin:
-        raise DomainError("lower_g_spin needs a spin-limit context")
-    return _constructed_component(r, ctx, norm)
-
-
-def lower_g_pseudo(r, ctx: WaveContext, norm: float = 1.0):
-    """Lower component G of a pseudospin-limit state (the solved component)."""
-    if ctx.symmetry.is_spin:
-        raise DomainError("lower_g_pseudo needs a pseudospin-limit context")
-    return _solved_component(r, ctx, norm)
-
-
-def upper_f_pseudo(r, ctx: WaveContext, norm: float = 1.0):
-    """Upper component F of a pseudospin-limit state.
-
-    Constructed from the first-order relation F = [G' - (eta/r)G]/(M-E+C).
-    Raises SingularCouplingError when M-E+C = 0.
-    """
-    if ctx.symmetry.is_spin:
-        raise DomainError("upper_f_pseudo needs a pseudospin-limit context")
-    return _constructed_component(r, ctx, norm)
 
 
 def norm_constant(ctx: WaveContext) -> float:
@@ -304,8 +275,8 @@ def count_nodes(samples) -> int:
     return int(np.count_nonzero(np.signbit(nz[1:]) != np.signbit(nz[:-1])))
 
 
-def default_grid(ctx: WaveContext, num_points: int = 2000) -> np.ndarray:
-    """Log-spaced sampling grid covering the rise and the decaying tail.
+def default_grid(ctx: WaveContext) -> np.ndarray:
+    """Log-spaced 2000-point grid covering the rise and the decaying tail.
 
     Starts from the physical decay scale (outer radius max(30, 18/beta_dim)
     fm) and extends until the sampled solved component has fallen below
@@ -315,8 +286,8 @@ def default_grid(ctx: WaveContext, num_points: int = 2000) -> np.ndarray:
     """
     r_max = max(30.0, 18.0 / ctx.beta_dim)
     for _ in range(40):
-        r = np.geomspace(1e-6, r_max, num_points)
-        chi = _solved_component(r, ctx, 1.0)
+        r = np.geomspace(1e-6, r_max, 2000)
+        chi = solved_component(r, ctx)
         if abs(chi[-1]) < 1e-7 * np.max(np.abs(chi)):
             return r
         r_max *= 1.4
@@ -343,29 +314,26 @@ class SpinorSolution:
 
 
 def solve_wavefunction(qn: QuantumNumbers, sym: SymmetryLimit,
-                       p: PotentialParams, E: Optional[float] = None,
-                       r_grid: Optional[np.ndarray] = None,
-                       search: Optional[SearchConfig] = None) -> SpinorSolution:
+                       p: PotentialParams,
+                       E: Optional[float] = None) -> SpinorSolution:
     """Solve (or accept) a bound-state energy and sample both components.
 
     When E is omitted the tabulation-convention root is solved first;
-    NoEigenvalueError is raised when the state is unbound.
+    NoEigenvalueError is raised when the state is unbound.  The components
+    are sampled on default_grid.
     """
     if E is None:
-        root = select_table_root(solve_levels(qn, sym, p, search))
+        root = select_table_root(solve_levels(qn, sym, p))
         if root is None:
             raise NoEigenvalueError(
                 f"no bound state for {qn.label} in the {sym.kind} limit")
         E = root.E
     ctx = wave_context(qn, sym, p, float(E))
     norm = norm_constant(ctx)
-    r = default_grid(ctx) if r_grid is None else np.asarray(r_grid, float)
-    if sym.is_spin:
-        F = upper_f_spin(r, ctx, norm)
-        G = lower_g_spin(r, ctx, norm)
-    else:
-        G = lower_g_pseudo(r, ctx, norm)
-        F = upper_f_pseudo(r, ctx, norm)
+    r = default_grid(ctx)
+    solved = solved_component(r, ctx, norm)
+    paired = paired_component(r, ctx, norm)
+    F, G = (solved, paired) if sym.is_spin else (paired, solved)
     return SpinorSolution(
         qn=qn, symmetry=sym, E=float(E), beta_exp=ctx.beta, xi_exp=ctx.xi,
         norm_const=norm, samples=np.column_stack([r, F, G]),

@@ -30,23 +30,19 @@ from diracbound import (
     hulthen_residual,
     iq_yukawa_residual,
     kratzer_fues_residual,
-    lower_g_pseudo,
-    lower_g_spin,
     nonrel_energy_coulomb,
     norm_constant,
-    nu_residual_pseudo,
-    nu_residual_spin,
+    nu_residual,
+    paired_component,
     radial_poly_degree,
     select_table_root,
     solve_levels,
     solve_wavefunction,
-    susy_residual_pseudo,
-    susy_residual_spin,
+    solved_component,
+    susy_residual,
     swave_residual,
     sweep_delta,
     target_eigenvalue,
-    upper_f_pseudo,
-    upper_f_spin,
     wave_context,
     yukawa_residual,
 )
@@ -187,11 +183,12 @@ def test_ac3_route_equivalence():
                             int(rng.choice([-5, -4, -3, -2, -1,
                                             1, 2, 3, 4, 5])))
         E = float(rng.uniform(-MASS + 1e-3, MASS - 1e-3))
+        spin, pseudo = SymmetryLimit.spin(C), SymmetryLimit.pseudospin(C)
         try:
-            nu_s = nu_residual_spin(E, p, C, qn)
-            susy_s = susy_residual_spin(E, p, C, qn)
-            nu_p = nu_residual_pseudo(E, p, C, qn)
-            susy_p = susy_residual_pseudo(E, p, C, qn)
+            nu_s = nu_residual(E, p, spin, qn)
+            susy_s = susy_residual(E, p, spin, qn)
+            nu_p = nu_residual(E, p, pseudo, qn)
+            susy_p = susy_residual(E, p, pseudo, qn)
         except DomainError:
             continue
         worst = max(worst,
@@ -355,9 +352,10 @@ def test_ac6_approximation_gap():
 def _coulomb_limit_gap(kind, qn, C, H):
     e_closed = coulomb_energy(kind, qn, 1.0, C, MASS, H)
     p = PotentialParams(V0=0.0, A=1.0, B=0.0, delta=1e-6, H=H, M=MASS)
-    residual = nu_residual_spin if kind == "spin" else nu_residual_pseudo
+    sym = SymmetryLimit(kind, C)
     lo, hi = e_closed - 0.1, e_closed + 0.1
-    roots = scan_roots(lambda e: residual(e, p, C, qn), lo, hi, num=4000)
+    roots = scan_roots(lambda e: nu_residual(e, p, sym, qn), lo, hi,
+                       num=4000)
     assert roots, f"no screened root near the closed-form value for {qn}"
     return min(abs(root - e_closed) for root in roots), e_closed
 
@@ -411,8 +409,6 @@ def _dual_path_draws():
                       else QuantumNumbers(n, kappa))
                 sym = (SymmetryLimit.spin(C) if kind == "spin"
                        else SymmetryLimit.pseudospin(C))
-                general = (nu_residual_spin if kind == "spin"
-                           else nu_residual_pseudo)
                 if case == "swave":
                     def special(e):
                         return swave_residual(e, p, sym, n)
@@ -424,7 +420,8 @@ def _dual_path_draws():
                     def special(e):
                         return fn(e, p, sym, qn)
                 lo, hi = -MASS + 1e-6, MASS - 1e-6
-                r_gen = scan_roots(lambda e: general(e, p, C, qn), lo, hi)
+                r_gen = scan_roots(lambda e: nu_residual(e, p, sym, qn),
+                                   lo, hi)
                 r_spe = scan_roots(special, lo, hi)
                 if len(r_gen) != len(r_spe):
                     return math.inf, draws
@@ -489,18 +486,16 @@ def test_ac8_wavefunctions(params_h5, spin_sym, pseudo_sym):
     node_errors = []
     grid = np.geomspace(0.3, 20.0, 60)
     h = 0.005
-    cases = ((spin_sym, WAVEFUNCTION_SPIN_STATES,
-              upper_f_spin, lower_g_spin),
-             (pseudo_sym, WAVEFUNCTION_PSEUDO_STATES,
-              lower_g_pseudo, upper_f_pseudo))
-    for sym, states, solved_fn, built_fn in cases:
+    cases = ((spin_sym, WAVEFUNCTION_SPIN_STATES),
+             (pseudo_sym, WAVEFUNCTION_PSEUDO_STATES))
+    for sym, states in cases:
         for n, kappa in states:
             qn = QuantumNumbers(n, kappa)
             sol = solve_wavefunction(qn, sym, params_h5)
             ctx = wave_context(qn, sym, params_h5, sol.E)
             nc = norm_constant(ctx)
             upper = 40.0 / (2.0 * params_h5.delta * ctx.beta)
-            norm, err = quad(lambda rr: solved_fn(rr, ctx, nc) ** 2,
+            norm, err = quad(lambda rr: solved_component(rr, ctx, nc) ** 2,
                              0.0, upper, limit=300)
             assert err < 1e-7
             worst_norm = max(worst_norm, abs(norm - 1.0))
@@ -513,12 +508,12 @@ def test_ac8_wavefunctions(params_h5, spin_sym, pseudo_sym):
             # First-order relation defining the built component, checked
             # with an independent five-point derivative stencil.
             eta = kappa + params_h5.H
-            solved = solved_fn(grid, ctx, nc)
-            built = built_fn(grid, ctx, nc)
-            deriv = (solved_fn(grid - 2 * h, ctx, nc)
-                     - 8.0 * solved_fn(grid - h, ctx, nc)
-                     + 8.0 * solved_fn(grid + h, ctx, nc)
-                     - solved_fn(grid + 2 * h, ctx, nc)) / (12.0 * h)
+            solved = solved_component(grid, ctx, nc)
+            built = paired_component(grid, ctx, nc)
+            deriv = (solved_component(grid - 2 * h, ctx, nc)
+                     - 8.0 * solved_component(grid - h, ctx, nc)
+                     + 8.0 * solved_component(grid + h, ctx, nc)
+                     - solved_component(grid + 2 * h, ctx, nc)) / (12.0 * h)
             if sym.is_spin:
                 residual = deriv + (eta / grid) * solved \
                     - ctx.coupling * built

@@ -106,6 +106,16 @@ def test_config_rejects_bad_keys_and_values():
         RunConfig(delta=-0.1).validate()
     with pytest.raises(DomainError):
         RunConfig(symmetry="both").validate()
+    # Sweep and scan grids: every bound finite, the stop not below the start.
+    for bad in ({"delta_step": float("nan")}, {"v0_stop": float("inf")},
+                {"c_start": float("-inf")}, {"delta_stop": float("nan")},
+                {"delta_start": 0.3, "delta_stop": 0.0},
+                {"v0_start": 5.0, "v0_stop": 4.5},
+                {"c_start": 1.0, "c_stop": -1.0}):
+        with pytest.raises(DomainError):
+            RunConfig(**bad).validate()
+    with pytest.raises(DomainError):
+        RunConfig.from_ini("[sweep]\ndelta_step = nan\n").validate()
 
 
 def test_preset_values():
@@ -292,6 +302,12 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["table", "--C", "0", "--states", "0,-2",
                  "--out", str(tmp_path)]) == 2
     assert "no bound state" in capsys.readouterr().err
+    for argv in (["sweep", "--delta-step", "nan"],
+                 ["scan", "--v0-stop", "inf"],
+                 ["sweep", "--delta-start", "0.3", "--delta-stop", "0"]):
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert "spectra: error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
     with pytest.raises(SystemExit) as info:
         main(["table", "--no-such-flag"])
     assert info.value.code == 1

@@ -21,12 +21,11 @@ from diracbound import (
     nonrel_energy_coulomb,
     nonrel_energy_hulthen,
     norm_constant,
-    nu_residual_pseudo,
-    nu_residual_spin,
+    nu_residual,
     swave_exponents,
     swave_residual,
     swave_wavefunction,
-    upper_f_spin,
+    solved_component,
     wave_context,
     yukawa_residual,
 )
@@ -61,7 +60,7 @@ def test_swave_residual_specializes_the_general_one(params_h5, spin_sym,
     for E in (0.05, 0.21, 0.38):
         for n in (0, 1, 3):
             assert swave_residual(E, params_h5, spin_sym, n) == pytest.approx(
-                nu_residual_spin(E, params_h5, 5.0, QuantumNumbers(n, -1)),
+                nu_residual(E, params_h5, spin_sym, QuantumNumbers(n, -1)),
                 rel=1e-12, abs=1e-12)
     # The pseudospin s-wave at radial label n equals the general residual
     # of the (n-1, kappa=+1) state: both carry polynomial degree n.
@@ -69,8 +68,8 @@ def test_swave_residual_specializes_the_general_one(params_h5, spin_sym,
         for n in (1, 2, 4):
             assert swave_residual(E, params_h5, pseudo_sym, n) \
                 == pytest.approx(
-                    nu_residual_pseudo(E, params_h5, -5.0,
-                                       QuantumNumbers(n - 1, 1)),
+                    nu_residual(E, params_h5, pseudo_sym,
+                                QuantumNumbers(n - 1, 1)),
                     rel=1e-12, abs=1e-12)
 
 
@@ -103,7 +102,7 @@ def test_swave_wavefunction_proportional_to_general_component(params_h5,
     r = np.linspace(0.4, 22.0, 50)
     special = swave_wavefunction(r, E, params_h5, spin_sym, 1)
     ctx = wave_context(QuantumNumbers(1, -1), spin_sym, params_h5, E)
-    general = upper_f_spin(r, ctx, norm_constant(ctx))
+    general = solved_component(r, ctx, norm_constant(ctx))
     ratio = special / general
     assert np.max(ratio) - np.min(ratio) <= 1e-10 * abs(np.mean(ratio))
 
@@ -118,9 +117,8 @@ def test_hulthen_dual_path_roots(params_h0, params_h5):
     ]
     for sym, qn, h, window in cases:
         p = PotentialParams(V0=2.0, A=0.0, B=0.0, delta=0.05, H=h, M=4.76)
-        resid_kind = nu_residual_spin if sym.is_spin else nu_residual_pseudo
         general = scan_roots(
-            lambda e: resid_kind(e, p, sym.constant, qn), *window)
+            lambda e: nu_residual(e, p, sym, qn), *window)
         special = scan_roots(
             lambda e: hulthen_residual(e, p, sym, qn), *window)
         assert general and len(general) == len(special)
@@ -131,7 +129,7 @@ def test_yukawa_dual_path_roots():
     sym = SymmetryLimit.spin(5.0)
     qn = QuantumNumbers(0, 1)
     p = PotentialParams(V0=0.0, A=2.0, B=0.0, delta=0.05, H=0.0, M=4.76)
-    general = scan_roots(lambda e: nu_residual_spin(e, p, 5.0, qn), 0.01, 4.7)
+    general = scan_roots(lambda e: nu_residual(e, p, sym, qn), 0.01, 4.7)
     special = scan_roots(lambda e: yukawa_residual(e, p, sym, qn), 0.01, 4.7)
     assert general and len(general) == len(special)
     assert np.allclose(general, special, atol=1e-10, rtol=0.0)
@@ -144,10 +142,10 @@ def test_iq_yukawa_residual_is_pointwise_specialization():
     for qn in (QuantumNumbers(0, -2), QuantumNumbers(1, 3)):
         for E in (0.05, 0.30):
             assert iq_yukawa_residual(E, p, spin, qn) == pytest.approx(
-                nu_residual_spin(E, p, 5.0, qn), rel=1e-12, abs=1e-12)
+                nu_residual(E, p, spin, qn), rel=1e-12, abs=1e-12)
         for E in (-0.05, -0.30):
             assert iq_yukawa_residual(E, p, pseudo, qn) == pytest.approx(
-                nu_residual_pseudo(E, p, -5.0, qn), rel=1e-12, abs=1e-12)
+                nu_residual(E, p, pseudo, qn), rel=1e-12, abs=1e-12)
 
 
 def test_coulomb_closed_form_values():

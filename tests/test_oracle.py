@@ -25,9 +25,9 @@ from diracbound import (
     target_eigenvalue,
 )
 from diracbound import oracle
-from diracbound.oracle import (_RESCALE_AT, _defect_sign, _energy_window,
-                               _probe_signs, _sweep, _sweep_batch,
-                               _weight_rows)
+from diracbound.oracle import (_RESCALE_AT, _batch_starts, _defect_sign,
+                               _energy_window, _probe_signs, _sweep,
+                               _sweep_batch, _weight_rows)
 
 
 def test_numerov_reproduces_sine_solution():
@@ -180,6 +180,52 @@ def test_sweep_batch_node_rule_matches_sweep():
     ref = [_sweep(np.ones(n), 0.0, *seed, n - 1, 1, 500, 500)[0]
            for seed in seeds]
     assert counts == ref == [0, 0, 1]
+
+
+def test_sweep_batch_node_floor_follows_running_max():
+    # All weights are 1 but one, so u climbs the exact line u[j] = j from
+    # its start value 1.  The weight W at index f = 1000 gives u[f] = f / W:
+    # with W = -2**43 the sign flips at 1.1e-10, below 1e-12 of the running
+    # max 999 but above 1e-12 of the start value, so it is no node; with
+    # W = -2**30 it flips at 9.3e-7, above the floor, and is one.
+    n, f = 1100, 1000
+    rows = np.ones((n, 2))
+    rows[f] = [-2.0 ** 43, -2.0 ** 30]
+    seeds = [(0.0, 1.0, 1)] * 2
+    counts, trip = _sweep_batch(iter(rows), seeds, f - 1)
+    ref = [_sweep(rows[:, k], 0.0, *seeds[k], n - 1, 1, f - 1, f - 1)
+           for k in range(2)]
+    assert counts == [nodes for nodes, _, _ in ref] == [0, 1]
+    u_prev, u_flip = trip[1:, 0].tolist()
+    assert [u_prev, u_flip] == list(ref[0][2][1:])
+    assert 1e-12 * seeds[0][1] < -u_flip < 1e-12 * u_prev
+
+
+@pytest.mark.parametrize("first_near, start", [(-1, None), (-2, -2)])
+def test_outward_start_stops_before_the_matching_point(first_near, start):
+    # The weights come within 0.05 of 1 only from match_idx + first_near
+    # on.  A sweep may start no later than match_idx - 2, so at
+    # match_idx - 1 the solver and the batched scan both find no start.
+    r = np.linspace(1e-6, 10.0, 1001)
+    hh12 = (r[1] - r[0]) ** 2 / 12.0
+    eps = -1.0
+    m = int(oracle._MATCH_FRACTION * r.size)
+    U = np.where(np.arange(r.size) < m + first_near, 1e5, 0.0)
+    solver = oracle._InnerSolver(U, r)
+    assert solver.match_idx == m
+    c = solver._weight_shift(eps)
+    near = np.abs(1.0 - (solver.wU + c)) <= 0.05
+    assert int(near.argmax()) == m + first_near
+    zeros = np.zeros(r.size)
+    starts = _batch_starts(
+        _weight_rows(U, zeros, np.zeros(1), np.array([c]), hh12), 1, m - 2)
+    if start is None:
+        assert solver.nodes(eps) is None
+        assert starts == [None]
+    else:
+        assert isinstance(solver.nodes(eps), int)
+        assert starts == [m + start]
+        assert solver._start(c)[2] == m + start + 1
 
 
 @pytest.mark.parametrize("kind, C, V0, qn, mode", [

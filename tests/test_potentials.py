@@ -18,7 +18,6 @@ from diracbound import (
     centrifugal_exact,
     effective_potential,
     exact_potential,
-    spin_orbit_strength,
     target_eigenvalue,
 )
 from diracbound.spectra import QuantumNumbers
@@ -103,16 +102,21 @@ def test_centrifugal_factors():
     assert np.isscalar(centrifugal_approx(1.0, 0.05))
 
 
-def test_spin_orbit_strength_both_reductions():
-    assert spin_orbit_strength(-2.0, 5.0, "spin") == pytest.approx(12.0)
-    assert spin_orbit_strength(-2.0, 5.0, "pseudospin") == pytest.approx(6.0)
+def test_reduced_equation_lam_both_reductions():
+    def lam(kappa, H, kind):
+        return ReducedEquation.of(benchmark_params(H=H),
+                                  SymmetryLimit(kind, 0.0),
+                                  QuantumNumbers(0, kappa)).lam
+
+    assert lam(-2.0, 5.0, "spin") == pytest.approx(12.0)
+    assert lam(-2.0, 5.0, "pseudospin") == pytest.approx(6.0)
     # At H=0 the strengths collapse to l(l+1) and ltilde(ltilde+1).
     qn = QuantumNumbers(0, -2)
-    assert spin_orbit_strength(qn.kappa, 0.0, "spin") == qn.l * (qn.l + 1)
-    assert spin_orbit_strength(qn.kappa, 0.0, "pseudospin") \
+    assert lam(qn.kappa, 0.0, "spin") == qn.l * (qn.l + 1)
+    assert lam(qn.kappa, 0.0, "pseudospin") \
         == qn.l_tilde * (qn.l_tilde + 1)
     with pytest.raises(DomainError):
-        spin_orbit_strength(-2.0, 0.0, "neither")
+        lam(-2.0, 0.0, "neither")
 
 
 def test_target_eigenvalue_sign_structure():

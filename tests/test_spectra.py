@@ -9,12 +9,10 @@ from diracbound import (
     DomainError,
     PotentialParams,
     QuantumNumbers,
-    SearchConfig,
     SymmetryLimit,
     benchmark_params,
     doublet_partner,
-    nu_residual_pseudo,
-    nu_residual_spin,
+    nu_residual,
     radial_poly_degree,
     scan_v0_c,
     select_table_root,
@@ -60,18 +58,20 @@ def test_radial_poly_degree_index_shift():
 def test_residual_vanishes_at_reference_roots(params_h0, params_h5):
     qn = QuantumNumbers(0, -2)
     e0, e5 = SPIN_TABLE[(0, -2)]
-    assert abs(nu_residual_spin(e0, params_h0, 5.0, qn)) < 1e-5
-    assert abs(nu_residual_spin(e5, params_h5, 5.0, qn)) < 1e-5
+    spin = SymmetryLimit.spin(5.0)
+    assert abs(nu_residual(e0, params_h0, spin, qn)) < 1e-5
+    assert abs(nu_residual(e5, params_h5, spin, qn)) < 1e-5
     qn = QuantumNumbers(1, -1)
     e0, e5 = PSEUDO_TABLE[(1, -1)]
-    assert abs(nu_residual_pseudo(e0, params_h0, -5.0, qn)) < 1e-5
-    assert abs(nu_residual_pseudo(e5, params_h5, -5.0, qn)) < 1e-5
+    pseudo = SymmetryLimit.pseudospin(-5.0)
+    assert abs(nu_residual(e0, params_h0, pseudo, qn)) < 1e-5
+    assert abs(nu_residual(e5, params_h5, pseudo, qn)) < 1e-5
 
 
 def test_residual_array_mode_masks_invalid_domain(params_h0):
     qn = QuantumNumbers(0, -2)
     E = np.linspace(-6.0, 6.0, 101)
-    res = nu_residual_spin(E, params_h0, 5.0, qn)
+    res = nu_residual(E, params_h0, SymmetryLimit.spin(5.0), qn)
     assert res.shape == E.shape
     assert np.any(np.isfinite(res))
     assert np.any(np.isnan(res))
@@ -82,10 +82,11 @@ def test_residual_scalar_mode_raises_outside_domain(params_h0):
     # the quantization bracket goes negative.
     qn = QuantumNumbers(0, -2)
     E_grid = np.linspace(5.0, 40.0, 200)
-    bad = E_grid[np.isnan(nu_residual_spin(E_grid, params_h0, 5.0, qn))]
+    spin = SymmetryLimit.spin(5.0)
+    bad = E_grid[np.isnan(nu_residual(E_grid, params_h0, spin, qn))]
     assert bad.size, "expected an out-of-domain energy in the probe range"
     with pytest.raises(DomainError):
-        nu_residual_spin(float(bad[0]), params_h0, 5.0, qn)
+        nu_residual(float(bad[0]), params_h0, spin, qn)
 
 
 def test_solve_levels_finds_both_quantization_branches(params_h0, spin_sym):
@@ -116,13 +117,6 @@ def test_select_table_root_prefers_smallest_valid_energy(params_h0, spin_sym,
                      params_h0)) is None
 
 
-def test_solve_levels_search_window_override(params_h0, spin_sym):
-    search = SearchConfig(e_min=0.0, e_max=0.3, tol=1e-12)
-    roots = solve_levels(QuantumNumbers(0, -2), spin_sym, params_h0, search)
-    assert len(roots) == 1
-    assert roots[0].E == pytest.approx(0.24181258, abs=1e-6)
-
-
 def test_solve_levels_resolves_close_root_pair():
     # The two roots at V0 = 17 are 8.4e-4 apart, closer than the 1e-3 grid
     # step the solver once scanned, which lost both and left the cell NA.
@@ -141,8 +135,7 @@ def test_solve_levels_resolves_close_root_pair():
 
 def _residual(E, p, sym, qn):
     """g over an array of E, NaN where the discriminant is negative."""
-    residual = nu_residual_spin if sym.is_spin else nu_residual_pseudo
-    return residual(np.asarray(E, dtype=float), p, sym.constant, qn)
+    return nu_residual(np.asarray(E, dtype=float), p, sym, qn)
 
 
 def _scan_roots(p, sym, qn, step=1e-3, tol=1e-12):

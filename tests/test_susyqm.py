@@ -14,8 +14,7 @@ from diracbound import (
     SymmetryLimit,
     benchmark_params,
     ground_state_unnormalized,
-    nu_residual_pseudo,
-    nu_residual_spin,
+    nu_residual,
     partner_potentials_at,
     radial_poly_degree,
     select_table_root,
@@ -24,8 +23,7 @@ from diracbound import (
     solve_levels,
     superpotential_at,
     superpotential_deriv_at,
-    susy_residual_pseudo,
-    susy_residual_spin,
+    susy_residual,
 )
 from diracbound.errors import InvalidBranchError
 
@@ -125,13 +123,15 @@ def test_shape_invariance_remainder_telescopes(params_h0, spin_sym):
 
 def test_residual_routes_agree_pointwise(params_h0, params_h5):
     qn = QuantumNumbers(1, -2)
+    spin = SymmetryLimit.spin(5.0)
     for E in (0.05, 0.20, 0.40):
-        nu = nu_residual_spin(E, params_h5, 5.0, qn)
-        su = susy_residual_spin(E, params_h5, 5.0, qn)
+        nu = nu_residual(E, params_h5, spin, qn)
+        su = susy_residual(E, params_h5, spin, qn)
         assert abs(nu - su) <= 1e-9 * (1.0 + abs(nu))
+    pseudo = SymmetryLimit.pseudospin(-5.0)
     for E in (-0.05, -0.20, -0.40):
-        nu = nu_residual_pseudo(E, params_h0, -5.0, qn)
-        su = susy_residual_pseudo(E, params_h0, -5.0, qn)
+        nu = nu_residual(E, params_h0, pseudo, qn)
+        su = susy_residual(E, params_h0, pseudo, qn)
         assert abs(nu - su) <= 1e-9 * (1.0 + abs(nu))
 
 
@@ -140,8 +140,8 @@ def test_residual_routes_share_roots(params_h0, spin_sym):
     # residual does.
     root = select_table_root(solve_levels(QuantumNumbers(0, -2), spin_sym,
                                           params_h0))
-    assert abs(susy_residual_spin(root.E, params_h0, spin_sym.constant,
-                                  QuantumNumbers(0, -2))) < 1e-8
+    assert abs(susy_residual(root.E, params_h0, spin_sym,
+                             QuantumNumbers(0, -2))) < 1e-8
 
 
 def test_susy_residual_array_mode():
@@ -150,7 +150,7 @@ def test_susy_residual_array_mode():
     # rest stay finite.
     p = PotentialParams(V0=5.0, A=5.0, B=0.5, delta=0.05, H=0.0, M=4.76)
     E = np.linspace(-6.0, 6.0, 121)
-    res = susy_residual_spin(E, p, 0.0, QuantumNumbers(0, -2))
+    res = susy_residual(E, p, SymmetryLimit.spin(0.0), QuantumNumbers(0, -2))
     assert res.shape == E.shape
     assert np.any(np.isfinite(res))
     assert np.any(np.isnan(res))

@@ -19,12 +19,10 @@ from diracbound import (
     hyp2f1_terminating,
     jacobi_p,
     jacobi_rodrigues,
-    lower_g_pseudo,
-    lower_g_spin,
     norm_constant,
+    paired_component,
     solve_wavefunction,
-    upper_f_pseudo,
-    upper_f_spin,
+    solved_component,
     wave_context,
 )
 from diracbound.potentials import ReducedEquation
@@ -133,10 +131,9 @@ def test_closed_form_norm_constant_against_quadrature(params_h5, spin_sym,
         ctx = wave_context(qn, sym, params_h5, sol.E)
         nc = norm_constant(ctx)
         assert nc == pytest.approx(sol.norm_const, rel=1e-12)
-        solved = (upper_f_spin if sym.is_spin else lower_g_pseudo)
         upper = 40.0 / (2.0 * params_h5.delta * ctx.beta)
-        norm, err = quad(lambda rr: solved(rr, ctx, nc) ** 2, 0.0, upper,
-                         limit=300)
+        norm, err = quad(lambda rr: solved_component(rr, ctx, nc) ** 2, 0.0,
+                         upper, limit=300)
         assert err < 1e-8
         assert norm == pytest.approx(1.0, abs=1e-6)
 
@@ -151,10 +148,11 @@ def test_constructed_component_uses_first_order_relation(params_h5, spin_sym):
     eta = qn.kappa + params_h5.H
     h = 1e-4
     for r0 in (0.7, 2.0, 6.0, 12.0):
-        df = (upper_f_spin(r0 + h, ctx, nc)
-              - upper_f_spin(r0 - h, ctx, nc)) / (2.0 * h)
-        expected = (df + (eta / r0) * upper_f_spin(r0, ctx, nc)) / ctx.coupling
-        got = lower_g_spin(np.array([r0]), ctx, nc)[0]
+        df = (solved_component(r0 + h, ctx, nc)
+              - solved_component(r0 - h, ctx, nc)) / (2.0 * h)
+        expected = (df + (eta / r0) * solved_component(r0, ctx, nc)) \
+            / ctx.coupling
+        got = paired_component(np.array([r0]), ctx, nc)[0]
         assert got == pytest.approx(expected, rel=1e-6)
 
 
@@ -172,7 +170,7 @@ def test_singular_coupling_raises(params_h0, spin_sym):
                          p=base.p, beta=base.beta, xi=base.xi,
                          degree=base.degree, coupling=0.0)
     with pytest.raises(SingularCouplingError):
-        lower_g_spin(np.array([1.0]), forced)
+        paired_component(np.array([1.0]), forced)
 
 
 def test_default_grid_covers_the_tail(params_h5, pseudo_sym):
@@ -182,7 +180,7 @@ def test_default_grid_covers_the_tail(params_h5, pseudo_sym):
     r = default_grid(ctx)
     assert r[0] > 0.0
     assert r[-1] >= 30.0
-    solved = lower_g_pseudo(r, ctx, norm_constant(ctx))
+    solved = solved_component(r, ctx, norm_constant(ctx))
     assert abs(solved[-1]) <= 1e-6 * np.max(np.abs(solved))
 
 
@@ -207,9 +205,9 @@ def test_pseudospin_constructed_component(params_h5, pseudo_sym):
     eta = qn.kappa + params_h5.H
     h = 1e-4
     for r0 in (0.7, 2.0, 6.0):
-        dg = (lower_g_pseudo(r0 + h, ctx, nc)
-              - lower_g_pseudo(r0 - h, ctx, nc)) / (2.0 * h)
-        expected = (dg - (eta / r0) * lower_g_pseudo(r0, ctx, nc)) \
+        dg = (solved_component(r0 + h, ctx, nc)
+              - solved_component(r0 - h, ctx, nc)) / (2.0 * h)
+        expected = (dg - (eta / r0) * solved_component(r0, ctx, nc)) \
             / ctx.coupling
-        got = upper_f_pseudo(np.array([r0]), ctx, nc)[0]
+        got = paired_component(np.array([r0]), ctx, nc)[0]
         assert got == pytest.approx(expected, rel=1e-6)
