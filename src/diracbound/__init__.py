@@ -44,6 +44,7 @@ from .spectra import (
     scan_v0_c,
     select_table_root,
     solve_levels,
+    solve_levels_batch,
     sweep_delta,
 )
 from .wavefunctions import (

@@ -27,7 +27,8 @@ from .limits import (NonRelParams, coulomb_energy, hulthen_residual,
 from .oracle import OracleConfig, dirac_eigenvalue, schrodinger_eigenvalue
 from .potentials import PotentialParams, SymmetryLimit
 from .spectra import (QuantumNumbers, doublet_partner, nu_residual,
-                      scan_v0_c, select_table_root, solve_levels, sweep_delta)
+                      scan_v0_c, select_table_root, solve_levels,
+                      solve_levels_batch, sweep_delta)
 from .susyqm import susy_residual
 from .wavefunctions import solve_wavefunction
 
@@ -314,7 +315,12 @@ def _safe_label(qn: QuantumNumbers) -> str:
 
 
 def _grid(start: float, stop: float, step: float) -> list[float]:
-    count = int(round((stop - start) / step))
+    """start, start + step, ... up to stop, rounded to 10 decimals.
+
+    No point lies past stop by more than 1e-9 steps; that slack keeps a
+    stop reached up to float error, as in (0.0, 0.30, 0.01).
+    """
+    count = math.floor((stop - start) / step + 1e-9)
     return [round(start + i * step, 10) for i in range(count + 1)]
 
 
@@ -330,12 +336,14 @@ def cmd_table(cfg: RunConfig) -> int:
     l_col = "l" if sym.is_spin else "l_tilde"
     header = [l_col, "n", "kappa", "label",
               f"E_H{h_pair[0]:g}", f"E_H{h_pair[1]:g}"]
+    params = [cfg.potential(H=h) for h in h_pair]
+    found = iter(solve_levels_batch([(qn, sym, p) for qn in states
+                                     for p in params]))
     rows = []
     for qn in states:
         energies = []
         for h in h_pair:
-            root = select_table_root(
-                solve_levels(qn, sym, cfg.potential(H=h)))
+            root = select_table_root(next(found))
             if root is None:
                 print(f"error: no bound state for {qn.label} in the "
                       f"{sym.kind} limit at H={h:g}", file=sys.stderr)
@@ -398,9 +406,13 @@ def cmd_wavefunction(cfg: RunConfig) -> int:
     p = cfg.potential()
     header = ["r", "F", "G"]
     units = {"r": "fm", "F": "fm^-1/2", "G": "fm^-1/2"}
-    for qn in states:
+    found = solve_levels_batch([(qn, sym, p) for qn in states])
+    for qn, roots in zip(states, found):
+        root = select_table_root(roots)
         try:
-            solution = solve_wavefunction(qn, sym, p)
+            # An unbound state is solved again there, to raise its error.
+            solution = solve_wavefunction(qn, sym, p,
+                                          None if root is None else root.E)
         except NoEigenvalueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_SOLVER
@@ -453,21 +465,25 @@ def _verify_degeneracy(cfg: RunConfig) -> tuple[str, str]:
              ("spin", 5.0, QuantumNumbers(1, -3)),
              ("pseudospin", -5.0, QuantumNumbers(1, -1)),
              ("pseudospin", -5.0, QuantumNumbers(2, -2)))
+    cases, queries = [], []
     for kind, c, qn in pairs:
         sym = SymmetryLimit(kind, c)
         partner = doublet_partner(qn, sym)
-        for h, collect_split in ((0.0, False), (5.0, True)):
+        for h in (0.0, 5.0):
             p = PotentialParams(V0=cfg.V0, A=cfg.A, B=cfg.B,
                                 delta=cfg.delta, H=h, M=cfg.M)
-            e1 = select_table_root(solve_levels(qn, sym, p))
-            e2 = select_table_root(solve_levels(partner, sym, p))
-            if e1 is None or e2 is None:
-                return "FAIL", f"missing root for {qn.label} pair at H={h:g}"
-            gap = abs(e1.E - e2.E)
-            if collect_split:
-                min_split = min(min_split, gap)
-            else:
-                worst_h0 = max(worst_h0, gap)
+            cases.append((qn, h))
+            queries += [(qn, sym, p), (partner, sym, p)]
+    found = iter(map(select_table_root, solve_levels_batch(queries)))
+    for qn, h in cases:
+        e1, e2 = next(found), next(found)
+        if e1 is None or e2 is None:
+            return "FAIL", f"missing root for {qn.label} pair at H={h:g}"
+        gap = abs(e1.E - e2.E)
+        if h == 0.0:
+            worst_h0 = max(worst_h0, gap)
+        else:
+            min_split = min(min_split, gap)
     ok = worst_h0 <= 1e-10 and min_split > 1e-3
     return ("PASS" if ok else "FAIL",
             f"H=0 max gap {worst_h0:.2e}, H=5 min split {min_split:.2e}")

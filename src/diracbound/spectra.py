@@ -5,10 +5,19 @@ problem is a transcendental relation between the energy E and the potential
 parameters.  It is expressed here as a residual g(E) whose zeros are the
 closed-form eigenvalues.  The square-root discriminant D under g is linear
 in E, so with t = sqrt(D) the energy is quadratic in t and g(E) times a
-positive factor is a degree-6 polynomial in t.  `solve_levels` takes every
-root of that polynomial from its companion matrix, maps the real roots
-t >= 0 back to E and polishes each one by bisection on g itself; no energy
-grid is scanned, so close root pairs are resolved.
+positive factor is a degree-6 polynomial in t.  No energy grid is scanned,
+so close root pairs are resolved.
+
+`solve_levels_batch` is the one root finder.  For a whole batch of
+(state, limit, parameters) queries it stacks the reduced-equation records
+into arrays, builds every row's polynomial at once, takes the roots of all
+rows of one degree from a single stacked eigenvalue call on their companion
+matrices (polynomial roots are companion-matrix eigenvalues), maps the real
+roots t >= 0 back to E and polishes all of them together by bisection on g
+itself.  Each row follows exactly the steps it would follow alone, so a
+row's roots do not depend on the rest of its batch.  `solve_levels` is a
+batch of one; the grid scans, delta sweeps and tables send their whole
+parameter set as one batch.
 
 The residual is built from the squared form of the quantization relation.
 That form admits two root families, distinguished by the sign of the
@@ -20,8 +29,8 @@ both are returned, flagged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -37,6 +46,7 @@ __all__ = [
     "radial_poly_degree",
     "nu_residual",
     "solve_levels",
+    "solve_levels_batch",
     "select_table_root",
     "doublet_partner",
     "sweep_delta",
@@ -49,6 +59,9 @@ SPECTROSCOPIC_LETTERS = "spdfghik"
 # and polishes each root to _TOL.
 _WINDOW_PAD = 1.0
 _TOL = 1e-12
+# solve_levels_batch solves at most this many queries at once, which bounds
+# the size, and so the peak memory, of its stacked arrays.
+_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -116,20 +129,17 @@ class EnergyRoot:
 
 
 def _parts(E, eq: ReducedEquation):
-    """Pieces of the residual, (lhs, Q, D), over an array of E or one float.
+    """(g, Q, D) at E; g and Q are NaN where the discriminant D is < 0.
 
-    A float E stays a Python float throughout, which is far cheaper than a
-    0-d array inside a polishing loop.
+    E and the fields of eq are arrays that broadcast together: one state
+    at many energies, or one energy per row of a stacked record.
     """
     m = eq.degree
     _, lhs, alpha2, _, D = eq.terms(E)
-    if isinstance(E, float):
-        sqrtD = math.sqrt(D) if D >= 0.0 else math.nan
-    else:
-        sqrtD = np.sqrt(np.where(D >= 0.0, D, np.nan))
+    sqrtD = np.sqrt(np.where(D >= 0.0, D, np.nan))
     Q = (alpha2 - eq.lam - 0.5 - m * (m + 1.0) - (2.0 * m + 1.0) * sqrtD) \
         / (m + 0.5 + sqrtD)
-    return lhs, Q, D
+    return lhs - eq.d2 * Q ** 2, Q, D
 
 
 def nu_residual(E, p: PotentialParams, sym: SymmetryLimit,
@@ -142,8 +152,7 @@ def nu_residual(E, p: PotentialParams, sym: SymmetryLimit,
     """
     eq = ReducedEquation.of(p, sym, qn)
     E = np.asarray(E, dtype=float)
-    lhs, Q, D = _parts(E, eq)
-    g = lhs - eq.d2 * Q ** 2
+    g, _, D = _parts(E, eq)
     if np.ndim(E) == 0:
         if not np.isfinite(g):
             raise DomainError(
@@ -153,30 +162,46 @@ def nu_residual(E, p: PotentialParams, sym: SymmetryLimit,
     return g
 
 
-def classify_root(E: float, eq: ReducedEquation, sym: SymmetryLimit,
-                  qn: QuantumNumbers) -> EnergyRoot:
-    """Build an EnergyRoot with freshly computed validity flags."""
-    lhs, Q, D = _parts(E, eq)
-    residual = float(lhs - eq.d2 * Q ** 2) if np.isfinite(Q) else math.nan
-    if sym.is_spin:
-        sign_ok = E > 0.0
-    else:
-        sign_ok = E < 0.0 and abs(E - (eq.M + eq.C)) > 1e-9
-    return EnergyRoot(
-        E=float(E),
-        symmetry=sym,
-        qn=qn,
-        residual=residual,
-        sqrt_domain_ok=bool(D >= 0.0),
-        M_bound_ok=bool(abs(E) < eq.M),
-        C_bound_ok=bool(eq.coupling(E) > 0.0),
-        sign_ok=bool(sign_ok),
-        nu_branch=+1 if Q > 0.0 else -1,
-    )
+def _stack(eqs) -> ReducedEquation:
+    """One ReducedEquation whose fields are arrays over the given records."""
+    table = np.array([tuple(vars(eq).values()) for eq in eqs], dtype=float)
+    return ReducedEquation(*table.T)
 
 
-def _polynomial(eq: ReducedEquation, e_lo: float, e_hi: float):
-    """(poly, e_of_x, t_of_x): the residual as a polynomial in x, or None.
+def _take(eq: ReducedEquation, idx) -> ReducedEquation:
+    """The rows idx of a stacked record."""
+    return ReducedEquation(**{name: value[idx]
+                              for name, value in vars(eq).items()})
+
+
+def _convolve(a, b):
+    """np.convolve of each row of a with the same row of b, bit for bit.
+
+    np.convolve sums an output where the two sequences overlap fully term
+    by term in order, and a partial overlap at either end with a BLAS dot
+    product, which may round differently; this sums each output the same
+    way, so every row gets the coefficients np.convolve would give.
+    """
+    if b.shape[1] > a.shape[1]:
+        a, b = b, a
+    na, nb = a.shape[1], b.shape[1]
+    b_rev = np.ascontiguousarray(b[:, ::-1])
+    out = np.empty((a.shape[0], na + nb - 1))
+    for k in range(na + nb - 1):
+        lo, hi = max(0, k - nb + 1), min(k + 1, na)
+        x, y = a[:, lo:hi], b_rev[:, lo + nb - 1 - k:hi + nb - 1 - k]
+        if hi - lo == nb:
+            total = np.zeros(a.shape[0])
+            for j in range(nb):
+                total = total + x[:, j] * y[:, j]
+            out[:, k] = total
+        else:
+            out[:, k] = (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+    return out
+
+
+def _polynomial(eq: ReducedEquation, e_lo, e_hi):
+    """(poly, e_of_x, t_of_x): each row's residual as a polynomial in x.
 
     In powers of E, lhs = l0 + C E - E^2, D = d0 + d1 E with d1 = -B, and
     Q (h + t) = a0 + a1 E - w t with h = m + 1/2, w = 2m + 1, t = sqrt(D),
@@ -187,11 +212,16 @@ def _polynomial(eq: ReducedEquation, e_lo: float, e_hi: float):
     real roots with t >= 0.  t0 = sqrt(d0) when D stays near d0 over the
     window, which keeps the roots apart as B -> 0 (in t they bunch at
     sqrt(d0)); otherwise t0 = 0, which keeps roots near D = 0 simple.
-    Roots in [e_lo, e_hi] have |v| <= V, so the polynomial is returned in
-    x = v / V, coefficients from the highest power down, with leading
-    coefficients negligible there dropped; e_of_x and t_of_x map x to E
-    and t.  For B = 0, D is constant and g itself is a quadratic in x = E;
-    None means D < 0 for every E.
+    Roots in [e_lo, e_hi] have |v| <= V, so the polynomial is taken in
+    x = v / V.  For B = 0, D is constant and g itself is a quadratic in
+    x = E.
+
+    eq is a stacked record (see _stack) and e_lo, e_hi broadcast against
+    its rows.  poly has one row of 7 coefficients per state, highest power
+    first: leading coefficients negligible over the window are set to 0, a
+    quadratic fills the last 3 columns, and a row that is all 0 has no
+    roots (B = 0 with D < 0 for every E).  e_of_x and t_of_x map x, an
+    array whose last axis runs over the rows, to E and t.
     """
     s, C, m = eq.s, eq.C, eq.degree
     va = eq.s_v / eq.four_d2
@@ -201,119 +231,186 @@ def _polynomial(eq: ReducedEquation, e_lo: float, e_hi: float):
     l0, d2 = eq.M * k0, eq.d2
     a0, a1 = va * k0 - eq.lam - 0.5 - m * (m + 1.0), va * s
     d0, d1 = 0.25 + eq.lam + vb * k0, vb * s
-    if d1 == 0.0:
-        if d0 < 0.0:
-            return None
-        t = math.sqrt(d0)
-        q0, q1 = (a0 - w * t) / (h + t), a1 / (h + t)
-        poly = np.array([-1.0 - d2 * q1 * q1, C - 2.0 * d2 * q0 * q1,
-                         l0 - d2 * q0 * q0])
-        return poly, lambda x: x, lambda x: t
-    shift = d0 > 2.0 * abs(d1) * max(abs(e_lo), abs(e_hi))
-    t0 = math.sqrt(d0) if shift else 0.0
-    e0 = 0.0 if shift else -d0 / d1
-    scale = t0 + math.sqrt(abs(d1))
-    sigma = d1 / scale
-    V = 2.0 * max(abs(e_lo - e0), abs(e_hi - e0)) + 4.0
-    e_x = np.array([sigma / scale * V * V, 2.0 * t0 / scale * V, e0])
-    lhs = -np.convolve(e_x, e_x)
-    lhs[2:] += C * e_x
-    lhs[4] += l0
-    num = a1 * e_x
-    num[1:] -= w * sigma * V, w * t0
-    num[2] += a0
-    den = np.array([sigma * V, h + t0])
-    poly = np.convolve(lhs, np.convolve(den, den))
-    poly[2:] -= d2 * np.convolve(num, num)
-    size = np.abs(poly).max()
-    while abs(poly[0]) <= 1e-16 * size:
-        poly = poly[1:]
+    quad = d1 == 0.0
+    with np.errstate(all="ignore"):
+        shift = quad | (d0 > 2.0 * np.abs(d1)
+                        * np.maximum(np.abs(e_lo), np.abs(e_hi)))
+        t0 = np.where(shift, np.sqrt(d0), 0.0)
+        e0 = np.where(shift, 0.0, -d0 / d1)
+        scale = t0 + np.sqrt(np.abs(d1))
+        sigma = d1 / scale
+        V = 2.0 * np.maximum(np.abs(e_lo - e0), np.abs(e_hi - e0)) + 4.0
+        e_x = np.stack([sigma / scale * V * V, 2.0 * t0 / scale * V, e0], 1)
+        lhs = -_convolve(e_x, e_x)
+        lhs[:, 2:] += C[:, None] * e_x
+        lhs[:, 4] += l0
+        num = a1[:, None] * e_x
+        num[:, 1] -= w * sigma * V
+        num[:, 2] -= w * t0
+        num[:, 2] += a0
+        den = np.stack([sigma * V, h + t0], 1)
+        poly = _convolve(lhs, _convolve(den, den))
+        poly[:, 2:] -= d2[:, None] * _convolve(num, num)
+        q0, q1 = (a0 - w * t0) / (h + t0), a1 / (h + t0)
+        poly[quad] = 0.0
+        poly[quad, 4:] = np.stack([-1.0 - d2 * q1 * q1,
+                                   C - 2.0 * d2 * q0 * q1,
+                                   l0 - d2 * q0 * q0], 1)[quad]
+    poly[quad & ~(d0 >= 0.0)] = 0.0
+    # A quadratic keeps every coefficient; only exact zeros lead it.
+    size = np.where(quad, 0.0, 1e-16 * np.abs(poly).max(axis=1))
+    poly[np.logical_and.accumulate(np.abs(poly) <= size[:, None], 1)] = 0.0
+    # For B = 0 the maps below give E = x and t = sqrt(d0), exactly.
+    two_t0 = np.where(quad, 1.0, 2.0 * t0)
+    e0, sigma = np.where(quad, 0.0, e0), np.where(quad, 0.0, sigma)
+    scale, V = np.where(quad, 1.0, scale), np.where(quad, 1.0, V)
 
     def e_of_x(x):
         v = V * x
-        return e0 + (2.0 * t0 + sigma * v) * v / scale
+        return e0 + (two_t0 + sigma * v) * v / scale
 
     return poly, e_of_x, lambda x: t0 + sigma * (V * x)
 
 
-def _candidates(eq: ReducedEquation, e_lo: float,
-                e_hi: float) -> list[float]:
-    """Unpolished real zeros of the residual: real polynomial roots, t >= 0."""
-    built = _polynomial(eq, e_lo, e_hi)
-    if built is None:
-        return []
-    poly, e_of_x, t_of_x = built
-    return [e_of_x(x) for x in (z.real for z in np.roots(poly).tolist()
-                                if _is_real(z))
-            if t_of_x(x) >= -1e-9]
+def _companion_roots(poly):
+    """Every row's polynomial roots, as numpy.roots gives them, in (6, rows).
 
-
-def _is_real(z: complex) -> bool:
-    return abs(z.imag) <= 1e-7 * (1.0 + abs(z.real))
-
-
-def _polish(g, E: float) -> Optional[float]:
-    """Bisect g to _TOL on the narrowest bracket at E where it changes sign.
-
-    The bracket starts at 1e-10 (1 + |E|) on either side of E and grows by
-    4 up to 1e-5, because the t -> E map magnifies companion-root error when
-    D depends weakly on E.  Returns None when no sign change is found.
+    Leading zero coefficients are dropped and trailing ones give roots at
+    0; the rest are the eigenvalues of the companion matrix.  Rows are
+    grouped by its size, and each group takes one stacked eigvals call.
+    Unused entries are NaN.
     """
-    g_E = g(E)
-    width = 1e-10 * (1.0 + abs(E))
-    while g_E != 0.0 and width <= 1e-5:
-        for x in (E - width, E + width):
-            g_x = g(x)
-            if g_x * g_E < 0.0:
-                lo, hi = min(E, x), max(E, x)
-                g_lo = g_E if lo == E else g_x
-                while hi - lo > _TOL:
-                    mid = 0.5 * (lo + hi)
-                    g_mid = g(mid)
-                    if g_mid == 0.0:
-                        return mid
-                    if (g_lo < 0.0) == (g_mid < 0.0):
-                        lo, g_lo = mid, g_mid
-                    else:
-                        hi = mid
-                return 0.5 * (lo + hi)
-        width *= 4.0
-    return E if g_E == 0.0 else None
+    rows = poly.shape[0]
+    nonzero = poly != 0.0
+    lead = nonzero.argmax(axis=1)
+    trail = nonzero[:, ::-1].argmax(axis=1)
+    order = np.where(nonzero.any(axis=1), 6 - lead - trail, -1)
+    roots = np.full((rows, 6), np.nan, dtype=complex)
+    slot = np.arange(6)
+    roots[(slot >= order[:, None]) & (slot < (order + trail)[:, None])] = 0.0
+    for k in range(1, 7):
+        group = np.flatnonzero(order == k)
+        if not group.size:
+            continue
+        p = poly[group[:, None], lead[group, None] + np.arange(k + 1)]
+        companion = np.zeros((group.size, k, k))
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+        roots[group, :k] = np.linalg.eigvals(companion)
+    return roots.T
+
+
+def _bisect(E, eq: ReducedEquation):
+    """Bisect g to _TOL on the narrowest bracket at each E with a sign change.
+
+    Each bracket starts at 1e-10 (1 + |E|) on either side of E, the lower
+    side first, and grows by 4 up to 1e-5, because the t -> E map magnifies
+    companion-root error when D depends weakly on E.  An E where g is
+    exactly 0 is its own root; NaN marks an E with no sign change.  Every
+    entry follows the steps it would follow alone.
+    """
+    g_E = _parts(E, eq)[0]
+    width = 1e-10 * (1.0 + np.abs(E))
+    lo, hi, g_lo = (np.full(E.shape, np.nan) for _ in range(3))
+    search = g_E != 0.0
+    while (search := search & (width <= 1e-5)).any():
+        x = E + np.array([[-1.0], [1.0]]) * width
+        g_x = _parts(x, eq)[0]
+        change = g_x * g_E < 0.0
+        side = np.where(change[0], 0, 1)
+        x, g_x = np.choose(side, x), np.choose(side, g_x)
+        found = search & (change[0] | change[1])
+        lo = np.where(found, np.minimum(E, x), lo)
+        hi = np.where(found, np.maximum(E, x), hi)
+        g_lo = np.where(found, np.where(lo == E, g_E, g_x), g_lo)
+        search &= ~found
+        width = width * 4.0
+    active = hi - lo > _TOL
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        g_mid = _parts(mid, eq)[0]
+        # An exact zero closes its bracket on mid, whose midpoint is mid.
+        hit = active & (g_mid == 0.0)
+        up = active & ((g_lo < 0.0) == (g_mid < 0.0))
+        lo, g_lo = np.where(up | hit, mid, lo), np.where(up, g_mid, g_lo)
+        hi = np.where(active & ~up | hit, mid, hi)
+        active = hi - lo > _TOL
+    return np.where(g_E == 0.0, E, 0.5 * (lo + hi))
+
+
+def _solve_chunk(queries) -> list[list[EnergyRoot]]:
+    """solve_levels of each query, computed together over arrays."""
+    eq = _stack([ReducedEquation.of(p, sym, qn) for qn, sym, p in queries])
+    e_hi = eq.M + np.abs(eq.C) + _WINDOW_PAD
+    e_lo = -e_hi
+    poly, e_of_x, t_of_x = _polynomial(eq, e_lo, e_hi)
+    z = _companion_roots(poly)
+    x = z.real
+    E = e_of_x(x)
+    keep = ((np.abs(z.imag) <= 1e-7 * (1.0 + np.abs(x)))
+            & (t_of_x(x) >= -1e-9) & (e_lo <= E) & (E <= e_hi))
+    row = np.nonzero(keep)[1]
+    E = _bisect(E[keep], _take(eq, row))
+    found = ~np.isnan(E)
+    row, E = row[found], E[found]
+    order = np.lexsort((E, row))
+    row, E = row[order], E[order]
+    eq = _take(eq, row)
+    g, Q, D = _parts(E, eq)
+    flags = zip(
+        E.tolist(), row.tolist(), g.tolist(),
+        (D >= 0.0).tolist(), (np.abs(E) < eq.M).tolist(),
+        (eq.coupling(E) > 0.0).tolist(),
+        np.where(eq.s > 0.0, E > 0.0,
+                 (E < 0.0) & (np.abs(E - (eq.M + eq.C)) > 1e-9)).tolist(),
+        (Q > 0.0).tolist())
+    out: list[list[EnergyRoot]] = [[] for _ in queries]
+    for E, i, residual, domain, m_ok, c_ok, sign_ok, positive in flags:
+        roots = out[i]
+        if roots and abs(E - roots[-1].E) <= 10.0 * _TOL:
+            continue
+        qn, sym, _ = queries[i]
+        roots.append(EnergyRoot(
+            E=E, symmetry=sym, qn=qn, residual=residual,
+            sqrt_domain_ok=domain, M_bound_ok=m_ok, C_bound_ok=c_ok,
+            sign_ok=sign_ok, nu_branch=+1 if positive else -1))
+    return out
+
+
+def _levels(queries):
+    """Yield solve_levels of each query in turn, solving _CHUNK at a time.
+
+    Only one chunk's roots exist at once, which bounds the memory of a
+    caller that keeps less than every root.
+    """
+    queries = iter(queries)
+    while chunk := list(islice(queries, _CHUNK)):
+        yield from _solve_chunk(chunk)
+
+
+def solve_levels_batch(queries) -> list[list[EnergyRoot]]:
+    """solve_levels for each (qn, sym, p) of queries, solved together.
+
+    Returns one list per query, each exactly what solve_levels returns for
+    that query alone: the rows of a batch do not affect each other.
+    """
+    return list(_levels(queries))
 
 
 def solve_levels(qn: QuantumNumbers, sym: SymmetryLimit,
                  p: PotentialParams) -> list[EnergyRoot]:
     """All real zeros of the quantization residual in the energy window.
 
-    Enumerates the zeros exactly as roots of a polynomial (see the module
-    docstring), keeps those in the window |E| <= M + |C| + 1, polishes each
-    one by bisection on the residual to 1e-12 and drops those that show no
-    sign change: a zero where g only touches 0, or one exactly at the D = 0
-    edge of its domain, is not returned.  Returns roots ordered by energy,
-    each with recomputed validity flags; an empty list means no bound state
-    in the window.
+    A batch of one for solve_levels_batch.  The zeros are enumerated
+    exactly as roots of a polynomial (see the module docstring); those in
+    the window |E| <= M + |C| + 1 are polished by bisection on the
+    residual to 1e-12, and those that show no sign change are dropped: a
+    zero where g only touches 0, or one exactly at the D = 0 edge of its
+    domain, is not returned.  Returns roots ordered by energy, each with
+    validity flags computed at its energy; an empty list means no bound
+    state in the window.
     """
-    e_hi = p.M + abs(sym.constant) + _WINDOW_PAD
-    e_lo = -e_hi
-    eq = ReducedEquation.of(p, sym, qn)
-    d2 = eq.d2
-
-    def g(E: float) -> float:
-        lhs, Q, _ = _parts(E, eq)
-        return lhs - d2 * Q ** 2
-
-    roots = []
-    for E in _candidates(eq, e_lo, e_hi):
-        if e_lo <= E <= e_hi:
-            polished = _polish(g, E)
-            if polished is not None:
-                roots.append(polished)
-    roots.sort()
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or abs(r - deduped[-1]) > 10.0 * _TOL:
-            deduped.append(r)
-    return [classify_root(r, eq, sym, qn) for r in deduped]
+    return solve_levels_batch([(qn, sym, p)])[0]
 
 
 def select_table_root(roots: list[EnergyRoot]) -> Optional[EnergyRoot]:
@@ -353,18 +450,20 @@ def sweep_delta(states: list[QuantumNumbers], sym: SymmetryLimit,
 
     Returns one dict per delta value with key "delta" plus one key per state
     label holding the selected bound-state energy, or None where the state
-    is unbound or the parameter point is out of domain (delta <= 0).
+    is unbound or the parameter point is out of domain (delta <= 0).  Every
+    state at every delta is solved in one batch.
     """
+    deltas = np.asarray(deltas, dtype=float).tolist()
+    # "not d <= 0" keeps a NaN delta, which PotentialParams then rejects.
+    queries = [(qn, sym, PotentialParams(V0=p.V0, A=p.A, B=p.B, delta=d,
+                                         H=p.H, M=p.M))
+               for d in deltas if not d <= 0.0 for qn in states]
+    found = iter(solve_levels_batch(queries))
     rows = []
-    for d in np.asarray(deltas, dtype=float):
-        row: dict = {"delta": float(d)}
+    for d in deltas:
+        row: dict = {"delta": d}
         for qn in states:
-            if d <= 0.0:
-                row[qn.label] = None
-                continue
-            pd = PotentialParams(V0=p.V0, A=p.A, B=p.B, delta=float(d),
-                                 H=p.H, M=p.M)
-            root = select_table_root(solve_levels(qn, sym, pd))
+            root = None if d <= 0.0 else select_table_root(next(found))
             row[qn.label] = None if root is None else root.E
         rows.append(row)
     return rows
@@ -376,16 +475,16 @@ def scan_v0_c(qn: QuantumNumbers, sym_kind: str, p: PotentialParams,
 
     Returns an array of shape (len(c_values), len(v0_values)); entries are
     the selected bound-state energy or NaN where no bound state exists.
+    The whole grid is solved as one batch, of which only the selected
+    energies are kept.
     """
-    v0_values = np.asarray(v0_values, dtype=float)
-    c_values = np.asarray(c_values, dtype=float)
-    out = np.full((c_values.size, v0_values.size), np.nan)
-    for i, c in enumerate(c_values):
-        sym = SymmetryLimit(sym_kind, float(c))
-        for k, v0 in enumerate(v0_values):
-            pv = PotentialParams(V0=float(v0), A=float(v0), B=float(v0),
-                                 delta=p.delta, H=p.H, M=p.M)
-            root = select_table_root(solve_levels(qn, sym, pv))
-            if root is not None:
-                out[i, k] = root.E
-    return out
+    v0_values = np.asarray(v0_values, dtype=float).tolist()
+    c_values = np.asarray(c_values, dtype=float).tolist()
+    tied = [PotentialParams(V0=v0, A=v0, B=v0, delta=p.delta, H=p.H, M=p.M)
+            for v0 in v0_values]
+    queries = ((qn, sym, pv) for sym in (SymmetryLimit(sym_kind, c)
+                                         for c in c_values) for pv in tied)
+    energies = [np.nan if root is None else root.E
+                for root in map(select_table_root, _levels(queries))]
+    return np.array(energies, dtype=float).reshape(len(c_values),
+                                                   len(v0_values))

@@ -60,6 +60,18 @@ def test_grid_endpoints():
     assert g[-1] == 0.30
     assert g[7] == 0.07
     assert _grid(0.0, 20.0, 0.5) == [0.5 * i for i in range(41)]
+    # The last point never passes stop.
+    assert _grid(0.0, 1.0, 0.6) == [0.0, 0.6]
+    assert _grid(0.0, 1.0, 0.3) == [0.0, 0.3, 0.6, 0.9]
+    assert _grid(0.1, 0.3, 0.1) == [0.1, 0.2, 0.3]
+    assert _grid(2.0, 2.0, 0.5) == [2.0]
+    assert _grid(2.0, 2.4, 0.5) == [2.0]
+    cfg = apply_preset(RunConfig(), PRESET)
+    assert len(_grid(cfg.delta_start, cfg.delta_stop, cfg.delta_step)) == 31
+    assert _grid(cfg.v0_start, cfg.v0_stop, cfg.v0_step) \
+        == [0.5 * i for i in range(41)]
+    assert _grid(cfg.c_start, cfg.c_stop, cfg.c_step) \
+        == [-20.0 + 0.5 * i for i in range(81)]
 
 
 def test_parse_states_defaults():
@@ -243,6 +255,15 @@ def test_sweep_rows_and_na(tmp_path):
     assert abs(float(rows[2][0]) - 0.05) < 1e-12
     assert abs(float(rows[2][1]) - 0.26229015) <= 1e-6
     assert float(rows[3][1]) > float(rows[2][1])
+
+
+def test_sweep_stops_at_delta_stop(tmp_path):
+    # A step that does not divide the range ends below stop, not past it.
+    assert main(["sweep", "--preset", PRESET, "--states", "0,1",
+                 "--delta-start", "0", "--delta-stop", "1",
+                 "--delta-step", "0.6", "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "sweep_spin.csv")
+    assert [row[0] for row in rows] == ["delta", "0.00000000", "0.60000000"]
 
 
 def test_scan_grid_and_na_column(tmp_path):

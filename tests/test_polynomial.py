@@ -1,9 +1,10 @@
 """The root-enumeration polynomial of spectra, expanded back symbolically.
 
 `spectra._polynomial` builds g (h + t)^2 as a polynomial in x = v / V by
-convolving coefficient arrays (see its docstring).  Here the same product
-is expanded exactly with sympy from the reduced-equation record, with E(x)
-and t(x) as the solver maps them, and the coefficients are compared.
+convolving coefficient arrays, one row per state (see its docstring).
+Here the same product is expanded exactly with sympy from the
+reduced-equation record, with E(x) and t(x) as the solver maps them, and
+the coefficients are compared.
 """
 
 import random
@@ -16,7 +17,7 @@ sympy = pytest.importorskip("sympy")
 
 from diracbound import (PotentialParams, QuantumNumbers, ReducedEquation,
                         SymmetryLimit)
-from diracbound.spectra import _polynomial
+from diracbound.spectra import _polynomial, _stack
 
 
 def _exact(value):
@@ -56,14 +57,14 @@ def test_polynomial_expands_back_to_the_residual(case):
         p, sym, qn = _draw(rng, case)
         eq = ReducedEquation.of(p, sym, qn)
         pad = p.M + abs(sym.constant) + 1.0
-        built = _polynomial(eq, -pad, pad)
-        if built is None:       # B = 0 with D < 0 everywhere: no roots
+        poly, e_of_x, t_of_x = _polynomial(_stack([eq]), -pad, pad)
+        poly = np.trim_zeros(poly[0], "f")
+        if not poly.size:       # B = 0 with D < 0 everywhere: no roots
             continue
-        poly, e_of_x, t_of_x = built
-        if p.B != 0.0 and (case == "shifted") != (t_of_x(0.0) > 0.0):
+        if p.B != 0.0 and (case == "shifted") != (t_of_x(0.0)[0] > 0.0):
             continue            # t0 > 0 exactly when the solver shifts
-        E = _rationalized(sympy.expand(e_of_x(x)))
-        t = _rationalized(sympy.expand(t_of_x(x)))
+        E = _rationalized(sympy.expand(e_of_x(x)[0]))
+        t = _rationalized(sympy.expand(t_of_x(x)[0]))
         exact = ReducedEquation(**{
             name: (value if name == "degree" else _exact(value))
             for name, value in vars(eq).items()})

@@ -1,5 +1,8 @@
 """Quantum numbers, quantization residuals, root finding and selection."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from diracbound import (
     DomainError,
     PotentialParams,
     QuantumNumbers,
+    ReducedEquation,
     SymmetryLimit,
     benchmark_params,
     doublet_partner,
@@ -17,8 +21,10 @@ from diracbound import (
     scan_v0_c,
     select_table_root,
     solve_levels,
+    solve_levels_batch,
     sweep_delta,
 )
+from diracbound.spectra import _polynomial, _stack
 
 from reference_data import PSEUDO_TABLE, SPIN_TABLE
 
@@ -245,3 +251,104 @@ def test_scan_grid_shape_and_classification(params_h5):
     assert grid.shape == (2, 2)
     assert np.isnan(grid[0, 1])
     assert grid[1, 1] == pytest.approx(2.25136420, abs=1e-6)
+
+
+# One row of each polynomial form at the benchmark point (0p3/2, C_S = 5,
+# H = 5): B = 0 (a quadratic in E), B = 1e-13 (shifted, with its leading
+# coefficients trimmed) and B = 1 (unshifted).
+_FORM_ROWS = [(QuantumNumbers(0, -2), SymmetryLimit.spin(5.0),
+               PotentialParams(V0=2.0, A=1.0, B=B, delta=0.05, H=5.0,
+                               M=4.76)) for B in (0.0, 1e-13, 1.0)]
+
+
+def _forms(batch):
+    """Which polynomial forms the rows of batch take in solve_levels."""
+    eq = _stack([ReducedEquation.of(p, sym, qn) for qn, sym, p in batch])
+    pad = eq.M + np.abs(eq.C) + 1.0
+    poly, _, t_of_x = _polynomial(eq, -pad, pad)
+    quadratic = eq.s_b == 0.0
+    shifted = ~quadratic & (t_of_x(0.0) > 0.0)
+    forms = {"quadratic": quadratic, "shifted": shifted,
+             "unshifted": ~quadratic & ~shifted,
+             "trimmed": ~quadratic & (poly[:, 0] == 0.0)}
+    return {name for name, rows in forms.items() if rows.any()}
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.lists(_problems(), min_size=1, max_size=12),
+       st.randoms(use_true_random=False))
+def test_solve_levels_batch_rows_are_independent(problems, rng):
+    batch = [(qn, sym, p) for p, sym, qn in problems] + _FORM_ROWS
+    rng.shuffle(batch)
+    assert _forms(batch) == {"quadratic", "shifted", "unshifted", "trimmed"}
+    together = solve_levels_batch(batch)
+    backwards = solve_levels_batch(batch[::-1])[::-1]
+    for query, roots, reversed_roots in zip(batch, together, backwards):
+        # repr shows every bit of every float, and NaN equals NaN there.
+        alone = repr(solve_levels(*query))
+        assert repr(roots) == alone, query
+        assert repr(reversed_roots) == alone, query
+
+
+def test_solve_levels_batch_resolves_close_root_pair_among_others():
+    rng = np.random.default_rng(3)
+    batch = []
+    for _ in range(100):
+        delta = rng.uniform(0.01, 0.25)
+        p = PotentialParams(V0=rng.uniform(0.0, 20.0),
+                            A=rng.uniform(0.0, 20.0),
+                            B=float(rng.choice([0.0, rng.uniform(0.0, 20.0)])),
+                            delta=delta, H=rng.uniform(0.0, 6.0),
+                            M=rng.uniform(0.5, 8.0))
+        sym = SymmetryLimit(str(rng.choice(["spin", "pseudospin"])),
+                            rng.uniform(-20.0, 20.0))
+        batch.append((QuantumNumbers(int(rng.integers(0, 4)),
+                                     int(rng.choice([-3, -2, -1, 1, 2]))),
+                      sym, p))
+    close_pair = (QuantumNumbers(0, -2), SymmetryLimit.spin(9.5),
+                  PotentialParams(V0=17.0, A=17.0, B=17.0, delta=0.05,
+                                  H=5.0, M=4.76))
+    batch.insert(50, close_pair)
+    energies = [r.E for r in solve_levels_batch(batch)[50]]
+    for expected in (4.748127, 4.748968):
+        assert any(abs(E - expected) < 1e-6 for E in energies)
+
+
+def test_scan_with_a_zero_v0_column_matches_solve_levels(params_h5):
+    # V0 = A = B = 0 makes B = 0, so that column takes the quadratic form.
+    # 15 x 41 cells are more than one chunk of the batch.
+    qn = QuantumNumbers(0, -2)
+    v0 = [0.5 * i for i in range(41)]
+    c = [-7.0 + i for i in range(15)]
+    grid = scan_v0_c(qn, "spin", params_h5, v0, c)
+    for i, c_i in enumerate(c):
+        for k, v0_k in enumerate(v0):
+            pv = PotentialParams(V0=v0_k, A=v0_k, B=v0_k, delta=0.05, H=5.0,
+                                 M=4.76)
+            root = select_table_root(
+                solve_levels(qn, SymmetryLimit.spin(c_i), pv))
+            expected = np.nan if root is None else root.E
+            assert repr(grid[i, k]) == repr(np.float64(expected)), (c_i, v0_k)
+    assert not np.isnan(grid[:, 0]).all()
+
+
+_SCAN_REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench"
+                   / "reference" / "scan_paper.json")
+
+
+def test_scan_reproduces_the_paper_panels(params_h5):
+    # The four preset panels against the independently enumerated frozen
+    # reference.  Its V0 = 0 column is NA by the CLI's convention.
+    panels = json.loads(_SCAN_REFERENCE.read_text())
+    assert len(panels) == 4
+    for stem, ref in panels.items():
+        v0 = [float(v) for v in ref["v0"]]
+        c = [float(x) for x in ref["c"]]
+        grid = scan_v0_c(QuantumNumbers(ref["n"], ref["kappa"]), ref["kind"],
+                         params_h5, v0[1:], c)
+        want = np.array([[np.nan if E is None else E for E in row[1:]]
+                         for row in ref["E"]], dtype=float)
+        assert v0[0] == 0.0 and grid.shape == want.shape == (81, 40)
+        assert np.array_equal(np.isnan(grid), np.isnan(want)), stem
+        bound = ~np.isnan(want)
+        assert np.max(np.abs(grid[bound] - want[bound])) <= 1e-6, stem
