@@ -75,6 +75,7 @@ from .limits import (
     NonRelParams,
     coulomb_energy,
     hulthen_residual,
+    hulthen_roots,
     iq_yukawa_residual,
     kratzer_fues_residual,
     nonrel_energy,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (DomainError, NoEigenvalueError, NotConvergedError,
                      PoleError)
-from .limits import (NonRelParams, coulomb_energy, hulthen_residual,
+from .limits import (NonRelParams, coulomb_energy, hulthen_roots,
                      kratzer_fues_residual, nonrel_energy_coulomb,
                      nonrel_energy_hulthen)
 from .oracle import OracleConfig, dirac_eigenvalue, schrodinger_eigenvalue
@@ -43,6 +43,9 @@ _TABLE_H_PAIR_DEFAULT = 5.0
 
 # sweep and scan grids: <axis>_start, <axis>_stop, <axis>_step
 _GRID_AXES = ("delta", "v0", "c")
+
+# Most points one grid axis, or the V0 x C plane of a scan, may hold.
+_MAX_GRID_POINTS = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +147,24 @@ class RunConfig:
             raise DomainError(f"delta must be positive, got {self.delta}")
         if self.M <= 0:
             raise DomainError(f"M must be positive, got {self.M}")
+        counts = {}
         for axis in _GRID_AXES:
-            if getattr(self, f"{axis}_step") <= 0:
+            start, stop, step = (getattr(self, f"{axis}_{end}")
+                                 for end in ("start", "stop", "step"))
+            if step <= 0:
                 raise DomainError(f"{axis}_step must be positive")
-            if getattr(self, f"{axis}_stop") < getattr(self, f"{axis}_start"):
+            if stop < start:
                 raise DomainError(
                     f"{axis}_stop must not be below {axis}_start")
+            counts[axis] = _grid_count(start, stop, step)
+            if counts[axis] > _MAX_GRID_POINTS:
+                raise DomainError(
+                    f"{axis} grid has {counts[axis]} points, more than "
+                    f"{_MAX_GRID_POINTS}")
+        if counts["v0"] * counts["c"] > _MAX_GRID_POINTS:
+            raise DomainError(
+                f"scan grid has {counts['v0'] * counts['c']} V0 x C "
+                f"points, more than {_MAX_GRID_POINTS}")
 
     def potential(self, H: float | None = None) -> PotentialParams:
         return PotentialParams(V0=self.V0, A=self.A, B=self.B,
@@ -266,12 +281,34 @@ def _csv_quote(text: str) -> str:
     return text
 
 
-def write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _format_block(block: np.ndarray) -> str:
+    """CRLF lines of a 2-D float array, each cell as ``format_cell`` gives it.
+
+    One %-format call renders every cell; the two rules of ``format_cell``
+    that %.8f does not follow are then applied as string fix-ups, each
+    anchored on a cell's leading separator (a leading newline anchors the
+    first cell of the first line).  No rendered float needs CSV quoting.
+    """
+    nrows, ncols = block.shape
+    line = ",".join(["%.8f"] * ncols) + "\r\n"
+    body = "\n" + (line * nrows) % tuple(block.ravel().tolist())
+    body = (body.replace(",-0.00000000", ",0.00000000")
+            .replace("\n-0.00000000", "\n0.00000000")
+            .replace("nan", "NA"))
+    return body[1:]
+
+
+def write_csv(path: str, header: list[str],
+              rows: np.ndarray | list[list]) -> None:
+    """rows: a 2-D float array (NaN writes NA) or a list of mixed rows."""
+    text = ",".join(_csv_quote(h) for h in header) + "\r\n"
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+        text += _format_block(rows)
+    else:
+        text += "".join(",".join(_csv_quote(format_cell(c)) for c in row)
+                        + "\r\n" for row in rows)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_csv_quote(h) for h in header) + "\r\n")
-        for row in rows:
-            fh.write(",".join(_csv_quote(format_cell(c)) for c in row)
-                     + "\r\n")
+        fh.write(text)
 
 
 def _json_cell(cell):
@@ -287,7 +324,7 @@ def _json_cell(cell):
     return float(format_cell(value))
 
 
-def write_json(path: str, header: list[str], rows: list[list],
+def write_json(path: str, header: list[str], rows: np.ndarray | list[list],
                units: dict) -> None:
     payload = {
         "header": header,
@@ -300,7 +337,7 @@ def write_json(path: str, header: list[str], rows: list[list],
 
 
 def write_rows(cfg: RunConfig, stem: str, header: list[str],
-               rows: list[list], units: dict) -> str:
+               rows: np.ndarray | list[list], units: dict) -> str:
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, f"{stem}.{cfg.format}")
     if cfg.format == "csv":
@@ -314,14 +351,20 @@ def _safe_label(qn: QuantumNumbers) -> str:
     return qn.label.replace("/", "-")
 
 
+def _grid_count(start: float, stop: float, step: float) -> float:
+    """Number of points ``_grid`` returns; inf when the span overflows."""
+    span = (stop - start) / step + 1e-9
+    return math.floor(span) + 1 if math.isfinite(span) else math.inf
+
+
 def _grid(start: float, stop: float, step: float) -> list[float]:
     """start, start + step, ... up to stop, rounded to 10 decimals.
 
     No point lies past stop by more than 1e-9 steps; that slack keeps a
     stop reached up to float error, as in (0.0, 0.30, 0.01).
     """
-    count = math.floor((stop - start) / step + 1e-9)
-    return [round(start + i * step, 10) for i in range(count + 1)]
+    return [round(start + i * step, 10)
+            for i in range(_grid_count(start, stop, step))]
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +409,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     deltas = _grid(cfg.delta_start, cfg.delta_stop, cfg.delta_step)
     rows_raw = sweep_delta(states, sym, cfg.potential(), deltas)
     header = ["delta"] + [qn.label for qn in states]
-    rows = [[row["delta"]] + [row[qn.label] for qn in states]
-            for row in rows_raw]
+    # An unbound or out-of-domain cell, None here, becomes NaN.
+    rows = np.array([[row["delta"]] + [row[qn.label] for qn in states]
+                     for row in rows_raw], dtype=float)
     units = {"delta": "fm^-1"}
     units.update({qn.label: "fm^-1" for qn in states})
     path = write_rows(cfg, f"sweep_{cfg.symmetry}", header, rows, units)
@@ -381,20 +425,17 @@ def cmd_scan(cfg: RunConfig) -> int:
     v0_values = _grid(cfg.v0_start, cfg.v0_stop, cfg.v0_step)
     c_values = _grid(cfg.c_start, cfg.c_stop, cfg.c_step)
     header = ["C"] + [f"{v0:.8f}" for v0 in v0_values]
-    # The V0 = 0 column is written as NA without solving.
+    # The V0 = 0 column is written as NA (NaN) without solving.
     solved = [v0 for v0 in v0_values if v0 != 0.0]
-    paths = []
+    solved_cols = [1 + i for i, v0 in enumerate(v0_values) if v0 != 0.0]
+    rows = np.full((len(c_values), 1 + len(v0_values)), np.nan)
+    rows[:, 0] = c_values
+    units = {"C": "fm^-1", "cells": "fm^-1 (columns are V0 in fm^-1)"}
     for qn in states:
-        grid = scan_v0_c(qn, cfg.symmetry, cfg.potential(), solved, c_values)
-        rows = []
-        for c, energies in zip(c_values, grid.tolist()):
-            cells = iter(energies)
-            rows.append([c] + [None if v0 == 0.0 else next(cells)
-                               for v0 in v0_values])
-        units = {"C": "fm^-1", "cells": "fm^-1 (columns are V0 in fm^-1)"}
+        rows[:, solved_cols] = scan_v0_c(qn, cfg.symmetry, cfg.potential(),
+                                         solved, c_values)
         path = write_rows(cfg, f"scan_{cfg.symmetry}_{_safe_label(qn)}",
                           header, rows, units)
-        paths.append(path)
         print(f"wrote {path} ({len(c_values)} x {len(v0_values)} grid)")
     return EXIT_OK
 
@@ -416,11 +457,11 @@ def cmd_wavefunction(cfg: RunConfig) -> int:
         except NoEigenvalueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_SOLVER
-        rows = [list(sample) for sample in solution.samples]
         path = write_rows(cfg, f"wavefunction_{cfg.symmetry}"
-                          f"_{_safe_label(qn)}", header, rows, units)
+                          f"_{_safe_label(qn)}", header, solution.samples,
+                          units)
         print(f"wrote {path} (E = {solution.E:.8f}, "
-              f"{len(rows)} grid points)")
+              f"{len(solution.samples)} grid points)")
     return EXIT_OK
 
 
@@ -489,36 +530,6 @@ def _verify_degeneracy(cfg: RunConfig) -> tuple[str, str]:
             f"H=0 max gap {worst_h0:.2e}, H=5 min split {min_split:.2e}")
 
 
-def _roots_of(f, e_lo: float, e_hi: float, step: float = 1e-3,
-              tol: float = 1e-12) -> list[float]:
-    """Scan-and-bisect root finder for an arbitrary scalar residual."""
-    grid = np.arange(e_lo, e_hi, step)
-    values = np.full(grid.shape, np.nan)
-    for i, e in enumerate(grid):
-        try:
-            values[i] = f(float(e))
-        except (DomainError, ZeroDivisionError):
-            pass
-    roots = []
-    for i in range(len(grid) - 1):
-        a, b = values[i], values[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b) and a * b < 0):
-            continue
-        lo, hi, f_lo = float(grid[i]), float(grid[i + 1]), float(a)
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            f_mid = f(mid)
-            if f_mid == 0.0:
-                lo = hi = mid
-                break
-            if (f_lo < 0.0) == (f_mid < 0.0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-    return roots
-
-
 def _verify_dual_path(cfg: RunConfig) -> tuple[str, str]:
     """Specialized closed forms against the general solver."""
     problems = []
@@ -527,8 +538,8 @@ def _verify_dual_path(cfg: RunConfig) -> tuple[str, str]:
     sym = SymmetryLimit.spin(5.0)
     qn = QuantumNumbers(0, 1)
     general = sorted(r.E for r in solve_levels(qn, sym, p))
-    special = _roots_of(lambda e: hulthen_residual(e, p, sym, qn),
-                        -p.M - 6.0, p.M + 6.0)
+    special = [e for e in hulthen_roots(p, sym, qn)
+               if -p.M - 6.0 <= e <= p.M + 6.0]
     if (len(general) != len(special)
             or any(abs(a - b) > 1e-10 for a, b in zip(general, special))):
         problems.append("hulthen root mismatch")

@@ -35,6 +35,7 @@ __all__ = [
     "NonRelParams",
     "coulomb_energy",
     "hulthen_residual",
+    "hulthen_roots",
     "iq_yukawa_residual",
     "kratzer_fues_residual",
     "nonrel_energy",
@@ -195,6 +196,47 @@ def _screened_coulomb_residual(E: float, p: PotentialParams,
     return lhs - p.delta ** 2 * bracket * bracket
 
 
+def _screened_coulomb_roots(p: PotentialParams, sym: SymmetryLimit,
+                            qn: QuantumNumbers,
+                            strength: float) -> list[float]:
+    """Real zeros in E of ``_screened_coulomb_residual``, in closed form.
+
+    The bracket is linear in E, k E + b0, and lhs is -E^2 + C E + M^2 -+ C M
+    in both limits, so the residual lhs - w^2 (k E + b0)^2, with w = 2 delta
+    (spin) or delta (pseudospin), is the quadratic a E^2 + b E + c with
+    a = -(1 + w^2 k^2) < 0.  Its roots come from the cancellation-free form
+    of the quadratic formula, ascending; a double root is listed once.
+    """
+    m = radial_poly_degree(qn, sym.kind)
+    C = sym.constant
+    if sym.is_spin:
+        big_n = m + qn.kappa + p.H + 1.0
+        if big_n == 0.0:
+            raise DomainError("closed bracket undefined (n + kappa + H + 1 = 0)")
+        w = 2.0 * p.delta
+        k = strength / (4.0 * p.delta * big_n)
+        b0 = k * (p.M - C) - 0.5 * big_n
+        const = p.M ** 2 - C * p.M
+    else:
+        big_n = m + qn.kappa + p.H
+        if big_n == 0.0:
+            raise DomainError("closed bracket undefined (n + kappa + H = 0)")
+        w = p.delta
+        k = strength / (2.0 * p.delta * big_n)
+        b0 = -k * (p.M + C) - big_n
+        const = p.M ** 2 + C * p.M
+    a = -(1.0 + w * w * k * k)
+    b = C - 2.0 * w * w * k * b0
+    c = const - w * w * b0 * b0
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    if disc == 0.0:
+        return [-b / (2.0 * a)]
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return sorted([q / a, c / q])
+
+
 def hulthen_residual(E: float, p: PotentialParams, sym: SymmetryLimit,
                      qn: QuantumNumbers) -> float:
     """Closed-bracket residual of the pure Hulthen interaction (A = B = 0).
@@ -216,6 +258,12 @@ def yukawa_residual(E: float, p: PotentialParams, sym: SymmetryLimit,
     Ze2.  Intended for p with V0 = B = 0.
     """
     return _screened_coulomb_residual(E, p, sym, qn, p.A)
+
+
+def hulthen_roots(p: PotentialParams, sym: SymmetryLimit,
+                  qn: QuantumNumbers) -> list[float]:
+    """Every real zero of ``hulthen_residual``, ascending, without a scan."""
+    return _screened_coulomb_roots(p, sym, qn, p.V0 / (2.0 * p.delta))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ its generated wrapper calls it, against the package under test.
 """
 
 import json
+import math
 import os
 import re
 import shutil
@@ -18,10 +19,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import diracbound
 from diracbound.cli import (RunConfig, apply_preset, format_cell, main,
-                            parse_states, _grid)
+                            parse_states, write_csv, write_json, _csv_quote,
+                            _grid)
 from diracbound.errors import DomainError
 from diracbound.spectra import QuantumNumbers
 
@@ -51,6 +55,48 @@ def test_format_cell():
     assert format_cell(0.123456789) == "0.12345679"
     assert format_cell(-1e-12) == "0.00000000"
     assert format_cell(-0.0) == "0.00000000"
+
+
+# Cells where the rendering rules bite: NaN of either sign, infinities,
+# signed zeros, values that round to a signed zero or just away from it.
+_EDGE_CELLS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
+               5e-9, -5e-9, 4.999999999e-9, -4.999999999e-9,
+               5.000000001e-9, -5.000000001e-9, -1e-12, 1e-300, -1e-300,
+               1e300, -1e300]
+
+_cells = st.one_of(
+    st.sampled_from(_EDGE_CELLS),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.builds(lambda sign, mantissa, exponent: sign * mantissa
+              * 10.0 ** exponent, st.sampled_from([1.0, -1.0]),
+              st.floats(1.0, 9.999), st.integers(-300, 299)))
+
+
+@st.composite
+def _float_blocks(draw):
+    nrows = draw(st.integers(0, 8))
+    ncols = draw(st.integers(1, 9))
+    cells = draw(st.lists(_cells, min_size=nrows * ncols,
+                          max_size=nrows * ncols))
+    return np.array(cells, dtype=float).reshape(nrows, ncols)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(block=_float_blocks())
+@example(block=np.array([[-0.0, -1e-12, math.nan],
+                         [-3e-9, -0.0, -math.nan]]))
+def test_block_writer_follows_the_cell_rule(tmp_path, block):
+    header = [f"x{j}" for j in range(block.shape[1])]
+    lines = [header] + [[format_cell(c) for c in row] for row in block]
+    expected = "".join(",".join(_csv_quote(c) for c in line) + "\r\n"
+                       for line in lines)
+    write_csv(tmp_path / "block.csv", header, block)
+    assert (tmp_path / "block.csv").read_bytes() == expected.encode()
+    write_json(tmp_path / "array.json", header, block, {})
+    write_json(tmp_path / "lists.json", header, block.tolist(), {})
+    assert ((tmp_path / "array.json").read_bytes()
+            == (tmp_path / "lists.json").read_bytes())
 
 
 def test_grid_endpoints():
@@ -123,9 +169,17 @@ def test_config_rejects_bad_keys_and_values():
                 {"c_start": float("-inf")}, {"delta_stop": float("nan")},
                 {"delta_start": 0.3, "delta_stop": 0.0},
                 {"v0_start": 5.0, "v0_stop": 4.5},
-                {"c_start": 1.0, "c_stop": -1.0}):
+                {"c_start": 1.0, "c_stop": -1.0},
+                # Grids over 10**6 points, per axis or V0 x C, counted
+                # before anything is built.
+                {"delta_step": 1e-12}, {"delta_stop": 1e6, "delta_step": 1.0},
+                {"v0_step": 1e-3, "c_step": 1e-3},
+                {"c_start": -1e308, "c_stop": 1e308}):
         with pytest.raises(DomainError):
             RunConfig(**bad).validate()
+    RunConfig(delta_stop=999999.0, delta_step=1.0).validate()
+    RunConfig(v0_stop=999.0, v0_step=1.0, c_start=0.0, c_stop=999.0,
+              c_step=1.0).validate()
     with pytest.raises(DomainError):
         RunConfig.from_ini("[sweep]\ndelta_step = nan\n").validate()
 
@@ -208,24 +262,46 @@ def test_table_pseudo_matches_reference(tmp_path):
 
 
 def test_table_json_mirrors_csv(tmp_path):
-    states = ["--states", "0,-2;0,1", "--preset", PRESET]
-    assert main(["table", "--out", str(tmp_path), "--format", "csv"]
-                + states) == 0
-    assert main(["table", "--out", str(tmp_path), "--format", "json"]
-                + states) == 0
-    csv_rows = read_csv(tmp_path / "table_spin.csv")
-    text = (tmp_path / "table_spin.json").read_text()
-    assert text.endswith("\n")
-    payload = json.loads(text)
-    assert set(payload) == {"header", "units", "rows"}
-    assert payload["header"] == csv_rows[0]
-    assert payload["units"] == {"E_H0": "fm^-1", "E_H5": "fm^-1"}
-    assert len(payload["rows"]) == len(csv_rows) - 1
-    for jrow, crow in zip(payload["rows"], csv_rows[1:]):
-        assert jrow[:4] == [int(crow[0]), int(crow[1]), int(crow[2]),
-                            crow[3]]
-        assert jrow[4] == float(crow[4])
-        assert jrow[5] == float(crow[5])
+    runs = [
+        ("table", ["--states", "0,-2;0,1"], "table_spin",
+         {"E_H0": "fm^-1", "E_H5": "fm^-1"}, False),
+        # delta = 0 is out of domain: an NA row.
+        ("sweep", ["--states", "0,1", "--delta-start", "0",
+                   "--delta-stop", "0.1", "--delta-step", "0.05"],
+         "sweep_spin", {"delta": "fm^-1", "0p1/2": "fm^-1"}, True),
+        # The V0 = 0 column is NA.
+        ("scan", ["--states", "0,-2", "--v0-start", "0", "--v0-stop", "2",
+                  "--v0-step", "2", "--c-start", "0", "--c-stop", "7",
+                  "--c-step", "7"],
+         "scan_spin_0p3-2",
+         {"C": "fm^-1", "cells": "fm^-1 (columns are V0 in fm^-1)"}, True),
+        ("wavefunction", ["--states", "0,1"], "wavefunction_spin_0p1-2",
+         {"r": "fm", "F": "fm^-1/2", "G": "fm^-1/2"}, False),
+    ]
+    for command, args, stem, units, has_na in runs:
+        for fmt in ("csv", "json"):
+            assert main([command, "--preset", PRESET, "--out", str(tmp_path),
+                         "--format", fmt] + args) == 0
+        csv_rows = read_csv(tmp_path / f"{stem}.csv")
+        text = (tmp_path / f"{stem}.json").read_text()
+        assert text.endswith("\n")
+        payload = json.loads(text)
+        assert set(payload) == {"header", "units", "rows"}
+        assert payload["header"] == csv_rows[0]
+        assert payload["units"] == units
+        assert len(payload["rows"]) == len(csv_rows) - 1
+        assert any("NA" in row for row in csv_rows[1:]) == has_na
+        for jrow, crow in zip(payload["rows"], csv_rows[1:]):
+            assert len(jrow) == len(crow)
+            for jcell, ccell in zip(jrow, crow):
+                if ccell == "NA":
+                    assert jcell is None
+                elif "." in ccell:
+                    assert type(jcell) is float and jcell == float(ccell)
+                elif re.fullmatch(r"-?\d+", ccell):
+                    assert type(jcell) is int and jcell == int(ccell)
+                else:
+                    assert jcell == ccell
 
 
 def test_table_output_is_deterministic(tmp_path):

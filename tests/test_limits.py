@@ -1,6 +1,7 @@
 """Special-case residuals, closed forms and nonrelativistic reductions."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from diracbound import (
     benchmark_params,
     coulomb_energy,
     hulthen_residual,
+    hulthen_roots,
     iq_yukawa_residual,
     kratzer_fues_residual,
     nonrel_energy,
@@ -133,6 +135,30 @@ def test_yukawa_dual_path_roots():
     special = scan_roots(lambda e: yukawa_residual(e, p, sym, qn), 0.01, 4.7)
     assert general and len(general) == len(special)
     assert np.allclose(general, special, atol=1e-10, rtol=0.0)
+
+
+def test_closed_bracket_roots_match_a_scan():
+    # The quadratic-formula zeros of the closed Hulthen bracket against a
+    # scan of its residual, in both limits.
+    p = PotentialParams(V0=2.0, A=0.0, B=0.0, delta=0.05, H=0.0, M=4.76)
+    spin, pseudo = SymmetryLimit.spin(5.0), SymmetryLimit.pseudospin(-5.0)
+    cases = [
+        (p, spin, QuantumNumbers(0, 1)),
+        (replace(p, H=5.0), spin, QuantumNumbers(1, -3)),
+        (replace(p, H=5.0), pseudo, QuantumNumbers(0, -2)),
+        (replace(p, V0=4.0, delta=0.1), pseudo, QuantumNumbers(1, 3)),
+    ]
+    for p_case, sym, qn in cases:
+        closed = hulthen_roots(p_case, sym, qn)
+        scanned = scan_roots(
+            lambda e: hulthen_residual(e, p_case, sym, qn),
+            -p_case.M - 6.0, p_case.M + 6.0)
+        assert closed == sorted(closed)
+        assert closed and len(closed) == len(scanned)
+        assert np.allclose(closed, scanned, atol=1e-10, rtol=0.0)
+    # n + kappa + H + 1 = 0 leaves no bracket, as in the residual.
+    with pytest.raises(DomainError):
+        hulthen_roots(p, spin, QuantumNumbers(0, -1))
 
 
 def test_iq_yukawa_residual_is_pointwise_specialization():
