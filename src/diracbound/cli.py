@@ -606,16 +606,20 @@ def _verify_oracle(cfg: RunConfig) -> tuple[str, str]:
 def _verify_normalization(cfg: RunConfig) -> tuple[str, str]:
     """Solved components integrate to unit norm on the sampling grid."""
     p = PotentialParams(V0=2.0, A=1.0, B=1.0, delta=0.05, H=5.0, M=4.76)
+    states = [(QuantumNumbers(0, 1), SymmetryLimit("spin", 5.0)),
+              (QuantumNumbers(0, 2), SymmetryLimit("pseudospin", -5.0))]
+    found = solve_levels_batch([(qn, sym, p) for qn, sym in states])
     worst = 0.0
-    for kind, c, qn in (("spin", 5.0, QuantumNumbers(0, 1)),
-                        ("pseudospin", -5.0, QuantumNumbers(0, 2))):
-        sym = SymmetryLimit(kind, c)
+    for (qn, sym), roots in zip(states, found):
+        root = select_table_root(roots)
         try:
-            solution = solve_wavefunction(qn, sym, p)
+            # An unbound state is solved again there, to raise its error.
+            solution = solve_wavefunction(qn, sym, p,
+                                          None if root is None else root.E)
         except NoEigenvalueError as exc:
             return "FAIL", str(exc)
         r = solution.samples[:, 0]
-        solved = solution.samples[:, 1 if kind == "spin" else 2]
+        solved = solution.samples[:, 1 if sym.is_spin else 2]
         norm = np.trapezoid(solved ** 2, r)
         worst = max(worst, abs(norm - 1.0))
     status = "PASS" if worst <= 1e-4 else "FAIL"

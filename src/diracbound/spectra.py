@@ -16,8 +16,10 @@ matrices (polynomial roots are companion-matrix eigenvalues), maps the real
 roots t >= 0 back to E and polishes all of them together by bisection on g
 itself.  Each row follows exactly the steps it would follow alone, so a
 row's roots do not depend on the rest of its batch.  `solve_levels` is a
-batch of one; the grid scans, delta sweeps and tables send their whole
-parameter set as one batch.
+batch of one, and the tables send their whole parameter set as one batch.
+The grid scans and delta sweeps keep one energy per row, the one
+`select_table_root` picks, so they select it from the arrays of roots and
+build no EnergyRoot.
 
 The residual is built from the squared form of the quantization relation.
 That form admits two root families, distinguished by the sign of the
@@ -29,7 +31,8 @@ both are returned, flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Optional
 
@@ -59,8 +62,8 @@ SPECTROSCOPIC_LETTERS = "spdfghik"
 # and polishes each root to _TOL.
 _WINDOW_PAD = 1.0
 _TOL = 1e-12
-# solve_levels_batch solves at most this many queries at once, which bounds
-# the size, and so the peak memory, of its stacked arrays.
+# At most this many rows are solved at once, which bounds the size, and so
+# the peak memory, of the stacked arrays.
 _CHUNK = 512
 
 
@@ -338,9 +341,37 @@ def _bisect(E, eq: ReducedEquation):
     return np.where(g_E == 0.0, E, 0.5 * (lo + hi))
 
 
-def _solve_chunk(queries) -> list[list[EnergyRoot]]:
-    """solve_levels of each query, computed together over arrays."""
-    eq = _stack([ReducedEquation.of(p, sym, qn) for qn, sym, p in queries])
+def _sign_ok(E, eq: ReducedEquation):
+    """The sign_ok flag of EnergyRoot at each E, one row of eq per E."""
+    return np.where(eq.s > 0.0, E > 0.0,
+                    (E < 0.0) & (np.abs(E - (eq.M + eq.C)) > 1e-9))
+
+
+def _dedupe(row, E):
+    """Mask of the roots kept from (row, E) arrays sorted by row, then E.
+
+    A root within 10 _TOL of the last kept root of its row is dropped.  A
+    root further than that from the root just before it is kept, since the
+    last kept root lies no closer; only the rare roots that are close to
+    the one before them are compared with the last kept root, in order.
+    """
+    keep = np.ones(row.size, dtype=bool)
+    keep[1:] = (row[1:] != row[:-1]) | (E[1:] - E[:-1] > 10.0 * _TOL)
+    for i in np.flatnonzero(~keep):
+        last = i - 1
+        while not keep[last]:
+            last -= 1
+        keep[i] = E[i] - E[last] > 10.0 * _TOL
+    return keep
+
+
+def _roots(eq: ReducedEquation):
+    """(row, E): the roots solve_levels keeps for each row of eq.
+
+    eq is a stacked record (see _stack).  The arrays are sorted by row,
+    then by E, and hold each row's roots exactly as solve_levels returns
+    them for that row alone.
+    """
     e_hi = eq.M + np.abs(eq.C) + _WINDOW_PAD
     e_lo = -e_hi
     poly, e_of_x, t_of_x = _polynomial(eq, e_lo, e_hi)
@@ -355,46 +386,75 @@ def _solve_chunk(queries) -> list[list[EnergyRoot]]:
     row, E = row[found], E[found]
     order = np.lexsort((E, row))
     row, E = row[order], E[order]
+    keep = _dedupe(row, E)
+    return row[keep], E[keep]
+
+
+def _table_energies(eq: ReducedEquation):
+    """The energy select_table_root picks for each row of eq, or NaN.
+
+    Among a row's sign_ok roots that is the one of smallest |E|, the first
+    in E order on a tie: the sort below is stable.
+    """
+    row, E = _roots(eq)
+    ok = _sign_ok(E, _take(eq, row))
+    row, E = row[ok], E[ok]
+    order = np.lexsort((np.abs(E), row))
+    row, E = row[order], E[order]
+    first = np.ones(row.size, dtype=bool)
+    first[1:] = row[1:] != row[:-1]
+    out = np.full(eq.M.shape, np.nan)
+    out[row[first]] = E[first]
+    return out
+
+
+def _table_energies_chunked(size: int, record) -> np.ndarray:
+    """_table_energies of size rows, solved _CHUNK rows at a time.
+
+    record(lo, hi) returns the stacked record of rows lo to hi, so only
+    one chunk's arrays exist at once.
+    """
+    out = np.empty(size)
+    for lo in range(0, size, _CHUNK):
+        hi = min(lo + _CHUNK, size)
+        out[lo:hi] = _table_energies(record(lo, hi))
+    return out
+
+
+def _solve_chunk(queries) -> list[list[EnergyRoot]]:
+    """solve_levels of each query, computed together over arrays."""
+    eq = _stack([ReducedEquation.of(p, sym, qn) for qn, sym, p in queries])
+    row, E = _roots(eq)
     eq = _take(eq, row)
     g, Q, D = _parts(E, eq)
     flags = zip(
         E.tolist(), row.tolist(), g.tolist(),
         (D >= 0.0).tolist(), (np.abs(E) < eq.M).tolist(),
-        (eq.coupling(E) > 0.0).tolist(),
-        np.where(eq.s > 0.0, E > 0.0,
-                 (E < 0.0) & (np.abs(E - (eq.M + eq.C)) > 1e-9)).tolist(),
+        (eq.coupling(E) > 0.0).tolist(), _sign_ok(E, eq).tolist(),
         (Q > 0.0).tolist())
     out: list[list[EnergyRoot]] = [[] for _ in queries]
     for E, i, residual, domain, m_ok, c_ok, sign_ok, positive in flags:
-        roots = out[i]
-        if roots and abs(E - roots[-1].E) <= 10.0 * _TOL:
-            continue
         qn, sym, _ = queries[i]
-        roots.append(EnergyRoot(
+        out[i].append(EnergyRoot(
             E=E, symmetry=sym, qn=qn, residual=residual,
             sqrt_domain_ok=domain, M_bound_ok=m_ok, C_bound_ok=c_ok,
             sign_ok=sign_ok, nu_branch=+1 if positive else -1))
     return out
 
 
-def _levels(queries):
-    """Yield solve_levels of each query in turn, solving _CHUNK at a time.
-
-    Only one chunk's roots exist at once, which bounds the memory of a
-    caller that keeps less than every root.
-    """
-    queries = iter(queries)
-    while chunk := list(islice(queries, _CHUNK)):
-        yield from _solve_chunk(chunk)
-
-
 def solve_levels_batch(queries) -> list[list[EnergyRoot]]:
     """solve_levels for each (qn, sym, p) of queries, solved together.
 
     Returns one list per query, each exactly what solve_levels returns for
-    that query alone: the rows of a batch do not affect each other.
+    that query alone: the rows of a batch do not affect each other.  At
+    most _CHUNK queries are solved at once, which bounds the memory of the
+    stacked arrays.
     """
-    return list(_levels(queries))
+    queries = iter(queries)
+    out: list[list[EnergyRoot]] = []
+    while chunk := list(islice(queries, _CHUNK)):
+        out += _solve_chunk(chunk)
+    return out
 
 
 def solve_levels(qn: QuantumNumbers, sym: SymmetryLimit,
@@ -455,16 +515,17 @@ def sweep_delta(states: list[QuantumNumbers], sym: SymmetryLimit,
     """
     deltas = np.asarray(deltas, dtype=float).tolist()
     # "not d <= 0" keeps a NaN delta, which PotentialParams then rejects.
-    queries = [(qn, sym, PotentialParams(V0=p.V0, A=p.A, B=p.B, delta=d,
-                                         H=p.H, M=p.M))
-               for d in deltas if not d <= 0.0 for qn in states]
-    found = iter(solve_levels_batch(queries))
+    eqs = [ReducedEquation.of(PotentialParams(V0=p.V0, A=p.A, B=p.B, delta=d,
+                                              H=p.H, M=p.M), sym, qn)
+           for d in deltas if not d <= 0.0 for qn in states]
+    found = iter(_table_energies_chunked(
+        len(eqs), lambda lo, hi: _stack(eqs[lo:hi])).tolist())
     rows = []
     for d in deltas:
         row: dict = {"delta": d}
         for qn in states:
-            root = None if d <= 0.0 else select_table_root(next(found))
-            row[qn.label] = None if root is None else root.E
+            E = math.nan if d <= 0.0 else next(found)
+            row[qn.label] = None if math.isnan(E) else E
         rows.append(row)
     return rows
 
@@ -482,9 +543,17 @@ def scan_v0_c(qn: QuantumNumbers, sym_kind: str, p: PotentialParams,
     c_values = np.asarray(c_values, dtype=float).tolist()
     tied = [PotentialParams(V0=v0, A=v0, B=v0, delta=p.delta, H=p.H, M=p.M)
             for v0 in v0_values]
-    queries = ((qn, sym, pv) for sym in (SymmetryLimit(sym_kind, c)
-                                         for c in c_values) for pv in tied)
-    energies = [np.nan if root is None else root.E
-                for root in map(select_table_root, _levels(queries))]
-    return np.array(energies, dtype=float).reshape(len(c_values),
-                                                   len(v0_values))
+    syms = [SymmetryLimit(sym_kind, c) for c in c_values]
+    shape = (len(syms), len(tied))
+    if not (syms and tied):
+        return np.full(shape, np.nan)
+    # C enters a record only as its constant, so the record of a cell is
+    # the record of its V0 with C replaced.
+    by_v0 = _stack([ReducedEquation.of(pv, syms[0], qn) for pv in tied])
+    c = np.array([sym.constant for sym in syms], dtype=float)
+
+    def record(lo, hi):
+        cell = np.arange(lo, hi)
+        return replace(_take(by_v0, cell % len(tied)), C=c[cell // len(tied)])
+
+    return _table_energies_chunked(c.size * len(tied), record).reshape(shape)

@@ -24,7 +24,8 @@ from diracbound import (
     solve_levels_batch,
     sweep_delta,
 )
-from diracbound.spectra import _polynomial, _stack
+from diracbound.spectra import (_dedupe, _polynomial, _stack,
+                                _table_energies)
 
 from reference_data import PSEUDO_TABLE, SPIN_TABLE
 
@@ -314,6 +315,34 @@ def test_solve_levels_batch_resolves_close_root_pair_among_others():
         assert any(abs(E - expected) < 1e-6 for E in energies)
 
 
+def _table_energy(qn, sym, p):
+    """The tabulated energy of one state, solved alone, or NaN."""
+    root = select_table_root(solve_levels(qn, sym, p))
+    return np.nan if root is None else root.E
+
+
+def _cell_grid(qn, kind, p, v0, c):
+    """scan_v0_c's grid, one solve_levels per cell."""
+    return [[_table_energy(qn, SymmetryLimit(kind, c_i),
+                           PotentialParams(V0=v, A=v, B=v, delta=p.delta,
+                                           H=p.H, M=p.M)) for v in v0]
+            for c_i in c]
+
+
+def _cell_sweep(states, sym, p, deltas):
+    """sweep_delta's rows, one solve_levels per cell."""
+    rows = []
+    for d in deltas:
+        row = {"delta": d}
+        for qn in states:
+            E = np.nan if d <= 0.0 else _table_energy(
+                qn, sym, PotentialParams(V0=p.V0, A=p.A, B=p.B, delta=d,
+                                         H=p.H, M=p.M))
+            row[qn.label] = None if np.isnan(E) else E
+        rows.append(row)
+    return rows
+
+
 def test_scan_with_a_zero_v0_column_matches_solve_levels(params_h5):
     # V0 = A = B = 0 makes B = 0, so that column takes the quadratic form.
     # 15 x 41 cells are more than one chunk of the batch.
@@ -321,14 +350,9 @@ def test_scan_with_a_zero_v0_column_matches_solve_levels(params_h5):
     v0 = [0.5 * i for i in range(41)]
     c = [-7.0 + i for i in range(15)]
     grid = scan_v0_c(qn, "spin", params_h5, v0, c)
-    for i, c_i in enumerate(c):
-        for k, v0_k in enumerate(v0):
-            pv = PotentialParams(V0=v0_k, A=v0_k, B=v0_k, delta=0.05, H=5.0,
-                                 M=4.76)
-            root = select_table_root(
-                solve_levels(qn, SymmetryLimit.spin(c_i), pv))
-            expected = np.nan if root is None else root.E
-            assert repr(grid[i, k]) == repr(np.float64(expected)), (c_i, v0_k)
+    # repr shows every bit of every float, and NaN equals NaN there.
+    assert repr(grid.tolist()) \
+        == repr(_cell_grid(qn, "spin", params_h5, v0, c))
     assert not np.isnan(grid[:, 0]).all()
 
 
@@ -352,3 +376,102 @@ def test_scan_reproduces_the_paper_panels(params_h5):
         assert np.array_equal(np.isnan(grid), np.isnan(want)), stem
         bound = ~np.isnan(want)
         assert np.max(np.abs(grid[bound] - want[bound])) <= 1e-6, stem
+
+
+@st.composite
+def _axis(draw, values):
+    """0-6 entries drawn from a pool of at most 4 values, so repeats occur."""
+    pool = draw(st.lists(values, min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool), max_size=6))
+
+
+_STATES = st.builds(QuantumNumbers, st.integers(0, 3),
+                    st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]))
+_POTENTIALS = st.builds(
+    PotentialParams, V0=st.floats(0.0, 20.0), A=st.floats(0.0, 20.0),
+    B=st.floats(0.0, 20.0), delta=st.floats(0.01, 0.25),
+    H=st.floats(0.0, 6.0), M=st.floats(0.5, 8.0))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_STATES, st.sampled_from(["spin", "pseudospin"]), _POTENTIALS,
+       _axis(st.one_of(st.just(0.0), st.floats(0.0, 20.0))),
+       _axis(st.floats(-20.0, 20.0)))
+def test_scan_equals_per_cell_solves(qn, kind, p, v0, c):
+    grid = scan_v0_c(qn, kind, p, v0, c)
+    assert grid.shape == (len(c), len(v0))
+    assert repr(grid.tolist()) == repr(_cell_grid(qn, kind, p, v0, c))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.lists(_STATES, max_size=3, unique_by=lambda qn: qn.label),
+       st.sampled_from(["spin", "pseudospin"]), st.floats(-20.0, 20.0),
+       _POTENTIALS,
+       _axis(st.one_of(st.just(0.0), st.just(-0.05), st.floats(0.01, 0.25))))
+def test_sweep_equals_per_cell_solves(states, kind, c, p, deltas):
+    sym = SymmetryLimit(kind, c)
+    assert repr(sweep_delta(states, sym, p, deltas)) \
+        == repr(_cell_sweep(states, sym, p, deltas))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.lists(_problems(), min_size=1, max_size=12))
+def test_table_energies_pick_what_select_table_root_picks(problems):
+    eq = _stack([ReducedEquation.of(p, sym, qn) for p, sym, qn in problems])
+    assert repr(_table_energies(eq).tolist()) \
+        == repr([_table_energy(qn, sym, p) for p, sym, qn in problems])
+
+
+def test_scan_and_sweep_across_a_chunk_boundary(params_h5, pseudo_sym):
+    # 13 x 40 = 520 scan cells and 130 x 4 = 520 sweep cells: both cross
+    # the 512-row chunk, with bound and unbound cells on either side.  V0
+    # falls, so the last cells of the scan, at C = -6, are the small V0
+    # where some are bound.
+    qn = QuantumNumbers(0, 2)
+    v0 = [0.5 * (40 - i) for i in range(40)]
+    c = [-18.0 + i for i in range(13)]
+    grid = scan_v0_c(qn, "pseudospin", params_h5, v0, c)
+    assert repr(grid.tolist()) \
+        == repr(_cell_grid(qn, "pseudospin", params_h5, v0, c))
+    for cells in (grid.flat[:512], grid.flat[512:]):
+        assert np.isnan(cells).any() and not np.isnan(cells).all()
+    states = [QuantumNumbers(1, -1), QuantumNumbers(0, 2),
+              QuantumNumbers(2, -2), QuantumNumbers(1, 2)]
+    deltas = [0.002 * (i + 1) for i in range(130)]
+    rows = sweep_delta(states, pseudo_sym, params_h5, deltas)
+    assert repr(rows) \
+        == repr(_cell_sweep(states, pseudo_sym, params_h5, deltas))
+    cells = [row[qn.label] for row in rows for qn in states]
+    for part in (cells[:512], cells[512:]):
+        assert None in part and any(E is not None for E in part)
+
+
+def test_scan_with_an_empty_axis(params_h5):
+    qn = QuantumNumbers(0, -2)
+    assert scan_v0_c(qn, "spin", params_h5, [1.0, 2.0], []).shape == (0, 2)
+    assert scan_v0_c(qn, "spin", params_h5, [], [5.0, 6.0]).shape == (2, 0)
+    assert scan_v0_c(qn, "spin", params_h5, [], []).shape == (0, 0)
+    assert sweep_delta([qn], SymmetryLimit.spin(5.0), params_h5, []) == []
+
+
+def test_dedupe_compares_with_the_last_kept_root():
+    # In row 0 the second root lies within 10 _TOL = 1e-11 of the first and
+    # is dropped; the third is within 1e-11 of the second but not of the
+    # first, the last kept root, so it stays.  Row 1 starts afresh.
+    E = 0.3
+    row = np.array([0, 0, 0, 1])
+    energies = np.array([E, E + 0.6e-11, E + 1.2e-11, E + 1.2e-11])
+    assert _dedupe(row, energies).tolist() == [True, False, True, True]
+
+
+def test_scan_and_sweep_validate_their_inputs(params_h5, spin_sym):
+    qn = QuantumNumbers(0, -2)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            scan_v0_c(qn, "spin", params_h5, [2.0], [5.0, bad])
+        with pytest.raises(DomainError):
+            scan_v0_c(qn, "spin", params_h5, [2.0, bad], [5.0])
+    rows = sweep_delta([qn], spin_sym, params_h5, [-0.05, 0.0, 0.05])
+    assert [row[qn.label] is None for row in rows] == [True, True, False]
+    with pytest.raises(DomainError):
+        sweep_delta([qn], spin_sym, params_h5, [0.05, np.nan])
