@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import DomainError, NoEigenvalueError, NotConvergedError
 from .potentials import (PotentialParams, ReducedEquation, SymmetryLimit,
-                         _effective_parts, effective_potential,
-                         target_eigenvalue)
+                         _effective_parts, target_eigenvalue)
 from .spectra import QuantumNumbers
 
 __all__ = [
@@ -34,7 +33,8 @@ __all__ = [
 ]
 
 _RESCALE_AT = 1e250
-_CHUNK = 4096            # weights per list that a scalar sweep converts
+_CHUNK = 2048            # weights per list that a scalar sweep converts
+_BLOCK = 64              # grid rows per block of a batched sweep
 _R_MIN = 1e-6            # first grid point (fm)
 _MATCH_FRACTION = 0.35   # matching point, as a fraction of the grid length
 _OUTER_TOL = 1e-8        # largest final |eps_inner - eps_target| for converged
@@ -193,87 +193,160 @@ def _sweep(w, c, u0, u1, i, stop, step, mark, cap):
 
 
 def _weight_rows(lam_cent, pot, g, c, hh12):
-    """Numerov weights of a batch of sweeps, one grid row at a time.
+    """Numerov weights of a batch of sweeps, in blocks of grid rows.
 
     Column k has U_eff = lam_cent + g[k] pot, summed in effective_potential's
     order, and the weight 1 - hh12 U_eff + c[k] that _InnerSolver and _sweep
-    form from it, so each column carries the bits of its scalar sweep.
-    Rows are built on the fly: no (K, N) array exists.
+    form from it, so each column carries the bits of its scalar sweep.  Each
+    block of at most _BLOCK rows is one broadcast expression with the same
+    elementwise operations in the same order; no (K, N) array exists.
     """
-    for lc, v in zip(lam_cent, pot):
+    for lo in range(0, len(lam_cent), _BLOCK):
+        lc = lam_cent[lo:lo + _BLOCK, None]
+        v = pot[lo:lo + _BLOCK, None]
         yield 1.0 - hh12 * (lc + g * v) + c
 
 
-def _batch_starts(rows, width, limit):
+def _batch_starts(blocks, width, limit):
     """Per column, the first row index i <= limit with |1 - w[i]| <= 0.05.
 
+    blocks yields the weight rows from grid index 0 (see _weight_rows).
     This is _InnerSolver._start's rule for the first accurate step; None
     marks a column with no such index.
     """
-    starts = {}
-    for i, w in enumerate(rows):
-        if i > limit or len(starts) == width:
+    starts = np.full(width, -1)
+    base = 0
+    for w in blocks:
+        if base > limit or (starts >= 0).all():
             break
-        for k in np.flatnonzero(np.abs(1.0 - w) <= 0.05):
-            starts.setdefault(int(k), i)
-    return [starts.get(k) for k in range(width)]
+        near = np.abs(1.0 - w[:limit + 1 - base]) <= 0.05
+        new = near.any(axis=0) & (starts < 0)
+        starts[new] = base + near[:, new].argmax(axis=0)
+        base += len(w)
+    return [None if i < 0 else int(i) for i in starts]
 
 
-def _sweep_batch(rows, seeds, mark):
+def _sweep_batch(blocks, seeds, mark):
     """_sweep's outward sweeps for a batch of weight columns, in lockstep.
 
-    rows yields the weight rows from grid index 0 (see _weight_rows).
-    Column k runs _sweep(w_k, 0.0, *seeds[k], N - 1, 1, mark, mark) on its
-    weights w_k, with the same recurrence, node rule and rescaling, the
-    rescale skipped at mark - 1 and mark included; seeds[k] = None leaves
-    the column out.  Returns (node counts, with None for a left-out column;
-    the (3, K) array of u[mark - 1], u[mark], u[mark + 1]).
+    blocks yields the weight rows from grid index 0 as 2-d blocks of any
+    height (see _weight_rows).  Column k runs _sweep(w_k, 0.0, *seeds[k],
+    N - 1, 1, mark, mark) on its weights w_k, with the same recurrence, node
+    rule and rescaling, the rescale skipped at mark - 1 and mark included;
+    seeds[k] = None leaves the column out.  Returns (node counts, with None
+    for a left-out column; the (3, K) array of u[mark - 1], u[mark],
+    u[mark + 1]).  Only one block and its two rows before are held.
     """
-    width = len(seeds)
-    # columns by the index where their first step is taken
-    begin = {}
-    for k, seed in enumerate(seeds):
-        if seed is not None:
-            begin.setdefault(seed[2], []).append(k)
-    if not begin:
-        return [None] * width, None
-    first = min(begin)
-    rows = iter(rows)
-    for _ in range(first - 1):
-        next(rows)
-    wm, wi = next(rows), next(rows)
-    u0, u1 = np.zeros(width), np.zeros(width)
-    amax = np.zeros(width)
-    neg1 = np.zeros(width, dtype=bool)
-    nodes = np.zeros(width, dtype=int)
-    trip = None
-    # A column not yet started holds u = 0: it steps to 0 and counts nothing.
-    for i, wp in enumerate(rows, first):
-        cols = begin.get(i)
-        if cols is not None:
-            u0[cols] = [seeds[k][0] for k in cols]
-            u1[cols] = [seeds[k][1] for k in cols]
-            amax[cols] = np.abs(u1[cols])
-            neg1[cols] = u1[cols] < 0.0
-        u2 = ((12.0 - 10.0 * wi) * u1 - wm * u0) / wp
-        a2 = np.abs(u2)
-        np.fmax(amax, a2, out=amax)
-        neg2 = u2 < 0.0
-        flip = neg2 != neg1
-        if flip.any():
-            nodes += flip & (u2 != 0.0) & (u1 != 0.0) & (a2 > 1e-12 * amax)
-        if i == mark:
-            trip = np.array([u0, u1, u2])
-        elif i + 1 != mark:
-            big = a2 > _RESCALE_AT
-            if big.any():
-                u1 = np.where(big, u1 / _RESCALE_AT, u1)
-                u2 = np.where(big, u2 / _RESCALE_AT, u2)
-                amax = np.where(big, amax / _RESCALE_AT, amax)
-        u0, u1, neg1 = u1, u2, neg2
-        wm, wi = wi, wp
+    run = _Lockstep(seeds, mark)
+    if not run.begin:
+        return [None] * len(seeds), None
+    for w in blocks:
+        run.block(w)
     return [None if seed is None else int(n)
-            for seed, n in zip(seeds, nodes)], trip
+            for seed, n in zip(seeds, run.nodes)], run.trip
+
+
+class _Lockstep:
+    """_sweep_batch's columns, stepped one block of grid rows at a time.
+
+    Per grid row only the recurrence runs.  The node counts and the
+    triplet come from one array pass per segment of a block, a segment
+    being cut wherever a column starts, so that each column is either
+    running or starts at the segment's first step.  A segment where some
+    |u| passes _RESCALE_AT or is not finite is run again row by row with
+    _sweep's rescaling, from its start state.  A column not yet started
+    holds u = 0: it steps to 0 and counts nothing.
+    """
+
+    def __init__(self, seeds, mark):
+        self.seeds = seeds
+        self.mark = mark
+        # columns by the index where their first step is taken
+        self.begin = {}
+        for k, seed in enumerate(seeds):
+            if seed is not None:
+                self.begin.setdefault(seed[2], []).append(k)
+        width = len(seeds)
+        self.nodes = np.zeros(width, dtype=int)
+        self.amax = np.zeros(width)
+        self.trip = None
+        self.r0 = 0                       # grid row of the next block
+        self.w_prev = np.zeros((2, width))
+        self.u_prev = np.zeros((2, width))
+
+    def block(self, w):
+        """Steps i that make u[i + 1] for the rows i + 1 of block w.
+
+        Row t of the buffers wb, k12 (12 - 10 w) and ub is grid row
+        r0 - 2 + t, so step i reads rows j, j + 1 and writes row j + 2,
+        with j = i - r0 + 1.
+        """
+        r0 = self.r0
+        self.wb = np.concatenate((self.w_prev, w))
+        self.k12 = np.multiply(10.0, self.wb)
+        np.subtract(12.0, self.k12, out=self.k12)
+        self.ub = np.zeros_like(self.wb)
+        self.ub[:2] = self.u_prev
+        stop = r0 + len(w) - 1
+        i = max(min(self.begin), r0 - 1)
+        for cut in sorted(s for s in self.begin if i < s < stop) + [stop]:
+            if i < cut:
+                self._segment(i - r0 + 1, cut - r0 + 1, self.begin.get(i))
+            i = cut
+        self.w_prev, self.u_prev = self.wb[-2:].copy(), self.ub[-2:].copy()
+        self.r0 += len(w)
+
+    def _segment(self, ja, jb, cols):
+        """Steps ja <= j < jb, where the columns cols start at step ja."""
+        wb, k12, ub = self.wb, self.k12, self.ub
+        if cols is not None:
+            ub[ja, cols] = [self.seeds[k][0] for k in cols]
+            ub[ja + 1, cols] = [self.seeds[k][1] for k in cols]
+        for j in range(ja, jb):
+            u2 = ub[j + 2]
+            np.multiply(k12[j + 1], ub[j + 1], out=u2)
+            u2 -= np.multiply(wb[j], ub[j])
+            u2 /= wb[j + 2]
+        seg = ub[ja + 1:jb + 2]       # u1 of the first step to u2 of the last
+        a = np.abs(seg)
+        if not a[1:].max() <= _RESCALE_AT:
+            self._rows(ja, jb)
+            return
+        # running max of |u| since each column's start: a column starting
+        # at ja holds amax = 0, so its seed u1 opens its max
+        np.maximum(a[0], self.amax, out=a[0])
+        run = np.maximum.accumulate(a, axis=0)
+        self.amax = run[-1].copy()
+        run *= 1e-12                  # the node floor
+        u1, u2 = seg[:-1], seg[1:]
+        self.nodes += (((u2 < 0.0) != (u1 < 0.0)) & (u2 != 0.0)
+                       & (u1 != 0.0) & (a[1:] > run[1:])).sum(axis=0)
+        jm = self.mark - self.r0 + 1
+        if ja <= jm < jb:
+            self.trip = ub[jm:jm + 3].copy()
+
+    def _rows(self, ja, jb):
+        """_segment's steps one row at a time, with _sweep's rescaling."""
+        wb, k12, ub, amax = self.wb, self.k12, self.ub, self.amax
+        jm = self.mark - self.r0 + 1
+        for j in range(ja, jb):
+            u0, u1 = ub[j], ub[j + 1]
+            u2 = (k12[j + 1] * u1 - wb[j] * u0) / wb[j + 2]
+            a2 = np.abs(u2)
+            np.fmax(amax, a2, out=amax)
+            flip = (u2 < 0.0) != (u1 < 0.0)
+            if flip.any():
+                self.nodes += (flip & (u2 != 0.0) & (u1 != 0.0)
+                               & (a2 > 1e-12 * amax))
+            if j == jm:
+                self.trip = np.array([u0, u1, u2])
+            elif j + 1 != jm:
+                big = a2 > _RESCALE_AT
+                if big.any():
+                    u1[big] /= _RESCALE_AT
+                    u2[big] /= _RESCALE_AT
+                    amax[big] /= _RESCALE_AT
+            ub[j + 2] = u2
 
 
 class _InnerSolver:
@@ -388,12 +461,35 @@ class _InnerSolver:
             floor *= 4.0
         return None
 
-    def eigenvalue(self, n_target: int):
+    def _below(self, eps: float, n_target: int) -> Optional[bool]:
+        """Whether eps lies below the n_target eigenvalue, or None.
+
+        This is the bisection's rule: below at fewer than n_target nodes,
+        and at n_target nodes when the defect is not negative (the defect
+        decreases through zero at the eigenvalue).  None means the sweep
+        was lost.
+        """
+        n, d = self.defect(eps, n_target)
+        if n is None:
+            return None
+        return n < n_target or (n == n_target and not (d is None or d < 0.0))
+
+    def eigenvalue(self, n_target: int, guess: Optional[float] = None):
         """Eigenvalue with n_target nodes, or raises NoEigenvalueError.
 
         Single bisection steered by node count outside the n_target zone and
-        by the matching defect inside it.  The defect decreases through zero
-        at the eigenvalue.
+        by the matching defect inside it (see _below).
+
+        guess, when given, is checked before bisecting: if eps lies below
+        the eigenvalue at guess - _OUTER_TOL and not at guess + _OUTER_TOL,
+        midpoints outside that window are sent to the side the check
+        implies, without a sweep, and only those inside it are swept.  Node
+        counts rise with eps and the defect falls through zero at the
+        eigenvalue, so each skipped midpoint goes where its sweep would have
+        sent it: the midpoints, the final bracket and the result are those
+        of the bisection without a guess.  A refuted guess (or one whose
+        sweep is lost) costs up to two evaluations of _below and leaves the
+        bisection as it is.
         """
         found = self.floor(n_target)
         if found is None:
@@ -406,19 +502,27 @@ class _InnerSolver:
                 f"no eigenvalue with {n_target} nodes in the search window "
                 f"(node count spans [{n_lo}, {n_hi}))")
         a, b = lo, 0.0
+        # midpoints at or below x_lo go to a, at or above x_hi to b
+        x_lo, x_hi = -math.inf, math.inf
+        if guess is not None and \
+                self._below(guess - _OUTER_TOL, n_target) is True and \
+                self._below(guess + _OUTER_TOL, n_target) is False:
+            x_lo, x_hi = guess - _OUTER_TOL, guess + _OUTER_TOL
         for _ in range(220):
             mid = 0.5 * (a + b)
-            n, d = self.defect(mid, n_target)
-            if n is None:
-                raise NoEigenvalueError("integration lost inside the window")
-            if n > n_target:
-                b = mid
-            elif n < n_target:
-                a = mid
-            elif d is None or d < 0.0:
-                b = mid
+            if mid <= x_lo:
+                below = True
+            elif mid >= x_hi:
+                below = False
             else:
+                below = self._below(mid, n_target)
+                if below is None:
+                    raise NoEigenvalueError(
+                        "integration lost inside the window")
+            if below:
                 a = mid
+            else:
+                b = mid
             if b - a <= 1e-14 * max(1.0, abs(a), abs(b)):
                 break
         eps = 0.5 * (a + b)
@@ -452,28 +556,37 @@ def schrodinger_eigenvalue(U_eff: Callable, n_target: int,
     return solver.eigenvalue(n_target)
 
 
-def _defect_sign(p: PotentialParams, sym: SymmetryLimit, qn: QuantumNumbers,
-                 n_target: int, cfg: OracleConfig, r: np.ndarray, E: float):
+def _u_eff(parts, E: float):
+    """U_eff(r; E) from the parts _effective_parts returns.
+
+    The sum is effective_potential's, in its order, so the bits are its.
+    """
+    eq, lam_cent, pot = parts
+    return lam_cent + eq.s * eq.coupling(E) * pot
+
+
+def _defect_sign(parts, sym: SymmetryLimit, M: float, r: np.ndarray,
+                 E: float):
     """Sign of eps_inner(E) - eps_target(E) via Sturm oscillation counting.
 
-    The inner eigenvalue exceeds the target exactly when the node count of
-    the outward sweep at eps_target is still <= n_target, so a single
-    outward integration decides the sign without solving the inner
-    eigenproblem.  Returns +1, -1 or None (integration impossible).
+    parts are _effective_parts on the grid r; the node target is the
+    degree of their equation.  The inner eigenvalue exceeds the target
+    exactly when the node count of the outward sweep at eps_target is
+    still <= n_target, so a single outward integration decides the sign
+    without solving the inner eigenproblem.  Returns +1, -1 or None
+    (integration impossible).
     """
-    U = effective_potential(r, E, p, sym, qn, cfg.centrifugal_mode)
-    solver = _InnerSolver(U, r)
-    eps_t = target_eigenvalue(E, sym, p.M)
-    n = solver.nodes(eps_t)
+    solver = _InnerSolver(_u_eff(parts, E), r)
+    n = solver.nodes(target_eigenvalue(E, sym, M))
     if n is None:
         return None
-    return +1 if n <= n_target else -1
+    return +1 if n <= parts[0].degree else -1
 
 
 def _probe_signs(p: PotentialParams, sym: SymmetryLimit, qn: QuantumNumbers,
                  n_target: int, cfg: OracleConfig, r: np.ndarray,
                  probes: np.ndarray):
-    """[_defect_sign(p, sym, qn, n_target, cfg, r, E) for E in probes].
+    """_defect_sign's sign at each E in probes, on the grid r.
 
     One batched outward sweep does the work of the scalar ones: U_eff is
     affine in E, so every probe's weights come from the same E-independent
@@ -525,8 +638,16 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
     of the polynomial factor of the solved component).  The energy window is
     scanned at 160 probe energies for sign changes of the defect, all of
     them in one batched outward Numerov sweep on a coarse grid; the bracket
-    nearest E = 0 is bisected with single sweeps on the fine grid, and the
-    result is confirmed by a full inner eigensolve at the final energy.
+    nearest E = 0 is bisected with single sweeps on the fine grid, U_eff
+    being built at each energy from parts computed once, and the result is
+    confirmed by a full inner eigensolve at the final energy.
+
+    That eigensolve is given eps_target(E) as a guess: when the outer
+    bisection has converged, the inner eigenvalue lies within 1e-8 of it,
+    so the inner bisection skips the midpoints outside that window.  Each
+    skipped midpoint goes to the side its sweep would have sent it to, so
+    every output bit is that of the bisection without a guess; a guess the
+    window check refutes (converged=False) costs up to two evaluations more.
 
     Raises NoEigenvalueError when no self-consistent bound state exists in
     the window, and NotConvergedError only when the inner eigensolve at the
@@ -570,11 +691,12 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
             f"[{e_lo:.4f}, {e_hi:.4f}]")
     lo, hi = min(brackets, key=lambda br: abs(0.5 * (br[0] + br[1])))
 
+    parts = _effective_parts(r_fine, p, sym, qn, cfg.centrifugal_mode)
     outer = 0
-    s_lo = _defect_sign(p, sym, qn, n_target, cfg, r_fine, lo)
+    s_lo = _defect_sign(parts, sym, p.M, r_fine, lo)
     while hi - lo > 1e-10 and outer < 200:
         mid = 0.5 * (lo + hi)
-        s_mid = _defect_sign(p, sym, qn, n_target, cfg, r_fine, mid)
+        s_mid = _defect_sign(parts, sym, p.M, r_fine, mid)
         if s_mid is None:
             break
         if s_mid == s_lo:
@@ -584,15 +706,15 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
         outer += 1
 
     E = 0.5 * (lo + hi)
-    U = effective_potential(r_fine, E, p, sym, qn, cfg.centrifugal_mode)
-    solver = _InnerSolver(U, r_fine)
+    eps_t = target_eigenvalue(E, sym, p.M)
+    solver = _InnerSolver(_u_eff(parts, E), r_fine)
     try:
-        eps_inner, nodes = solver.eigenvalue(n_target)
+        eps_inner, nodes = solver.eigenvalue(n_target, guess=eps_t)
     except NoEigenvalueError as err:
         raise NotConvergedError(
             f"bisected to E={E:.8f} but the inner eigensolve failed there: "
             f"{err}") from err
-    defect = eps_inner - target_eigenvalue(E, sym, p.M)
+    defect = eps_inner - eps_t
     converged = abs(defect) <= _OUTER_TOL
     return OracleResult(E=float(E), inner_eigenvalue=float(eps_inner),
                         node_count=int(nodes), outer_iters=outer,

@@ -514,10 +514,11 @@ def sweep_delta(states: list[QuantumNumbers], sym: SymmetryLimit,
     state at every delta is solved in one batch.
     """
     deltas = np.asarray(deltas, dtype=float).tolist()
-    # "not d <= 0" keeps a NaN delta, which PotentialParams then rejects.
-    eqs = [ReducedEquation.of(PotentialParams(V0=p.V0, A=p.A, B=p.B, delta=d,
-                                              H=p.H, M=p.M), sym, qn)
-           for d in deltas if not d <= 0.0 for qn in states]
+    # Every delta is checked, with or without states; "not d <= 0" keeps a
+    # NaN delta, which PotentialParams then rejects.
+    params = [PotentialParams(V0=p.V0, A=p.A, B=p.B, delta=d, H=p.H, M=p.M)
+              for d in deltas if not d <= 0.0]
+    eqs = [ReducedEquation.of(pd, sym, qn) for pd in params for qn in states]
     found = iter(_table_energies_chunked(
         len(eqs), lambda lo, hi: _stack(eqs[lo:hi])).tolist())
     rows = []
@@ -541,6 +542,8 @@ def scan_v0_c(qn: QuantumNumbers, sym_kind: str, p: PotentialParams,
     """
     v0_values = np.asarray(v0_values, dtype=float).tolist()
     c_values = np.asarray(c_values, dtype=float).tolist()
+    # The kind is checked by this limit even when the C axis is empty.
+    base = SymmetryLimit(sym_kind, 0.0)
     tied = [PotentialParams(V0=v0, A=v0, B=v0, delta=p.delta, H=p.H, M=p.M)
             for v0 in v0_values]
     syms = [SymmetryLimit(sym_kind, c) for c in c_values]
@@ -549,7 +552,7 @@ def scan_v0_c(qn: QuantumNumbers, sym_kind: str, p: PotentialParams,
         return np.full(shape, np.nan)
     # C enters a record only as its constant, so the record of a cell is
     # the record of its V0 with C replaced.
-    by_v0 = _stack([ReducedEquation.of(pv, syms[0], qn) for pv in tied])
+    by_v0 = _stack([ReducedEquation.of(pv, base, qn) for pv in tied])
     c = np.array([sym.constant for sym in syms], dtype=float)
 
     def record(lo, hi):

@@ -25,9 +25,11 @@ from diracbound import (
     target_eigenvalue,
 )
 from diracbound import oracle
-from diracbound.oracle import (_RESCALE_AT, _batch_starts, _defect_sign,
-                               _energy_window, _probe_signs, _sweep,
-                               _sweep_batch, _weight_rows)
+from diracbound.potentials import _effective_parts
+from diracbound.oracle import (_BLOCK, _OUTER_TOL, _RESCALE_AT,
+                               _batch_starts, _defect_sign, _energy_window,
+                               _probe_signs, _sweep, _sweep_batch, _u_eff,
+                               _weight_rows)
 
 
 def test_numerov_reproduces_sine_solution():
@@ -165,6 +167,87 @@ def test_sweep_batch_matches_sweep(case, at_guard):
         assert seed_solution(r[mark]) > _RESCALE_AT
 
 
+def _batch_case(case, starts):
+    """The weights and seeds of test_sweep_batch_matches_sweep's columns."""
+    _, q, r_end, seed_solution, _ = _SWEEP_CASES[case]
+    r = np.arange(round(r_end / _H) + 1) * _H
+    lam_cent, pot = q(r), -150.0 * np.exp(-r)
+    hh12 = _H * _H / 12.0
+    g = np.linspace(0.0, 2.0, len(starts))
+    c = hh12 * np.linspace(0.0, 3.0, len(starts))
+    seeds = [None if i is None else
+             (float(seed_solution(r[i - 1])), float(seed_solution(r[i])), i)
+             for i in starts]
+    refs = [None if seed is None else
+            (1.0 - hh12 * (lam_cent + g[k] * pot), c[k], seed)
+            for k, seed in enumerate(seeds)]
+    return r, _weight_rows(lam_cent, pot, g, c, hh12), seeds, refs
+
+
+def _assert_batch_matches(r, blocks, seeds, refs, mark):
+    counts, trip = _sweep_batch(blocks, seeds, mark)
+    for k, ref in enumerate(refs):
+        if ref is None:
+            assert counts[k] is None
+            continue
+        w, c, seed = ref
+        nodes, _, want = _sweep(w, c, *seed, r.size - 1, 1, mark, mark)
+        assert counts[k] == nodes
+        assert trip[:, k].tolist() == list(want)
+
+
+@pytest.mark.parametrize("mark", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 600])
+def test_sweep_batch_block_edges(mark, monkeypatch):
+    # Columns start at either side of the first block edge, past it, and
+    # at mark - 1 and mark, where the triplet holds seeds; marks sit at
+    # and around the edge.  No |u| passes the guard, so the array pass
+    # alone counts nodes.
+    redone = []
+    monkeypatch.setattr(oracle._Lockstep, "_rows",
+                        lambda self, ja, jb: redone.append(ja))
+    starts = [1, 5, None, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 44,
+              mark - 1, mark]
+    r, blocks, seeds, refs = _batch_case("forward-oscillating",
+                                         [i for i in starts
+                                          if i is None or i <= mark])
+    _assert_batch_matches(r, blocks, seeds, refs, mark)
+    assert redone == []
+
+
+@pytest.mark.parametrize("edge", ["inside", "first", "last"])
+@pytest.mark.parametrize("at_guard", [False, True])
+def test_sweep_batch_guard_at_block_edges(edge, at_guard, monkeypatch):
+    # Column 0 (g = c = 0, exact seed) passes the guard at row i_g, which
+    # is inside a block of the default feed, or the first or last row of a
+    # block when the rows are cut to put it there; mark is past i_g or at
+    # it.  Every block that holds a pass is run again row by row.
+    _, _, _, seed_solution, mark = _SWEEP_CASES["forward-growing"]
+    r, blocks, seeds, refs = _batch_case("forward-growing",
+                                         [1, 2, 5, 9, 40, None, 3])
+    i_g = int(np.argmax(seed_solution(r) > _RESCALE_AT))
+    if at_guard:
+        mark = i_g
+    if edge == "inside":
+        assert 0 < i_g % _BLOCK < _BLOCK - 1
+    else:
+        # the block after the cut starts at i_g, or at i_g + 1
+        cut = i_g if edge == "first" else i_g + 1
+        blocks = np.split(np.concatenate(list(blocks)),
+                          range(cut % _BLOCK, r.size, _BLOCK))
+    redone = []
+    real_rows = oracle._Lockstep._rows
+
+    def spy(self, ja, jb):
+        # the steps i (making u[i + 1]) that are run row by row
+        redone.append(range(self.r0 + ja - 1, self.r0 + jb - 1))
+        real_rows(self, ja, jb)
+
+    monkeypatch.setattr(oracle._Lockstep, "_rows", spy)
+    _assert_batch_matches(r, blocks, seeds, refs, mark)
+    assert any(i_g - 1 in steps for steps in redone)
+    assert seed_solution(r[mark]) > _RESCALE_AT
+
+
 def test_sweep_batch_node_rule_matches_sweep():
     # All weights are exactly 1, so u falls on the exact line A - j/1024 and
     # reaches A - 1 at j = 1024: a sign change there below 1e-12 max|u|
@@ -192,13 +275,33 @@ def test_sweep_batch_node_floor_follows_running_max():
     rows = np.ones((n, 2))
     rows[f] = [-2.0 ** 43, -2.0 ** 30]
     seeds = [(0.0, 1.0, 1)] * 2
-    counts, trip = _sweep_batch(iter(rows), seeds, f - 1)
+    counts, trip = _sweep_batch([rows], seeds, f - 1)
     ref = [_sweep(rows[:, k], 0.0, *seeds[k], n - 1, 1, f - 1, f - 1)
            for k in range(2)]
     assert counts == [nodes for nodes, _, _ in ref] == [0, 1]
     u_prev, u_flip = trip[1:, 0].tolist()
     assert [u_prev, u_flip] == list(ref[0][2][1:])
     assert 1e-12 * seeds[0][1] < -u_flip < 1e-12 * u_prev
+
+
+def test_sweep_batch_node_floor_carries_across_blocks():
+    # All weights are 1 but one, so u falls on the exact line
+    # u[j] = f + 1.5 - j from its start value f + 0.5, the running max; the
+    # weight W at index f = 3 _BLOCK + 2, two rows into the fourth block,
+    # flips the sign at u[f] = 1.5 / W.  With W = -2**33 (1.7e-10) that is
+    # below 1e-12 of the running max, set three blocks back, but above
+    # 1e-12 of the u = 4.5 that the block starts from, so it is no node;
+    # with W = -2**28 (5.6e-9) it is one.
+    f = 3 * _BLOCK + 2
+    n = f + 100
+    rows = np.ones((n, 2))
+    rows[f] = [-2.0 ** 33, -2.0 ** 28]
+    seeds = [(f + 1.5, f + 0.5, 1)] * 2
+    counts, _ = _sweep_batch(np.split(rows, range(_BLOCK, n, _BLOCK)),
+                             seeds, f - 1)
+    ref = [_sweep(rows[:, k], 0.0, *seeds[k], n - 1, 1, f - 1, f - 1)[0]
+           for k in range(2)]
+    assert counts == ref == [0, 1]
 
 
 @pytest.mark.parametrize("first_near, start", [(-1, None), (-2, -2)])
@@ -245,15 +348,17 @@ def test_probe_signs_match_defect_sign(kind, C, V0, qn, mode, monkeypatch):
     args = (p, sym, qn, eq.degree,
             OracleConfig(num_points=1000, centrifugal_mode=mode),
             np.linspace(1e-6, 60.0, 2001))
+    parts = _effective_parts(args[-1], p, sym, qn, mode)
     fed = {}
 
-    def spy(rows, seeds, mark):
-        fed.update(rows=np.array(list(rows)), seeds=seeds, mark=mark)
-        return _sweep_batch(fed["rows"], seeds, mark)
+    def spy(blocks, seeds, mark):
+        fed.update(rows=np.concatenate(list(blocks)), seeds=seeds, mark=mark)
+        return _sweep_batch([fed["rows"]], seeds, mark)
 
     monkeypatch.setattr(oracle, "_sweep_batch", spy)
     signs = _probe_signs(*args, probes)
-    assert signs == [_defect_sign(*args, E) for E in probes]
+    assert signs == [_defect_sign(parts, sym, p.M, args[-1], E)
+                     for E in probes]
     assert {+1, -1} <= set(signs)
     r = args[-1]
     for k, E in enumerate(probes):
@@ -304,6 +409,107 @@ def test_oracle_outputs_are_pinned():
     for n, want in _PINNED_HYDROGEN.items():
         eps, nodes = schrodinger_eigenvalue(lambda r: -2.0 / r, n, cfg)
         assert (float(eps).hex(), nodes) == (want, n)
+
+
+def _pinned_inputs(kind, C, V0, H, nk, mode, num):
+    p = PotentialParams(V0=V0, A=V0 / 2.0, B=V0 / 2.0, delta=0.05, H=H,
+                        M=4.76)
+    return (QuantumNumbers(*nk), SymmetryLimit(kind, C), p,
+            OracleConfig(num_points=num, centrifugal_mode=mode))
+
+
+def test_u_eff_from_parts_is_effective_potential():
+    # The outer bisection builds U(E) from parts computed once; it must be
+    # effective_potential's U, bit for bit, in both centrifugal modes.
+    r = np.linspace(1e-6, 60.0, 2001)
+    for key in _PINNED_DIRAC:
+        qn, sym, p, cfg = _pinned_inputs(*key)
+        mode = cfg.centrifugal_mode
+        parts = _effective_parts(r, p, sym, qn, mode)
+        lo, hi = _energy_window(ReducedEquation.of(p, sym, qn))
+        for E in [lo, 0.3 * lo + 0.7 * hi, 0.0, 0.1, hi, -1.7]:
+            assert np.array_equal(_u_eff(parts, E), effective_potential(
+                r, E, p, sym, qn, mode), equal_nan=True), (key, E)
+
+
+# The verify spot state and the state whose final defect exceeds
+# _OUTER_TOL (converged=False), both on the default grid.
+_SPOT = ("spin", 5.0, 2.0, 0.0, (0, -2), "approximated", 20000)
+_UNCONVERGED = ("spin", 7.2786, 2.0, 2.2314, (0, -3), "approximated", 20000)
+
+
+def _final_eigensolve(key, monkeypatch):
+    """dirac_eigenvalue's result, with its final solver, n_target, guess."""
+    calls = []
+    real = oracle._InnerSolver.eigenvalue
+
+    def spy(self, n_target, guess=None):
+        calls.append((self, n_target, guess))
+        return real(self, n_target, guess)
+
+    monkeypatch.setattr(oracle._InnerSolver, "eigenvalue", spy)
+    res = dirac_eigenvalue(*_pinned_inputs(*key))
+    monkeypatch.undo()
+    return res, calls[-1]
+
+
+@pytest.mark.parametrize("key", [
+    *(pytest.param(key, id=f"pinned{i}")
+      for i, key in enumerate(_PINNED_DIRAC)),
+    pytest.param(_SPOT, id="spot", marks=pytest.mark.slow),
+    pytest.param(_UNCONVERGED, id="unconverged", marks=pytest.mark.slow),
+])
+def test_a_guess_never_changes_the_inner_eigenvalue(key, monkeypatch):
+    # A guess that the window check accepts skips sweeps; one it refutes
+    # costs at most two more.  Either way the bisection ends on the bits
+    # it ends on without a guess.
+    res, (solver, n_target, eps_t) = _final_eigensolve(key, monkeypatch)
+    _, sym, p, _ = _pinned_inputs(*key)
+    assert eps_t == target_eigenvalue(res.E, sym, p.M)
+    sweeps = []
+    real_defect = oracle._InnerSolver.defect
+    monkeypatch.setattr(oracle._InnerSolver, "defect",
+                        lambda self, eps, n: sweeps.append(eps)
+                        or real_defect(self, eps, n))
+
+    def solve(guess):
+        sweeps.clear()
+        eps, nodes = solver.eigenvalue(n_target, guess)
+        return (eps.hex(), nodes), len(sweeps)
+
+    want, bare = solve(None)
+    assert want == (res.inner_eigenvalue.hex(), res.node_count)
+    eig = res.inner_eigenvalue
+    half = 0.5 * _OUTER_TOL
+    for guess in (eps_t, eps_t - half, eps_t + half):
+        got, cost = solve(guess)
+        assert got == want, guess
+        if res.converged:
+            assert cost < bare, guess
+    for guess in (eig - 1e-3, eig + 1e-3, 0.5 * solver.floor(n_target)[0]):
+        got, cost = solve(guess)
+        assert got == want, guess
+        assert bare < cost <= bare + 2, guess
+
+
+@pytest.mark.slow
+def test_sweep_count_budget(monkeypatch):
+    # Sweeps per dirac_eigenvalue, which no timing shows on a machine of
+    # another speed: the spot state takes 75 with the guess accepted (111
+    # without it); the converged=False state refutes its guess, which may
+    # cost two inner evaluations of at most two sweeps each (125 without).
+    count = [0]
+    real = oracle._sweep
+
+    def spy(*args):
+        count[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_sweep", spy)
+    for key, budget in ((_SPOT, 75), (_UNCONVERGED, 125 + 4)):
+        count[0] = 0
+        dirac_eigenvalue(*_pinned_inputs(*key))
+        assert count[0] <= budget, key
 
 
 @pytest.mark.parametrize("kwargs", [

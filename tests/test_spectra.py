@@ -475,3 +475,18 @@ def test_scan_and_sweep_validate_their_inputs(params_h5, spin_sym):
     assert [row[qn.label] is None for row in rows] == [True, True, False]
     with pytest.raises(DomainError):
         sweep_delta([qn], spin_sym, params_h5, [0.05, np.nan])
+
+
+def test_scan_and_sweep_validate_beside_an_empty_axis(params_h5, spin_sym):
+    # An empty other axis must not skip the checks: a NaN delta with no
+    # states, and an unknown kind with no C values, are still rejected.
+    with pytest.raises(DomainError):
+        sweep_delta([], spin_sym, params_h5, [np.nan])
+    with pytest.raises(DomainError):
+        sweep_delta([], spin_sym, params_h5, [0.05, np.inf])
+    with pytest.raises(DomainError):
+        scan_v0_c(QuantumNumbers(0, -2), "bogus", params_h5, [1.0], [])
+    with pytest.raises(DomainError):
+        scan_v0_c(QuantumNumbers(0, -2), "bogus", params_h5, [], [])
+    assert sweep_delta([], spin_sym, params_h5, [-0.05, 0.05]) == [
+        {"delta": -0.05}, {"delta": 0.05}]
