@@ -544,9 +544,10 @@ def _verify_dual_path(cfg: RunConfig) -> tuple[str, str]:
             or any(abs(a - b) > 1e-10 for a, b in zip(general, special))):
         problems.append("hulthen root mismatch")
     # Coulomb closed form vs Kratzer-Fues at B=0.
-    e_coul = coulomb_energy("spin", qn, 1.3, 4.0, 4.76, 0.0)
-    if abs(kratzer_fues_residual(e_coul, "spin", qn, 1.3, 0.0, 4.0,
-                                 4.76, 0.0)) > 1e-10:
+    coul = SymmetryLimit.spin(4.0)
+    e_coul = coulomb_energy(coul, qn, 1.3, 4.76, 0.0)
+    if abs(kratzer_fues_residual(e_coul, coul, qn, 1.3, 0.0, 4.76,
+                                 0.0)) > 1e-10:
         problems.append("coulomb/kratzer-fues mismatch")
     # Nonrelativistic hydrogen ground state.
     nrp = NonRelParams(m=1.0, l=0, Ze2=1.0, A=0.0, B=0.0, delta=1e-6)

@@ -48,15 +48,6 @@ __all__ = [
 ]
 
 
-def _kind_of(sym) -> str:
-    """Accept a SymmetryLimit or a plain kind string; return the kind."""
-    if isinstance(sym, SymmetryLimit):
-        return sym.kind
-    if sym in ("spin", "pseudospin"):
-        return sym
-    raise DomainError(f"unknown symmetry limit {sym!r}")
-
-
 def _check_degree(n: int) -> int:
     if n < 0 or n != int(n):
         raise DomainError(f"radial index must be a nonnegative integer, got {n}")
@@ -270,20 +261,19 @@ def hulthen_roots(p: PotentialParams, sym: SymmetryLimit,
 # 4. Coulomb-like limit (screening removed entirely)
 # ---------------------------------------------------------------------------
 
-def coulomb_energy(sym, qn: QuantumNumbers, A: float, C: float, M: float,
-                   H: float = 0.0) -> float:
+def coulomb_energy(sym: SymmetryLimit, qn: QuantumNumbers, A: float,
+                   M: float, H: float = 0.0) -> float:
     """Closed-form Coulomb energy, the delta -> 0 limit of the Yukawa case.
 
     Spin limit: E = [A^2 (C - M) + 4 M N^2] / [A^2 + 4 N^2] with
     N = degree + kappa + H + 1.  Pseudospin limit:
     E = [A^2 (M + C) - 4 M N^2] / [A^2 + 4 N^2] with N = degree + kappa + H.
-    No root finding is involved; `sym` may be a SymmetryLimit or the kind
-    string (the constant C is passed explicitly).
+    C is the constant of `sym`.  No root finding is involved.
     """
-    kind = _kind_of(sym)
-    m = radial_poly_degree(qn, kind)
+    m = radial_poly_degree(qn, sym.kind)
+    C = sym.constant
     a2 = A * A
-    if kind == "spin":
+    if sym.is_spin:
         big_n = m + qn.kappa + H + 1.0
         return (a2 * (C - M) + 4.0 * M * big_n ** 2) / (a2 + 4.0 * big_n ** 2)
     big_n = m + qn.kappa + H
@@ -331,22 +321,22 @@ def iq_yukawa_residual(E: float, p: PotentialParams, sym: SymmetryLimit,
 # 6. Kratzer-Fues limit (delta -> 0 with A and B held fixed, V0 = 0)
 # ---------------------------------------------------------------------------
 
-def kratzer_fues_residual(E: float, sym, qn: QuantumNumbers, A: float,
-                          B: float, C: float, M: float,
+def kratzer_fues_residual(E: float, sym: SymmetryLimit, qn: QuantumNumbers,
+                          A: float, B: float, M: float,
                           H: float = 0.0) -> float:
     """Residual of the -A/r - B/r^2 form, free of the screening parameter.
 
     Spin limit: M^2 - E^2 - C (M - E)
     = A^2 (M - C + E)^2 / (2n + 1 + 2 sqrt(B (C - E - M) + (eta + 1/2)^2))^2;
     pseudospin analog with +C (M + E), (C - E + M) and (eta - 1/2)^2.
-    `sym` may be a SymmetryLimit or the kind string (C passed explicitly).
-    Evaluates only where the square-root argument is nonnegative.
+    C is the constant of `sym`.  Evaluates only where the square-root
+    argument is nonnegative.
     """
     E = float(E)
-    kind = _kind_of(sym)
-    m = radial_poly_degree(qn, kind)
+    m = radial_poly_degree(qn, sym.kind)
+    C = sym.constant
     eta = qn.kappa + H
-    if kind == "spin":
+    if sym.is_spin:
         lhs = M ** 2 - E ** 2 - C * (M - E)
         arg = B * (C - E - M) + (eta + 0.5) ** 2
         num = A * A * (M - C + E) ** 2

@@ -32,6 +32,7 @@ both are returned, flagged.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Optional
@@ -75,6 +76,10 @@ class QuantumNumbers:
     kappa: int
 
     def __post_init__(self):
+        if not (isinstance(self.n, numbers.Integral)
+                and isinstance(self.kappa, numbers.Integral)):
+            raise DomainError(f"n and kappa must be integers, got "
+                              f"({self.n!r}, {self.kappa!r})")
         if self.n < 0:
             raise DomainError(f"n must be >= 0, got {self.n}")
         if self.kappa == 0:

@@ -27,7 +27,7 @@ from diracbound import (
     dirac_eigenvalue,
     doublet_partner,
     exact_potential,
-    hulthen_residual,
+    hulthen_roots,
     iq_yukawa_residual,
     kratzer_fues_residual,
     nonrel_energy_coulomb,
@@ -44,11 +44,11 @@ from diracbound import (
     sweep_delta,
     target_eigenvalue,
     wave_context,
-    yukawa_residual,
 )
 from diracbound.errors import DomainError
+from diracbound.limits import _screened_coulomb_roots
 
-from conftest import record_criterion
+from conftest import pointwise, record_criterion, scan_roots
 from reference_data import (ORACLE_SPOT_STATES, PSEUDO_H0_EXEMPT,
                             PSEUDO_TABLE, SCAN_PSEUDO_STATES,
                             SCAN_SPIN_STATES, SPIN_TABLE,
@@ -67,35 +67,6 @@ def bench(H: float) -> PotentialParams:
 def table_energy(qn, sym, p):
     root = select_table_root(solve_levels(qn, sym, p))
     return None if root is None else root.E
-
-
-def scan_roots(f, lo, hi, num=1500, tol=1e-13):
-    """Roots of a scalar residual: grid scan plus bisection refinement."""
-    grid = np.linspace(lo, hi, num)
-    vals = np.full(num, np.nan)
-    for i, e in enumerate(grid):
-        try:
-            vals[i] = f(float(e))
-        except (DomainError, ZeroDivisionError):
-            pass
-    roots = []
-    for i in range(num - 1):
-        a, b = vals[i], vals[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b) and a * b < 0.0):
-            continue
-        lo_, hi_, f_lo = float(grid[i]), float(grid[i + 1]), float(a)
-        while hi_ - lo_ > tol:
-            mid = 0.5 * (lo_ + hi_)
-            f_mid = f(mid)
-            if f_mid == 0.0:
-                lo_ = hi_ = mid
-                break
-            if (f_lo < 0.0) == (f_mid < 0.0):
-                lo_, f_lo = mid, f_mid
-            else:
-                hi_ = mid
-        roots.append(0.5 * (lo_ + hi_))
-    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -349,20 +320,29 @@ def test_ac6_approximation_gap():
 # AC-7: limiting cases against the general solver
 # ---------------------------------------------------------------------------
 
-def _coulomb_limit_gap(kind, qn, C, H):
-    e_closed = coulomb_energy(kind, qn, 1.0, C, MASS, H)
+def _solved_roots(qn, sym, p, lo, hi):
+    """The production enumerator's roots on [lo, hi], ascending."""
+    return sorted(r.E for r in solve_levels(qn, sym, p) if lo <= r.E <= hi)
+
+
+def _coulomb_limit_gap(sym, qn, H):
+    e_closed = coulomb_energy(sym, qn, 1.0, MASS, H)
     p = PotentialParams(V0=0.0, A=1.0, B=0.0, delta=1e-6, H=H, M=MASS)
-    sym = SymmetryLimit(kind, C)
-    lo, hi = e_closed - 0.1, e_closed + 0.1
-    roots = scan_roots(lambda e: nu_residual(e, p, sym, qn), lo, hi,
-                       num=4000)
+    roots = _solved_roots(qn, sym, p, e_closed - 0.1, e_closed + 0.1)
     assert roots, f"no screened root near the closed-form value for {qn}"
     return min(abs(root - e_closed) for root in roots), e_closed
 
 
 def _dual_path_draws():
-    """Root agreement of each specialized residual with the general one."""
+    """Root agreement of each special case with the general solver.
+
+    The general side is solve_levels; the Hulthen and Yukawa sides are
+    the closed quadratic roots, the s-wave and inverse-square sides a
+    1500-point scan of their residuals.
+    """
     rng = np.random.default_rng(20260817)
+    lo, hi = -MASS + 1e-6, MASS - 1e-6
+    grid = np.linspace(lo, hi, 1500)
     worst = 0.0
     draws = 0
     for case in ("hulthen", "yukawa", "iq", "swave"):
@@ -409,20 +389,19 @@ def _dual_path_draws():
                       else QuantumNumbers(n, kappa))
                 sym = (SymmetryLimit.spin(C) if kind == "spin"
                        else SymmetryLimit.pseudospin(C))
-                if case == "swave":
-                    def special(e):
-                        return swave_residual(e, p, sym, n)
+                if case == "hulthen":
+                    r_spe = hulthen_roots(p, sym, qn)
+                elif case == "yukawa":
+                    r_spe = _screened_coulomb_roots(p, sym, qn, p.A)
+                elif case == "iq":
+                    r_spe = scan_roots(pointwise(
+                        lambda e: iq_yukawa_residual(e, p, sym, qn)),
+                        grid, 1e-13)
                 else:
-                    fn = {"hulthen": hulthen_residual,
-                          "yukawa": yukawa_residual,
-                          "iq": iq_yukawa_residual}[case]
-
-                    def special(e):
-                        return fn(e, p, sym, qn)
-                lo, hi = -MASS + 1e-6, MASS - 1e-6
-                r_gen = scan_roots(lambda e: nu_residual(e, p, sym, qn),
-                                   lo, hi)
-                r_spe = scan_roots(special, lo, hi)
+                    r_spe = scan_roots(pointwise(
+                        lambda e: swave_residual(e, p, sym, n)), grid, 1e-13)
+                r_spe = [e for e in r_spe if lo <= e <= hi]
+                r_gen = _solved_roots(qn, sym, p, lo, hi)
                 if len(r_gen) != len(r_spe):
                     return math.inf, draws
                 if not r_gen:
@@ -435,19 +414,18 @@ def _dual_path_draws():
     return worst, draws
 
 
-@pytest.mark.slow
 def test_ac7_limiting_cases():
-    # (a) Coulomb closed form against the screened root at delta = 1e-6.
-    gap_spin, e_spin = _coulomb_limit_gap("spin", QuantumNumbers(0, 1),
-                                          5.0, 0.0)
-    gap_pseudo, e_pseudo = _coulomb_limit_gap("pseudospin",
-                                              QuantumNumbers(0, -2),
-                                              -5.0, 5.0)
+    # (a) Coulomb closed form against the enumerator's screened root at
+    # delta = 1e-6.
+    spin = SymmetryLimit.spin(5.0)
+    gap_spin, e_spin = _coulomb_limit_gap(spin, QuantumNumbers(0, 1), 0.0)
+    gap_pseudo, e_pseudo = _coulomb_limit_gap(SymmetryLimit.pseudospin(-5.0),
+                                              QuantumNumbers(0, -2), 5.0)
     a_ok = gap_spin <= 1e-4 and gap_pseudo <= 1e-4
     # The rotational-vibrational form collapses onto the same closed
     # value once its quadratic strength is switched off.
-    kf = abs(kratzer_fues_residual(e_spin, "spin", QuantumNumbers(0, 1),
-                                   1.0, 0.0, 5.0, MASS, 0.0))
+    kf = abs(kratzer_fues_residual(e_spin, spin, QuantumNumbers(0, 1),
+                                   1.0, 0.0, MASS, 0.0))
     a_ok = a_ok and kf <= 1e-10
     # (b) nonrelativistic Coulomb closed form, exact rational expression.
     rng = np.random.default_rng(99)
@@ -463,7 +441,7 @@ def test_ac7_limiting_cases():
         b_worst = max(b_worst, abs(nonrel_energy_coulomb(nrp, n)
                                    - expected) / abs(expected))
     b_ok = b_worst <= 1e-12
-    # (c) specialized residuals against the restricted general solver.
+    # (c) special cases against the restricted general solver.
     c_worst, c_draws = _dual_path_draws()
     c_ok = c_draws >= 160 and c_worst <= 1e-10
     ok = a_ok and b_ok and c_ok

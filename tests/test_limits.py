@@ -1,11 +1,9 @@
 """Special-case residuals, closed forms and nonrelativistic reductions."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from diracbound import (
     DomainError,
@@ -32,29 +30,9 @@ from diracbound import (
     yukawa_residual,
 )
 
+from conftest import pointwise, scan_roots
 
-def scan_roots(f, lo, hi, num=4000):
-    """All simple roots of a scalar residual on [lo, hi].
-
-    Out-of-domain samples (DomainError or non-finite) break the bracketing
-    chain instead of poisoning it.
-    """
-    grid = np.linspace(lo, hi, num)
-    vals = np.empty_like(grid)
-    for i, e in enumerate(grid):
-        try:
-            v = f(float(e))
-            vals[i] = v if math.isfinite(v) else math.nan
-        except DomainError:
-            vals[i] = math.nan
-    roots = []
-    for i in range(num - 1):
-        a, b = vals[i], vals[i + 1]
-        if math.isnan(a) or math.isnan(b) or a == 0.0:
-            continue
-        if (a < 0.0) != (b < 0.0):
-            roots.append(brentq(f, grid[i], grid[i + 1], xtol=1e-14))
-    return roots
+TOL = 1e-14
 
 
 def test_swave_residual_specializes_the_general_one(params_h5, spin_sym,
@@ -81,8 +59,9 @@ def test_swave_degree_validation(params_h5, spin_sym):
 
 
 def test_swave_exponents_match_quantization_pieces(params_h5, spin_sym):
-    roots = scan_roots(lambda e: swave_residual(e, params_h5, spin_sym, 1),
-                       0.01, 1.0)
+    roots = scan_roots(
+        pointwise(lambda e: swave_residual(e, params_h5, spin_sym, 1)),
+        np.linspace(0.01, 1.0, 4000), TOL)
     assert roots
     E = roots[0]
     theta, zeta = swave_exponents(E, params_h5, spin_sym)
@@ -98,8 +77,9 @@ def test_swave_exponents_match_quantization_pieces(params_h5, spin_sym):
 
 def test_swave_wavefunction_proportional_to_general_component(params_h5,
                                                               spin_sym):
-    roots = scan_roots(lambda e: swave_residual(e, params_h5, spin_sym, 1),
-                       0.01, 1.0)
+    roots = scan_roots(
+        pointwise(lambda e: swave_residual(e, params_h5, spin_sym, 1)),
+        np.linspace(0.01, 1.0, 4000), TOL)
     E = roots[0]
     r = np.linspace(0.4, 22.0, 50)
     special = swave_wavefunction(r, E, params_h5, spin_sym, 1)
@@ -119,10 +99,10 @@ def test_hulthen_dual_path_roots(params_h0, params_h5):
     ]
     for sym, qn, h, window in cases:
         p = PotentialParams(V0=2.0, A=0.0, B=0.0, delta=0.05, H=h, M=4.76)
-        general = scan_roots(
-            lambda e: nu_residual(e, p, sym, qn), *window)
+        grid = np.linspace(*window, 4000)
+        general = scan_roots(lambda e: nu_residual(e, p, sym, qn), grid, TOL)
         special = scan_roots(
-            lambda e: hulthen_residual(e, p, sym, qn), *window)
+            pointwise(lambda e: hulthen_residual(e, p, sym, qn)), grid, TOL)
         assert general and len(general) == len(special)
         assert np.allclose(general, special, atol=1e-10, rtol=0.0)
 
@@ -131,8 +111,10 @@ def test_yukawa_dual_path_roots():
     sym = SymmetryLimit.spin(5.0)
     qn = QuantumNumbers(0, 1)
     p = PotentialParams(V0=0.0, A=2.0, B=0.0, delta=0.05, H=0.0, M=4.76)
-    general = scan_roots(lambda e: nu_residual(e, p, sym, qn), 0.01, 4.7)
-    special = scan_roots(lambda e: yukawa_residual(e, p, sym, qn), 0.01, 4.7)
+    grid = np.linspace(0.01, 4.7, 4000)
+    general = scan_roots(lambda e: nu_residual(e, p, sym, qn), grid, TOL)
+    special = scan_roots(pointwise(lambda e: yukawa_residual(e, p, sym, qn)),
+                         grid, TOL)
     assert general and len(general) == len(special)
     assert np.allclose(general, special, atol=1e-10, rtol=0.0)
 
@@ -151,8 +133,8 @@ def test_closed_bracket_roots_match_a_scan():
     for p_case, sym, qn in cases:
         closed = hulthen_roots(p_case, sym, qn)
         scanned = scan_roots(
-            lambda e: hulthen_residual(e, p_case, sym, qn),
-            -p_case.M - 6.0, p_case.M + 6.0)
+            pointwise(lambda e: hulthen_residual(e, p_case, sym, qn)),
+            np.linspace(-p_case.M - 6.0, p_case.M + 6.0, 4000), TOL)
         assert closed == sorted(closed)
         assert closed and len(closed) == len(scanned)
         assert np.allclose(closed, scanned, atol=1e-10, rtol=0.0)
@@ -177,15 +159,18 @@ def test_iq_yukawa_residual_is_pointwise_specialization():
 def test_coulomb_closed_form_values():
     # Spin: E = [A^2 (C - M) + 4 M N^2] / [A^2 + 4 N^2], N = m+kappa+H+1.
     assert coulomb_energy(SymmetryLimit.spin(5.0), QuantumNumbers(0, 1),
-                          A=1.0, C=5.0, M=4.76) \
+                          A=1.0, M=4.76) \
         == pytest.approx((0.24 + 4.0 * 4.76 * 4.0) / 17.0, rel=1e-12)
+    # C is the limit's constant: the same state at C = 7.
+    assert coulomb_energy(SymmetryLimit.spin(7.0), QuantumNumbers(0, 1),
+                          A=1.0, M=4.76) \
+        == pytest.approx((2.24 + 4.0 * 4.76 * 4.0) / 17.0, rel=1e-12)
     # Pseudospin counts the polynomial degree, so (0, +2) at H=0 uses N=3.
     assert coulomb_energy(SymmetryLimit.pseudospin(-5.0),
-                          QuantumNumbers(0, 2), A=1.0, C=-5.0, M=4.76) \
+                          QuantumNumbers(0, 2), A=1.0, M=4.76) \
         == pytest.approx((-0.24 - 4.0 * 4.76 * 9.0) / 37.0, rel=1e-12)
     assert coulomb_energy(SymmetryLimit.pseudospin(-5.0),
-                          QuantumNumbers(0, -2), A=1.0, C=-5.0, M=4.76,
-                          H=5.0) \
+                          QuantumNumbers(0, -2), A=1.0, M=4.76, H=5.0) \
         == pytest.approx((-0.24 - 4.0 * 4.76 * 9.0) / 37.0, rel=1e-12)
 
 
@@ -194,12 +179,13 @@ def test_coulomb_limit_of_screened_roots():
     # Coulomb energy on the branch where the printed bracket applies.
     sym = SymmetryLimit.spin(5.0)
     qn = QuantumNumbers(0, 1)
-    target = coulomb_energy(sym, qn, A=1.0, C=5.0, M=4.76)
+    target = coulomb_energy(sym, qn, A=1.0, M=4.76)
     gaps = []
     for delta in (1e-2, 1e-4, 1e-6):
         p = PotentialParams(V0=0.0, A=1.0, B=0.0, delta=delta, H=0.0, M=4.76)
-        roots = scan_roots(lambda e: yukawa_residual(e, p, sym, qn),
-                           4.2, 4.759, num=6000)
+        roots = scan_roots(
+            pointwise(lambda e: yukawa_residual(e, p, sym, qn)),
+            np.linspace(4.2, 4.759, 6000), TOL)
         assert roots
         gaps.append(min(abs(r - target) for r in roots))
     assert gaps[0] > gaps[1] > gaps[2]
@@ -207,20 +193,22 @@ def test_coulomb_limit_of_screened_roots():
 
 
 def test_kratzer_fues_reduces_to_coulomb_at_zero_b():
-    sym = SymmetryLimit.pseudospin(-5.0)
-    qn = QuantumNumbers(0, -2)
-    e = coulomb_energy(sym, qn, A=1.0, C=-5.0, M=4.76, H=5.0)
-    assert abs(kratzer_fues_residual(e, sym, qn, A=1.0, B=0.0, C=-5.0,
-                                     M=4.76, H=5.0)) < 1e-12
+    for sym, qn, H in ((SymmetryLimit.pseudospin(-5.0),
+                        QuantumNumbers(0, -2), 5.0),
+                       (SymmetryLimit.spin(7.0), QuantumNumbers(0, 1), 0.0)):
+        e = coulomb_energy(sym, qn, A=1.0, M=4.76, H=H)
+        assert abs(kratzer_fues_residual(e, sym, qn, A=1.0, B=0.0, M=4.76,
+                                         H=H)) < 1e-12
 
 
 def test_kratzer_fues_root_moves_with_b():
     sym = SymmetryLimit.spin(5.0)
     qn = QuantumNumbers(0, 1)
-    e0 = coulomb_energy(sym, qn, A=1.0, C=5.0, M=4.76)
+    e0 = coulomb_energy(sym, qn, A=1.0, M=4.76)
     roots = scan_roots(
-        lambda e: kratzer_fues_residual(e, sym, qn, A=1.0, B=0.2, C=5.0,
-                                        M=4.76), 4.0, 4.759, num=6000)
+        pointwise(lambda e: kratzer_fues_residual(e, sym, qn, A=1.0, B=0.2,
+                                                  M=4.76)),
+        np.linspace(4.0, 4.759, 6000), TOL)
     assert roots
     assert min(abs(r - e0) for r in roots) > 1e-6
 
@@ -229,7 +217,7 @@ def test_kratzer_fues_domain_error():
     sym = SymmetryLimit.spin(5.0)
     qn = QuantumNumbers(0, 1)
     with pytest.raises(DomainError):
-        kratzer_fues_residual(0.0, sym, qn, A=1.0, B=-50.0, C=5.0, M=4.76)
+        kratzer_fues_residual(0.0, sym, qn, A=1.0, B=-50.0, M=4.76)
 
 
 def test_nonrel_params_validation():

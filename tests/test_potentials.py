@@ -108,15 +108,15 @@ def test_reduced_equation_lam_both_reductions():
                                   SymmetryLimit(kind, 0.0),
                                   QuantumNumbers(0, kappa)).lam
 
-    assert lam(-2.0, 5.0, "spin") == pytest.approx(12.0)
-    assert lam(-2.0, 5.0, "pseudospin") == pytest.approx(6.0)
+    assert lam(-2, 5.0, "spin") == pytest.approx(12.0)
+    assert lam(-2, 5.0, "pseudospin") == pytest.approx(6.0)
     # At H=0 the strengths collapse to l(l+1) and ltilde(ltilde+1).
     qn = QuantumNumbers(0, -2)
     assert lam(qn.kappa, 0.0, "spin") == qn.l * (qn.l + 1)
     assert lam(qn.kappa, 0.0, "pseudospin") \
         == qn.l_tilde * (qn.l_tilde + 1)
     with pytest.raises(DomainError):
-        lam(-2.0, 0.0, "neither")
+        lam(-2, 0.0, "neither")
 
 
 def test_target_eigenvalue_sign_structure():

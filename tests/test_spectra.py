@@ -27,6 +27,7 @@ from diracbound import (
 from diracbound.spectra import (_dedupe, _polynomial, _stack,
                                 _table_energies)
 
+from conftest import scan_roots
 from reference_data import PSEUDO_TABLE, SPIN_TABLE
 
 
@@ -51,6 +52,11 @@ def test_quantum_number_validation():
         QuantumNumbers(-1, -2)
     with pytest.raises(DomainError):
         QuantumNumbers(0, 0)
+    for n, kappa in ((0.5, -2), (1, 1.5), (1.0, 2)):
+        with pytest.raises(DomainError):
+            QuantumNumbers(n, kappa)
+    # numpy integers are integers.
+    assert QuantumNumbers(np.int64(1), np.int32(-2)).label == "1p3/2"
 
 
 def test_radial_poly_degree_index_shift():
@@ -145,24 +151,6 @@ def _residual(E, p, sym, qn):
     return nu_residual(np.asarray(E, dtype=float), p, sym, qn)
 
 
-def _scan_roots(p, sym, qn, step=1e-3, tol=1e-12):
-    """Sign changes of g on a uniform grid over the default window."""
-    pad = p.M + abs(sym.constant) + 1.0
-    grid = np.arange(-pad, pad + 0.5 * step, step)
-    g = _residual(grid, p, sym, qn)
-    change = np.nonzero(np.isfinite(g[:-1]) & np.isfinite(g[1:])
-                        & (np.sign(g[:-1]) * np.sign(g[1:]) < 0))[0]
-    lo, hi, g_lo = grid[change], grid[change + 1], g[change]
-    while lo.size and np.max(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        g_mid = _residual(mid, p, sym, qn)
-        keep_hi = np.sign(g_mid) == np.sign(g_lo)
-        lo = np.where(keep_hi, mid, lo)
-        g_lo = np.where(keep_hi, g_mid, g_lo)
-        hi = np.where(keep_hi, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 @st.composite
 def _problems(draw):
     delta = draw(st.floats(0.01, 0.25))
@@ -184,7 +172,10 @@ def _problems(draw):
 def _assert_complete(p, sym, qn):
     """Every scanned root is returned, and every returned root is a zero."""
     found = np.array([r.E for r in solve_levels(qn, sym, p)])
-    for E in _scan_roots(p, sym, qn):
+    # A 1e-3 grid over the default window, bisected to 1e-12.
+    pad = p.M + abs(sym.constant) + 1.0
+    grid = np.arange(-pad, pad + 0.5e-3, 1e-3)
+    for E in scan_roots(lambda E: _residual(E, p, sym, qn), grid, 1e-12):
         assert found.size and np.min(np.abs(found - E)) <= 1e-9, \
             f"scanned root {E!r} missing from {found.tolist()}"
     for E in found:
