@@ -450,13 +450,11 @@ def cmd_wavefunction(cfg: RunConfig) -> int:
     found = solve_levels_batch([(qn, sym, p) for qn in states])
     for qn, roots in zip(states, found):
         root = select_table_root(roots)
-        try:
-            # An unbound state is solved again there, to raise its error.
-            solution = solve_wavefunction(qn, sym, p,
-                                          None if root is None else root.E)
-        except NoEigenvalueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        if root is None:
+            print(f"error: no bound state for {qn.label} in the "
+                  f"{sym.kind} limit", file=sys.stderr)
             return EXIT_SOLVER
+        solution = solve_wavefunction(qn, sym, p, root.E)
         path = write_rows(cfg, f"wavefunction_{cfg.symmetry}"
                           f"_{_safe_label(qn)}", header, solution.samples,
                           units)
@@ -613,12 +611,10 @@ def _verify_normalization(cfg: RunConfig) -> tuple[str, str]:
     worst = 0.0
     for (qn, sym), roots in zip(states, found):
         root = select_table_root(roots)
-        try:
-            # An unbound state is solved again there, to raise its error.
-            solution = solve_wavefunction(qn, sym, p,
-                                          None if root is None else root.E)
-        except NoEigenvalueError as exc:
-            return "FAIL", str(exc)
+        if root is None:
+            return "FAIL", (f"no bound state for {qn.label} in the "
+                            f"{sym.kind} limit")
+        solution = solve_wavefunction(qn, sym, p, root.E)
         r = solution.samples[:, 0]
         solved = solution.samples[:, 1 if sym.is_spin else 2]
         norm = np.trapezoid(solved ** 2, r)

@@ -22,6 +22,7 @@ with kappa > 0 the degree is n + 1, everywhere else it is n.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,9 @@ __all__ = [
 
 
 def _check_degree(n: int) -> int:
-    if n < 0 or n != int(n):
-        raise DomainError(f"radial index must be a nonnegative integer, got {n}")
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise DomainError(
+            f"radial index must be a nonnegative integer, got {n!r}")
     return int(n)
 
 
@@ -383,9 +385,9 @@ class NonRelParams:
                 raise DomainError(f"{name} must be finite, got {value!r}")
         if self.m <= 0:
             raise DomainError(f"mass must be positive, got {self.m}")
-        if self.l < 0 or self.l != int(self.l):
+        if not isinstance(self.l, numbers.Integral) or self.l < 0:
             raise DomainError(
-                f"l must be a nonnegative integer, got {self.l}")
+                f"l must be a nonnegative integer, got {self.l!r}")
         if self.delta <= 0:
             raise DomainError(f"delta must be positive, got {self.delta}")
 

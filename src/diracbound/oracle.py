@@ -45,9 +45,11 @@ class OracleConfig:
     """Grid settings for the shooting solver.
 
     The grid runs from r = 1e-6 fm to r_max with num_points steps.
-    r_max=None picks max(40, 12/sqrt(|eps_ref|)) fm from the problem's own
-    energy scale.  centrifugal_mode selects the approximated (screened) or
-    exact (1/r^2 plus exact potential) radial equation.
+    r_max=None picks 40 fm for schrodinger_eigenvalue, and for
+    dirac_eigenvalue max(40, 12/sqrt(|eps_ref|)) fm from the problem's own
+    energy scale, eps_ref being eps_target at the middle of the energy
+    window.  centrifugal_mode selects the approximated (screened) or exact
+    (1/r^2 plus exact potential) radial equation.
     """
 
     r_max: Optional[float] = None
@@ -226,41 +228,41 @@ def _batch_starts(blocks, width, limit):
     return [None if i < 0 else int(i) for i in starts]
 
 
-def _sweep_batch(blocks, seeds, mark):
-    """_sweep's outward sweeps for a batch of weight columns, in lockstep.
+def _sweep_batch(blocks, seeds):
+    """_sweep's outward node counts for a batch of weight columns, in lockstep.
 
     blocks yields the weight rows from grid index 0 as 2-d blocks of any
-    height (see _weight_rows).  Column k runs _sweep(w_k, 0.0, *seeds[k],
-    N - 1, 1, mark, mark) on its weights w_k, with the same recurrence, node
-    rule and rescaling, the rescale skipped at mark - 1 and mark included;
-    seeds[k] = None leaves the column out.  Returns (node counts, with None
-    for a left-out column; the (3, K) array of u[mark - 1], u[mark],
-    u[mark + 1]).  Only one block and its two rows before are held.
+    height (see _weight_rows).  Column k runs the recurrence and node rule
+    of the outward _sweep(w_k, 0.0, *seeds[k], N - 1, 1, ...) on its
+    weights w_k, but never rescales; seeds[k] = None leaves the column
+    out.  A column is lost where its |u| passes _RESCALE_AT or stops being
+    finite.  Returns (node counts, with None for a left-out or lost column;
+    the indices of the lost columns).  A column that is not lost never
+    triggers a rescale in _sweep, so its count is _sweep's count bit for
+    bit; the caller sweeps a lost column with _sweep.  Only one block and
+    its two rows before are held.
     """
-    run = _Lockstep(seeds, mark)
-    if not run.begin:
-        return [None] * len(seeds), None
-    for w in blocks:
-        run.block(w)
-    return [None if seed is None else int(n)
-            for seed, n in zip(seeds, run.nodes)], run.trip
+    run = _Lockstep(seeds)
+    if run.begin:
+        for w in blocks:
+            run.block(w)
+    return ([None if seed is None or lost else int(n)
+             for seed, n, lost in zip(seeds, run.nodes, run.lost)],
+            np.flatnonzero(run.lost).tolist())
 
 
 class _Lockstep:
     """_sweep_batch's columns, stepped one block of grid rows at a time.
 
-    Per grid row only the recurrence runs.  The node counts and the
-    triplet come from one array pass per segment of a block, a segment
+    Per grid row only the recurrence runs.  The node counts and the lost
+    flags come from one array pass per segment of a block, a segment
     being cut wherever a column starts, so that each column is either
-    running or starts at the segment's first step.  A segment where some
-    |u| passes _RESCALE_AT or is not finite is run again row by row with
-    _sweep's rescaling, from its start state.  A column not yet started
-    holds u = 0: it steps to 0 and counts nothing.
+    running or starts at the segment's first step.  A column not yet
+    started holds u = 0: it steps to 0 and counts nothing.
     """
 
-    def __init__(self, seeds, mark):
+    def __init__(self, seeds):
         self.seeds = seeds
-        self.mark = mark
         # columns by the index where their first step is taken
         self.begin = {}
         for k, seed in enumerate(seeds):
@@ -269,7 +271,7 @@ class _Lockstep:
         width = len(seeds)
         self.nodes = np.zeros(width, dtype=int)
         self.amax = np.zeros(width)
-        self.trip = None
+        self.lost = np.zeros(width, dtype=bool)
         self.r0 = 0                       # grid row of the next block
         self.w_prev = np.zeros((2, width))
         self.u_prev = np.zeros((2, width))
@@ -302,16 +304,16 @@ class _Lockstep:
         if cols is not None:
             ub[ja, cols] = [self.seeds[k][0] for k in cols]
             ub[ja + 1, cols] = [self.seeds[k][1] for k in cols]
-        for j in range(ja, jb):
-            u2 = ub[j + 2]
-            np.multiply(k12[j + 1], ub[j + 1], out=u2)
-            u2 -= np.multiply(wb[j], ub[j])
-            u2 /= wb[j + 2]
+        # unrescaled, a lost column may overflow to inf and then nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(ja, jb):
+                u2 = ub[j + 2]
+                np.multiply(k12[j + 1], ub[j + 1], out=u2)
+                u2 -= np.multiply(wb[j], ub[j])
+                u2 /= wb[j + 2]
         seg = ub[ja + 1:jb + 2]       # u1 of the first step to u2 of the last
         a = np.abs(seg)
-        if not a[1:].max() <= _RESCALE_AT:
-            self._rows(ja, jb)
-            return
+        self.lost |= ~(a[1:] <= _RESCALE_AT).all(axis=0)
         # running max of |u| since each column's start: a column starting
         # at ja holds amax = 0, so its seed u1 opens its max
         np.maximum(a[0], self.amax, out=a[0])
@@ -321,32 +323,6 @@ class _Lockstep:
         u1, u2 = seg[:-1], seg[1:]
         self.nodes += (((u2 < 0.0) != (u1 < 0.0)) & (u2 != 0.0)
                        & (u1 != 0.0) & (a[1:] > run[1:])).sum(axis=0)
-        jm = self.mark - self.r0 + 1
-        if ja <= jm < jb:
-            self.trip = ub[jm:jm + 3].copy()
-
-    def _rows(self, ja, jb):
-        """_segment's steps one row at a time, with _sweep's rescaling."""
-        wb, k12, ub, amax = self.wb, self.k12, self.ub, self.amax
-        jm = self.mark - self.r0 + 1
-        for j in range(ja, jb):
-            u0, u1 = ub[j], ub[j + 1]
-            u2 = (k12[j + 1] * u1 - wb[j] * u0) / wb[j + 2]
-            a2 = np.abs(u2)
-            np.fmax(amax, a2, out=amax)
-            flip = (u2 < 0.0) != (u1 < 0.0)
-            if flip.any():
-                self.nodes += (flip & (u2 != 0.0) & (u1 != 0.0)
-                               & (a2 > 1e-12 * amax))
-            if j == jm:
-                self.trip = np.array([u0, u1, u2])
-            elif j + 1 != jm:
-                big = a2 > _RESCALE_AT
-                if big.any():
-                    u1[big] /= _RESCALE_AT
-                    u2[big] /= _RESCALE_AT
-                    amax[big] /= _RESCALE_AT
-            ub[j + 2] = u2
 
 
 class _InnerSolver:
@@ -360,9 +336,6 @@ class _InnerSolver:
         self.hh12 = self.h * self.h / 12.0
         self.wU = 1.0 - self.hh12 * U
         self.p, self.a1 = _series_seed(U[0], U[1], r[0], r[1])
-
-    def _weight_shift(self, eps):
-        return self.hh12 * eps
 
     def _start(self, c):
         """Series-seeded (u0, u1, i) for the outward sweep, or None.
@@ -405,7 +378,7 @@ class _InnerSolver:
 
     def nodes(self, eps: float) -> Optional[int]:
         """Sturm oscillation count of the outward sweep over the whole grid."""
-        return self._shoot_out(self._weight_shift(eps), self.match_idx)[0]
+        return self._shoot_out(self.hh12 * eps, self.match_idx)[0]
 
     def defect(self, eps: float, n_target: int):
         """(sturm_nodes, log-derivative mismatch at the matching point).
@@ -413,7 +386,7 @@ class _InnerSolver:
         The mismatch costs an inward sweep and steers the eigenvalue search
         only at n_target nodes, so at any other count it is None.
         """
-        c = self._weight_shift(eps)
+        c = self.hh12 * eps
         n, _, trip = self._shoot_out(c, self.match_idx)
         if n != n_target or trip[1] == 0.0:
             return n, None
@@ -431,7 +404,7 @@ class _InnerSolver:
         outward count is capped at the outer turning point; beyond it only
         the roundoff-injected growing mode can flip sign.
         """
-        c = self._weight_shift(eps)
+        c = self.hh12 * eps
         allowed = np.nonzero(self.U < eps)[0]
         cap = self.match_idx
         if allowed.size:
@@ -539,18 +512,17 @@ def _build_grid(cfg: OracleConfig, eps_ref: float, num_points: Optional[int] = N
 
 
 def schrodinger_eigenvalue(U_eff: Callable, n_target: int,
-                           cfg: OracleConfig, eps_ref: float = 1.0):
+                           cfg: OracleConfig):
     """Eigenvalue eps of u'' = [U(r) - eps] u with n_target interior nodes.
 
-    U_eff is a callable accepting an array of radii.  eps_ref sets the
-    automatic r_max scale when the config leaves r_max unset.  Returns
-    (eps, nodes); raises DomainError for a negative n_target and
-    NoEigenvalueError when the requested level does not exist in the
-    searchable window (eps < 0).
+    U_eff is a callable accepting an array of radii.  When the config
+    leaves r_max unset, the grid ends at 40 fm.  Returns (eps, nodes);
+    raises DomainError for a negative n_target and NoEigenvalueError when
+    the requested level does not exist in the searchable window (eps < 0).
     """
     if n_target < 0:
         raise DomainError(f"n_target must be >= 0, got {n_target}")
-    r = _build_grid(cfg, eps_ref)
+    r = _build_grid(cfg, 1.0)
     U = np.asarray(U_eff(r), dtype=float)
     solver = _InnerSolver(U, r)
     return solver.eigenvalue(n_target)
@@ -591,7 +563,8 @@ def _probe_signs(p: PotentialParams, sym: SymmetryLimit, qn: QuantumNumbers,
     One batched outward sweep does the work of the scalar ones: U_eff is
     affine in E, so every probe's weights come from the same E-independent
     parts, and each column gets the start index, series seed and node
-    count its own _defect_sign would.
+    count its own _defect_sign would.  A column the batch loses, where
+    _sweep would have to rescale, is swept again by _sweep itself.
     """
     eq, lam_cent, pot = _effective_parts(r, p, sym, qn, cfg.centrifugal_mode)
     g = eq.s * eq.coupling(probes)
@@ -607,8 +580,13 @@ def _probe_signs(p: PotentialParams, sym: SymmetryLimit, qn: QuantumNumbers,
         seeds.append(None if i0 is None else _seed(r, *_series_seed(
             lam_cent[0] + g[k] * pot[0], lam_cent[1] + g[k] * pot[1],
             r[0], r[1]), i0))
-    counts, _ = _sweep_batch(_weight_rows(lam_cent, pot, g, c, hh12), seeds,
-                             mark)
+    counts, lost = _sweep_batch(_weight_rows(lam_cent, pot, g, c, hh12),
+                                seeds)
+    for k in lost:
+        # the column's own weights, as _weight_rows forms them, swept as
+        # _defect_sign sweeps them
+        w = 1.0 - hh12 * (lam_cent + g[k] * pot) + c[k]
+        counts[k] = _sweep(w, 0.0, *seeds[k], r.size - 1, 1, mark, mark)[0]
     return [None if n is None else (+1 if n <= n_target else -1)
             for n in counts]
 

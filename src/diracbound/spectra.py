@@ -183,28 +183,11 @@ def _take(eq: ReducedEquation, idx) -> ReducedEquation:
 
 
 def _convolve(a, b):
-    """np.convolve of each row of a with the same row of b, bit for bit.
-
-    np.convolve sums an output where the two sequences overlap fully term
-    by term in order, and a partial overlap at either end with a BLAS dot
-    product, which may round differently; this sums each output the same
-    way, so every row gets the coefficients np.convolve would give.
-    """
-    if b.shape[1] > a.shape[1]:
-        a, b = b, a
-    na, nb = a.shape[1], b.shape[1]
-    b_rev = np.ascontiguousarray(b[:, ::-1])
-    out = np.empty((a.shape[0], na + nb - 1))
-    for k in range(na + nb - 1):
-        lo, hi = max(0, k - nb + 1), min(k + 1, na)
-        x, y = a[:, lo:hi], b_rev[:, lo + nb - 1 - k:hi + nb - 1 - k]
-        if hi - lo == nb:
-            total = np.zeros(a.shape[0])
-            for j in range(nb):
-                total = total + x[:, j] * y[:, j]
-            out[:, k] = total
-        else:
-            out[:, k] = (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+    """The full convolution of each row of a with the same row of b."""
+    nb = b.shape[1]
+    out = np.zeros((a.shape[0], a.shape[1] + nb - 1))
+    for i in range(a.shape[1]):
+        out[:, i:i + nb] += a[:, i, None] * b
     return out
 
 

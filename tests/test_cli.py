@@ -399,6 +399,9 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["table", "--C", "0", "--states", "0,-2",
                  "--out", str(tmp_path)]) == 2
     assert "no bound state" in capsys.readouterr().err
+    assert main(["wavefunction", "--C", "0", "--states", "0,-2",
+                 "--out", str(tmp_path)]) == 2
+    assert "no bound state" in capsys.readouterr().err
     for argv in (["sweep", "--delta-step", "nan"],
                  ["scan", "--v0-stop", "inf"],
                  ["sweep", "--delta-start", "0.3", "--delta-stop", "0"]):

@@ -58,6 +58,28 @@ def test_swave_degree_validation(params_h5, spin_sym):
         swave_residual(0.2, params_h5, spin_sym, -1)
 
 
+@pytest.mark.parametrize("bad", [1.0, np.float64(2.0), "1", None])
+def test_radial_index_and_l_follow_the_integer_rule(bad, params_h5, spin_sym):
+    # QuantumNumbers' rule: only an integer (numpy's included) is a radial
+    # index or an l; a float equal to one, a string or None raises
+    # DomainError, and no reduced form reads it as the nearest integer.
+    nrp = NonRelParams(m=1.0, l=np.int64(1), Ze2=1.0, A=0.0, B=0.0,
+                       delta=0.05)
+    assert swave_residual(0.3, params_h5, spin_sym, np.int64(1)) \
+        == swave_residual(0.3, params_h5, spin_sym, 1)
+    calls = [lambda: swave_residual(0.3, params_h5, spin_sym, bad),
+             lambda: swave_wavefunction(np.array([1.0]), 0.3, params_h5,
+                                        spin_sym, bad),
+             lambda: nonrel_energy(nrp, bad),
+             lambda: nonrel_energy_hulthen(nrp, bad),
+             lambda: nonrel_energy_coulomb(nrp, bad),
+             lambda: NonRelParams(m=1.0, l=bad, Ze2=1.0, A=0.0, B=0.0,
+                                  delta=0.05)]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+
+
 def test_swave_exponents_match_quantization_pieces(params_h5, spin_sym):
     roots = scan_roots(
         pointwise(lambda e: swave_residual(e, params_h5, spin_sym, 1)),

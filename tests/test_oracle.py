@@ -128,49 +128,51 @@ def test_sweep_counts_nodes_like_count_nodes(step):
     assert before_cap == (4 if step > 0 else 5)
 
 
+def _overflows(w, c, seed):
+    """Whether _sweep's outward recurrence from seed, never rescaled, has
+    some |u| pass _RESCALE_AT or stop being finite: the lost rule."""
+    u0, u1, i = seed
+    for j in range(i, len(w) - 1):
+        wm, wj, wp = w[j - 1] + c, w[j] + c, w[j + 1] + c
+        u0, u1 = u1, ((12.0 - 10.0 * wj) * u1 - wm * u0) / wp
+        if not abs(u1) <= _RESCALE_AT:
+            return True
+    return False
+
+
 @pytest.mark.parametrize("case, at_guard", [
     ("forward-oscillating", False),
     ("forward-growing", False),
     ("forward-growing", True),
 ])
 def test_sweep_batch_matches_sweep(case, at_guard):
-    # Columns differ in g, c and start index; each must give the node count
-    # and the triplet of its own scalar _sweep, bit for bit.  The case's Q
-    # is lam_cent, and g * pot deepens it near r = 0, so counts differ.  In
-    # the growing cases the guard fires; at_guard puts mark at the first
-    # point where column 0 (g = c = 0, exact seed) passes the guard, so both
-    # sweeps must skip the rescale there.
-    _, q, r_end, seed_solution, mark = _SWEEP_CASES[case]
-    r = np.arange(round(r_end / _H) + 1) * _H
-    lam_cent = q(r)
-    pot = -150.0 * np.exp(-r)
-    hh12 = _H * _H / 12.0
-    g = np.linspace(0.0, 2.0, 7)
-    c = hh12 * np.linspace(0.0, 3.0, 7)
+    # Columns differ in g, c and start index; each column that is not lost
+    # must give the node count of its own scalar _sweep, bit for bit.  The
+    # case's Q is lam_cent, and g * pot deepens it near r = 0, so counts
+    # differ.  In the growing case some columns pass the guard and are
+    # lost; at_guard ends the grid at the first point where column 0
+    # (g = c = 0, exact seed) passes it, so only column 0 is lost, at its
+    # last row.
+    _, _, r_end, seed_solution, _ = _SWEEP_CASES[case]
+    end = None
     if at_guard:
-        mark = int(np.argmax(seed_solution(r) > _RESCALE_AT))
-    seeds = [None if i is None else
-             (float(seed_solution(r[i - 1])), float(seed_solution(r[i])), i)
-             for i in [1, 2, 5, 9, 40, None, 3]]
-    counts, trip = _sweep_batch(_weight_rows(lam_cent, pot, g, c, hh12),
-                                seeds, mark)
-    for k, seed in enumerate(seeds):
-        if seed is None:
-            assert counts[k] is None
-            continue
-        w = 1.0 - hh12 * (lam_cent + g[k] * pot)
-        nodes, _, ref = _sweep(w, c[k], *seed, r.size - 1, 1, mark, mark)
-        assert counts[k] == nodes
-        assert trip[:, k].tolist() == list(ref)
-    assert len(set(n for n in counts if n is not None)) > 1
-    if case.endswith("growing"):
-        assert seed_solution(r[mark]) > _RESCALE_AT
+        r = np.arange(round(r_end / _H) + 1) * _H
+        end = int(np.argmax(seed_solution(r) > _RESCALE_AT)) + 1
+    r, blocks, seeds, refs = _batch_case(case, [1, 2, 5, 9, 40, None, 3],
+                                         end)
+    counts, lost = _assert_batch_matches(r.size, blocks, seeds, refs)
+    if case.endswith("oscillating"):
+        assert lost == []
+        assert len(set(counts) - {None}) > 1
+    else:
+        assert lost == ([0] if at_guard else [0, 1, 2, 3, 4])
 
 
-def _batch_case(case, starts):
-    """The weights and seeds of test_sweep_batch_matches_sweep's columns."""
+def _batch_case(case, starts, end=None):
+    """Weights and seeds of test_sweep_batch_matches_sweep's columns, on
+    the case's grid cut to its first end rows."""
     _, q, r_end, seed_solution, _ = _SWEEP_CASES[case]
-    r = np.arange(round(r_end / _H) + 1) * _H
+    r = (np.arange(round(r_end / _H) + 1) * _H)[:end]
     lam_cent, pot = q(r), -150.0 * np.exp(-r)
     hh12 = _H * _H / 12.0
     g = np.linspace(0.0, 2.0, len(starts))
@@ -184,68 +186,65 @@ def _batch_case(case, starts):
     return r, _weight_rows(lam_cent, pot, g, c, hh12), seeds, refs
 
 
-def _assert_batch_matches(r, blocks, seeds, refs, mark):
-    counts, trip = _sweep_batch(blocks, seeds, mark)
+def _assert_batch_matches(size, blocks, seeds, refs):
+    """_sweep_batch's (counts, lost) on a grid of size rows, checked
+    against the scalar sweeps: lost are the columns _overflows names, and
+    every other column has _sweep's count (mark and cap, never reached,
+    play no part in it)."""
+    counts, lost = _sweep_batch(blocks, seeds)
+    assert lost == [k for k, ref in enumerate(refs)
+                    if ref is not None and _overflows(*ref)]
     for k, ref in enumerate(refs):
-        if ref is None:
+        if ref is None or k in lost:
             assert counts[k] is None
-            continue
-        w, c, seed = ref
-        nodes, _, want = _sweep(w, c, *seed, r.size - 1, 1, mark, mark)
-        assert counts[k] == nodes
-        assert trip[:, k].tolist() == list(want)
+        else:
+            w, c, seed = ref
+            assert counts[k] == _sweep(w, c, *seed, size - 1, 1, size,
+                                       size)[0]
+    return counts, lost
 
 
-@pytest.mark.parametrize("mark", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 600])
-def test_sweep_batch_block_edges(mark, monkeypatch):
+@pytest.mark.parametrize("last", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 600])
+def test_sweep_batch_block_edges(last):
     # Columns start at either side of the first block edge, past it, and
-    # at mark - 1 and mark, where the triplet holds seeds; marks sit at
-    # and around the edge.  No |u| passes the guard, so the array pass
-    # alone counts nodes.
-    redone = []
-    monkeypatch.setattr(oracle._Lockstep, "_rows",
-                        lambda self, ja, jb: redone.append(ja))
+    # at last - 1 and last, around the edge.  No |u| passes the guard, so
+    # no column is lost and the array pass alone counts nodes.
     starts = [1, 5, None, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 44,
-              mark - 1, mark]
+              last - 1, last]
     r, blocks, seeds, refs = _batch_case("forward-oscillating",
                                          [i for i in starts
-                                          if i is None or i <= mark])
-    _assert_batch_matches(r, blocks, seeds, refs, mark)
-    assert redone == []
+                                          if i is None or i <= last])
+    _, lost = _assert_batch_matches(r.size, blocks, seeds, refs)
+    assert lost == []
 
 
 @pytest.mark.parametrize("edge", ["inside", "first", "last"])
 @pytest.mark.parametrize("at_guard", [False, True])
-def test_sweep_batch_guard_at_block_edges(edge, at_guard, monkeypatch):
-    # Column 0 (g = c = 0, exact seed) passes the guard at row i_g, which
-    # is inside a block of the default feed, or the first or last row of a
-    # block when the rows are cut to put it there; mark is past i_g or at
-    # it.  Every block that holds a pass is run again row by row.
-    _, _, _, seed_solution, mark = _SWEEP_CASES["forward-growing"]
-    r, blocks, seeds, refs = _batch_case("forward-growing",
-                                         [1, 2, 5, 9, 40, None, 3])
-    i_g = int(np.argmax(seed_solution(r) > _RESCALE_AT))
-    if at_guard:
-        mark = i_g
-    if edge == "inside":
-        assert 0 < i_g % _BLOCK < _BLOCK - 1
-    else:
-        # the block after the cut starts at i_g, or at i_g + 1
-        cut = i_g if edge == "first" else i_g + 1
-        blocks = np.split(np.concatenate(list(blocks)),
-                          range(cut % _BLOCK, r.size, _BLOCK))
-    redone = []
-    real_rows = oracle._Lockstep._rows
-
-    def spy(self, ja, jb):
-        # the steps i (making u[i + 1]) that are run row by row
-        redone.append(range(self.r0 + ja - 1, self.r0 + jb - 1))
-        real_rows(self, ja, jb)
-
-    monkeypatch.setattr(oracle._Lockstep, "_rows", spy)
-    _assert_batch_matches(r, blocks, seeds, refs, mark)
-    assert any(i_g - 1 in steps for steps in redone)
-    assert seed_solution(r[mark]) > _RESCALE_AT
+def test_sweep_batch_guard_at_block_edges(edge, at_guard):
+    # All weights are 1, so u runs on an exact line of multiples of
+    # d = 2**823, and m d is the first multiple above the guard.  Row p is
+    # inside a block, or its first or last row; at_guard ends the grid at
+    # p.  Column 0 steps down from (m + 2) d, (m + 1) d to m d at p, its
+    # only |u| above the guard, so it is lost; column 1 starts a step
+    # lower, with a seed above the guard but no step there, and is not.
+    # Column 2 climbs from 0 to m d at p and is lost; column 3 climbs one
+    # step behind, to (m - 1) d at p, and is lost only when the grid goes
+    # on.  Column 4 stays at d until a NaN weight at p, and is lost.
+    d = 2.0 ** 823
+    m = int(_RESCALE_AT // d) + 1
+    assert (m - 1) * d <= _RESCALE_AT < m * d
+    p = {"inside": 6 * _BLOCK + 20, "first": 6 * _BLOCK,
+         "last": 6 * _BLOCK - 1}[edge]
+    n = p + 1 if at_guard else p + 100
+    rows = np.ones((n, 6))
+    rows[p, 4] = np.nan
+    seeds = [((m + 2) * d, (m + 1) * d, p - 1), ((m + 1) * d, m * d, p - 1),
+             (0.0, d, p - m + 1), (0.0, d, p - m + 2), (d, d, 1), None]
+    refs = [None if seed is None else (rows[:, k], 0.0, seed)
+            for k, seed in enumerate(seeds)]
+    _, lost = _assert_batch_matches(
+        n, np.split(rows, range(_BLOCK, n, _BLOCK)), seeds, refs)
+    assert lost == ([0, 2, 4] if at_guard else [0, 2, 3, 4])
 
 
 def test_sweep_batch_node_rule_matches_sweep():
@@ -258,8 +257,7 @@ def test_sweep_batch_node_rule_matches_sweep():
     heads = [1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52]
     seeds = [(a, a - 2.0 ** -10, 1) for a in heads]
     counts, _ = _sweep_batch(
-        _weight_rows(zeros, zeros, np.zeros(3), np.zeros(3), 1.0), seeds,
-        500)
+        _weight_rows(zeros, zeros, np.zeros(3), np.zeros(3), 1.0), seeds)
     ref = [_sweep(np.ones(n), 0.0, *seed, n - 1, 1, 500, 500)[0]
            for seed in seeds]
     assert counts == ref == [0, 0, 1]
@@ -275,12 +273,12 @@ def test_sweep_batch_node_floor_follows_running_max():
     rows = np.ones((n, 2))
     rows[f] = [-2.0 ** 43, -2.0 ** 30]
     seeds = [(0.0, 1.0, 1)] * 2
-    counts, trip = _sweep_batch([rows], seeds, f - 1)
+    counts, lost = _sweep_batch([rows], seeds)
     ref = [_sweep(rows[:, k], 0.0, *seeds[k], n - 1, 1, f - 1, f - 1)
            for k in range(2)]
     assert counts == [nodes for nodes, _, _ in ref] == [0, 1]
-    u_prev, u_flip = trip[1:, 0].tolist()
-    assert [u_prev, u_flip] == list(ref[0][2][1:])
+    assert lost == []
+    u_prev, u_flip = ref[0][2][1:]
     assert 1e-12 * seeds[0][1] < -u_flip < 1e-12 * u_prev
 
 
@@ -298,7 +296,7 @@ def test_sweep_batch_node_floor_carries_across_blocks():
     rows[f] = [-2.0 ** 33, -2.0 ** 28]
     seeds = [(f + 1.5, f + 0.5, 1)] * 2
     counts, _ = _sweep_batch(np.split(rows, range(_BLOCK, n, _BLOCK)),
-                             seeds, f - 1)
+                             seeds)
     ref = [_sweep(rows[:, k], 0.0, *seeds[k], n - 1, 1, f - 1, f - 1)[0]
            for k in range(2)]
     assert counts == ref == [0, 1]
@@ -316,7 +314,7 @@ def test_outward_start_stops_before_the_matching_point(first_near, start):
     U = np.where(np.arange(r.size) < m + first_near, 1e5, 0.0)
     solver = oracle._InnerSolver(U, r)
     assert solver.match_idx == m
-    c = solver._weight_shift(eps)
+    c = solver.hh12 * eps
     near = np.abs(1.0 - (solver.wU + c)) <= 0.05
     assert int(near.argmax()) == m + first_near
     zeros = np.zeros(r.size)
@@ -331,43 +329,52 @@ def test_outward_start_stops_before_the_matching_point(first_near, start):
         assert solver._start(c)[2] == m + start + 1
 
 
-@pytest.mark.parametrize("kind, C, V0, qn, mode", [
-    ("spin", 5.0, 2.0, QuantumNumbers(0, -2), "approximated"),
-    ("pseudospin", -5.0, -2.0, QuantumNumbers(0, -1), "exact"),
+@pytest.mark.parametrize("kind, C, V0, qn, mode, r_max", [
+    pytest.param("spin", 5.0, 2.0, QuantumNumbers(0, -2), "approximated",
+                 60.0, id="spin-5.0-2.0-qn0-approximated"),
+    pytest.param("pseudospin", -5.0, -2.0, QuantumNumbers(0, -1), "exact",
+                 60.0, id="pseudospin--5.0--2.0-qn1-exact"),
+    pytest.param("spin", 5.0, 2.0, QuantumNumbers(0, -2), "approximated",
+                 400.0, id="spin-5.0-2.0-qn0-approximated-lost"),
 ])
-def test_probe_signs_match_defect_sign(kind, C, V0, qn, mode, monkeypatch):
+def test_probe_signs_match_defect_sign(kind, C, V0, qn, mode, r_max,
+                                       monkeypatch):
     # The batched coarse scan gives the 160 signs of the scalar one, and
     # hands the kernel, per probe, the weights and series seed that the
-    # probe's own _InnerSolver sweeps from, bit for bit.
+    # probe's own _InnerSolver sweeps from, bit for bit.  On the 400 fm
+    # grid most but not all columns pass the guard, and those are swept
+    # again by _sweep.
     p = PotentialParams(V0=V0, A=V0 / 2.0, B=V0 / 2.0, delta=0.05, H=0.0,
                         M=4.76)
     sym = SymmetryLimit(kind, C)
     eq = ReducedEquation.of(p, sym, qn)
     lo, hi = _energy_window(eq)
     probes = np.linspace(lo + 1e-6, hi - 1e-6, 160)
+    r = np.linspace(1e-6, r_max, 2001)
     args = (p, sym, qn, eq.degree,
-            OracleConfig(num_points=1000, centrifugal_mode=mode),
-            np.linspace(1e-6, 60.0, 2001))
-    parts = _effective_parts(args[-1], p, sym, qn, mode)
+            OracleConfig(num_points=1000, centrifugal_mode=mode), r)
+    parts = _effective_parts(r, p, sym, qn, mode)
     fed = {}
 
-    def spy(blocks, seeds, mark):
-        fed.update(rows=np.concatenate(list(blocks)), seeds=seeds, mark=mark)
-        return _sweep_batch([fed["rows"]], seeds, mark)
+    def spy(blocks, seeds):
+        fed.update(rows=np.concatenate(list(blocks)), seeds=seeds)
+        counts, fed["lost"] = _sweep_batch([fed["rows"]], seeds)
+        return counts, fed["lost"]
 
     monkeypatch.setattr(oracle, "_sweep_batch", spy)
     signs = _probe_signs(*args, probes)
-    assert signs == [_defect_sign(parts, sym, p.M, args[-1], E)
-                     for E in probes]
+    assert signs == [_defect_sign(parts, sym, p.M, r, E) for E in probes]
     assert {+1, -1} <= set(signs)
-    r = args[-1]
+    if r_max > 60.0:
+        assert 0 < len(fed["lost"]) < len(probes)
+    else:
+        assert fed["lost"] == []
     for k, E in enumerate(probes):
         solver = oracle._InnerSolver(
             effective_potential(r, E, p, sym, qn, mode), r)
-        c = solver._weight_shift(target_eigenvalue(E, sym, p.M))
+        c = solver.hh12 * target_eigenvalue(E, sym, p.M)
         assert np.array_equal(fed["rows"][:, k], solver.wU + c)
         assert fed["seeds"][k] == solver._start(c)
-    assert fed["mark"] == solver.match_idx
 
 
 # dirac_eigenvalue and schrodinger_eigenvalue outputs recorded as float.hex
