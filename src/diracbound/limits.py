@@ -68,7 +68,7 @@ def _swave_pieces(E: float, p: PotentialParams, sym: SymmetryLimit):
     and H(H+1).
     """
     E = float(E)
-    C = sym.constant
+    C = SymmetryLimit.checked(sym).constant
     four_d2 = 4.0 * p.delta ** 2
     if sym.is_spin:
         coupling = p.M + E - C
@@ -170,8 +170,8 @@ def _screened_coulomb_residual(E: float, p: PotentialParams,
     general relation takes the other sign and the roots differ.
     """
     E = float(E)
+    C = SymmetryLimit.checked(sym).constant
     m = radial_poly_degree(qn, sym.kind)
-    C = sym.constant
     if sym.is_spin:
         coupling = p.M + E - C
         lhs = p.M ** 2 - E ** 2 - C * (p.M - E)
@@ -200,8 +200,8 @@ def _screened_coulomb_roots(p: PotentialParams, sym: SymmetryLimit,
     a = -(1 + w^2 k^2) < 0.  Its roots come from the cancellation-free form
     of the quadratic formula, ascending; a double root is listed once.
     """
+    C = SymmetryLimit.checked(sym).constant
     m = radial_poly_degree(qn, sym.kind)
-    C = sym.constant
     if sym.is_spin:
         big_n = m + qn.kappa + p.H + 1.0
         if big_n == 0.0:
@@ -272,8 +272,8 @@ def coulomb_energy(sym: SymmetryLimit, qn: QuantumNumbers, A: float,
     E = [A^2 (M + C) - 4 M N^2] / [A^2 + 4 N^2] with N = degree + kappa + H.
     C is the constant of `sym`.  No root finding is involved.
     """
+    C = SymmetryLimit.checked(sym).constant
     m = radial_poly_degree(qn, sym.kind)
-    C = sym.constant
     a2 = A * A
     if sym.is_spin:
         big_n = m + qn.kappa + H + 1.0
@@ -295,9 +295,9 @@ def iq_yukawa_residual(E: float, p: PotentialParams, sym: SymmetryLimit,
     Hulthen and Yukawa strengths do not enter this form at all.
     """
     E = float(E)
+    C = SymmetryLimit.checked(sym).constant
     m = radial_poly_degree(qn, sym.kind)
     eta = qn.kappa + p.H
-    C = sym.constant
     four_d2 = 4.0 * p.delta ** 2
     if sym.is_spin:
         coupling = p.M + E - C
@@ -335,8 +335,8 @@ def kratzer_fues_residual(E: float, sym: SymmetryLimit, qn: QuantumNumbers,
     argument is nonnegative.
     """
     E = float(E)
+    C = SymmetryLimit.checked(sym).constant
     m = radial_poly_degree(qn, sym.kind)
-    C = sym.constant
     eta = qn.kappa + H
     if sym.is_spin:
         lhs = M ** 2 - E ** 2 - C * (M - E)

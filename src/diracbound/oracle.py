@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -34,6 +35,7 @@ __all__ = [
 
 _RESCALE_AT = 1e250
 _CHUNK = 2048            # weights per list that a scalar sweep converts
+_TAIL = 64               # steps between growing-tail checks of a sweep
 _BLOCK = 64              # grid rows per block of a batched sweep
 _R_MIN = 1e-6            # first grid point (fm)
 _MATCH_FRACTION = 0.35   # matching point, as a fraction of the grid length
@@ -138,7 +140,7 @@ def _seed(r, p, a1, i0):
     return u0, u1, i0 + 1
 
 
-def _sweep(w, c, u0, u1, i, stop, step, mark, cap):
+def _sweep(w, c, u0, u1, i, stop, step, mark, cap, limit=None):
     """Numerov sweep of u'' = f u with weights w[j] + c, in direction step.
 
     u0 = u[i - step] and u1 = u[i] seed the recurrence, which fills
@@ -149,6 +151,28 @@ def _sweep(w, c, u0, u1, i, stop, step, mark, cap):
     fake one; it lies before cap when found at an index i short of cap in
     the sweep direction.  |u| is rescaled whenever it passes _RESCALE_AT,
     so only ratios of u are meaningful.
+
+    Two rules end the sweep before stop.  Neither changes a value the
+    caller reads:
+    - Count limit.  With limit given, the sweep returns as soon as nodes
+      exceeds it; nodes is then only known to be above limit, and the
+      other two values are those of the steps taken.
+    - Growing tail (the discrete Sturm argument of B. R. Johnson,
+      J. Chem. Phys. 69, 4678 (1978)).  Write a step as
+      wp u2 = k u1 - wm u0, with k = 12 - 10 w at its center.  Suppose
+      every step left has all three weights above 1/2 and
+      k - wm - wp >= 1e-12 (a discrete f >= 0), and 0 < |u0| <= |u1|.
+      Then u2 / u1 = (k - wm u0 / u1) / wp >= 1 + 1e-12 / wp, so u2 has
+      u1's sign and 0 < |u1| <= |u2|: by induction no later step changes
+      sign.  This holds in floating point: with wm + wp < k < 7 the
+      rounding of a step is a few ulp of 14 |u1|, far below 1e-12 |u1|
+      once |u0| is a normal float; |u| grows less than 27-fold per step,
+      so it never overflows; and the rescale by _RESCALE_AT divides both
+      values, changing their ratio by an ulp.  So once the step at mark
+      is done, every later step qualifies and u0, u1 do, no later step
+      adds a node or touches the triplet, and the sweep returns.  The
+      rule is checked after every _TAIL steps past that point, so the
+      recurrence's own steps cost what they did.
     """
     # The weights w[j] + c and 12 - 10 (w[j] + c) of the swept span, in
     # sweep order.  Elementwise float64 arithmetic gives the bits the
@@ -160,15 +184,30 @@ def _sweep(w, c, u0, u1, i, stop, step, mark, cap):
     if step < 0:
         wc = wc[::-1]
     kc = 12.0 - 10.0 * wc
+    # Step t has center wc[t + 1].  The tail rule may stop the sweep after
+    # the steps before tail: the step at mark is done, and every later
+    # step qualifies.
+    n = wc.size - 2
+    tail = (mark - i) * step + 1
+    if tail < n:
+        big = wc > 0.5
+        bad = np.flatnonzero(~((kc[1:-1] - wc[:-2] - wc[2:] >= 1e-12)
+                               & big[:-2] & big[1:-1] & big[2:]))
+        if bad.size:
+            tail = max(tail, int(bad[-1]) + 1)
+    ends = [*range(_CHUNK, min(tail, n), _CHUNK), *range(tail, n, _TAIL), n]
+    if limit is None:
+        limit = math.inf
     u0, u1 = float(u0), float(u1)
     nodes = 0
     nodes_to_cap = 0
     trip = None
     amax = abs(u1)
     neg1 = u1 < 0.0
-    for a in range(0, wc.size - 2, _CHUNK):
-        ws = wc[a:a + _CHUNK + 2].tolist()
-        for wm, k, wp in zip(ws, kc[a + 1:a + _CHUNK + 1].tolist(), ws[2:]):
+    a = 0
+    for b in ends:
+        ws = wc[a:b + 2].tolist()
+        for wm, k, wp in zip(ws, kc[a + 1:b + 1].tolist(), ws[2:]):
             u2 = (k * u1 - wm * u0) / wp
             if u2 < 0.0:
                 a2, neg2 = -u2, True
@@ -181,6 +220,8 @@ def _sweep(w, c, u0, u1, i, stop, step, mark, cap):
                 nodes += 1
                 if (cap - i) * step > 0:
                     nodes_to_cap += 1
+                if nodes > limit:
+                    return nodes, nodes_to_cap, trip
             if i == mark:
                 trip = (u0, u1, u2)
             # i + 1 == mark only occurs outward: inward sweeps stop at
@@ -191,6 +232,9 @@ def _sweep(w, c, u0, u1, i, stop, step, mark, cap):
                 amax /= _RESCALE_AT
             u0, u1, neg1 = u1, u2, neg2
             i += step
+        if b >= tail and abs(u1) >= abs(u0) >= sys.float_info.min:
+            break
+        a = b
     return nodes, nodes_to_cap, trip
 
 
@@ -350,17 +394,18 @@ class _InnerSolver:
             return None
         return _seed(self.r, self.p, self.a1, i0)
 
-    def _shoot_out(self, c, cap):
+    def _shoot_out(self, c, cap, limit=None):
         """Outward sweep from the series-seeded start to the grid end.
 
         Returns (nodes, nodes before cap, triplet around match_idx), or
-        three Nones when the grid offers no accurate start.
+        three Nones when the grid offers no accurate start.  limit is
+        _sweep's count limit.
         """
         start = self._start(c)
         if start is None:
             return None, None, None
         return _sweep(self.wU, c, *start, len(self.wU) - 1, 1,
-                      self.match_idx, cap)
+                      self.match_idx, cap, limit)
 
     def _shoot_in(self, c, eps):
         """Inward sweep from the decaying tail down to match_idx.
@@ -376,18 +421,24 @@ class _InnerSolver:
                             m - 1, -1, m, m)
         return n, trip[::-1]
 
-    def nodes(self, eps: float) -> Optional[int]:
-        """Sturm oscillation count of the outward sweep over the whole grid."""
-        return self._shoot_out(self.hh12 * eps, self.match_idx)[0]
+    def nodes(self, eps: float,
+              limit: Optional[int] = None) -> Optional[int]:
+        """Sturm oscillation count of the outward sweep over the whole grid.
+
+        With limit given, a count above it is only known to exceed it
+        (_sweep's count limit): the callers only compare it with limit.
+        """
+        return self._shoot_out(self.hh12 * eps, self.match_idx, limit)[0]
 
     def defect(self, eps: float, n_target: int):
         """(sturm_nodes, log-derivative mismatch at the matching point).
 
         The mismatch costs an inward sweep and steers the eigenvalue search
-        only at n_target nodes, so at any other count it is None.
+        only at n_target nodes, so at any other count it is None.  A count
+        above n_target is only known to exceed it (_sweep's count limit).
         """
         c = self.hh12 * eps
-        n, _, trip = self._shoot_out(c, self.match_idx)
+        n, _, trip = self._shoot_out(c, self.match_idx, n_target)
         if n != n_target or trip[1] == 0.0:
             return n, None
         _, tin = self._shoot_in(c, eps)
@@ -428,7 +479,7 @@ class _InnerSolver:
         if floor >= 0.0:
             return None
         for _ in range(6):
-            n = self.nodes(floor)
+            n = self.nodes(floor, n_target)
             if n is not None and n <= n_target:
                 return floor, n
             floor *= 4.0
@@ -469,7 +520,7 @@ class _InnerSolver:
             raise NoEigenvalueError(
                 "potential admits no bound spectrum on this grid")
         lo, n_lo = found
-        n_hi = self.nodes(0.0)
+        n_hi = self.nodes(0.0, n_target)
         if n_hi is None or n_hi <= n_target:
             raise NoEigenvalueError(
                 f"no eigenvalue with {n_target} nodes in the search window "
@@ -549,10 +600,11 @@ def _defect_sign(parts, sym: SymmetryLimit, M: float, r: np.ndarray,
     (integration impossible).
     """
     solver = _InnerSolver(_u_eff(parts, E), r)
-    n = solver.nodes(target_eigenvalue(E, sym, M))
+    degree = parts[0].degree
+    n = solver.nodes(target_eigenvalue(E, sym, M), degree)
     if n is None:
         return None
-    return +1 if n <= parts[0].degree else -1
+    return +1 if n <= degree else -1
 
 
 def _probe_signs(p: PotentialParams, sym: SymmetryLimit, qn: QuantumNumbers,
@@ -564,7 +616,8 @@ def _probe_signs(p: PotentialParams, sym: SymmetryLimit, qn: QuantumNumbers,
     affine in E, so every probe's weights come from the same E-independent
     parts, and each column gets the start index, series seed and node
     count its own _defect_sign would.  A column the batch loses, where
-    _sweep would have to rescale, is swept again by _sweep itself.
+    _sweep would have to rescale, is swept again by _sweep itself, with
+    _defect_sign's count limit, as only the sign is read.
     """
     eq, lam_cent, pot = _effective_parts(r, p, sym, qn, cfg.centrifugal_mode)
     g = eq.s * eq.coupling(probes)
@@ -586,7 +639,8 @@ def _probe_signs(p: PotentialParams, sym: SymmetryLimit, qn: QuantumNumbers,
         # the column's own weights, as _weight_rows forms them, swept as
         # _defect_sign sweeps them
         w = 1.0 - hh12 * (lam_cent + g[k] * pot) + c[k]
-        counts[k] = _sweep(w, 0.0, *seeds[k], r.size - 1, 1, mark, mark)[0]
+        counts[k] = _sweep(w, 0.0, *seeds[k], r.size - 1, 1, mark, mark,
+                           n_target)[0]
     return [None if n is None else (+1 if n <= n_target else -1)
             for n in counts]
 

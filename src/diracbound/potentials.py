@@ -111,6 +111,18 @@ class SymmetryLimit:
         return 1.0 if self.is_spin else -1.0
 
     @classmethod
+    def checked(cls, sym) -> "SymmetryLimit":
+        """sym itself; DomainError when it is not a SymmetryLimit.
+
+        Entry points that take a limit call this once per call, so a kind
+        string in its place fails typed instead of on a missing attribute.
+        """
+        if not isinstance(sym, cls):
+            raise DomainError(f"expected a SymmetryLimit, got "
+                              f"{type(sym).__name__} {sym!r}")
+        return sym
+
+    @classmethod
     def spin(cls, constant: float) -> "SymmetryLimit":
         return cls("spin", constant)
 
@@ -240,7 +252,7 @@ class ReducedEquation:
     def of(cls, p: PotentialParams, sym: SymmetryLimit,
            qn) -> "ReducedEquation":
         """The record of state qn (only n and kappa are used) in limit sym."""
-        s = sym.sign
+        s = SymmetryLimit.checked(sym).sign
         eta = qn.kappa + p.H
         return cls(s=s, C=sym.constant, M=p.M, lam=eta * (eta + s),
                    degree=radial_poly_degree(qn, sym.kind),
@@ -275,7 +287,7 @@ def target_eigenvalue(E: float, sym: SymmetryLimit, M: float) -> float:
     computed as -lhs: the squares here are products, and a float's E**2
     can differ from E*E in the last bit.
     """
-    s = sym.sign
+    s = SymmetryLimit.checked(sym).sign
     return E * E - M * M + s * sym.constant * (M - s * E)
 
 

@@ -477,7 +477,7 @@ def doublet_partner(qn: QuantumNumbers, sym: SymmetryLimit) -> QuantumNumbers:
     DomainError where no partner exists (spin kappa=-1, pseudospin kappa=1,
     and pseudospin n=0 with kappa<0).
     """
-    if sym.is_spin:
+    if SymmetryLimit.checked(sym).is_spin:
         partner_kappa = -qn.kappa - 1
         if partner_kappa == 0:
             raise DomainError(f"{qn.label} has no spin doublet partner")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from diracbound import (
     DomainError,
@@ -126,6 +128,89 @@ def test_sweep_counts_nodes_like_count_nodes(step):
     assert nodes == count_nodes(u) == 9
     assert before_cap == count_nodes(u[:kc + 2])
     assert before_cap == (4 if step > 0 else 5)
+
+
+@st.composite
+def _bounded_sweeps(draw):
+    """An outward sweep of u'' = (r^2 - e + a sin 3r) u from u(0) = 0 on a
+    dyadic grid, with mark, cap and limit.  Without the ripple the odd
+    levels are e = 3, 7, 11, ...  Families: an end that is classically
+    allowed, where the growing-tail rule must never stop the sweep; a
+    36 fm grid with mark near its end, so that the growing tail passes
+    _RESCALE_AT before the rule may stop the sweep; e just off a level,
+    where u decays into the forbidden region and, above the level,
+    crosses zero there; and any e."""
+    family = draw(st.sampled_from(["allowed-end", "rescale", "near-level",
+                                   "any"]))
+    h = 2.0 ** -draw(st.integers(5, 7))
+    r_end = 36.0 if family == "rescale" else draw(
+        st.sampled_from([4.0, 6.0, 8.0, 12.0]))
+    ripple = 0.0
+    if family == "allowed-end":
+        e = r_end * r_end + draw(st.floats(1.0, 60.0))
+    elif family == "near-level":
+        e = draw(st.sampled_from([3.0, 7.0, 11.0])) + draw(
+            st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-7.0, 0.0))
+    else:
+        e = draw(st.floats(-5.0, 40.0))
+        ripple = draw(st.floats(0.0, 2.0))
+    n = round(r_end / h)
+    mark = draw(st.integers(n - 100 if family == "rescale" else 1, n + 5))
+    return (h, r_end, e, ripple, mark, draw(st.integers(1, n + 5)),
+            draw(st.none() | st.integers(0, 6)), draw(st.booleans()))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_bounded_sweeps())
+# a node at the first step of the growing-tail certificate's run
+@example((2.0 ** -6, 8.0, 3.64, 0.0, 400, 300, None, False))
+# decays into a 36 fm tail just below the lowest odd level, then grows
+# past _RESCALE_AT before mark
+@example((2.0 ** -6, 36.0, 3.0 - 1e-7, 0.0, 2250, 2000, 0, True))
+def test_bounded_sweep_matches_numerov_integrate_and_count_nodes(case):
+    # The stop rules leave every value a caller reads as a full sweep
+    # has it: the node count (or, with a limit, a count above it), the
+    # nodes before cap and the triplet at mark.  count_nodes skips exact
+    # zeros and has no roundoff floor, so draws with an exact zero or a
+    # sign change at the floor are set aside; the floor rule is pinned by
+    # the _sweep_batch tests.
+    h, r_end, e, ripple, mark, cap, limit, as_list = case
+    r = np.arange(round(r_end / h) + 1) * h
+    Q = r * r - e + ripple * np.sin(3.0 * r)
+    u = numerov_integrate(r, Q, 0.0, h)
+    a = np.abs(u[1:])
+    flip = np.signbit(u[1:-1]) != np.signbit(u[2:])
+    floor = 1e-12 * np.maximum.accumulate(a)[1:]
+    assume(a.all() and (a[1:][flip] > floor[flip]).all())
+    w = 1.0 - (h * h / 12.0) * Q
+    nodes, before_cap, trip = _sweep(w.tolist() if as_list else w, 0.0, 0.0,
+                                     h, 1, r.size - 1, 1, mark, cap, limit)
+    # the sweep counts sign changes between u[1], ..., u[-1]
+    want = count_nodes(np.append(u, u[-1]))
+    k = min(cap, r.size - 1)
+    want_before_cap = count_nodes(np.append(u[:k + 1], u[k]))
+    if limit is not None and want > limit:
+        assert nodes == limit + 1
+        assert before_cap <= want_before_cap
+    else:
+        assert (nodes, before_cap) == (want, want_before_cap)
+        assert (trip is None) == (mark >= r.size - 1)
+    if trip is not None and max(abs(trip[1]), abs(trip[2])) <= _RESCALE_AT:
+        # the reference stops one point past mark, as in
+        # test_sweep_matches_numerov_integrate_at_mark
+        ref = numerov_integrate(r[:mark + 2], Q[:mark + 2], 0.0, h)
+        assert list(trip) == ref[mark - 1:].tolist()
+
+
+def test_growing_tail_rule_reaches_a_flip_at_the_last_step():
+    # Weights 1 - 2**-5 (a discrete f > 0) let u grow about 1.8-fold per
+    # step from equal seeds.  The center weight 1.5 (k = -3) of the last
+    # step flips the sign of u; the step before, whose wp it is, still
+    # grows |u|.  Those two steps break the certificate, so the rule may
+    # not stop the sweep before the grid ends.
+    w = np.full(300, 1.0 - 2.0 ** -5)
+    w[-2] = 1.5
+    assert _sweep(w, 0.0, 1.0, 1.0, 1, w.size - 1, 1, 1, 1)[0] == 1
 
 
 def _overflows(w, c, seed):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diracbound
 from diracbound import (
     DomainError,
     PotentialParams,
@@ -49,6 +50,60 @@ def test_symmetry_limit_constructors():
     assert not ps.is_spin and ps.kind == "pseudospin" and ps.constant == -5.0
     with pytest.raises(DomainError):
         SymmetryLimit("other", 0.0)
+
+
+# Every public entry point that takes a SymmetryLimit, called with sym in
+# its place and otherwise valid arguments for the benchmark point.
+_QN = QuantumNumbers(0, -2)
+_P = PotentialParams(V0=2.0, A=1.0, B=1.0, delta=0.05, H=0.0, M=4.76)
+_TAKES_SYM = {
+    "solve_levels": lambda sym: diracbound.solve_levels(_QN, sym, _P),
+    "solve_levels_batch":
+        lambda sym: diracbound.solve_levels_batch([(_QN, sym, _P)]),
+    "sweep_delta": lambda sym: diracbound.sweep_delta([_QN], sym, _P, [0.05]),
+    "nu_residual": lambda sym: diracbound.nu_residual(0.3, _P, sym, _QN),
+    "doublet_partner": lambda sym: diracbound.doublet_partner(_QN, sym),
+    "susy_residual": lambda sym: diracbound.susy_residual(0.3, _P, sym, _QN),
+    "solve_constants":
+        lambda sym: diracbound.solve_constants(0.24181258, _P, sym, _QN),
+    "wave_context": lambda sym: diracbound.wave_context(_QN, sym, _P, 0.3),
+    "solve_wavefunction":
+        lambda sym: diracbound.solve_wavefunction(_QN, sym, _P, 0.3),
+    "effective_potential": lambda sym: diracbound.effective_potential(
+        np.array([1.0, 2.0]), 0.3, _P, sym, _QN),
+    "target_eigenvalue": lambda sym: diracbound.target_eigenvalue(
+        0.3, sym, 4.76),
+    "dirac_eigenvalue": lambda sym: diracbound.dirac_eigenvalue(
+        _QN, sym, _P, diracbound.OracleConfig(num_points=1000)),
+    "swave_residual": lambda sym: diracbound.swave_residual(0.3, _P, sym, 0),
+    "swave_exponents": lambda sym: diracbound.swave_exponents(0.3, _P, sym),
+    "swave_wavefunction": lambda sym: diracbound.swave_wavefunction(
+        [1.0], 0.3, _P, sym, 0),
+    "hulthen_residual":
+        lambda sym: diracbound.hulthen_residual(0.3, _P, sym, _QN),
+    "yukawa_residual":
+        lambda sym: diracbound.yukawa_residual(0.3, _P, sym, _QN),
+    "hulthen_roots": lambda sym: diracbound.hulthen_roots(_P, sym, _QN),
+    "coulomb_energy":
+        lambda sym: diracbound.coulomb_energy(sym, _QN, 1.0, 4.76),
+    "iq_yukawa_residual":
+        lambda sym: diracbound.iq_yukawa_residual(0.3, _P, sym, _QN),
+    "kratzer_fues_residual": lambda sym: diracbound.kratzer_fues_residual(
+        0.3, sym, _QN, 1.0, 1.0, 4.76),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAKES_SYM))
+def test_a_limit_that_is_not_a_symmetry_limit_is_a_domain_error(name):
+    # A kind string, a bare constant, None, or an object that only looks
+    # like a limit: each fails typed, before any attribute is read.
+    call = _TAKES_SYM[name]
+    call(SymmetryLimit.spin(5.0))
+    lookalike = type("Lookalike", (), {"kind": "spin", "constant": 5.0,
+                                       "is_spin": True, "sign": 1.0})()
+    for bad in ("spin", 5.0, None, lookalike):
+        with pytest.raises(DomainError, match="expected a SymmetryLimit"):
+            call(bad)
 
 
 def test_benchmark_params_values():
