@@ -7,6 +7,7 @@ cross-checked by an independent shooting-method oracle.
 """
 
 from .errors import (
+    DiracboundError,
     DomainError,
     InvalidBranchError,
     NoEigenvalueError,

@@ -19,8 +19,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import (DomainError, NoEigenvalueError, NotConvergedError,
-                     PoleError)
+from .errors import DiracboundError, DomainError
 from .limits import (NonRelParams, coulomb_energy, hulthen_roots,
                      kratzer_fues_residual, nonrel_energy_coulomb,
                      nonrel_energy_hulthen)
@@ -636,8 +635,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     for name, runner in suites:
         try:
             status, detail = runner(cfg)
-        except (DomainError, NoEigenvalueError, NotConvergedError,
-                PoleError) as exc:
+        except DiracboundError as exc:
             status, detail = "FAIL", f"{type(exc).__name__}: {exc}"
         print(f"{name}: {status} ({detail})")
         failed = failed or status == "FAIL"
@@ -777,8 +775,7 @@ def main(argv=None) -> int:
     }
     try:
         return dispatch[args.command](cfg)
-    except (DomainError, NoEigenvalueError, NotConvergedError,
-            PoleError) as exc:
+    except DiracboundError as exc:
         print(f"spectra: solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -34,7 +35,7 @@ __all__ = [
 ]
 
 _RESCALE_AT = 1e250
-_CHUNK = 2048            # weights per list that a scalar sweep converts
+_CHUNK = 2048            # weights per array that a scalar sweep converts
 _TAIL = 64               # steps between growing-tail checks of a sweep
 _BLOCK = 64              # grid rows per block of a batched sweep
 _R_MIN = 1e-6            # first grid point (fm)
@@ -173,66 +174,124 @@ def _sweep(w, c, u0, u1, i, stop, step, mark, cap, limit=None):
       adds a node or touches the triplet, and the sweep returns.  The
       rule is checked after every _TAIL steps past that point, so the
       recurrence's own steps cost what they did.
+
+    The common step costs the recurrence and two comparisons (one more
+    and a store while |u| grows); every returned bit is that of a loop
+    that tests each step in full:
+    - Sign-normalized frame.  The steps run on x = s u, with s = -1
+      exactly when u1 < 0, so x1 is not negative.  Negation is exact and
+      round-to-nearest is symmetric in sign, so when the frame's step
+      x2 = (k x1 - wm x0) / wp comes out positive, it is s u2 bit for
+      bit (its numerator is nonzero, so no signed zero or NaN arises), it
+      has u1's sign, so it is no node, and |u2| = x2.  Any other x2 (a
+      sign change, a zero or a NaN) takes the rare branch: it forms u0
+      and u1 from the frame, recomputes u2 from them as the plain
+      recurrence does, applies the node rule and the rescale to it, and
+      sets s from its sign.
+    - New maximum.  amax and the rescale are touched only when x2 passes
+      thr = min(amax, the chunk's rescale threshold); below that
+      threshold, x2 is a new amax and thr.  The steps at mark - 1 and
+      mark never rescale, so they may leave amax above _RESCALE_AT, and
+      a later step past _RESCALE_AT must still rescale below amax.
+    - Chunk cuts instead of per-step index tests.  Steps short of cap
+      and the others lie in different chunks.  The steps at mark - 1 and
+      mark form chunks without rescale, and the step at mark is a chunk
+      of its own: the triplet is its u0 and the state it leaves.  When
+      the count limit trips on it, the sweep returns before the triplet
+      is recorded.  Only the ends that _CHUNK and _TAIL set test the
+      growing-tail rule, so the sweep stops after the same steps.
     """
     # The weights w[j] + c and 12 - 10 (w[j] + c) of the swept span, in
     # sweep order.  Elementwise float64 arithmetic gives the bits the
     # step-by-step sums would, and the steps run on Python floats, several
-    # times faster than on numpy scalars; the conversion goes a chunk at a
-    # time, so no long list is held.
+    # times faster than on numpy scalars.  The doubles are copied a chunk
+    # at a time into an array.array, whose iteration makes each float as
+    # its step needs it, from the float free list; a list made up front
+    # costs about 10 % more per step.
     lo, hi = sorted((i - step, stop))
     wc = np.asarray(w[lo:hi + 1], dtype=float) + c
     if step < 0:
         wc = wc[::-1]
     kc = 12.0 - 10.0 * wc
-    # Step t has center wc[t + 1].  The tail rule may stop the sweep after
-    # the steps before tail: the step at mark is done, and every later
-    # step qualifies.
+    # Step t is taken at grid index i + t step and has center wc[t + 1].
+    # The tail rule may stop the sweep after the steps before tail: the
+    # step at mark is done, and every later step qualifies.
     n = wc.size - 2
-    tail = (mark - i) * step + 1
+    if n < 0:                       # stop behind the seeds: no step
+        return 0, 0, None
+    at_mark = (mark - i) * step
+    tail = max(at_mark + 1, 0)      # a mark behind the seeds has no step
     if tail < n:
         big = wc > 0.5
         bad = np.flatnonzero(~((kc[1:-1] - wc[:-2] - wc[2:] >= 1e-12)
                                & big[:-2] & big[1:-1] & big[2:]))
         if bad.size:
             tail = max(tail, int(bad[-1]) + 1)
-    ends = [*range(_CHUNK, min(tail, n), _CHUNK), *range(tail, n, _TAIL), n]
+    checks = range(tail, n, _TAIL)
+    # the steps at mark - 1 and mark, in sweep order from hold
+    hold = at_mark - (step > 0)
+    at_cap = (cap - i) * step
+    cuts = {*range(_CHUNK, min(tail, n), _CHUNK), *checks, n}
+    cuts.update(t for t in (hold, hold + 1, hold + 2, at_cap) if 0 < t < n)
     if limit is None:
         limit = math.inf
     u0, u1 = float(u0), float(u1)
+    s = -1.0 if u1 < 0.0 else 1.0
+    x0, x1 = s * u0, s * u1
     nodes = 0
     nodes_to_cap = 0
     trip = None
     amax = abs(u1)
-    neg1 = u1 < 0.0
     a = 0
-    for b in ends:
-        ws = wc[a:b + 2].tolist()
-        for wm, k, wp in zip(ws, kc[a + 1:b + 1].tolist(), ws[2:]):
-            u2 = (k * u1 - wm * u0) / wp
-            if u2 < 0.0:
-                a2, neg2 = -u2, True
-            else:
-                a2, neg2 = u2, False
-            if a2 > amax:
-                amax = a2
-            if neg2 != neg1 and u2 != 0.0 and u1 != 0.0 \
-                    and a2 > 1e-12 * amax:
-                nodes += 1
-                if (cap - i) * step > 0:
-                    nodes_to_cap += 1
-                if nodes > limit:
-                    return nodes, nodes_to_cap, trip
-            if i == mark:
-                trip = (u0, u1, u2)
-            # i + 1 == mark only occurs outward: inward sweeps stop at
-            # mark - 1
-            elif a2 > _RESCALE_AT and i + 1 != mark:
-                u1 /= _RESCALE_AT
-                u2 /= _RESCALE_AT
-                amax /= _RESCALE_AT
-            u0, u1, neg1 = u1, u2, neg2
-            i += step
-        if b >= tail and abs(u1) >= abs(u0) >= sys.float_info.min:
+    for b in sorted(cuts):
+        before = b <= at_cap
+        rescale_at = math.inf if hold <= a < hold + 2 else _RESCALE_AT
+        thr = min(amax, rescale_at)
+        if a == at_mark:
+            first = s * x0          # u[mark - step]
+        ws = array("d", wc[a:b + 2].tobytes())
+        ks = array("d", kc[a + 1:b + 1].tobytes())
+        # a step's wp is the wm of the step after next
+        wm, wq = ws[0], ws[1]
+        for k, wp in zip(ks, ws[2:]):
+            x2 = (k * x1 - wm * x0) / wp
+            if not x2 > 0.0:
+                # a sign change, a zero or a NaN: the step in u itself
+                u1 = s * x1
+                u2 = (k * u1 - wm * (s * x0)) / wp
+                a2 = abs(u2)
+                if a2 > amax:
+                    amax = a2
+                if (u2 < 0.0) != (s < 0.0) and u2 != 0.0 and u1 != 0.0 \
+                        and a2 > 1e-12 * amax:
+                    nodes += 1
+                    if before:
+                        nodes_to_cap += 1
+                    if nodes > limit:
+                        return nodes, nodes_to_cap, trip
+                if a2 > rescale_at:
+                    u1 /= _RESCALE_AT
+                    u2 /= _RESCALE_AT
+                    amax /= _RESCALE_AT
+                s = -1.0 if u2 < 0.0 else 1.0
+                x1, x2 = s * u1, s * u2
+                thr = min(amax, rescale_at)
+            elif x2 > thr:
+                if x2 <= rescale_at:
+                    # then x2 passes amax <= rescale_at: a new maximum
+                    amax = thr = x2
+                else:
+                    if x2 > amax:
+                        amax = x2
+                    x1 /= _RESCALE_AT
+                    x2 /= _RESCALE_AT
+                    amax /= _RESCALE_AT
+                    thr = min(amax, rescale_at)
+            x0, x1 = x1, x2
+            wm, wq = wq, wp
+        if a == at_mark < b:
+            trip = (first, s * x0, s * x1)
+        if b in checks and abs(x1) >= abs(x0) >= sys.float_info.min:
             break
         a = b
     return nodes, nodes_to_cap, trip
@@ -568,11 +627,13 @@ def schrodinger_eigenvalue(U_eff: Callable, n_target: int,
 
     U_eff is a callable accepting an array of radii.  When the config
     leaves r_max unset, the grid ends at 40 fm.  Returns (eps, nodes);
-    raises DomainError for a negative n_target and NoEigenvalueError when
-    the requested level does not exist in the searchable window (eps < 0).
+    raises DomainError for an n_target that is not a nonnegative integer
+    (QuantumNumbers' rule) and NoEigenvalueError when the requested level
+    does not exist in the searchable window (eps < 0).
     """
-    if n_target < 0:
-        raise DomainError(f"n_target must be >= 0, got {n_target}")
+    if not isinstance(n_target, numbers.Integral) or n_target < 0:
+        raise DomainError(f"n_target must be an integer >= 0, "
+                          f"got {n_target!r}")
     r = _build_grid(cfg, 1.0)
     U = np.asarray(U_eff(r), dtype=float)
     solver = _InnerSolver(U, r)

@@ -23,10 +23,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import diracbound
+from diracbound import cli
 from diracbound.cli import (RunConfig, apply_preset, format_cell, main,
                             parse_states, write_csv, write_json, _csv_quote,
                             _grid)
-from diracbound.errors import DomainError
+from diracbound.errors import (DiracboundError, DomainError,
+                               InvalidBranchError, NoEigenvalueError,
+                               NotConvergedError, PoleError,
+                               SingularCouplingError)
 from diracbound.spectra import QuantumNumbers
 
 from reference_data import PSEUDO_H0_EXEMPT, PSEUDO_TABLE, SPIN_TABLE
@@ -414,6 +418,40 @@ def test_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 1
+
+
+@pytest.mark.parametrize("error, builtin", [
+    (DomainError, ValueError),
+    (PoleError, ValueError),
+    (InvalidBranchError, ValueError),
+    (SingularCouplingError, ZeroDivisionError),
+    (NoEigenvalueError, RuntimeError),
+    (NotConvergedError, RuntimeError),
+], ids=lambda v: v.__name__)
+def test_every_error_type_is_a_solver_error(error, builtin, tmp_path, capsys,
+                                            monkeypatch):
+    # Each type keeps its builtin base under the shared one; a command
+    # that raises any of them exits 2 with one line, and a verify suite
+    # that raises one reports FAIL while the others still run.
+    assert issubclass(error, DiracboundError)
+    assert issubclass(error, builtin)
+
+    def fail(cfg):
+        raise error("planted")
+
+    monkeypatch.setattr(cli, "cmd_table", fail)
+    assert main(["table", "--states", "none", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "spectra: solver error: planted\n"
+    for suite in ("_verify_equivalence", "_verify_dual_path",
+                  "_verify_normalization"):
+        monkeypatch.setattr(cli, suite, lambda cfg: ("PASS", "stub"))
+    monkeypatch.setattr(cli, "_verify_degeneracy", fail)
+    assert main(["verify", "--oracle", "off", "--out", str(tmp_path)]) == 3
+    out = capsys.readouterr().out
+    assert re.search(rf"^degeneracy: FAIL \({error.__name__}: planted\)$",
+                     out, re.M)
+    assert re.search(r"^normalization: PASS", out, re.M)
+    assert out.rstrip().endswith("verify: FAIL")
 
 
 def spectra_command():

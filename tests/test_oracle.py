@@ -1,6 +1,7 @@
 """Shooting-method integrator against closed-form eigenvalues."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -28,10 +29,10 @@ from diracbound import (
 )
 from diracbound import oracle
 from diracbound.potentials import _effective_parts
-from diracbound.oracle import (_BLOCK, _OUTER_TOL, _RESCALE_AT,
-                               _batch_starts, _defect_sign, _energy_window,
-                               _probe_signs, _sweep, _sweep_batch, _u_eff,
-                               _weight_rows)
+from diracbound.oracle import (_BLOCK, _CHUNK, _OUTER_TOL, _RESCALE_AT,
+                               _TAIL, _batch_starts, _defect_sign,
+                               _energy_window, _probe_signs, _sweep,
+                               _sweep_batch, _u_eff, _weight_rows)
 
 
 def test_numerov_reproduces_sine_solution():
@@ -211,6 +212,177 @@ def test_growing_tail_rule_reaches_a_flip_at_the_last_step():
     w = np.full(300, 1.0 - 2.0 ** -5)
     w[-2] = 1.5
     assert _sweep(w, 0.0, 1.0, 1.0, 1, w.size - 1, 1, 1, 1)[0] == 1
+
+
+def _per_step_sweep(w, c, u0, u1, i, stop, step, mark, cap, limit=None):
+    """_sweep as it ran before its sign-normalized frame: every step tests
+    the sign, the index against mark and cap, and the rescale.  The
+    reference for test_sweep_matches_its_per_step_form."""
+    # The weights w[j] + c and 12 - 10 (w[j] + c) of the swept span, in
+    # sweep order.  Elementwise float64 arithmetic gives the bits the
+    # step-by-step sums would, and the steps run on Python floats, several
+    # times faster than on numpy scalars; the conversion goes a chunk at a
+    # time, so no long list is held.
+    lo, hi = sorted((i - step, stop))
+    wc = np.asarray(w[lo:hi + 1], dtype=float) + c
+    if step < 0:
+        wc = wc[::-1]
+    kc = 12.0 - 10.0 * wc
+    # Step t has center wc[t + 1].  The tail rule may stop the sweep after
+    # the steps before tail: the step at mark is done, and every later
+    # step qualifies.
+    n = wc.size - 2
+    tail = (mark - i) * step + 1
+    if tail < n:
+        big = wc > 0.5
+        bad = np.flatnonzero(~((kc[1:-1] - wc[:-2] - wc[2:] >= 1e-12)
+                               & big[:-2] & big[1:-1] & big[2:]))
+        if bad.size:
+            tail = max(tail, int(bad[-1]) + 1)
+    ends = [*range(_CHUNK, min(tail, n), _CHUNK), *range(tail, n, _TAIL), n]
+    if limit is None:
+        limit = math.inf
+    u0, u1 = float(u0), float(u1)
+    nodes = 0
+    nodes_to_cap = 0
+    trip = None
+    amax = abs(u1)
+    neg1 = u1 < 0.0
+    a = 0
+    for b in ends:
+        ws = wc[a:b + 2].tolist()
+        for wm, k, wp in zip(ws, kc[a + 1:b + 1].tolist(), ws[2:]):
+            u2 = (k * u1 - wm * u0) / wp
+            if u2 < 0.0:
+                a2, neg2 = -u2, True
+            else:
+                a2, neg2 = u2, False
+            if a2 > amax:
+                amax = a2
+            if neg2 != neg1 and u2 != 0.0 and u1 != 0.0 \
+                    and a2 > 1e-12 * amax:
+                nodes += 1
+                if (cap - i) * step > 0:
+                    nodes_to_cap += 1
+                if nodes > limit:
+                    return nodes, nodes_to_cap, trip
+            if i == mark:
+                trip = (u0, u1, u2)
+            # i + 1 == mark only occurs outward: inward sweeps stop at
+            # mark - 1
+            elif a2 > _RESCALE_AT and i + 1 != mark:
+                u1 /= _RESCALE_AT
+                u2 /= _RESCALE_AT
+                amax /= _RESCALE_AT
+            u0, u1, neg1 = u1, u2, neg2
+            i += step
+        if b >= tail and abs(u1) >= abs(u0) >= sys.float_info.min:
+            break
+        a = b
+    return nodes, nodes_to_cap, trip
+
+
+_SEEDS = [0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 1e-300, -5e-324, 1e200, -1e249]
+# oscillating (k = -1), slowly growing and flat weights
+_CALM = [1.3, 1.0 - 2.0 ** -12, 1.0]
+# and fast growing, tiny (a huge jump of |u|), negative, NaN, k = 0, k < 0
+_WILD = _CALM + [0.6, 1e-260, 1e-300, -1.0, math.nan, 1.2, 2.0, 0.5]
+
+
+@st.composite
+def _any_sweeps(draw):
+    """Weights, seeds and (i, stop, step, mark, cap, limit) of a sweep.
+
+    Families: "wild", weights from _WILD; "oscillating", weights of 1.3
+    (k = -1, a node every two steps or so), where the count limit may
+    trip on any step; "linear", weights of 1 (k = 2), so that integer
+    seeds step exactly along a line that meets zero or crosses it at or
+    under the 1e-12 node floor; "jump", calm weights with a tiny one that
+    makes the step at mark - 1, mark or mark + 1 pass _RESCALE_AT,
+    followed by weights that drop |u| and then overflow it unless it was
+    rescaled; and "tail", an oscillating stretch before growing
+    weights, long enough for the _CHUNK cuts and the growing-tail stop.
+    Half the draws put mark within a dozen steps of the start.
+    """
+    family = draw(st.sampled_from(["wild", "oscillating", "linear", "jump",
+                                   "tail"]))
+    size = draw(st.integers(2200, 2600) if family == "tail"
+                else st.integers(3, 90))
+    step = draw(st.sampled_from([1, -1]))
+    i = draw(st.integers(1, size - 2))
+    stop = draw(st.integers(i, size - 1) if step > 0 else st.integers(0, i))
+    near = st.integers(1, 12).map(lambda t: i + t * step)
+    # from the seed u0's index (no step at mark) to past the end
+    far = (st.integers(i - 1, stop + 2) if step > 0
+           else st.integers(stop - 2, i + 1))
+    mark = draw(near | far)
+    cap = draw(st.integers(-2, size + 2))
+    limit = draw(st.none() | st.integers(0, 6))
+    c = 0.0
+    u0, u1 = draw(st.sampled_from(_SEEDS)), draw(st.sampled_from(_SEEDS))
+    # the weights of the wild and jump families come from one drawn seed:
+    # a draw per weight would cost most of the test's time
+    pick = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).choice
+    if family == "wild":
+        w = pick(_WILD, size).tolist()
+        c = draw(st.sampled_from([0.0, 2.0 ** -10]))
+    elif family == "oscillating":
+        w = [1.3] * size
+    elif family == "linear":
+        w = [1.0] * size
+        d = draw(st.sampled_from([1.0, -3.0, 2.0 ** 40, -(2.0 ** 40)]))
+        u0 = draw(st.integers(0, 30)) * d + draw(st.integers(-20, 20))
+        u1 = u0 - d
+    elif family == "jump":
+        # the sweep runs to the grid's end, and |u| stays near the seeds'
+        # size up to the jump
+        stop = size - 1 if step > 0 else 0
+        u0, u1 = draw(st.sampled_from(_SEEDS[2:6])), draw(
+            st.sampled_from(_SEEDS[2:6]))
+        w = pick(_CALM, size).tolist()
+        # the wp of the step at mark + shift step, then, in sweep order,
+        # weights that drop |u| tenfold and then multiply it by 1e9
+        at = mark + (draw(st.integers(-1, 1)) + 1) * step
+        for j, v in enumerate((1e-300, 1.0, 10.0, 1e-7)):
+            if 0 <= at + j * step < size:
+                w[at + j * step] = v
+    else:
+        turn = draw(st.integers(0, size))
+        w = [1.3] * turn + [1.0 - 2.0 ** -5] * (size - turn)
+    if draw(st.booleans()):
+        w = np.array(w)
+    return w, c, u0, u1, i, stop, step, mark, cap, limit
+
+
+def _hex(values):
+    return None if values is None else [float.hex(v) for v in values]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_any_sweeps())
+# the steps at mark - 1 and mark pass _RESCALE_AT unrescaled; the next
+# step drops |u| below that max but above _RESCALE_AT, and must still
+# rescale, or the step after it overflows and loses its node
+@example(([1.3] * 20 + [1e-300, 1.0, 10.0, 1e-7] + [1.3] * 20, 0.0, 1.0,
+          1.0, 1, 43, 1, 20, 40, None))
+# the count limit trips on the step at mark: no triplet
+@example(([1.3] * 40, 0.0, 0.0, 1.0, 1, 39, 1, 1, 30, 0))
+@example(([1.3] * 40, 0.0, 0.0, 1.0, 38, 0, -1, 38, 30, 0))
+# an exact zero, then a sign change under the node floor
+@example(([1.0] * 40, 0.0, 3.0, 2.0, 1, 39, 1, 20, 20, None))
+@example(([1.0] * 40, 0.0, 10 * 2.0 ** 40 - 5.0, 9 * 2.0 ** 40 - 5.0,
+          1, 39, 1, 20, 5, None))
+# NaN weights
+@example(([1.3] * 10 + [math.nan] + [1.3] * 10, 0.0, 0.0, 1.0, 1, 20, 1, 15,
+          15, None))
+def test_sweep_matches_its_per_step_form(case):
+    # _sweep runs in a sign-normalized frame with mark and cap as chunk
+    # cuts; every value it returns, the triplet's zero signs and NaNs
+    # included, is that of the per-step loop.
+    want = _per_step_sweep(*case)
+    got = _sweep(*case)
+    assert got[:2] == want[:2]
+    assert _hex(got[2]) == _hex(want[2])
 
 
 def _overflows(w, c, seed):
@@ -621,6 +793,15 @@ def test_oracle_config_rejects_bad_values(kwargs):
 def test_schrodinger_eigenvalue_rejects_negative_level():
     with pytest.raises(DomainError):
         schrodinger_eigenvalue(lambda r: -2.0 / r, -1,
+                               OracleConfig(r_max=60.0, num_points=3000))
+
+
+@pytest.mark.parametrize("level", [0.5, 1.0, "0", None])
+def test_schrodinger_eigenvalue_rejects_a_non_integer_level(level):
+    # QuantumNumbers' rule: 0.5 once gave the n = 0 level, "0" and None an
+    # untyped TypeError
+    with pytest.raises(DomainError):
+        schrodinger_eigenvalue(lambda r: -2.0 / r, level,
                                OracleConfig(r_max=60.0, num_points=3000))
 
 
