@@ -37,7 +37,6 @@ __all__ = [
 _RESCALE_AT = 1e250
 _CHUNK = 2048            # weights per array that a scalar sweep converts
 _TAIL = 64               # steps between growing-tail checks of a sweep
-_BLOCK = 64              # grid rows per block of a batched sweep
 _R_MIN = 1e-6            # first grid point (fm)
 _MATCH_FRACTION = 0.35   # matching point, as a fraction of the grid length
 _OUTER_TOL = 1e-8        # largest final |eps_inner - eps_target| for converged
@@ -61,9 +60,10 @@ class OracleConfig:
 
     def __post_init__(self):
         if self.r_max is not None and not (
-                math.isfinite(self.r_max) and self.r_max > _R_MIN):
-            raise DomainError(f"r_max must be finite and exceed the grid "
-                              f"start {_R_MIN:g}, got {self.r_max!r}")
+                isinstance(self.r_max, numbers.Real)
+                and math.isfinite(self.r_max) and self.r_max > _R_MIN):
+            raise DomainError(f"r_max must be a finite number above the "
+                              f"grid start {_R_MIN:g}, got {self.r_max!r}")
         if not isinstance(self.num_points, numbers.Integral) \
                 or self.num_points < 1000:
             raise DomainError(f"num_points must be an integer of at least "
@@ -127,21 +127,8 @@ def _series_seed(f0, f1, r0, r1):
     return p, a1
 
 
-def _seed(r, p, a1, i0):
-    """Series-seeded (u0, u1, i) for an outward sweep from index i0.
-
-    u ~ r^p (1 + a1 r) at r[i0] and r[i0 + 1]; a tiny linear start replaces
-    it when the series does not give finite, nonzero values.
-    """
-    r0, r1 = r[i0], r[i0 + 1]
-    u0 = (r0 ** p) * (1.0 + a1 * r0)
-    u1 = (r1 ** p) * (1.0 + a1 * r1)
-    if not (math.isfinite(u0) and math.isfinite(u1)) or u1 == 0.0:
-        u0, u1 = 0.0, 1e-10
-    return u0, u1, i0 + 1
-
-
-def _sweep(w, c, u0, u1, i, stop, step, mark, cap, limit=None):
+def _sweep(w, c, u0, u1, i, stop, step, mark, cap, limit=None,
+           want_trip=True):
     """Numerov sweep of u'' = f u with weights w[j] + c, in direction step.
 
     u0 = u[i - step] and u1 = u[i] seed the recurrence, which fills
@@ -154,7 +141,7 @@ def _sweep(w, c, u0, u1, i, stop, step, mark, cap, limit=None):
     so only ratios of u are meaningful.
 
     Two rules end the sweep before stop.  Neither changes a value the
-    caller reads:
+    caller reads (with want_trip=False, the caller reads no triplet):
     - Count limit.  With limit given, the sweep returns as soon as nodes
       exceeds it; nodes is then only known to be above limit, and the
       other two values are those of the steps taken.
@@ -169,11 +156,13 @@ def _sweep(w, c, u0, u1, i, stop, step, mark, cap, limit=None):
       rounding of a step is a few ulp of 14 |u1|, far below 1e-12 |u1|
       once |u0| is a normal float; |u| grows less than 27-fold per step,
       so it never overflows; and the rescale by _RESCALE_AT divides both
-      values, changing their ratio by an ulp.  So once the step at mark
-      is done, every later step qualifies and u0, u1 do, no later step
-      adds a node or touches the triplet, and the sweep returns.  The
-      rule is checked after every _TAIL steps past that point, so the
-      recurrence's own steps cost what they did.
+      values, changing their ratio by an ulp; the two steps at mark - 1
+      and mark that never rescale leave |u| below 27^2 _RESCALE_AT.  So
+      once every later step qualifies and u0, u1 do, no later step adds
+      a node, and the sweep returns; with want_trip it waits for the
+      step at mark, which gives the triplet.  The rule is checked after
+      every _TAIL steps past that point, so the recurrence's own steps
+      cost what they did.
 
     The common step costs the recurrence and two comparisons (one more
     and a store while |u| grows); every returned bit is that of a loop
@@ -214,13 +203,14 @@ def _sweep(w, c, u0, u1, i, stop, step, mark, cap, limit=None):
         wc = wc[::-1]
     kc = 12.0 - 10.0 * wc
     # Step t is taken at grid index i + t step and has center wc[t + 1].
-    # The tail rule may stop the sweep after the steps before tail: the
-    # step at mark is done, and every later step qualifies.
+    # The tail rule may stop the sweep after the steps before tail: every
+    # later step qualifies, and the step at mark is done if want_trip.
     n = wc.size - 2
     if n < 0:                       # stop behind the seeds: no step
         return 0, 0, None
     at_mark = (mark - i) * step
-    tail = max(at_mark + 1, 0)      # a mark behind the seeds has no step
+    # a mark behind the seeds has no step
+    tail = max(at_mark + 1, 0) if want_trip else 0
     if tail < n:
         big = wc > 0.5
         bad = np.flatnonzero(~((kc[1:-1] - wc[:-2] - wc[2:] >= 1e-12)
@@ -297,137 +287,6 @@ def _sweep(w, c, u0, u1, i, stop, step, mark, cap, limit=None):
     return nodes, nodes_to_cap, trip
 
 
-def _weight_rows(lam_cent, pot, g, c, hh12):
-    """Numerov weights of a batch of sweeps, in blocks of grid rows.
-
-    Column k has U_eff = lam_cent + g[k] pot, summed in effective_potential's
-    order, and the weight 1 - hh12 U_eff + c[k] that _InnerSolver and _sweep
-    form from it, so each column carries the bits of its scalar sweep.  Each
-    block of at most _BLOCK rows is one broadcast expression with the same
-    elementwise operations in the same order; no (K, N) array exists.
-    """
-    for lo in range(0, len(lam_cent), _BLOCK):
-        lc = lam_cent[lo:lo + _BLOCK, None]
-        v = pot[lo:lo + _BLOCK, None]
-        yield 1.0 - hh12 * (lc + g * v) + c
-
-
-def _batch_starts(blocks, width, limit):
-    """Per column, the first row index i <= limit with |1 - w[i]| <= 0.05.
-
-    blocks yields the weight rows from grid index 0 (see _weight_rows).
-    This is _InnerSolver._start's rule for the first accurate step; None
-    marks a column with no such index.
-    """
-    starts = np.full(width, -1)
-    base = 0
-    for w in blocks:
-        if base > limit or (starts >= 0).all():
-            break
-        near = np.abs(1.0 - w[:limit + 1 - base]) <= 0.05
-        new = near.any(axis=0) & (starts < 0)
-        starts[new] = base + near[:, new].argmax(axis=0)
-        base += len(w)
-    return [None if i < 0 else int(i) for i in starts]
-
-
-def _sweep_batch(blocks, seeds):
-    """_sweep's outward node counts for a batch of weight columns, in lockstep.
-
-    blocks yields the weight rows from grid index 0 as 2-d blocks of any
-    height (see _weight_rows).  Column k runs the recurrence and node rule
-    of the outward _sweep(w_k, 0.0, *seeds[k], N - 1, 1, ...) on its
-    weights w_k, but never rescales; seeds[k] = None leaves the column
-    out.  A column is lost where its |u| passes _RESCALE_AT or stops being
-    finite.  Returns (node counts, with None for a left-out or lost column;
-    the indices of the lost columns).  A column that is not lost never
-    triggers a rescale in _sweep, so its count is _sweep's count bit for
-    bit; the caller sweeps a lost column with _sweep.  Only one block and
-    its two rows before are held.
-    """
-    run = _Lockstep(seeds)
-    if run.begin:
-        for w in blocks:
-            run.block(w)
-    return ([None if seed is None or lost else int(n)
-             for seed, n, lost in zip(seeds, run.nodes, run.lost)],
-            np.flatnonzero(run.lost).tolist())
-
-
-class _Lockstep:
-    """_sweep_batch's columns, stepped one block of grid rows at a time.
-
-    Per grid row only the recurrence runs.  The node counts and the lost
-    flags come from one array pass per segment of a block, a segment
-    being cut wherever a column starts, so that each column is either
-    running or starts at the segment's first step.  A column not yet
-    started holds u = 0: it steps to 0 and counts nothing.
-    """
-
-    def __init__(self, seeds):
-        self.seeds = seeds
-        # columns by the index where their first step is taken
-        self.begin = {}
-        for k, seed in enumerate(seeds):
-            if seed is not None:
-                self.begin.setdefault(seed[2], []).append(k)
-        width = len(seeds)
-        self.nodes = np.zeros(width, dtype=int)
-        self.amax = np.zeros(width)
-        self.lost = np.zeros(width, dtype=bool)
-        self.r0 = 0                       # grid row of the next block
-        self.w_prev = np.zeros((2, width))
-        self.u_prev = np.zeros((2, width))
-
-    def block(self, w):
-        """Steps i that make u[i + 1] for the rows i + 1 of block w.
-
-        Row t of the buffers wb, k12 (12 - 10 w) and ub is grid row
-        r0 - 2 + t, so step i reads rows j, j + 1 and writes row j + 2,
-        with j = i - r0 + 1.
-        """
-        r0 = self.r0
-        self.wb = np.concatenate((self.w_prev, w))
-        self.k12 = np.multiply(10.0, self.wb)
-        np.subtract(12.0, self.k12, out=self.k12)
-        self.ub = np.zeros_like(self.wb)
-        self.ub[:2] = self.u_prev
-        stop = r0 + len(w) - 1
-        i = max(min(self.begin), r0 - 1)
-        for cut in sorted(s for s in self.begin if i < s < stop) + [stop]:
-            if i < cut:
-                self._segment(i - r0 + 1, cut - r0 + 1, self.begin.get(i))
-            i = cut
-        self.w_prev, self.u_prev = self.wb[-2:].copy(), self.ub[-2:].copy()
-        self.r0 += len(w)
-
-    def _segment(self, ja, jb, cols):
-        """Steps ja <= j < jb, where the columns cols start at step ja."""
-        wb, k12, ub = self.wb, self.k12, self.ub
-        if cols is not None:
-            ub[ja, cols] = [self.seeds[k][0] for k in cols]
-            ub[ja + 1, cols] = [self.seeds[k][1] for k in cols]
-        # unrescaled, a lost column may overflow to inf and then nan
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(ja, jb):
-                u2 = ub[j + 2]
-                np.multiply(k12[j + 1], ub[j + 1], out=u2)
-                u2 -= np.multiply(wb[j], ub[j])
-                u2 /= wb[j + 2]
-        seg = ub[ja + 1:jb + 2]       # u1 of the first step to u2 of the last
-        a = np.abs(seg)
-        self.lost |= ~(a[1:] <= _RESCALE_AT).all(axis=0)
-        # running max of |u| since each column's start: a column starting
-        # at ja holds amax = 0, so its seed u1 opens its max
-        np.maximum(a[0], self.amax, out=a[0])
-        run = np.maximum.accumulate(a, axis=0)
-        self.amax = run[-1].copy()
-        run *= 1e-12                  # the node floor
-        u1, u2 = seg[:-1], seg[1:]
-        self.nodes += (((u2 < 0.0) != (u1 < 0.0)) & (u2 != 0.0)
-                       & (u1 != 0.0) & (a[1:] > run[1:])).sum(axis=0)
-
-
 class _InnerSolver:
     """Node counting and log-derivative matching machinery for a fixed U(r)."""
 
@@ -443,28 +302,36 @@ class _InnerSolver:
     def _start(self, c):
         """Series-seeded (u0, u1, i) for the outward sweep, or None.
 
-        The sweep starts at the first index where the weight is close
+        The sweep starts at the first index i0 where the weight is close
         enough to 1 for the recurrence to be accurate, and no later than
-        two points before match_idx.
+        two points before match_idx.  u ~ r^p (1 + a1 r) at r[i0] and
+        r[i0 + 1]; a tiny linear start replaces it when the series does
+        not give finite, nonzero values.
         """
         near = np.abs(1.0 - (self.wU[:self.match_idx - 1] + c)) <= 0.05
         i0 = int(near.argmax())
         if not near[i0]:
             return None
-        return _seed(self.r, self.p, self.a1, i0)
+        r0, r1 = self.r[i0], self.r[i0 + 1]
+        u0 = (r0 ** self.p) * (1.0 + self.a1 * r0)
+        u1 = (r1 ** self.p) * (1.0 + self.a1 * r1)
+        if not (math.isfinite(u0) and math.isfinite(u1)) or u1 == 0.0:
+            u0, u1 = 0.0, 1e-10
+        return u0, u1, i0 + 1
 
-    def _shoot_out(self, c, cap, limit=None):
-        """Outward sweep from the series-seeded start to the grid end.
+    def _shoot_out(self, c, cap, limit=None, want_trip=True):
+        """Outward sweep from the series-seeded start toward the grid end.
 
         Returns (nodes, nodes before cap, triplet around match_idx), or
-        three Nones when the grid offers no accurate start.  limit is
-        _sweep's count limit.
+        three Nones when the grid offers no accurate start.  limit and
+        want_trip are _sweep's: the sweep may stop at the grid end or
+        earlier, once no later step can change a value the caller reads.
         """
         start = self._start(c)
         if start is None:
             return None, None, None
         return _sweep(self.wU, c, *start, len(self.wU) - 1, 1,
-                      self.match_idx, cap, limit)
+                      self.match_idx, cap, limit, want_trip)
 
     def _shoot_in(self, c, eps):
         """Inward sweep from the decaying tail down to match_idx.
@@ -486,8 +353,11 @@ class _InnerSolver:
 
         With limit given, a count above it is only known to exceed it
         (_sweep's count limit): the callers only compare it with limit.
+        No triplet is read, so the growing-tail rule may stop the sweep
+        before match_idx.
         """
-        return self._shoot_out(self.hh12 * eps, self.match_idx, limit)[0]
+        return self._shoot_out(self.hh12 * eps, self.match_idx, limit,
+                               want_trip=False)[0]
 
     def defect(self, eps: float, n_target: int):
         """(sturm_nodes, log-derivative mismatch at the matching point).
@@ -625,18 +495,23 @@ def schrodinger_eigenvalue(U_eff: Callable, n_target: int,
                            cfg: OracleConfig):
     """Eigenvalue eps of u'' = [U(r) - eps] u with n_target interior nodes.
 
-    U_eff is a callable accepting an array of radii.  When the config
-    leaves r_max unset, the grid ends at 40 fm.  Returns (eps, nodes);
-    raises DomainError for an n_target that is not a nonnegative integer
-    (QuantumNumbers' rule) and NoEigenvalueError when the requested level
-    does not exist in the searchable window (eps < 0).
+    U_eff is a callable that maps an array of radii to an array of real
+    values of the same shape.  When the config leaves r_max unset, the
+    grid ends at 40 fm.  Returns (eps, nodes); raises DomainError for an
+    n_target that is not a nonnegative integer (QuantumNumbers' rule) or a
+    U_eff that does not return one real value per radius, and
+    NoEigenvalueError when the requested level does not exist in the
+    searchable window (eps < 0).
     """
     if not isinstance(n_target, numbers.Integral) or n_target < 0:
         raise DomainError(f"n_target must be an integer >= 0, "
                           f"got {n_target!r}")
     r = _build_grid(cfg, 1.0)
-    U = np.asarray(U_eff(r), dtype=float)
-    solver = _InnerSolver(U, r)
+    U = np.asarray(U_eff(r))
+    if U.shape != r.shape or U.dtype.kind not in "iuf":
+        raise DomainError(f"U_eff must return one real value per radius, "
+                          f"got shape {U.shape} of dtype {U.dtype}")
+    solver = _InnerSolver(U.astype(float), r)
     return solver.eigenvalue(n_target)
 
 
@@ -668,44 +543,6 @@ def _defect_sign(parts, sym: SymmetryLimit, M: float, r: np.ndarray,
     return +1 if n <= degree else -1
 
 
-def _probe_signs(p: PotentialParams, sym: SymmetryLimit, qn: QuantumNumbers,
-                 n_target: int, cfg: OracleConfig, r: np.ndarray,
-                 probes: np.ndarray):
-    """_defect_sign's sign at each E in probes, on the grid r.
-
-    One batched outward sweep does the work of the scalar ones: U_eff is
-    affine in E, so every probe's weights come from the same E-independent
-    parts, and each column gets the start index, series seed and node
-    count its own _defect_sign would.  A column the batch loses, where
-    _sweep would have to rescale, is swept again by _sweep itself, with
-    _defect_sign's count limit, as only the sign is read.
-    """
-    eq, lam_cent, pot = _effective_parts(r, p, sym, qn, cfg.centrifugal_mode)
-    g = eq.s * eq.coupling(probes)
-    h = r[1] - r[0]
-    hh12 = h * h / 12.0
-    c = hh12 * target_eigenvalue(probes, sym, p.M)
-    mark = int(_MATCH_FRACTION * r.size)
-    starts = _batch_starts(_weight_rows(lam_cent, pot, g, c, hh12),
-                           len(probes), mark - 2)
-    seeds = []
-    for k, i0 in enumerate(starts):
-        # U_eff at the first two grid points, as effective_potential has them
-        seeds.append(None if i0 is None else _seed(r, *_series_seed(
-            lam_cent[0] + g[k] * pot[0], lam_cent[1] + g[k] * pot[1],
-            r[0], r[1]), i0))
-    counts, lost = _sweep_batch(_weight_rows(lam_cent, pot, g, c, hh12),
-                                seeds)
-    for k in lost:
-        # the column's own weights, as _weight_rows forms them, swept as
-        # _defect_sign sweeps them
-        w = 1.0 - hh12 * (lam_cent + g[k] * pot) + c[k]
-        counts[k] = _sweep(w, 0.0, *seeds[k], r.size - 1, 1, mark, mark,
-                           n_target)[0]
-    return [None if n is None else (+1 if n <= n_target else -1)
-            for n in counts]
-
-
 def _energy_window(eq: ReducedEquation):
     """Open interval of E where eps_target < 0 (a decaying tail is possible).
 
@@ -729,10 +566,10 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
     Solves eps_inner(E) = eps_target(E) where eps_inner is the inner
     eigenvalue with the node count fixed by the quantum numbers (the degree
     of the polynomial factor of the solved component).  The energy window is
-    scanned at 160 probe energies for sign changes of the defect, all of
-    them in one batched outward Numerov sweep on a coarse grid; the bracket
-    nearest E = 0 is bisected with single sweeps on the fine grid, U_eff
-    being built at each energy from parts computed once, and the result is
+    scanned at 160 probe energies for sign changes of the defect, each with
+    one outward Numerov sweep on a coarse grid; the bracket nearest E = 0
+    is bisected with single sweeps on the fine grid.  On either grid U_eff
+    is built at each energy from parts computed once, and the result is
     confirmed by a full inner eigensolve at the final energy.
 
     That eigensolve is given eps_target(E) as a guess: when the outer
@@ -770,9 +607,10 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
     r_coarse = _build_grid(cfg, eps_ref, max(2000, cfg.num_points // 5))
     r_fine = _build_grid(cfg, eps_ref)
 
-    # scan for defect sign changes with one batched sweep on the coarse grid
+    # scan for defect sign changes on the coarse grid
+    coarse = _effective_parts(r_coarse, p, sym, qn, cfg.centrifugal_mode)
     probes = np.linspace(e_lo, e_hi, 160)
-    signs = _probe_signs(p, sym, qn, n_target, cfg, r_coarse, probes)
+    signs = [_defect_sign(coarse, sym, p.M, r_coarse, E) for E in probes]
     brackets = []
     for i in range(len(probes) - 1):
         if signs[i] is not None and signs[i + 1] is not None \

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,10 +30,8 @@ from diracbound import (
 )
 from diracbound import oracle
 from diracbound.potentials import _effective_parts
-from diracbound.oracle import (_BLOCK, _CHUNK, _OUTER_TOL, _RESCALE_AT,
-                               _TAIL, _batch_starts, _defect_sign,
-                               _energy_window, _probe_signs, _sweep,
-                               _sweep_batch, _u_eff, _weight_rows)
+from diracbound.oracle import (_CHUNK, _OUTER_TOL, _RESCALE_AT, _TAIL,
+                               _energy_window, _sweep, _u_eff)
 
 
 def test_numerov_reproduces_sine_solution():
@@ -174,7 +173,7 @@ def test_bounded_sweep_matches_numerov_integrate_and_count_nodes(case):
     # nodes before cap and the triplet at mark.  count_nodes skips exact
     # zeros and has no roundoff floor, so draws with an exact zero or a
     # sign change at the floor are set aside; the floor rule is pinned by
-    # the _sweep_batch tests.
+    # test_sweep_node_floor_follows_running_max.
     h, r_end, e, ripple, mark, cap, limit, as_list = case
     r = np.arange(round(r_end / h) + 1) * h
     Q = r * r - e + ripple * np.sin(3.0 * r)
@@ -212,6 +211,42 @@ def test_growing_tail_rule_reaches_a_flip_at_the_last_step():
     w = np.full(300, 1.0 - 2.0 ** -5)
     w[-2] = 1.5
     assert _sweep(w, 0.0, 1.0, 1.0, 1, w.size - 1, 1, 1, 1)[0] == 1
+
+
+def test_sweep_node_floor_follows_running_max():
+    # All weights are 1 but one, so u runs on an exact line.  A sign
+    # change is a node only above 1e-12 of the running max of |u|.
+    n = 1100
+    # From A, u falls by 2**-10 a step and reaches A - 1 at step 1024: a
+    # sign change there below the floor (A = 1 - 2**-53) or through an
+    # exact zero (A = 1) is no node, and one above it (A = 1 + 2**-52,
+    # the next point) is.
+    assert [_sweep(np.ones(n), 0.0, a, a - 2.0 ** -10, 1, n - 1, 1, 500,
+                   500)[0]
+            for a in (1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52)] == [0, 0, 1]
+    # u climbs u[j] = j from 1; the weight W at f = 1000 gives
+    # u[f] = f / W.  With W = -2**43 the sign flips at 1.1e-10, below
+    # 1e-12 of the running max 999 but above 1e-12 of the start value,
+    # so it is no node; with W = -2**30 it flips at 9.3e-7, and is one.
+    f = 1000
+    for weight, want in ((-2.0 ** 43, 0), (-2.0 ** 30, 1)):
+        w = np.ones(n)
+        w[f] = weight
+        nodes, _, trip = _sweep(w, 0.0, 0.0, 1.0, 1, n - 1, 1, f - 1, f - 1)
+        assert nodes == want
+        if want == 0:
+            assert 1e-12 < -trip[2] < 1e-12 * trip[1]
+    # u falls on u[j] = f + 1.5 - j from its seed u[1] = f + 0.5, the
+    # running max; W at f = 194 flips the sign at u[f] = 1.5 / W.  With
+    # W = -2**33 (1.7e-10) that is below 1e-12 of the running max, though
+    # above 1e-12 of the |u| of the last steps, so it is no node; with
+    # W = -2**28 (5.6e-9) it is one.
+    f = 194
+    for weight, want in ((-2.0 ** 33, 0), (-2.0 ** 28, 1)):
+        w = np.ones(f + 100)
+        w[f] = weight
+        assert _sweep(w, 0.0, f + 1.5, f + 0.5, 1, w.size - 1, 1, f - 1,
+                      f - 1)[0] == want
 
 
 def _per_step_sweep(w, c, u0, u1, i, stop, step, mark, cap, limit=None):
@@ -358,6 +393,13 @@ def _hex(values):
     return None if values is None else [float.hex(v) for v in values]
 
 
+# A jump draw with its tiny weight at mark: the steps at mark - 1 and mark
+# pass _RESCALE_AT unrescaled, and the sweep counts 14 nodes.  Put mark
+# behind the seeds, so that every step may rescale, and it counts 15.
+_JUMP = np.random.default_rng(0).choice(_CALM, 70)
+_JUMP[66:] = [1e-300, 1.0, 10.0, 1e-7]
+
+
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(_any_sweeps())
 # the steps at mark - 1 and mark pass _RESCALE_AT unrescaled; the next
@@ -385,187 +427,91 @@ def test_sweep_matches_its_per_step_form(case):
     assert _hex(got[2]) == _hex(want[2])
 
 
-def _overflows(w, c, seed):
-    """Whether _sweep's outward recurrence from seed, never rescaled, has
-    some |u| pass _RESCALE_AT or stop being finite: the lost rule."""
-    u0, u1, i = seed
-    for j in range(i, len(w) - 1):
-        wm, wj, wp = w[j - 1] + c, w[j] + c, w[j + 1] + c
-        u0, u1 = u1, ((12.0 - 10.0 * wj) * u1 - wm * u0) / wp
-        if not abs(u1) <= _RESCALE_AT:
-            return True
-    return False
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_any_sweeps())
+@example((_JUMP.tolist(), 0.0, 1.0, 1.0, 9, 69, 1, 66, 66, None))
+def test_node_only_sweep_counts_like_the_marked_sweep(case):
+    # want_trip=False lets the growing-tail rule stop the sweep before
+    # mark, while the steps at mark - 1 and mark still skip the rescale:
+    # both counts, with a count limit or without, are the marked sweep's.
+    assert _sweep(*case, want_trip=False)[:2] == _sweep(*case)[:2]
 
 
-@pytest.mark.parametrize("case, at_guard", [
-    ("forward-oscillating", False),
-    ("forward-growing", False),
-    ("forward-growing", True),
-])
-def test_sweep_batch_matches_sweep(case, at_guard):
-    # Columns differ in g, c and start index; each column that is not lost
-    # must give the node count of its own scalar _sweep, bit for bit.  The
-    # case's Q is lam_cent, and g * pot deepens it near r = 0, so counts
-    # differ.  In the growing case some columns pass the guard and are
-    # lost; at_guard ends the grid at the first point where column 0
-    # (g = c = 0, exact seed) passes it, so only column 0 is lost, at its
-    # last row.
-    _, _, r_end, seed_solution, _ = _SWEEP_CASES[case]
-    end = None
-    if at_guard:
-        r = np.arange(round(r_end / _H) + 1) * _H
-        end = int(np.argmax(seed_solution(r) > _RESCALE_AT)) + 1
-    r, blocks, seeds, refs = _batch_case(case, [1, 2, 5, 9, 40, None, 3],
-                                         end)
-    counts, lost = _assert_batch_matches(r.size, blocks, seeds, refs)
-    if case.endswith("oscillating"):
-        assert lost == []
-        assert len(set(counts) - {None}) > 1
-    else:
-        assert lost == ([0] if at_guard else [0, 1, 2, 3, 4])
+def _count_steps(monkeypatch):
+    """A function giving the recurrence steps _sweep has taken since the
+    call: each chunk makes its weights' array, then its centers' array,
+    with one element per step."""
+    made = []
+    real = oracle.array
+
+    def spy(code, data):
+        values = real(code, data)
+        made.append(len(values))
+        return values
+
+    monkeypatch.setattr(oracle, "array", spy)
+    return lambda: sum(made[1::2])
 
 
-def _batch_case(case, starts, end=None):
-    """Weights and seeds of test_sweep_batch_matches_sweep's columns, on
-    the case's grid cut to its first end rows."""
-    _, q, r_end, seed_solution, _ = _SWEEP_CASES[case]
-    r = (np.arange(round(r_end / _H) + 1) * _H)[:end]
-    lam_cent, pot = q(r), -150.0 * np.exp(-r)
-    hh12 = _H * _H / 12.0
-    g = np.linspace(0.0, 2.0, len(starts))
-    c = hh12 * np.linspace(0.0, 3.0, len(starts))
-    seeds = [None if i is None else
-             (float(seed_solution(r[i - 1])), float(seed_solution(r[i])), i)
-             for i in starts]
-    refs = [None if seed is None else
-            (1.0 - hh12 * (lam_cent + g[k] * pot), c[k], seed)
-            for k, seed in enumerate(seeds)]
-    return r, _weight_rows(lam_cent, pot, g, c, hh12), seeds, refs
+def test_node_only_sweeps_stop_on_a_growing_tail(monkeypatch):
+    # Pseudospin 1s1/2 at C = -5, H = 0 is repulsive: U_eff - eps_target
+    # is positive everywhere, so every step of every probe qualifies for
+    # the growing-tail rule and each node-only sweep stops before its
+    # first step.  A sweep that reads the triplet runs through the step
+    # at match_idx.
+    qn, sym, p = QuantumNumbers(1, -1), SymmetryLimit.pseudospin(-5.0), \
+        benchmark_params(H=0.0)
+    steps = _count_steps(monkeypatch)
+    with pytest.raises(NoEigenvalueError):
+        dirac_eigenvalue(qn, sym, p, OracleConfig(num_points=1000))
+    assert steps() == 0
+    r = np.linspace(1e-6, 60.0, 4001)
+    lo, hi = _energy_window(ReducedEquation.of(p, sym, qn))
+    for E in np.linspace(lo + 1e-6, hi - 1e-6, 5):
+        solver = oracle._InnerSolver(
+            effective_potential(r, E, p, sym, qn, "approximated"), r)
+        eps = target_eigenvalue(E, sym, p.M)
+        before = steps()
+        assert solver.nodes(eps, 1) == 0
+        assert steps() == before
+        assert solver.defect(eps, 1) == (0, None)
+        i = solver._start(solver.hh12 * eps)[2]
+        assert steps() - before == solver.match_idx - i + 1
 
 
-def _assert_batch_matches(size, blocks, seeds, refs):
-    """_sweep_batch's (counts, lost) on a grid of size rows, checked
-    against the scalar sweeps: lost are the columns _overflows names, and
-    every other column has _sweep's count (mark and cap, never reached,
-    play no part in it)."""
-    counts, lost = _sweep_batch(blocks, seeds)
-    assert lost == [k for k, ref in enumerate(refs)
-                    if ref is not None and _overflows(*ref)]
-    for k, ref in enumerate(refs):
-        if ref is None or k in lost:
-            assert counts[k] is None
-        else:
-            w, c, seed = ref
-            assert counts[k] == _sweep(w, c, *seed, size - 1, 1, size,
-                                       size)[0]
-    return counts, lost
-
-
-@pytest.mark.parametrize("last", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 600])
-def test_sweep_batch_block_edges(last):
-    # Columns start at either side of the first block edge, past it, and
-    # at last - 1 and last, around the edge.  No |u| passes the guard, so
-    # no column is lost and the array pass alone counts nodes.
-    starts = [1, 5, None, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 44,
-              last - 1, last]
-    r, blocks, seeds, refs = _batch_case("forward-oscillating",
-                                         [i for i in starts
-                                          if i is None or i <= last])
-    _, lost = _assert_batch_matches(r.size, blocks, seeds, refs)
-    assert lost == []
-
-
-@pytest.mark.parametrize("edge", ["inside", "first", "last"])
-@pytest.mark.parametrize("at_guard", [False, True])
-def test_sweep_batch_guard_at_block_edges(edge, at_guard):
-    # All weights are 1, so u runs on an exact line of multiples of
-    # d = 2**823, and m d is the first multiple above the guard.  Row p is
-    # inside a block, or its first or last row; at_guard ends the grid at
-    # p.  Column 0 steps down from (m + 2) d, (m + 1) d to m d at p, its
-    # only |u| above the guard, so it is lost; column 1 starts a step
-    # lower, with a seed above the guard but no step there, and is not.
-    # Column 2 climbs from 0 to m d at p and is lost; column 3 climbs one
-    # step behind, to (m - 1) d at p, and is lost only when the grid goes
-    # on.  Column 4 stays at d until a NaN weight at p, and is lost.
-    d = 2.0 ** 823
-    m = int(_RESCALE_AT // d) + 1
-    assert (m - 1) * d <= _RESCALE_AT < m * d
-    p = {"inside": 6 * _BLOCK + 20, "first": 6 * _BLOCK,
-         "last": 6 * _BLOCK - 1}[edge]
-    n = p + 1 if at_guard else p + 100
-    rows = np.ones((n, 6))
-    rows[p, 4] = np.nan
-    seeds = [((m + 2) * d, (m + 1) * d, p - 1), ((m + 1) * d, m * d, p - 1),
-             (0.0, d, p - m + 1), (0.0, d, p - m + 2), (d, d, 1), None]
-    refs = [None if seed is None else (rows[:, k], 0.0, seed)
-            for k, seed in enumerate(seeds)]
-    _, lost = _assert_batch_matches(
-        n, np.split(rows, range(_BLOCK, n, _BLOCK)), seeds, refs)
-    assert lost == ([0, 2, 4] if at_guard else [0, 2, 3, 4])
-
-
-def test_sweep_batch_node_rule_matches_sweep():
-    # All weights are exactly 1, so u falls on the exact line A - j/1024 and
-    # reaches A - 1 at j = 1024: a sign change there below 1e-12 max|u|
-    # (A = 1 - 2**-53) or through an exact zero (A = 1) is no node, and one
-    # above it (A = 1 + 2**-52, the next point) is.
-    n = 1100
-    zeros = np.zeros(n)
-    heads = [1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52]
-    seeds = [(a, a - 2.0 ** -10, 1) for a in heads]
-    counts, _ = _sweep_batch(
-        _weight_rows(zeros, zeros, np.zeros(3), np.zeros(3), 1.0), seeds)
-    ref = [_sweep(np.ones(n), 0.0, *seed, n - 1, 1, 500, 500)[0]
-           for seed in seeds]
-    assert counts == ref == [0, 0, 1]
-
-
-def test_sweep_batch_node_floor_follows_running_max():
-    # All weights are 1 but one, so u climbs the exact line u[j] = j from
-    # its start value 1.  The weight W at index f = 1000 gives u[f] = f / W:
-    # with W = -2**43 the sign flips at 1.1e-10, below 1e-12 of the running
-    # max 999 but above 1e-12 of the start value, so it is no node; with
-    # W = -2**30 it flips at 9.3e-7, above the floor, and is one.
-    n, f = 1100, 1000
-    rows = np.ones((n, 2))
-    rows[f] = [-2.0 ** 43, -2.0 ** 30]
-    seeds = [(0.0, 1.0, 1)] * 2
-    counts, lost = _sweep_batch([rows], seeds)
-    ref = [_sweep(rows[:, k], 0.0, *seeds[k], n - 1, 1, f - 1, f - 1)
-           for k in range(2)]
-    assert counts == [nodes for nodes, _, _ in ref] == [0, 1]
-    assert lost == []
-    u_prev, u_flip = ref[0][2][1:]
-    assert 1e-12 * seeds[0][1] < -u_flip < 1e-12 * u_prev
-
-
-def test_sweep_batch_node_floor_carries_across_blocks():
-    # All weights are 1 but one, so u falls on the exact line
-    # u[j] = f + 1.5 - j from its start value f + 0.5, the running max; the
-    # weight W at index f = 3 _BLOCK + 2, two rows into the fourth block,
-    # flips the sign at u[f] = 1.5 / W.  With W = -2**33 (1.7e-10) that is
-    # below 1e-12 of the running max, set three blocks back, but above
-    # 1e-12 of the u = 4.5 that the block starts from, so it is no node;
-    # with W = -2**28 (5.6e-9) it is one.
-    f = 3 * _BLOCK + 2
-    n = f + 100
-    rows = np.ones((n, 2))
-    rows[f] = [-2.0 ** 33, -2.0 ** 28]
-    seeds = [(f + 1.5, f + 0.5, 1)] * 2
-    counts, _ = _sweep_batch(np.split(rows, range(_BLOCK, n, _BLOCK)),
-                             seeds)
-    ref = [_sweep(rows[:, k], 0.0, *seeds[k], n - 1, 1, f - 1, f - 1)[0]
-           for k in range(2)]
-    assert counts == ref == [0, 1]
+def test_sweep_stop_points_are_pinned(monkeypatch):
+    # Steps of three outward sweeps of the spot state (spin 0p3/2, H = 0)
+    # on a 4001-point grid, which only a step count shows: the stop rules
+    # leave every returned value as a full sweep has it.  The node-only
+    # sweep (nodes) stops on the growing tail, on the first _TAIL check
+    # after the last step that breaks the certificate; at E = 0.3 no step
+    # breaks it.  defect's marked sweep runs through the step at
+    # match_idx (1398 steps), then, at the target count of 0 nodes, the
+    # inward sweep (2600 steps); at E = 0.45 the count limit stops it
+    # two steps short of match_idx.
+    p = PotentialParams(V0=2.0, A=1.0, B=1.0, delta=0.05, H=0.0, M=4.76)
+    qn, sym = QuantumNumbers(0, -2), SymmetryLimit.spin(5.0)
+    r = np.linspace(1e-6, 60.0, 4001)
+    steps = _count_steps(monkeypatch)
+    got = []
+    for E in (0.3, 0.42, 0.45):
+        solver = oracle._InnerSolver(
+            effective_potential(r, E, p, sym, qn, "approximated"), r)
+        eps = target_eigenvalue(E, sym, p.M)
+        before = steps()
+        nodes = solver.nodes(eps, 0)
+        mid = steps()
+        assert solver.defect(eps, 0)[0] == nodes
+        got.append((nodes, mid - before, steps() - mid))
+    assert got == [(0, 0, 3998), (0, 414, 3998), (1, 294, 1396)]
 
 
 @pytest.mark.parametrize("first_near, start", [(-1, None), (-2, -2)])
 def test_outward_start_stops_before_the_matching_point(first_near, start):
     # The weights come within 0.05 of 1 only from match_idx + first_near
     # on.  A sweep may start no later than match_idx - 2, so at
-    # match_idx - 1 the solver and the batched scan both find no start.
+    # match_idx - 1 the solver finds no start.
     r = np.linspace(1e-6, 10.0, 1001)
-    hh12 = (r[1] - r[0]) ** 2 / 12.0
     eps = -1.0
     m = int(oracle._MATCH_FRACTION * r.size)
     U = np.where(np.arange(r.size) < m + first_near, 1e5, 0.0)
@@ -574,64 +520,12 @@ def test_outward_start_stops_before_the_matching_point(first_near, start):
     c = solver.hh12 * eps
     near = np.abs(1.0 - (solver.wU + c)) <= 0.05
     assert int(near.argmax()) == m + first_near
-    zeros = np.zeros(r.size)
-    starts = _batch_starts(
-        _weight_rows(U, zeros, np.zeros(1), np.array([c]), hh12), 1, m - 2)
     if start is None:
         assert solver.nodes(eps) is None
-        assert starts == [None]
+        assert solver._start(c) is None
     else:
         assert isinstance(solver.nodes(eps), int)
-        assert starts == [m + start]
         assert solver._start(c)[2] == m + start + 1
-
-
-@pytest.mark.parametrize("kind, C, V0, qn, mode, r_max", [
-    pytest.param("spin", 5.0, 2.0, QuantumNumbers(0, -2), "approximated",
-                 60.0, id="spin-5.0-2.0-qn0-approximated"),
-    pytest.param("pseudospin", -5.0, -2.0, QuantumNumbers(0, -1), "exact",
-                 60.0, id="pseudospin--5.0--2.0-qn1-exact"),
-    pytest.param("spin", 5.0, 2.0, QuantumNumbers(0, -2), "approximated",
-                 400.0, id="spin-5.0-2.0-qn0-approximated-lost"),
-])
-def test_probe_signs_match_defect_sign(kind, C, V0, qn, mode, r_max,
-                                       monkeypatch):
-    # The batched coarse scan gives the 160 signs of the scalar one, and
-    # hands the kernel, per probe, the weights and series seed that the
-    # probe's own _InnerSolver sweeps from, bit for bit.  On the 400 fm
-    # grid most but not all columns pass the guard, and those are swept
-    # again by _sweep.
-    p = PotentialParams(V0=V0, A=V0 / 2.0, B=V0 / 2.0, delta=0.05, H=0.0,
-                        M=4.76)
-    sym = SymmetryLimit(kind, C)
-    eq = ReducedEquation.of(p, sym, qn)
-    lo, hi = _energy_window(eq)
-    probes = np.linspace(lo + 1e-6, hi - 1e-6, 160)
-    r = np.linspace(1e-6, r_max, 2001)
-    args = (p, sym, qn, eq.degree,
-            OracleConfig(num_points=1000, centrifugal_mode=mode), r)
-    parts = _effective_parts(r, p, sym, qn, mode)
-    fed = {}
-
-    def spy(blocks, seeds):
-        fed.update(rows=np.concatenate(list(blocks)), seeds=seeds)
-        counts, fed["lost"] = _sweep_batch([fed["rows"]], seeds)
-        return counts, fed["lost"]
-
-    monkeypatch.setattr(oracle, "_sweep_batch", spy)
-    signs = _probe_signs(*args, probes)
-    assert signs == [_defect_sign(parts, sym, p.M, r, E) for E in probes]
-    assert {+1, -1} <= set(signs)
-    if r_max > 60.0:
-        assert 0 < len(fed["lost"]) < len(probes)
-    else:
-        assert fed["lost"] == []
-    for k, E in enumerate(probes):
-        solver = oracle._InnerSolver(
-            effective_potential(r, E, p, sym, qn, mode), r)
-        c = solver.hh12 * target_eigenvalue(E, sym, p.M)
-        assert np.array_equal(fed["rows"][:, k], solver.wU + c)
-        assert fed["seeds"][k] == solver._start(c)
 
 
 # dirac_eigenvalue and schrodinger_eigenvalue outputs recorded as float.hex
@@ -758,22 +652,32 @@ def test_a_guess_never_changes_the_inner_eigenvalue(key, monkeypatch):
 
 @pytest.mark.slow
 def test_sweep_count_budget(monkeypatch):
-    # Sweeps per dirac_eigenvalue, which no timing shows on a machine of
-    # another speed: the spot state takes 75 with the guess accepted (111
-    # without it); the converged=False state refutes its guess, which may
-    # cost two inner evaluations of at most two sweeps each (125 without).
-    count = [0]
+    # Sweeps and recurrence steps per dirac_eigenvalue, which no timing
+    # shows on a machine of another speed.  The scan sweeps each of its
+    # 160 probes once on the 4001-point coarse grid.  On the 20001-point
+    # fine grid the spot state takes 75 sweeps with the guess accepted
+    # (111 without it); the converged=False state refutes its guess, which
+    # may cost two inner evaluations of at most two sweeps each (125
+    # without).  The step budgets are the counts with node-only sweeps
+    # that may stop on the growing tail from their first step.
+    sweeps = Counter()
     real = oracle._sweep
 
-    def spy(*args):
-        count[0] += 1
-        return real(*args)
+    def spy(w, *args):
+        sweeps[len(w)] += 1
+        return real(w, *args)
 
     monkeypatch.setattr(oracle, "_sweep", spy)
-    for key, budget in ((_SPOT, 75), (_UNCONVERGED, 125 + 4)):
-        count[0] = 0
+    steps = _count_steps(monkeypatch)
+    for key, budget, step_budget in ((_SPOT, 75, 753_120),
+                                     (_UNCONVERGED, 125 + 4, 2_042_802)):
+        sweeps.clear()
+        before = steps()
         dirac_eigenvalue(*_pinned_inputs(*key))
-        assert count[0] <= budget, key
+        assert sweeps.keys() == {4001, 20001}, key
+        assert sweeps[4001] == 160, key
+        assert sweeps[20001] <= budget, key
+        assert steps() - before <= step_budget, key
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -784,6 +688,7 @@ def test_sweep_count_budget(monkeypatch):
     {"num_points": 2000.0},
     {"num_points": 999},
     {"centrifugal_mode": "other"},
+    {"r_max": "40"},
 ])
 def test_oracle_config_rejects_bad_values(kwargs):
     with pytest.raises(DomainError):
@@ -802,6 +707,14 @@ def test_schrodinger_eigenvalue_rejects_a_non_integer_level(level):
     # untyped TypeError
     with pytest.raises(DomainError):
         schrodinger_eigenvalue(lambda r: -2.0 / r, level,
+                               OracleConfig(r_max=60.0, num_points=3000))
+
+
+@pytest.mark.parametrize("U_eff", [lambda r: -2.0, lambda r: np.ones(7),
+                                   lambda r: "deep"])
+def test_schrodinger_eigenvalue_rejects_a_potential_of_another_shape(U_eff):
+    with pytest.raises(DomainError):
+        schrodinger_eigenvalue(U_eff, 0,
                                OracleConfig(r_max=60.0, num_points=3000))
 
 
