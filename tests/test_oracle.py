@@ -173,7 +173,7 @@ def test_bounded_sweep_matches_numerov_integrate_and_count_nodes(case):
     # nodes before cap and the triplet at mark.  count_nodes skips exact
     # zeros and has no roundoff floor, so draws with an exact zero or a
     # sign change at the floor are set aside; the floor rule is pinned by
-    # test_sweep_node_floor_follows_running_max.
+    # the test_sweep_batch_node_* tests.
     h, r_end, e, ripple, mark, cap, limit, as_list = case
     r = np.arange(round(r_end / h) + 1) * h
     Q = r * r - e + ripple * np.sin(3.0 * r)
@@ -213,22 +213,29 @@ def test_growing_tail_rule_reaches_a_flip_at_the_last_step():
     assert _sweep(w, 0.0, 1.0, 1.0, 1, w.size - 1, 1, 1, 1)[0] == 1
 
 
-def test_sweep_node_floor_follows_running_max():
-    # All weights are 1 but one, so u runs on an exact line.  A sign
-    # change is a node only above 1e-12 of the running max of |u|.
+# The next three tests keep the names they had when each case was also
+# run through a batched outward sweep; _sweep now steps every probe, so
+# they pin its node floor alone: a sign change is a node only above
+# 1e-12 of the running max of |u|.
+
+def test_sweep_batch_node_rule_matches_sweep():
+    # All weights are exactly 1, so u falls on the exact line A - j/1024 and
+    # reaches A - 1 at j = 1024: a sign change there below the floor
+    # (A = 1 - 2**-53) or through an exact zero (A = 1) is no node, and one
+    # above it (A = 1 + 2**-52, the next point) is.
     n = 1100
-    # From A, u falls by 2**-10 a step and reaches A - 1 at step 1024: a
-    # sign change there below the floor (A = 1 - 2**-53) or through an
-    # exact zero (A = 1) is no node, and one above it (A = 1 + 2**-52,
-    # the next point) is.
     assert [_sweep(np.ones(n), 0.0, a, a - 2.0 ** -10, 1, n - 1, 1, 500,
                    500)[0]
             for a in (1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52)] == [0, 0, 1]
-    # u climbs u[j] = j from 1; the weight W at f = 1000 gives
-    # u[f] = f / W.  With W = -2**43 the sign flips at 1.1e-10, below
-    # 1e-12 of the running max 999 but above 1e-12 of the start value,
-    # so it is no node; with W = -2**30 it flips at 9.3e-7, and is one.
-    f = 1000
+
+
+def test_sweep_batch_node_floor_follows_running_max():
+    # All weights are 1 but one, so u climbs the exact line u[j] = j from
+    # its start value 1.  The weight W at index f = 1000 gives u[f] = f / W:
+    # with W = -2**43 the sign flips at 1.1e-10, below 1e-12 of the running
+    # max 999 but above 1e-12 of the start value, so it is no node; with
+    # W = -2**30 it flips at 9.3e-7, above the floor, and is one.
+    n, f = 1100, 1000
     for weight, want in ((-2.0 ** 43, 0), (-2.0 ** 30, 1)):
         w = np.ones(n)
         w[f] = weight
@@ -236,11 +243,15 @@ def test_sweep_node_floor_follows_running_max():
         assert nodes == want
         if want == 0:
             assert 1e-12 < -trip[2] < 1e-12 * trip[1]
-    # u falls on u[j] = f + 1.5 - j from its seed u[1] = f + 0.5, the
-    # running max; W at f = 194 flips the sign at u[f] = 1.5 / W.  With
-    # W = -2**33 (1.7e-10) that is below 1e-12 of the running max, though
-    # above 1e-12 of the |u| of the last steps, so it is no node; with
-    # W = -2**28 (5.6e-9) it is one.
+
+
+def test_sweep_batch_node_floor_carries_across_blocks():
+    # All weights are 1 but one, so u falls on the exact line
+    # u[j] = f + 1.5 - j from its start value f + 0.5, the running max; the
+    # weight W at index f = 194 flips the sign at u[f] = 1.5 / W.  With
+    # W = -2**33 (1.7e-10) that is below 1e-12 of the running max, set far
+    # back, though above 1e-12 of the |u| of the last steps, so it is no
+    # node; with W = -2**28 (5.6e-9) it is one.
     f = 194
     for weight, want in ((-2.0 ** 33, 0), (-2.0 ** 28, 1)):
         w = np.ones(f + 100)
