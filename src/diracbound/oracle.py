@@ -2,7 +2,7 @@
 
 The reduced radial problem is u'' = [U_eff(r; E) - eps] u.  For a fixed
 trial energy E this is a linear Sturm-Liouville eigenproblem in eps, solved
-here by Numerov integration with node counting and log-derivative matching.
+here by bisection on a Sturm level count from outward Numerov sweeps.
 Because U_eff itself depends on E, a bound state of the original problem is
 the self-consistent point where the inner eigenvalue eps_inner(E) crosses
 the target curve eps_target(E) fixed by the symmetry limit.
@@ -77,7 +77,8 @@ class OracleResult:
     """Self-consistent eigenvalue from `dirac_eigenvalue`, with diagnostics.
 
     converged is False when the final |eps_inner(E) - eps_target(E)| exceeds
-    1e-8; E is then still returned, so callers must check the flag.
+    1e-8, or when U_eff falls to the centre (see dirac_eigenvalue); E is
+    then still returned, so callers must check the flag.
     """
 
     E: float
@@ -141,7 +142,8 @@ def _sweep(w, c, u0, u1, i, stop, step, mark, cap, limit=None,
     so only ratios of u are meaningful.
 
     Two rules end the sweep before stop.  Neither changes a value the
-    caller reads (with want_trip=False, the caller reads no triplet):
+    caller reads (with want_trip=False, the triplet is None whenever the
+    sweep stops before the step at mark):
     - Count limit.  With limit given, the sweep returns as soon as nodes
       exceeds it; nodes is then only known to be above limit, and the
       other two values are those of the steps taken.
@@ -288,7 +290,7 @@ def _sweep(w, c, u0, u1, i, stop, step, mark, cap, limit=None,
 
 
 class _InnerSolver:
-    """Node counting and log-derivative matching machinery for a fixed U(r)."""
+    """Level and node counts of u'' = [U(r) - eps] u for a fixed U(r)."""
 
     def __init__(self, U: np.ndarray, r: np.ndarray):
         self.U = U
@@ -319,141 +321,126 @@ class _InnerSolver:
             u0, u1 = 0.0, 1e-10
         return u0, u1, i0 + 1
 
-    def _shoot_out(self, c, cap, limit=None, want_trip=True):
-        """Outward sweep from the series-seeded start toward the grid end.
+    def _shoot_out(self, c, mark, cap, limit=None):
+        """Outward sweep from the series-seeded start to the grid end.
 
-        Returns (nodes, nodes before cap, triplet around match_idx), or
-        three Nones when the grid offers no accurate start.  limit and
-        want_trip are _sweep's: the sweep may stop at the grid end or
-        earlier, once no later step can change a value the caller reads.
+        Returns _sweep's (nodes, nodes before cap, triplet around mark),
+        or three Nones when the grid offers no accurate start.  The
+        growing-tail rule may stop the sweep from its first step, so the
+        triplet is None when the sweep ends before mark.
         """
         start = self._start(c)
         if start is None:
             return None, None, None
-        return _sweep(self.wU, c, *start, len(self.wU) - 1, 1,
-                      self.match_idx, cap, limit, want_trip)
+        return _sweep(self.wU, c, *start, len(self.wU) - 1, 1, mark, cap,
+                      limit, want_trip=False)
 
-    def _shoot_in(self, c, eps):
-        """Inward sweep from the decaying tail down to match_idx.
-
-        Returns (nodes above match_idx, (v[m-1], v[m], v[m+1])).
-        """
+    def _tail_ratio(self, eps):
+        """u[-2] / u[-1] of a tail exp(-k r), k = sqrt(U[-1] - eps)."""
         f_end = float(self.U[-1]) - eps
         k = math.sqrt(f_end) if f_end > 0.0 else 0.0
-        v_end = 1e-120
-        v_next = v_end * math.exp(min(k * self.h, 300.0))
-        m = self.match_idx
-        _, n, trip = _sweep(self.wU, c, v_end, v_next, len(self.wU) - 2,
-                            m - 1, -1, m, m)
-        return n, trip[::-1]
+        return math.exp(min(k * self.h, 300.0))
 
-    def nodes(self, eps: float,
+    def count(self, eps: float,
               limit: Optional[int] = None) -> Optional[int]:
-        """Sturm oscillation count of the outward sweep over the whole grid.
+        """The number of levels below eps whose tail decays, or None.
 
-        With limit given, a count above it is only known to exceed it
-        (_sweep's count limit): the callers only compare it with limit.
-        No triplet is read, so the growing-tail rule may stop the sweep
-        before match_idx.
+        The Sturm count of B. R. Johnson (J. Chem. Phys. 69, 4678 (1978))
+        for the end condition u[-2] = _tail_ratio(eps) u[-1] that seeds
+        the inward sweep: the nodes of one outward sweep over the whole
+        grid, plus one when it ends in a tail that decays faster (no sign
+        change from u[-2] to u[-1], and |u[-2]| > |u[-1]| _tail_ratio).
+        Just below a level the outward tail grows; at the level it meets
+        the end condition; just above it, it decays faster and then
+        crosses zero, at first past the end.  So the count never falls as
+        eps rises and steps by one at each level.  With limit given, a
+        count above it is only known to exceed it (_sweep's count limit).
         """
-        return self._shoot_out(self.hh12 * eps, self.match_idx, limit,
-                               want_trip=False)[0]
-
-    def defect(self, eps: float, n_target: int):
-        """(sturm_nodes, log-derivative mismatch at the matching point).
-
-        The mismatch costs an inward sweep and steers the eigenvalue search
-        only at n_target nodes, so at any other count it is None.  A count
-        above n_target is only known to exceed it (_sweep's count limit).
-        """
-        c = self.hh12 * eps
-        n, _, trip = self._shoot_out(c, self.match_idx, n_target)
-        if n != n_target or trip[1] == 0.0:
-            return n, None
-        _, tin = self._shoot_in(c, eps)
-        if tin[1] == 0.0:
-            return n, None
-        dout = (trip[2] - trip[0]) / (2.0 * self.h * trip[1])
-        din = (tin[2] - tin[0]) / (2.0 * self.h * tin[1])
-        return n, dout - din
+        end = len(self.wU) - 1
+        n, _, trip = self._shoot_out(self.hh12 * eps, end - 1, end, limit)
+        if trip is not None:
+            u1, u2 = trip[1], trip[2]
+            if not (u1 < 0.0 < u2 or u2 < 0.0 < u1) \
+                    and abs(u1) > abs(u2) * self._tail_ratio(eps):
+                n += 1
+        return n
 
     def interior_nodes(self, eps: float) -> Optional[int]:
         """Node count of the matched eigenfunction, tail artifact excluded.
 
         Genuine nodes all lie inside the classically allowed region, so the
         outward count is capped at the outer turning point; beyond it only
-        the roundoff-injected growing mode can flip sign.
+        the roundoff-injected growing mode can flip sign.  The nodes past
+        match_idx come from an inward sweep, seeded by the decaying tail.
         """
         c = self.hh12 * eps
         allowed = np.nonzero(self.U < eps)[0]
-        cap = self.match_idx
+        m = self.match_idx
+        cap = m
         if allowed.size:
-            cap = min(self.match_idx, int(allowed[-1]) + 10)
-        n, n_match, _ = self._shoot_out(c, cap)
-        if n is None:
+            cap = min(m, int(allowed[-1]) + 10)
+        _, n_match, _ = self._shoot_out(c, m, cap)
+        if n_match is None:
             return None
-        n_in, _ = self._shoot_in(c, eps)
+        v_end = 1e-120
+        _, n_in, _ = _sweep(self.wU, c, v_end, v_end * self._tail_ratio(eps),
+                            len(self.wU) - 2, m - 1, -1, m, m,
+                            want_trip=False)
         return n_match + n_in
 
     def floor(self, n_target: int):
-        """A search floor below the n_target eigenvalue and its node count.
+        """A search floor below the n_target eigenvalue and its level count.
 
         The raw grid minimum of U can be dominated by an attractive
         singularity at tiny r, so the floor starts from the minimum over the
-        resolvable region and deepens adaptively until the node count at the
-        floor does not exceed n_target.  Returns (floor, nodes) or None.
+        resolvable region and deepens adaptively until the level count at
+        the floor does not exceed n_target.  Returns (floor, count) or None.
         """
         i_skip = min(np.searchsorted(self.r, 100.0 * self.h), self.U.size - 2)
         floor = float(self.U[i_skip:].min())
         if floor >= 0.0:
             return None
         for _ in range(6):
-            n = self.nodes(floor, n_target)
+            n = self.count(floor, n_target)
             if n is not None and n <= n_target:
                 return floor, n
             floor *= 4.0
         return None
 
     def _below(self, eps: float, n_target: int) -> Optional[bool]:
-        """Whether eps lies below the n_target eigenvalue, or None.
-
-        This is the bisection's rule: below at fewer than n_target nodes,
-        and at n_target nodes when the defect is not negative (the defect
-        decreases through zero at the eigenvalue).  None means the sweep
-        was lost.
-        """
-        n, d = self.defect(eps, n_target)
-        if n is None:
-            return None
-        return n < n_target or (n == n_target and not (d is None or d < 0.0))
+        """Whether eps lies below the n_target eigenvalue (at most n_target
+        levels below eps), or None when the sweep was lost."""
+        n = self.count(eps, n_target)
+        return None if n is None else n <= n_target
 
     def eigenvalue(self, n_target: int, guess: Optional[float] = None):
-        """Eigenvalue with n_target nodes, or raises NoEigenvalueError.
+        """(eps, interior nodes) of the level with n_target levels below it.
 
-        Single bisection steered by node count outside the n_target zone and
-        by the matching defect inside it (see _below).
+        A single bisection on the level count (see count and _below) finds
+        eps; the node count is interior_nodes at eps, -1 when that sweep
+        is lost.  Raises NoEigenvalueError when the level is not in the
+        window (floor, 0) or a sweep inside it is lost.
 
         guess, when given, is checked before bisecting: if eps lies below
         the eigenvalue at guess - _OUTER_TOL and not at guess + _OUTER_TOL,
         midpoints outside that window are sent to the side the check
-        implies, without a sweep, and only those inside it are swept.  Node
-        counts rise with eps and the defect falls through zero at the
-        eigenvalue, so each skipped midpoint goes where its sweep would have
-        sent it: the midpoints, the final bracket and the result are those
-        of the bisection without a guess.  A refuted guess (or one whose
-        sweep is lost) costs up to two evaluations of _below and leaves the
-        bisection as it is.
+        implies, without a sweep, and only those inside it are swept.  The
+        level count never falls as eps rises, so each skipped midpoint goes
+        where its sweep would have sent it: the midpoints, the final
+        bracket and the result are those of the bisection without a guess.
+        A refuted guess (or one whose sweep is lost) costs up to two
+        evaluations of _below and leaves the bisection as it is.
         """
         found = self.floor(n_target)
         if found is None:
             raise NoEigenvalueError(
                 "potential admits no bound spectrum on this grid")
         lo, n_lo = found
-        n_hi = self.nodes(0.0, n_target)
+        n_hi = self.count(0.0, n_target)
         if n_hi is None or n_hi <= n_target:
             raise NoEigenvalueError(
                 f"no eigenvalue with {n_target} nodes in the search window "
-                f"(node count spans [{n_lo}, {n_hi}))")
+                f"(level count spans [{n_lo}, {n_hi}))")
         a, b = lo, 0.0
         # midpoints at or below x_lo go to a, at or above x_hi to b
         x_lo, x_hi = -math.inf, math.inf
@@ -501,7 +488,8 @@ def schrodinger_eigenvalue(U_eff: Callable, n_target: int,
     n_target that is not a nonnegative integer (QuantumNumbers' rule) or a
     U_eff that does not return one real value per radius, and
     NoEigenvalueError when the requested level does not exist in the
-    searchable window (eps < 0).
+    searchable window (eps < 0) or when the eigenfunction found there has
+    another number of interior nodes than n_target.
     """
     if not isinstance(n_target, numbers.Integral) or n_target < 0:
         raise DomainError(f"n_target must be an integer >= 0, "
@@ -511,8 +499,12 @@ def schrodinger_eigenvalue(U_eff: Callable, n_target: int,
     if U.shape != r.shape or U.dtype.kind not in "iuf":
         raise DomainError(f"U_eff must return one real value per radius, "
                           f"got shape {U.shape} of dtype {U.dtype}")
-    solver = _InnerSolver(U.astype(float), r)
-    return solver.eigenvalue(n_target)
+    eps, nodes = _InnerSolver(U.astype(float), r).eigenvalue(n_target)
+    if nodes != n_target:
+        raise NoEigenvalueError(
+            f"the level found at eps={eps:.8g} has {nodes} interior nodes, "
+            f"not {n_target}")
+    return eps, nodes
 
 
 def _u_eff(parts, E: float):
@@ -526,18 +518,18 @@ def _u_eff(parts, E: float):
 
 def _defect_sign(parts, sym: SymmetryLimit, M: float, r: np.ndarray,
                  E: float):
-    """Sign of eps_inner(E) - eps_target(E) via Sturm oscillation counting.
+    """Sign of eps_inner(E) - eps_target(E) via the level count.
 
     parts are _effective_parts on the grid r; the node target is the
     degree of their equation.  The inner eigenvalue exceeds the target
-    exactly when the node count of the outward sweep at eps_target is
-    still <= n_target, so a single outward integration decides the sign
-    without solving the inner eigenproblem.  Returns +1, -1 or None
-    (integration impossible).
+    exactly when at most degree levels lie below eps_target, so one
+    outward sweep (_InnerSolver.count) decides the sign without solving
+    the inner eigenproblem.  Returns +1, -1 or None (integration
+    impossible).
     """
     solver = _InnerSolver(_u_eff(parts, E), r)
     degree = parts[0].degree
-    n = solver.nodes(target_eigenvalue(E, sym, M), degree)
+    n = solver.count(target_eigenvalue(E, sym, M), degree)
     if n is None:
         return None
     return +1 if n <= degree else -1
@@ -565,12 +557,14 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
 
     Solves eps_inner(E) = eps_target(E) where eps_inner is the inner
     eigenvalue with the node count fixed by the quantum numbers (the degree
-    of the polynomial factor of the solved component).  The energy window is
-    scanned at 160 probe energies for sign changes of the defect, each with
-    one outward Numerov sweep on a coarse grid; the bracket nearest E = 0
-    is bisected with single sweeps on the fine grid.  On either grid U_eff
-    is built at each energy from parts computed once, and the result is
-    confirmed by a full inner eigensolve at the final energy.
+    of the polynomial factor of the solved component).  Every search uses
+    one level count (_InnerSolver.count: the levels below eps whose tail
+    decays, from one outward Numerov sweep).  The energy window is scanned
+    at 160 probe energies for sign changes of the defect, one count each
+    on a coarse grid; the bracket nearest E = 0 is bisected with one count
+    per step on the fine grid.  On either grid U_eff is built at each
+    energy from parts computed once, and the result is confirmed by a full
+    inner eigensolve at the final energy, which bisects on the same count.
 
     That eigensolve is given eps_target(E) as a guess: when the outer
     bisection has converged, the inner eigenvalue lies within 1e-8 of it,
@@ -582,11 +576,13 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
     Raises NoEigenvalueError when no self-consistent bound state exists in
     the window, and NotConvergedError only when the inner eigensolve at the
     bisected energy fails.  A final defect |eps_inner - eps_target| above
-    1e-8, including one left by a bisection cut short by a lost sweep, does
-    not raise: the result comes back with converged=False (for example
-    E = 2.53444863427006 for spin (0, -3) at H = 2.2314, C = 7.2786), so
-    callers must check the flag.  Raising there instead waits for the
-    benchmark to accept a typed failure (ROADMAP items 1 and 2).
+    1e-8, including one left by a bisection cut short by a lost sweep or a
+    bracket around a jump of the defect rather than a root, does not raise:
+    the result comes back with converged=False, so callers must check the
+    flag.  Raising there instead waits for the benchmark to accept a typed
+    failure (ROADMAP items 1 and 2).  converged is also False where U_eff
+    ~ lam / r^2 at r[0] with lam < -1/4 (spin (0, -3) at H = 2.5, C = 7):
+    U_eff then falls to the centre, and has no lowest level to converge to.
     """
     cfg = cfg or OracleConfig()
     eq = ReducedEquation.of(p, sym, qn)
@@ -646,7 +642,9 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
             f"bisected to E={E:.8f} but the inner eigensolve failed there: "
             f"{err}") from err
     defect = eps_inner - eps_t
-    converged = abs(defect) <= _OUTER_TOL
+    # U_eff ~ lam / r^2, 1 + 4 lam < 0: eps_inner is only the grid's level
+    falls = 1.0 + 4.0 * solver.U[0] * r_fine[0] * r_fine[0] < 0.0
+    converged = abs(defect) <= _OUTER_TOL and not falls
     return OracleResult(E=float(E), inner_eigenvalue=float(eps_inner),
                         node_count=int(nodes), outer_iters=outer,
                         converged=bool(converged))

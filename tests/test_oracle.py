@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diracbound import (
+    DiracboundError,
     DomainError,
     NoEigenvalueError,
     NonRelParams,
@@ -467,9 +468,9 @@ def _count_steps(monkeypatch):
 def test_node_only_sweeps_stop_on_a_growing_tail(monkeypatch):
     # Pseudospin 1s1/2 at C = -5, H = 0 is repulsive: U_eff - eps_target
     # is positive everywhere, so every step of every probe qualifies for
-    # the growing-tail rule and each node-only sweep stops before its
-    # first step.  A sweep that reads the triplet runs through the step
-    # at match_idx.
+    # the growing-tail rule and each level count, with a count limit or
+    # without, stops before its first step: it reads the triplet at the
+    # grid end only when the sweep gets there.
     qn, sym, p = QuantumNumbers(1, -1), SymmetryLimit.pseudospin(-5.0), \
         benchmark_params(H=0.0)
     steps = _count_steps(monkeypatch)
@@ -483,38 +484,37 @@ def test_node_only_sweeps_stop_on_a_growing_tail(monkeypatch):
             effective_potential(r, E, p, sym, qn, "approximated"), r)
         eps = target_eigenvalue(E, sym, p.M)
         before = steps()
-        assert solver.nodes(eps, 1) == 0
+        assert solver.count(eps, 1) == 0
+        assert solver.count(eps) == 0
         assert steps() == before
-        assert solver.defect(eps, 1) == (0, None)
-        i = solver._start(solver.hh12 * eps)[2]
-        assert steps() - before == solver.match_idx - i + 1
 
 
 def test_sweep_stop_points_are_pinned(monkeypatch):
-    # Steps of three outward sweeps of the spot state (spin 0p3/2, H = 0)
-    # on a 4001-point grid, which only a step count shows: the stop rules
-    # leave every returned value as a full sweep has it.  The node-only
-    # sweep (nodes) stops on the growing tail, on the first _TAIL check
-    # after the last step that breaks the certificate; at E = 0.3 no step
-    # breaks it.  defect's marked sweep runs through the step at
-    # match_idx (1398 steps), then, at the target count of 0 nodes, the
-    # inward sweep (2600 steps); at E = 0.45 the count limit stops it
-    # two steps short of match_idx.
+    # Steps of the level count's outward sweep for the spot state (spin
+    # 0p3/2, H = 0) on 4001-point grids, with a count limit of 0 and
+    # without, which only a step count shows: the stop rules leave every
+    # returned value as a full sweep has it.  On the 60 fm grid the sweep
+    # stops on the growing tail, on the first _TAIL check after the last
+    # step that breaks the certificate (at E = 0.3 no step breaks it),
+    # or on the node past the limit, which the tail stop finds too at
+    # E = 0.45.  On the 12 fm grid, just above the level, u still decays
+    # at the grid end: the sweep runs all 3997 steps from its start, and
+    # the tail test adds the level.
     p = PotentialParams(V0=2.0, A=1.0, B=1.0, delta=0.05, H=0.0, M=4.76)
     qn, sym = QuantumNumbers(0, -2), SymmetryLimit.spin(5.0)
-    r = np.linspace(1e-6, 60.0, 4001)
     steps = _count_steps(monkeypatch)
     got = []
-    for E in (0.3, 0.42, 0.45):
+    for r_max, E in ((60.0, 0.3), (60.0, 0.42), (60.0, 0.45),
+                     (12.0, 0.42326196521618)):
+        r = np.linspace(1e-6, r_max, 4001)
         solver = oracle._InnerSolver(
             effective_potential(r, E, p, sym, qn, "approximated"), r)
         eps = target_eigenvalue(E, sym, p.M)
-        before = steps()
-        nodes = solver.nodes(eps, 0)
-        mid = steps()
-        assert solver.defect(eps, 0)[0] == nodes
-        got.append((nodes, mid - before, steps() - mid))
-    assert got == [(0, 0, 3998), (0, 414, 3998), (1, 294, 1396)]
+        for limit in (0, None):
+            before = steps()
+            got.append((solver.count(eps, limit), steps() - before))
+    assert got == [(0, 0), (0, 0), (0, 414), (0, 414), (1, 294), (1, 294),
+                   (1, 3997), (1, 3997)]
 
 
 @pytest.mark.parametrize("first_near, start", [(-1, None), (-2, -2)])
@@ -532,26 +532,25 @@ def test_outward_start_stops_before_the_matching_point(first_near, start):
     near = np.abs(1.0 - (solver.wU + c)) <= 0.05
     assert int(near.argmax()) == m + first_near
     if start is None:
-        assert solver.nodes(eps) is None
+        assert solver.count(eps) is None
         assert solver._start(c) is None
     else:
-        assert isinstance(solver.nodes(eps), int)
+        assert isinstance(solver.count(eps), int)
         assert solver._start(c)[2] == m + start + 1
 
 
-# dirac_eigenvalue and schrodinger_eigenvalue outputs recorded as float.hex
-# before the batched probe scan and the float-only sweep: a faster oracle
-# must keep every bit.  Dirac cases: (limit, C, V0 = 2 A = 2 B, H, (n, kappa),
-# centrifugal mode, num_points) -> (E, inner_eigenvalue, node_count,
-# outer_iters, converged).  The pseudospin case is the charge conjugate of
-# the spin one (V0, A, B, C and eta negated), on its own grid.
+# dirac_eigenvalue and schrodinger_eigenvalue outputs pinned as float.hex:
+# a faster oracle must keep every bit.  Dirac cases: (limit, C, V0 = 2 A = 2 B, H, (n, kappa), centrifugal mode,
+# num_points) -> (E, inner_eigenvalue, node_count, outer_iters, converged).
+# The pseudospin case is the charge conjugate of the spin one (V0, A, B, C
+# and eta negated), on its own grid.
 _PINNED_DIRAC = {
     ("spin", 5.0, 2.0, 0.0, (0, -2), "approximated", 1000):
         ("0x1.b16af40227f8cp-2", "-0x1.96e95ba44e344p-1", 0, 29, True),
     ("pseudospin", -5.0, -2.0, 0.0, (0, -1), "approximated", 1500):
         ("-0x1.b16b7f1e734fcp-2", "-0x1.96ea7c8a30c68p-1", 0, 29, True),
     ("spin", 7.0, 2.0, 0.0, (0, -1), "exact", 2000):
-        ("0x1.22863ba869ab0p+1", "-0x1.2f2a12de1e14bp-4", 0, 28, True),
+        ("0x1.22863ba72514ap+1", "-0x1.2f2a11e744b2dp-4", 0, 28, True),
     ("spin", 5.0, 2.0, 5.0, (1, -2), "approximated", 2000):
         ("0x1.37d064f0902a8p+0", "-0x1.bb68d31f916dcp+1", 1, 29, True),
 }
@@ -601,10 +600,14 @@ def test_u_eff_from_parts_is_effective_potential():
                 r, E, p, sym, qn, mode), equal_nan=True), (key, E)
 
 
-# The verify spot state and the state whose final defect exceeds
-# _OUTER_TOL (converged=False), both on the default grid.
+# The verify spot state and a state near the fall to the centre (1 + 4 lam
+# = 0.23 for U_eff ~ lam / r^2 at its energy), both on the default grid; a
+# state whose final defect is 0.08 (converged=False, on 1001 points); and a
+# state whose U_eff falls to the centre (1 + 4 lam < 0).
 _SPOT = ("spin", 5.0, 2.0, 0.0, (0, -2), "approximated", 20000)
-_UNCONVERGED = ("spin", 7.2786, 2.0, 2.2314, (0, -3), "approximated", 20000)
+_NEAR_FALL = ("spin", 7.2786, 2.0, 2.2314, (0, -3), "approximated", 20000)
+_UNCONVERGED = ("spin", 6.0903, 0.6306, 2.9848, (2, -1), "approximated", 1000)
+_FALLS = ("spin", 7.0, 2.0, 2.5, (0, -3), "approximated", 2000)
 
 
 def _final_eigensolve(key, monkeypatch):
@@ -626,7 +629,8 @@ def _final_eigensolve(key, monkeypatch):
     *(pytest.param(key, id=f"pinned{i}")
       for i, key in enumerate(_PINNED_DIRAC)),
     pytest.param(_SPOT, id="spot", marks=pytest.mark.slow),
-    pytest.param(_UNCONVERGED, id="unconverged", marks=pytest.mark.slow),
+    pytest.param(_NEAR_FALL, id="near-fall", marks=pytest.mark.slow),
+    pytest.param(_UNCONVERGED, id="unconverged"),
 ])
 def test_a_guess_never_changes_the_inner_eigenvalue(key, monkeypatch):
     # A guess that the window check accepts skips sweeps; one it refutes
@@ -636,10 +640,10 @@ def test_a_guess_never_changes_the_inner_eigenvalue(key, monkeypatch):
     _, sym, p, _ = _pinned_inputs(*key)
     assert eps_t == target_eigenvalue(res.E, sym, p.M)
     sweeps = []
-    real_defect = oracle._InnerSolver.defect
-    monkeypatch.setattr(oracle._InnerSolver, "defect",
-                        lambda self, eps, n: sweeps.append(eps)
-                        or real_defect(self, eps, n))
+    real_count = oracle._InnerSolver.count
+    monkeypatch.setattr(oracle._InnerSolver, "count",
+                        lambda self, eps, limit=None: sweeps.append(eps)
+                        or real_count(self, eps, limit))
 
     def solve(guess):
         sweeps.clear()
@@ -661,27 +665,44 @@ def test_a_guess_never_changes_the_inner_eigenvalue(key, monkeypatch):
         assert bare < cost <= bare + 2, guess
 
 
+def test_a_state_off_its_target_or_falling_to_the_centre_is_not_converged():
+    res = dirac_eigenvalue(*_pinned_inputs(*_UNCONVERGED))
+    assert not res.converged
+    # The two searches meet on the grid's own lowest level, which is no
+    # level of a U_eff without one.
+    qn, sym, p, cfg = _pinned_inputs(*_FALLS)
+    res = dirac_eigenvalue(qn, sym, p, cfg)
+    r = np.array([1e-6])
+    lam = effective_potential(r, res.E, p, sym, qn,
+                              cfg.centrifugal_mode)[0] * r[0] ** 2
+    assert 1.0 + 4.0 * lam < 0.0
+    assert abs(res.inner_eigenvalue
+               - target_eigenvalue(res.E, sym, p.M)) <= _OUTER_TOL
+    assert not res.converged
+
+
 @pytest.mark.slow
 def test_sweep_count_budget(monkeypatch):
     # Sweeps and recurrence steps per dirac_eigenvalue, which no timing
     # shows on a machine of another speed.  The scan sweeps each of its
     # 160 probes once on the 4001-point coarse grid.  On the 20001-point
-    # fine grid the spot state takes 75 sweeps with the guess accepted
-    # (111 without it); the converged=False state refutes its guess, which
-    # may cost two inner evaluations of at most two sweeps each (125
-    # without).  The step budgets are the counts with node-only sweeps
-    # that may stop on the growing tail from their first step.
+    # fine grid each level count is one outward sweep: the spot state
+    # takes 59 sweeps with the guess accepted (82 without it), and the
+    # near-fall state 57 (83 without); each count includes the final
+    # interior_nodes' outward and inward sweeps.  The step budgets are the
+    # counts with node-only sweeps that may stop on the growing tail from
+    # their first step.
     sweeps = Counter()
     real = oracle._sweep
 
-    def spy(w, *args):
+    def spy(w, *args, **kwargs):
         sweeps[len(w)] += 1
-        return real(w, *args)
+        return real(w, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "_sweep", spy)
     steps = _count_steps(monkeypatch)
-    for key, budget, step_budget in ((_SPOT, 75, 753_120),
-                                     (_UNCONVERGED, 125 + 4, 2_042_802)):
+    for key, budget, step_budget in ((_SPOT, 59, 556_270),
+                                     (_NEAR_FALL, 57, 1_168_828)):
         sweeps.clear()
         before = steps()
         dirac_eigenvalue(*_pinned_inputs(*key))
@@ -729,18 +750,141 @@ def test_schrodinger_eigenvalue_rejects_a_potential_of_another_shape(U_eff):
                                OracleConfig(r_max=60.0, num_points=3000))
 
 
+def _hydrogen(r):
+    return -2.0 / r
+
+
+# Hydrogen, u'' = (-2/r - eps) u, has its level n at -1/(n + 1)^2.  Each
+# bound on |eps + 1/(n + 1)^2| is about twice the largest gap measured on
+# its grid (9.4e-5, 1.5e-6, 3.3e-7 and 3.4e-3, at n = 0 each time).
+_HYDROGEN_GRIDS = {(60.0, 3000): 2e-4, (60.0, 12000): 3e-6,
+                   (60.0, 20000): 1e-6, (200.0, 3000): 5e-3}
+
+
 def test_inner_solver_on_coulomb_levels():
-    cfg = OracleConfig(r_max=60.0, num_points=12000)
+    for (r_max, num_points), bound in _HYDROGEN_GRIDS.items():
+        cfg = OracleConfig(r_max=r_max, num_points=num_points)
+        for n in range(4):
+            eps, nodes = schrodinger_eigenvalue(_hydrogen, n, cfg)
+            assert nodes == n, (r_max, num_points, n)
+            assert abs(eps + 1.0 / (n + 1) ** 2) <= bound, (r_max,
+                                                             num_points, n)
 
-    def coulomb(r):
-        return -2.0 / r
 
-    eps, nodes = schrodinger_eigenvalue(coulomb, 0, cfg)
-    assert nodes == 0
-    assert eps == pytest.approx(-1.0, abs=1e-4)
-    eps, nodes = schrodinger_eigenvalue(coulomb, 1, cfg)
-    assert nodes == 1
-    assert eps == pytest.approx(-0.25, abs=1e-4)
+def _grid_id(grid):
+    return f"{grid[0]:g}fm-{grid[1]}"
+
+
+@pytest.mark.slow
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 5), st.sampled_from([30.0, 60.0, 100.0, 200.0]),
+       st.sampled_from([1000, 3000, 12000]))
+def test_schrodinger_eigenvalue_returns_the_asked_level_or_raises(
+        n, r_max, num_points):
+    try:
+        eps, nodes = schrodinger_eigenvalue(
+            _hydrogen, n, OracleConfig(r_max=r_max, num_points=num_points))
+    except DiracboundError:
+        return
+    assert nodes == n
+    assert eps < 0.0
+
+
+@pytest.mark.parametrize("found", [1, None])
+def test_schrodinger_eigenvalue_raises_on_another_node_count(monkeypatch,
+                                                             found):
+    # The level is bisected on the level count; when its eigenfunction
+    # has another number of interior nodes (or that sweep is lost), no
+    # level comes back.
+    monkeypatch.setattr(oracle._InnerSolver, "interior_nodes",
+                        lambda self, eps: found)
+    with pytest.raises(NoEigenvalueError, match="interior nodes, not 0"):
+        schrodinger_eigenvalue(_hydrogen, 0,
+                               OracleConfig(r_max=60.0, num_points=3000))
+
+
+def _hydrogen_solver(r_max, num_points):
+    r = np.linspace(1e-6, r_max, num_points + 1)
+    return oracle._InnerSolver(_hydrogen(r), r)
+
+
+@pytest.mark.parametrize("grid", [(30.0, 1000), (60.0, 1000), (60.0, 3000),
+                                  (200.0, 3000)], ids=_grid_id)
+def test_level_count_never_falls_and_steps_by_one(grid):
+    # On an eps grid much finer than the level spacing, the count starts
+    # at 0 and rises by exactly one at each level; the first two levels
+    # are hydrogen's, within the grid's Numerov error and the eps step.
+    solver = _hydrogen_solver(*grid)
+    eps = np.linspace(-1.2, -0.01, 3000)
+    counts = np.array([solver.count(e) for e in eps])
+    rises = np.diff(counts)
+    assert counts[0] == 0
+    assert set(rises.tolist()) <= {0, 1}
+    levels = eps[1:][rises == 1]
+    assert abs(levels[0] + 1.0) < 5e-3
+    assert abs(levels[1] + 0.25) < 1e-3
+
+
+def _johnson_count(solver, eps):
+    """The level count in its matching form, from _sweep calls: the
+    outward nodes before match_idx, the nodes after it of an inward sweep
+    seeded with the decaying tail exp(-k r), k = sqrt(U[-1] - eps), and
+    one more when the log-derivative mismatch dout - din at match_idx is
+    negative (it falls through zero at each level)."""
+    c = solver.hh12 * eps
+    m, end = solver.match_idx, len(solver.wU) - 1
+    _, n_out, (u0, u1, u2) = _sweep(solver.wU, c, *solver._start(c), end, 1,
+                                    m, m)
+    k = math.sqrt(max(float(solver.U[-1]) - eps, 0.0))
+    v_end = 1e-120
+    _, n_in, (v2, v1, v0) = _sweep(solver.wU, c, v_end,
+                                   v_end * math.exp(min(k * solver.h, 300.0)),
+                                   end - 1, m - 1, -1, m, m)
+    dout = (u2 - u0) / (2.0 * solver.h * u1)
+    din = (v2 - v0) / (2.0 * solver.h * v1)
+    return n_out + n_in + (dout - din < 0.0)
+
+
+def _spot_solver():
+    # the spot state's U_eff at its energy, on a 4001-point grid
+    p = PotentialParams(V0=2.0, A=1.0, B=1.0, delta=0.05, H=0.0, M=4.76)
+    r = np.linspace(1e-6, 60.0, 4001)
+    return oracle._InnerSolver(effective_potential(
+        r, 0.4232619652, p, SymmetryLimit.spin(5.0), QuantumNumbers(0, -2),
+        "approximated"), r)
+
+
+@pytest.mark.parametrize("make, lo, levels", [
+    (lambda: _hydrogen_solver(60.0, 3000), -1.2, 6),
+    (lambda: _hydrogen_solver(25.0, 3000), -1.2, 4),
+    (_spot_solver, -3.0, 4),
+], ids=["hydrogen-60", "hydrogen-25", "spot"])
+def test_level_count_is_the_matching_count(make, lo, levels):
+    # The end test holds count to the matching form: in exact arithmetic
+    # the outward solution meets the inward one at match_idx exactly when
+    # its ratio at the grid end is the inward seed's.  The two agree at
+    # every eps of a fine grid over [lo, -0.01] and at 1e-2 ... 1e-10
+    # from each level on both sides; only eps within 1e-11 (1 + |level|)
+    # of a level, where roundoff decides both, are left out.
+    solver = make()
+    eps = np.linspace(lo, -0.01, 500)
+    counts = [solver.count(e) for e in eps]
+    found = []
+    for i in np.flatnonzero(np.diff(counts)):
+        a, b = eps[i], eps[i + 1]
+        while b - a > 1e-14:
+            mid = 0.5 * (a + b)
+            if solver.count(mid) <= counts[i]:
+                a = mid
+            else:
+                b = mid
+        found.append(a)
+    assert len(found) == levels == counts[-1]
+    near = [at + side * 10.0 ** -k for at in found for side in (-1, 1)
+            for k in range(2, 11)]
+    for e in [*eps, *near]:
+        if min(abs(e - at) / (1.0 + abs(at)) for at in found) > 1e-11:
+            assert solver.count(e) == _johnson_count(solver, e), e
 
 
 def test_inner_solver_on_screened_coulomb_closed_form():
