@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import io
 import json
 import math
@@ -280,28 +281,107 @@ def _csv_quote(text: str) -> str:
     return text
 
 
+@functools.cache
+def _digit_words() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII digits of 0..9999 as 4-byte words, read as uint32.
+
+    The first table holds all four digits; the second writes leading
+    zeros as NUL, keeping the last digit of 0.  Built on first use from
+    the 100 two-digit pairs, read-only since every caller shares them.
+    """
+    pairs = np.frombuffer(b"".join(b"%02d" % i for i in range(100)),
+                          np.uint8).reshape(100, 2)
+    full = np.empty((100, 100, 4), np.uint8)
+    full[:, :, :2] = pairs[:, None]
+    full[:, :, 2:] = pairs[None, :]
+    full = full.reshape(10000, 4)
+    bare = full.copy()
+    for width in (1, 2, 3):
+        bare[:10 ** (4 - width), :width] = 0
+    words = full.view(np.uint32)[:, 0], bare.view(np.uint32)[:, 0]
+    for table in words:
+        table.flags.writeable = False
+    return words
+
+
 def _format_block(block: np.ndarray) -> str:
     """CRLF lines of a 2-D float array, each cell as ``format_cell`` gives it.
 
-    One %-format call renders every cell; the two rules of ``format_cell``
-    that %.8f does not follow are then applied as string fix-ups, each
-    anchored on a cell's leading separator (a leading newline anchors the
-    first cell of the first line).  No rendered float needs CSV quoting.
+    Cells are rendered from exact integers.  With x cast to float64,
+    y = x * 1e8 is the exact product x * 10^8 rounded once (1e8 is exact),
+    so the product lies within spacing(|y|) / 2 of y.  A cell is clean
+    when y lies more than spacing(|y|) from every half-integer (that
+    distance, | |y - rint(y)| - 1/2 |, is computed exactly).  The exact
+    product then rounds to the same integer as y and is no tie, so
+    rint(y) is the integer that %.8f prints, whatever its rule for ties.
+    Only |y| < 2^51 can be clean (spacing reaches 1/2 there; infinities
+    and NaN compare false), so the integer is exact in int64.
+
+    |rint(y)| is split into 4-digit groups, each looked up in a table of
+    ASCII words, and every cell is laid out in one fixed-width byte row:
+    a sign, written only when the integer is nonzero (so no negative
+    zero); the integer digits, as wide as the block's largest value
+    needs; '.' and the 8 decimals; then ',' or CRLF after a line's last
+    cell.  Unused bytes are NUL, and one translate drops them all.  NaN
+    becomes NA here.  The other cells (+-inf, |x| >= 2^51 / 1e8 and
+    near-ties) are rendered by ``format_cell`` and spliced in at their
+    offsets.  No rendered float needs CSV quoting.
     """
     nrows, ncols = block.shape
-    line = ",".join(["%.8f"] * ncols) + "\r\n"
-    body = "\n" + (line * nrows) % tuple(block.ravel().tolist())
-    body = (body.replace(",-0.00000000", ",0.00000000")
-            .replace("\n-0.00000000", "\n0.00000000")
-            .replace("nan", "NA"))
-    return body[1:]
+    if ncols == 0:
+        return "\r\n" * nrows
+    full, bare = _digit_words()
+    x = np.asarray(block, dtype=np.float64).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = x * 1e8
+        rounded = np.rint(y)
+        clean = np.abs(np.abs(y - rounded) - 0.5) > np.spacing(np.abs(y))
+    n = np.abs(np.where(clean, rounded, 0.0)).astype(np.int64)
+    whole = n // 10 ** 8
+    frac = (n - whole * 10 ** 8).astype(np.uint32)
+    whole = whole.astype(np.uint32)
+    digits = 4 if whole.max(initial=0) < 10 ** 4 else 8
+    width = digits + 12
+    row = np.empty((x.size, width), np.uint8)
+
+    def put(col, words):
+        row[:, col:col + 4].view(np.uint32)[:, 0] = words
+
+    row[:, 0] = np.where((x < 0) & (n != 0), ord("-"), 0)
+    if digits == 4:
+        put(1, bare[whole])
+    else:
+        high, low = np.divmod(whole, 10 ** 4)
+        put(1, np.where(high > 0, bare[high], 0))
+        put(5, np.where(high > 0, full[low], bare[low]))
+    row[:, digits + 1] = ord(".")
+    put(digits + 2, full[frac // 10 ** 4])
+    put(digits + 6, full[frac % 10 ** 4])
+    cells = row.reshape(nrows, ncols, width)
+    cells[:, :-1, -2:] = (ord(","), 0)
+    cells[:, -1, -2:] = (ord("\r"), ord("\n"))
+    nan = np.isnan(x)
+    row[~clean, :-2] = 0
+    row[nan, 1:3] = (ord("N"), ord("A"))
+    text = row.tobytes()
+    spliced, start = [], 0
+    for k in np.flatnonzero(~clean & ~nan).tolist():
+        spliced += [text[start:k * width], format_cell(x[k]).encode()]
+        start = k * width
+    if spliced:
+        text = b"".join(spliced) + text[start:]
+    return text.translate(None, b"\0").decode("ascii")
+
+
+def _is_float_block(rows) -> bool:
+    return isinstance(rows, np.ndarray) and rows.dtype.kind == "f"
 
 
 def write_csv(path: str, header: list[str],
               rows: np.ndarray | list[list]) -> None:
     """rows: a 2-D float array (NaN writes NA) or a list of mixed rows."""
     text = ",".join(_csv_quote(h) for h in header) + "\r\n"
-    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+    if _is_float_block(rows):
         text += _format_block(rows)
     else:
         text += "".join(",".join(_csv_quote(format_cell(c)) for c in row)
@@ -325,11 +405,15 @@ def _json_cell(cell):
 
 def write_json(path: str, header: list[str], rows: np.ndarray | list[list],
                units: dict) -> None:
-    payload = {
-        "header": header,
-        "units": units,
-        "rows": [[_json_cell(c) for c in row] for row in rows],
-    }
+    """rows as ``write_csv`` takes them; a float array reads its cells back
+    from the CSV text, so both formats hold the same numbers."""
+    if _is_float_block(rows) and rows.size:
+        cells = [[None if token == "NA" else float(token)
+                  for token in line.split(",")]
+                 for line in _format_block(rows).split("\r\n")[:-1]]
+    else:
+        cells = [[_json_cell(c) for c in row] for row in rows]
+    payload = {"header": header, "units": units, "rows": cells}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -50,8 +50,12 @@ class OracleConfig:
     r_max=None picks 40 fm for schrodinger_eigenvalue, and for
     dirac_eigenvalue max(40, 12/sqrt(|eps_ref|)) fm from the problem's own
     energy scale, eps_ref being eps_target at the middle of the energy
-    window.  centrifugal_mode selects the approximated (screened) or exact
-    (1/r^2 plus exact potential) radial equation.
+    window.  dirac_eigenvalue scans its 160 probe energies on a second
+    grid of max(2000, num_points // 5) steps over the same span; below
+    10000 points that floor makes the probe grid more than a fifth of
+    num_points, and below 2000 finer than the solve grid.
+    centrifugal_mode selects the approximated (screened) or exact (1/r^2
+    plus exact potential) radial equation.
     """
 
     r_max: Optional[float] = None

@@ -24,9 +24,9 @@ from hypothesis import strategies as st
 
 import diracbound
 from diracbound import cli
-from diracbound.cli import (RunConfig, apply_preset, format_cell, main,
-                            parse_states, write_csv, write_json, _csv_quote,
-                            _grid)
+from diracbound.cli import (RunConfig, apply_preset, default_table_states,
+                            format_cell, main, parse_states, write_csv,
+                            write_json, _csv_quote, _format_block, _grid)
 from diracbound.errors import (DiracboundError, DomainError,
                                InvalidBranchError, NoEigenvalueError,
                                NotConvergedError, PoleError,
@@ -61,19 +61,47 @@ def test_format_cell():
     assert format_cell(-0.0) == "0.00000000"
 
 
+# |x| where x * 1e8 reaches 2^51, from which the block kernel renders no
+# cell from its integer, and 2^53, from which doubles are even integers.
+_EXACT_EDGES = (2.0 ** 51 / 1e8, 2.0 ** 53 / 1e8)
+
 # Cells where the rendering rules bite: NaN of either sign, infinities,
-# signed zeros, values that round to a signed zero or just away from it.
+# signed zeros, values that round to a signed zero or just away from it,
+# the kernel's exactness edges and values whose product with 1e8 overflows.
 _EDGE_CELLS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
                5e-9, -5e-9, 4.999999999e-9, -4.999999999e-9,
                5.000000001e-9, -5.000000001e-9, -1e-12, 1e-300, -1e-300,
-               1e300, -1e300]
+               1e300, -1e300, *_EXACT_EDGES, -_EXACT_EDGES[1],
+               math.nextafter(_EXACT_EDGES[1], 0.0), 1.8e300, -1.8e300]
+
+
+def _nudge(value, ulps):
+    """value moved by ulps (-1, 0 or 1) units in the last place."""
+    return value if ulps == 0 else math.nextafter(value, ulps * math.inf)
+
+
+_signs = st.sampled_from([1.0, -1.0])
+_ulps = st.sampled_from([-1, 0, 1])
 
 _cells = st.one_of(
     st.sampled_from(_EDGE_CELLS),
     st.floats(allow_nan=True, allow_infinity=True),
     st.builds(lambda sign, mantissa, exponent: sign * mantissa
-              * 10.0 ** exponent, st.sampled_from([1.0, -1.0]),
-              st.floats(1.0, 9.999), st.integers(-300, 299)))
+              * 10.0 ** exponent, _signs,
+              st.floats(1.0, 9.999), st.integers(-300, 299)),
+    # x * 1e8 a half-integer, or one ulp from one: (k + 0.5) / 1e8.
+    st.builds(lambda k, ulps: _nudge((k + 0.5) / 1e8, ulps),
+              st.integers(-10 ** 16, 10 ** 16), _ulps),
+    # Exact binary ties: k / 512 * 1e8 is a half-integer for odd k.
+    st.integers(-2 ** 40, 2 ** 40).map(lambda k: k / 512),
+    # Both sides of the kernel's exactness edges.
+    st.builds(lambda sign, edge, scale, ulps: sign * _nudge(edge * scale,
+                                                            ulps),
+              _signs, st.sampled_from(_EXACT_EDGES), st.floats(0.999, 1.001),
+              _ulps),
+    # x * 1e8 overflows.
+    st.builds(lambda sign, size: sign * size, _signs,
+              st.floats(1.8e300, sys.float_info.max)))
 
 
 @st.composite
@@ -90,6 +118,16 @@ def _float_blocks(draw):
 @given(block=_float_blocks())
 @example(block=np.array([[-0.0, -1e-12, math.nan],
                          [-3e-9, -0.0, -math.nan]]))
+# NaN, infinities and near-ties in one row.
+@example(block=np.array([[math.nan, 3.5e-8, -math.inf,
+                          math.nextafter(2.5e-8, 0.0), math.inf,
+                          -_nudge(123.456789125, 1), 1.0]]))
+@example(block=np.array([[1.1, -2.5e-9, math.nan],
+                         [3.4e38, -0.0, 1e-45],
+                         [-123456.78, math.inf, 0.1]], dtype=np.float32))
+# A wavefunction-sized block: r, F and G at 2000 points.
+@example(block=np.random.default_rng(2000).normal(size=(2000, 3))
+         * [30.0, 0.3, 0.3])
 def test_block_writer_follows_the_cell_rule(tmp_path, block):
     header = [f"x{j}" for j in range(block.shape[1])]
     lines = [header] + [[format_cell(c) for c in row] for row in block]
@@ -101,6 +139,42 @@ def test_block_writer_follows_the_cell_rule(tmp_path, block):
     write_json(tmp_path / "lists.json", header, block.tolist(), {})
     assert ((tmp_path / "array.json").read_bytes()
             == (tmp_path / "lists.json").read_bytes())
+
+
+def _percent_block(block):
+    """_format_block as it ran before its integer kernel: one %-format
+    call, then the two rules of format_cell that %.8f does not follow as
+    string fix-ups.  The reference for
+    test_block_kernel_matches_the_percent_format."""
+    nrows, ncols = block.shape
+    line = ",".join(["%.8f"] * ncols) + "\r\n"
+    body = "\n" + (line * nrows) % tuple(block.ravel().tolist())
+    body = (body.replace(",-0.00000000", ",0.00000000")
+            .replace("\n-0.00000000", "\n0.00000000")
+            .replace("nan", "NA"))
+    return body[1:]
+
+
+@pytest.mark.parametrize("kind", ["spin", "pseudospin"])
+def test_block_kernel_matches_the_percent_format(kind, tmp_path, monkeypatch):
+    # Every float block the preset's sweep, scan and wavefunction write,
+    # the spinors of all 32 table states included.
+    blocks = []
+
+    def recording(block):
+        blocks.append(block.copy())
+        return _format_block(block)
+
+    monkeypatch.setattr(cli, "_format_block", recording)
+    table_states = ";".join(f"{qn.n},{qn.kappa}"
+                            for qn in default_table_states(kind))
+    for argv in (["sweep"], ["scan"], ["wavefunction"],
+                 ["wavefunction", "--states", table_states]):
+        assert main(argv + ["--preset", PRESET, "--symmetry", kind,
+                            "--out", str(tmp_path)]) == 0
+    assert len(blocks) == 1 + 2 + 3 + 32
+    for block in blocks:
+        assert _format_block(block) == _percent_block(block)
 
 
 def test_grid_endpoints():
