@@ -50,9 +50,10 @@ class OracleConfig:
     r_max=None picks 40 fm for schrodinger_eigenvalue, and for
     dirac_eigenvalue max(40, 12/sqrt(|eps_ref|)) fm from the problem's own
     energy scale, eps_ref being eps_target at the middle of the energy
-    window.  dirac_eigenvalue scans its 160 probe energies on a second
-    grid of max(2000, num_points // 5) steps over the same span; below
-    10000 points that floor makes the probe grid more than a fifth of
+    window.  dirac_eigenvalue places 160 probe energies across the window
+    and counts levels at them, nearest E = 0 first, on a second grid of
+    max(2000, num_points // 5) steps over the same span; below 10000
+    points that floor makes the probe grid more than a fifth of
     num_points, and below 2000 finer than the solve grid.
     centrifugal_mode selects the approximated (screened) or exact (1/r^2
     plus exact potential) radial equation.
@@ -563,12 +564,14 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
     eigenvalue with the node count fixed by the quantum numbers (the degree
     of the polynomial factor of the solved component).  Every search uses
     one level count (_InnerSolver.count: the levels below eps whose tail
-    decays, from one outward Numerov sweep).  The energy window is scanned
-    at 160 probe energies for sign changes of the defect, one count each
-    on a coarse grid; the bracket nearest E = 0 is bisected with one count
-    per step on the fine grid.  On either grid U_eff is built at each
-    energy from parts computed once, and the result is confirmed by a full
-    inner eigensolve at the final energy, which bisects on the same count.
+    decays, from one outward Numerov sweep).  160 probe energies split the
+    energy window into neighbouring pairs, visited nearest E = 0 first,
+    with one count per probe on a coarse grid, each probe counted once;
+    the first pair whose defect changes sign, the bracket nearest E = 0,
+    is bisected with one count per step on the fine grid.  On either grid
+    U_eff is built at each energy from parts computed once, and the result
+    is confirmed by a full inner eigensolve at the final energy, which
+    bisects on the same count.
 
     That eigensolve is given eps_target(E) as a guess: when the outer
     bisection has converged, the inner eigenvalue lies within 1e-8 of it,
@@ -610,17 +613,24 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
     # scan for defect sign changes on the coarse grid
     coarse = _effective_parts(r_coarse, p, sym, qn, cfg.centrifugal_mode)
     probes = np.linspace(e_lo, e_hi, 160)
-    signs = [_defect_sign(coarse, sym, p.M, r_coarse, E) for E in probes]
-    brackets = []
-    for i in range(len(probes) - 1):
-        if signs[i] is not None and signs[i + 1] is not None \
-                and signs[i] != signs[i + 1]:
-            brackets.append((float(probes[i]), float(probes[i + 1])))
-    if not brackets:
+    pairs = [(float(probes[i]), float(probes[i + 1]))
+             for i in range(len(probes) - 1)]
+    signs = {}
+    # Neighbouring probe pairs nearest E = 0 first, the lower one on a tie
+    # (sorted is stable), each probe counted once; the first sign change
+    # is the bracket taken.
+    for i in sorted(range(len(pairs)),
+                    key=lambda i: abs(0.5 * (pairs[i][0] + pairs[i][1]))):
+        for j in (i, i + 1):
+            if j not in signs:
+                signs[j] = _defect_sign(coarse, sym, p.M, r_coarse, probes[j])
+        if None not in (signs[i], signs[i + 1]) and signs[i] != signs[i + 1]:
+            lo, hi = pairs[i]
+            break
+    else:
         raise NoEigenvalueError(
             "no self-consistent bound state in the energy window "
             f"[{e_lo:.4f}, {e_hi:.4f}]")
-    lo, hi = min(brackets, key=lambda br: abs(0.5 * (br[0] + br[1])))
 
     parts = _effective_parts(r_fine, p, sym, qn, cfg.centrifugal_mode)
     outer = 0

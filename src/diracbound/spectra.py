@@ -19,7 +19,15 @@ row's roots do not depend on the rest of its batch.  `solve_levels` is a
 batch of one, and the tables send their whole parameter set as one batch.
 The grid scans and delta sweeps keep one energy per row, the one
 `select_table_root` picks, so they select it from the arrays of roots and
-build no EnergyRoot.
+build no EnergyRoot.  That energy must lie on one side of E = 0 (E > 0
+for spin, E < 0 for pseudospin), and most rows of a scan hold no root
+there, so each row is first proved empty or kept.  The proof takes the
+row's polynomial, built once for both, on the x interval of the energies
+within 1e-4 of that side (1e-4 lies far above how far bisection moves a
+root from its companion root), written in the Bernstein basis: if every
+coefficient has one sign, with a margin far above rounding, the residual
+has no zero there, and the row gets NaN without an eigensolve.  A kept
+row is solved exactly as before, so every selected energy keeps its bits.
 
 The residual is built from the squared form of the quantization relation.
 That form admits two root families, distinguished by the sign of the
@@ -66,6 +74,17 @@ _TOL = 1e-12
 # At most this many rows are solved at once, which bounds the size, and so
 # the peak memory, of the stacked arrays.
 _CHUNK = 512
+# Scans and sweeps skip rows that provably hold no selectable root (see
+# _table_energies): _REACH is an energy margin above how far a root can
+# move after the eigensolve, _T_REACH a margin in t = sqrt(D) below D = 0,
+# and _SIGN_TOL bounds rounding relative to the polynomial's size.
+_REACH = 1e-4
+_T_REACH = 1e-6
+_SIGN_TOL = 1e-9
+# _BERNSTEIN[k, i] = binom(i, k) / binom(6, k): row vectors of power
+# coefficients on [0, 1] times it give the degree-6 Bernstein coefficients.
+_BERNSTEIN = np.array([[math.comb(i, k) / math.comb(6, k) if k <= i else 0.0
+                        for i in range(7)] for k in range(7)])
 
 
 @dataclass(frozen=True)
@@ -191,7 +210,7 @@ def _convolve(a, b):
     return out
 
 
-def _polynomial(eq: ReducedEquation, e_lo, e_hi):
+def _polynomial(eq: ReducedEquation, e_lo, e_hi, span=None):
     """(poly, e_of_x, t_of_x): each row's residual as a polynomial in x.
 
     In powers of E, lhs = l0 + C E - E^2, D = d0 + d1 E with d1 = -B, and
@@ -213,6 +232,15 @@ def _polynomial(eq: ReducedEquation, e_lo, e_hi):
     quadratic fills the last 3 columns, and a row that is all 0 has no
     roots (B = 0 with D < 0 for every E).  e_of_x and t_of_x map x, an
     array whose last axis runs over the rows, to E and t.
+
+    span = (lo, hi), energies that broadcast against the rows, also sets
+    to 0 each row whose polynomial provably keeps one sign at the x of
+    every E in [lo, hi] with t >= -_T_REACH (_one_sign), and each row
+    whose D is below -_T_REACH^2 all over [lo, hi].  E is monotone in
+    t >= 0 and t is linear in x, so those x form one interval: [lo, hi]
+    itself for B = 0; between the x of lo and of hi where t0 > 0; and
+    where t0 = 0, from t = -_T_REACH (or the t of the span's smallest D,
+    when that is above _T_REACH^2) to the t of its largest D.
     """
     s, C, m = eq.s, eq.C, eq.degree
     va = eq.s_v / eq.four_d2
@@ -251,6 +279,22 @@ def _polynomial(eq: ReducedEquation, e_lo, e_hi):
     # A quadratic keeps every coefficient; only exact zeros lead it.
     size = np.where(quad, 0.0, 1e-16 * np.abs(poly).max(axis=1))
     poly[np.logical_and.accumulate(np.abs(poly) <= size[:, None], 1)] = 0.0
+    if span is not None:
+        with np.errstate(all="ignore"):
+            ends = np.stack(span)
+            d = d0 + d1 * ends
+            # t0 > 0: D stays near d0 > 0, and x = scale E / ((t + t0) V)
+            # is (t - t0) / (sigma V) without its cancellation (e0 = 0).
+            x_shift = scale * ends / ((np.sqrt(d) + t0) * V)
+            # t0 = 0: x = t / (sigma V), down to t = -_T_REACH if the span
+            # reaches D = 0, and nothing left if D < 0 all over it.
+            d_lo, d_hi = d.min(axis=0), d.max(axis=0)
+            t_lo = np.where(d_lo <= _T_REACH ** 2, -_T_REACH, np.sqrt(d_lo))
+            x_root = np.stack([t_lo, np.sqrt(np.maximum(d_hi, 0.0))]) \
+                / (sigma * V)
+            x = np.where(quad, ends, np.where(shift, x_shift, x_root))
+            empty = ~shift & (d_hi < -_T_REACH ** 2)
+            poly[empty | _one_sign(poly, x.min(axis=0), x.max(axis=0))] = 0.0
     # For B = 0 the maps below give E = x and t = sqrt(d0), exactly.
     two_t0 = np.where(quad, 1.0, 2.0 * t0)
     e0, sigma = np.where(quad, 0.0, e0), np.where(quad, 0.0, sigma)
@@ -261,6 +305,34 @@ def _polynomial(eq: ReducedEquation, e_lo, e_hi):
         return e0 + (two_t0 + sigma * v) * v / scale
 
     return poly, e_of_x, lambda x: t0 + sigma * (V * x)
+
+
+def _one_sign(poly, a, b):
+    """Rows of poly that keep one sign, away from 0, for x in [a, b].
+
+    The polynomial is shifted to q(u) = poly(a + (b - a) u), u in [0, 1],
+    and written in the degree-6 Bernstein basis.  Those basis functions
+    are >= 0 and sum to 1 there, so q lies between its least and its
+    greatest Bernstein coefficient (Descartes' rule in Bernstein form;
+    Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 10).
+    A row counts when all its coefficients exceed tau, or all lie below
+    -tau, with tau = _SIGN_TOL times the sum of |q|'s power coefficients,
+    a bound on |q| over [0, 1].  Rounding in the polynomial's and the
+    Bernstein coefficients, and in the residual as _parts computes it, is
+    about 1e-16 of the terms they are summed from; tau leaves seven orders
+    of magnitude for those terms to exceed the sum by cancellation, so the
+    computed residual has q's sign too.  A row of zeros never counts.
+    """
+    c = poly.T[::-1].copy()         # power coefficients, lowest first
+    for i in range(6):              # Taylor shift: c(x) -> c(x + a)
+        for k in range(5, i - 1, -1):
+            c[k] += a * c[k + 1]
+    c *= (b - a) ** np.arange(7)[:, None]
+    tau = _SIGN_TOL * np.abs(c).sum(axis=0)
+    # Not a matmul: its first BLAS call would raise the peak RSS of a
+    # scan by about 0.3 MB.
+    bern = sum(np.multiply.outer(w, ck) for w, ck in zip(_BERNSTEIN, c))
+    return (bern > tau).all(axis=0) | (bern < -tau).all(axis=0)
 
 
 def _companion_roots(poly):
@@ -353,21 +425,29 @@ def _dedupe(row, E):
     return keep
 
 
-def _roots(eq: ReducedEquation):
+def _roots(eq: ReducedEquation, selectable=False):
     """(row, E): the roots solve_levels keeps for each row of eq.
 
     eq is a stacked record (see _stack).  The arrays are sorted by row,
     then by E, and hold each row's roots exactly as solve_levels returns
-    them for that row alone.
+    them for that row alone.  selectable=True keeps only what
+    _table_energies needs: candidates beyond _REACH on the wrong side of
+    E = 0 are dropped before bisection, and rows that provably hold no
+    root on the right side are not solved (see _table_energies).
     """
     e_hi = eq.M + np.abs(eq.C) + _WINDOW_PAD
     e_lo = -e_hi
-    poly, e_of_x, t_of_x = _polynomial(eq, e_lo, e_hi)
+    lo, hi, span = e_lo, e_hi, None
+    if selectable:
+        spin = eq.s > 0.0
+        lo, hi = np.where(spin, -_REACH, e_lo), np.where(spin, e_hi, _REACH)
+        span = (lo - _REACH, hi + _REACH)
+    poly, e_of_x, t_of_x = _polynomial(eq, e_lo, e_hi, span)
     z = _companion_roots(poly)
     x = z.real
     E = e_of_x(x)
     keep = ((np.abs(z.imag) <= 1e-7 * (1.0 + np.abs(x)))
-            & (t_of_x(x) >= -1e-9) & (e_lo <= E) & (E <= e_hi))
+            & (t_of_x(x) >= -1e-9) & (lo <= E) & (E <= hi))
     row = np.nonzero(keep)[1]
     E = _bisect(E[keep], _take(eq, row))
     found = ~np.isnan(E)
@@ -383,8 +463,25 @@ def _table_energies(eq: ReducedEquation):
 
     Among a row's sign_ok roots that is the one of smallest |E|, the first
     in E order on a tie: the sort below is stable.
+
+    sign_ok needs E > 0 (spin) or E < 0 (pseudospin), and most rows hold
+    no root on that side, so rows are proved empty before the eigensolve.
+    After it a root moves at most 1e-5 from its companion root (the
+    bracket search's widest reach; the _TOL polish stays in the bracket,
+    and the 10 _TOL dedupe only drops roots), so only candidates within
+    _REACH = 1e-4 of that side can end sign_ok: E >= -_REACH (spin) or
+    E <= _REACH (pseudospin), in the window.  Every bracket around them
+    lies in that range widened by _REACH.  A row whose residual keeps one
+    sign there (_polynomial's span; _one_sign) has no bracket with a sign
+    change or an exact zero in it, so it gets NaN without a companion
+    eigensolve or a bisection; so does a row whose range has D < 0
+    throughout, or whose polynomial is all 0.  The other rows drop the
+    candidates outside the range: their roots lie 9e-5 beyond E = 0, out
+    of the dedupe's reach of any sign_ok root.  Each row is solved
+    independently, so a kept row's bits are those of the full
+    enumeration.
     """
-    row, E = _roots(eq)
+    row, E = _roots(eq, selectable=True)
     ok = _sign_ok(E, _take(eq, row))
     row, E = row[ok], E[ok]
     order = np.lexsort((np.abs(E), row))

@@ -684,14 +684,16 @@ def test_a_state_off_its_target_or_falling_to_the_centre_is_not_converged():
 @pytest.mark.slow
 def test_sweep_count_budget(monkeypatch):
     # Sweeps and recurrence steps per dirac_eigenvalue, which no timing
-    # shows on a machine of another speed.  The scan sweeps each of its
-    # 160 probes once on the 4001-point coarse grid.  On the 20001-point
-    # fine grid each level count is one outward sweep: the spot state
-    # takes 59 sweeps with the guess accepted (82 without it), and the
-    # near-fall state 57 (83 without); each count includes the final
-    # interior_nodes' outward and inward sweeps.  The step budgets are the
-    # counts with node-only sweeps that may stop on the growing tail from
-    # their first step.
+    # shows on a machine of another speed.  The scan sweeps a probe once
+    # on the 4001-point coarse grid when its pair is visited, nearest
+    # E = 0 first, and stops at the first sign change: 8 of the 160
+    # probes for the spot state, 3 for the near-fall state.  On the
+    # 20001-point fine grid each level count is one outward sweep: the
+    # spot state takes 59 sweeps with the guess accepted (82 without it),
+    # and the near-fall state 57 (83 without); each count includes the
+    # final interior_nodes' outward and inward sweeps.  The step budgets
+    # are the exact counts with node-only sweeps that may stop on the
+    # growing tail from their first step.
     sweeps = Counter()
     real = oracle._sweep
 
@@ -701,13 +703,13 @@ def test_sweep_count_budget(monkeypatch):
 
     monkeypatch.setattr(oracle, "_sweep", spy)
     steps = _count_steps(monkeypatch)
-    for key, budget, step_budget in ((_SPOT, 59, 556_270),
-                                     (_NEAR_FALL, 57, 1_168_828)):
+    for key, probes, budget, step_budget in ((_SPOT, 8, 59, 410_933),
+                                             (_NEAR_FALL, 3, 57, 963_606)):
         sweeps.clear()
         before = steps()
         dirac_eigenvalue(*_pinned_inputs(*key))
         assert sweeps.keys() == {4001, 20001}, key
-        assert sweeps[4001] == 160, key
+        assert sweeps[4001] == probes, key
         assert sweeps[20001] <= budget, key
         assert steps() - before <= step_budget, key
 

@@ -1,6 +1,7 @@
 """Quantum numbers, quantization residuals, root finding and selection."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from diracbound import (
     solve_levels_batch,
     sweep_delta,
 )
+from diracbound import spectra
 from diracbound.spectra import (_dedupe, _polynomial, _stack,
                                 _table_energies)
 
@@ -367,6 +369,104 @@ def test_scan_reproduces_the_paper_panels(params_h5):
         assert np.array_equal(np.isnan(grid), np.isnan(want)), stem
         bound = ~np.isnan(want)
         assert np.max(np.abs(grid[bound] - want[bound])) <= 1e-6, stem
+
+
+def test_the_paper_panels_send_few_rows_to_the_eigensolve(params_h5,
+                                                         monkeypatch):
+    # Of the 12,960 cells of the four panels, 7,757 are proved to hold no
+    # selectable root and never reach the companion eigensolve (1,973,
+    # 1,911, 1,962 and 1,911 per panel).  A weaker proof fails here
+    # instead of only costing time.
+    solved = []
+    eigvals = np.linalg.eigvals
+
+    def spy(companion):
+        solved.append(len(companion))
+        return eigvals(companion)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    for ref in json.loads(_SCAN_REFERENCE.read_text()).values():
+        scan_v0_c(QuantumNumbers(ref["n"], ref["kappa"]), ref["kind"],
+                  params_h5, [float(v) for v in ref["v0"][1:]],
+                  [float(x) for x in ref["c"]])
+    assert sum(solved) <= 5203
+
+
+def _with_root_at(eq, E, branch):
+    """eq with s_v set so that g(E) = 0 on the given Q branch, or eq where
+    no s_v does (lhs < 0, D < 0 or no coupling at E)."""
+    coupling, lhs, _, _, D = eq.terms(E)
+    if not (lhs >= 0.0 and D >= 0.0 and coupling != 0.0):
+        return eq
+    m, t = eq.degree, np.sqrt(D)
+    Q = branch * np.sqrt(lhs / eq.d2)
+    alpha2 = Q * (m + 0.5 + t) + eq.lam + 0.5 + m * (m + 1.0) \
+        + (2.0 * m + 1.0) * t
+    return replace(eq, s_v=float(alpha2 * eq.four_d2 / coupling))
+
+
+@st.composite
+def _edge_records(draw):
+    """A record whose residual has a zero where the emptiness proof of
+    _table_energies is tightest: near E = 0, near D = 0, near an end of
+    the bound window (lhs = 0), anywhere on the selectable side, or a
+    record with B = 0 or with a polynomial that is all 0."""
+    p, sym, qn = draw(_problems())
+    eq = ReducedEquation.of(p, sym, qn)
+    near = st.one_of(st.floats(-2e-5, 2e-5), st.floats(-3e-4, 3e-4))
+    case = draw(st.sampled_from(["E=0", "D=0", "bound edge", "selectable",
+                                 "B=0", "all zero"]))
+    if case == "all zero":      # B = 0 and D = 1/4 + lam < 0 for every E
+        return replace(eq, s_b=0.0, lam=-0.3)
+    if case == "B=0":
+        eq, E = replace(eq, s_b=0.0), draw(near)
+    elif case == "E=0":
+        E = draw(near)
+    elif case == "selectable":
+        E = eq.s * draw(st.floats(0.0, 1.0)) * (eq.M + abs(eq.C))
+    elif case == "D=0":
+        # s_b puts D = 0 at E_D, and E lies beside it where D >= 0
+        E_D = draw(st.one_of(near, st.floats(-1.0, 1.0).map(
+            lambda u: u * (eq.M + abs(eq.C)))))
+        coupling = eq.coupling(E_D)
+        if coupling != 0.0:
+            eq = replace(eq, s_b=(0.25 + eq.lam) * eq.four_d2 / coupling)
+        E = E_D + draw(st.floats(-1e-6, 1e-6))
+    else:
+        # lhs = s (M - s E) (M + s E - C): zero at E = s M and E = C - s M
+        edge = draw(st.sampled_from([eq.s * eq.M, eq.C - eq.s * eq.M]))
+        E = edge + draw(st.floats(-1e-3, 1e-3))
+    return _with_root_at(eq, E, draw(st.sampled_from([1.0, -1.0])))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.lists(_edge_records(), min_size=1, max_size=12))
+def test_rows_proved_empty_hold_no_selectable_root(records):
+    # _table_energies against the same call with the proof off (no row is
+    # skipped) and with the whole selection off (every root enumerated, as
+    # solve_levels does): the same bits, and NaN on every skipped row.
+    eq = _stack(records)
+    polynomial, roots = spectra._polynomial, spectra._roots
+    skipped = []
+
+    def spy(eq, e_lo, e_hi, span=None):
+        out = polynomial(eq, e_lo, e_hi, span)
+        kept = polynomial(eq, e_lo, e_hi)[0]
+        skipped.append(kept.any(axis=1) & ~out[0].any(axis=1))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_polynomial", spy)
+        got = _table_energies(eq)
+        mp.setattr(spectra, "_polynomial",
+                   lambda eq, e_lo, e_hi, span=None:
+                   polynomial(eq, e_lo, e_hi))
+        unproved = _table_energies(eq)
+        mp.setattr(spectra, "_roots", lambda eq, selectable=False: roots(eq))
+        enumerated = _table_energies(eq)
+    assert repr(got.tolist()) == repr(unproved.tolist()) \
+        == repr(enumerated.tolist())
+    assert np.isnan(enumerated[skipped[0]]).all()
 
 
 @st.composite
