@@ -52,9 +52,9 @@ class OracleConfig:
     energy scale, eps_ref being eps_target at the middle of the energy
     window.  dirac_eigenvalue places 160 probe energies across the window
     and counts levels at them, nearest E = 0 first, on a second grid of
-    max(2000, num_points // 5) steps over the same span; below 10000
-    points that floor makes the probe grid more than a fifth of
-    num_points, and below 2000 finer than the solve grid.
+    min(num_points, max(2000, num_points // 5)) steps over the same span:
+    a fifth of the solve grid from 10000 points on, 2000 steps from 2000
+    to 10000 points, and the solve grid itself below 2000.
     centrifugal_mode selects the approximated (screened) or exact (1/r^2
     plus exact potential) radial equation.
     """
@@ -133,25 +133,22 @@ def _series_seed(f0, f1, r0, r1):
     return p, a1
 
 
-def _sweep(w, c, u0, u1, i, stop, step, mark, cap, limit=None,
-           want_trip=True):
+def _sweep(w, c, u0, u1, i, stop, step, limit=None):
     """Numerov sweep of u'' = f u with weights w[j] + c, in direction step.
 
     u0 = u[i - step] and u1 = u[i] seed the recurrence, which fills
     u[i + step], ... up to index stop (step = +1 outward, -1 inward).
-    Returns (nodes, nodes before cap, (u[mark - step], u[mark],
-    u[mark + step]) or None).  A node is a sign change above the roundoff
+    Returns (nodes, ends): nodes counts the sign changes above the roundoff
     floor, so the noise that takes over deep in a forbidden region cannot
-    fake one; it lies before cap when found at an index i short of cap in
-    the sweep direction.  |u| is rescaled whenever it passes _RESCALE_AT,
-    so only ratios of u are meaningful.
+    fake one, and ends is (u[stop - 2 step], u[stop - step], u[stop]) when
+    the sweep reaches stop, None when it stops early or takes no step
+    (stop at or behind i).  |u| is rescaled whenever it passes _RESCALE_AT,
+    except on the last two steps, so ends holds one scale; only ratios of
+    u are meaningful.
 
-    Two rules end the sweep before stop.  Neither changes a value the
-    caller reads (with want_trip=False, the triplet is None whenever the
-    sweep stops before the step at mark):
+    Two rules end the sweep before stop, and neither changes nodes:
     - Count limit.  With limit given, the sweep returns as soon as nodes
-      exceeds it; nodes is then only known to be above limit, and the
-      other two values are those of the steps taken.
+      exceeds it; nodes is then only known to be above limit.
     - Growing tail (the discrete Sturm argument of B. R. Johnson,
       J. Chem. Phys. 69, 4678 (1978)).  Write a step as
       wp u2 = k u1 - wm u0, with k = 12 - 10 w at its center.  Suppose
@@ -163,13 +160,12 @@ def _sweep(w, c, u0, u1, i, stop, step, mark, cap, limit=None,
       rounding of a step is a few ulp of 14 |u1|, far below 1e-12 |u1|
       once |u0| is a normal float; |u| grows less than 27-fold per step,
       so it never overflows; and the rescale by _RESCALE_AT divides both
-      values, changing their ratio by an ulp; the two steps at mark - 1
-      and mark that never rescale leave |u| below 27^2 _RESCALE_AT.  So
-      once every later step qualifies and u0, u1 do, no later step adds
-      a node, and the sweep returns; with want_trip it waits for the
-      step at mark, which gives the triplet.  The rule is checked after
-      every _TAIL steps past that point, so the recurrence's own steps
-      cost what they did.
+      values, changing their ratio by an ulp; the last two steps, which
+      never rescale, leave |u| below 27^2 _RESCALE_AT.  So once every
+      later step qualifies and u0, u1 do, no later step adds a node, and
+      the sweep returns.  The rule is checked after every _TAIL steps
+      past the last step that does not qualify, so the recurrence's own
+      steps cost what they did.
 
     The common step costs the recurrence and two comparisons (one more
     and a store while |u| grows); every returned bit is that of a loop
@@ -186,17 +182,17 @@ def _sweep(w, c, u0, u1, i, stop, step, mark, cap, limit=None,
       sets s from its sign.
     - New maximum.  amax and the rescale are touched only when x2 passes
       thr = min(amax, the chunk's rescale threshold); below that
-      threshold, x2 is a new amax and thr.  The steps at mark - 1 and
-      mark never rescale, so they may leave amax above _RESCALE_AT, and
-      a later step past _RESCALE_AT must still rescale below amax.
-    - Chunk cuts instead of per-step index tests.  Steps short of cap
-      and the others lie in different chunks.  The steps at mark - 1 and
-      mark form chunks without rescale, and the step at mark is a chunk
-      of its own: the triplet is its u0 and the state it leaves.  When
-      the count limit trips on it, the sweep returns before the triplet
-      is recorded.  Only the ends that _CHUNK and _TAIL set test the
-      growing-tail rule, so the sweep stops after the same steps.
+      threshold, x2 is a new amax and thr.
+    - Chunk cuts instead of per-step index tests.  The last two steps
+      form chunks without rescale, and the last step is a chunk of its
+      own: ends is its u0 and the state it leaves.  When the count limit
+      trips on it, the sweep returns before ends is recorded.  Only the
+      cuts every _TAIL steps from tail test the growing-tail rule, so the
+      other cuts do not move where the sweep stops.
     """
+    n = (stop - i) * step           # the number of steps
+    if n < 1:
+        return 0, None
     # The weights w[j] + c and 12 - 10 (w[j] + c) of the swept span, in
     # sweep order.  Elementwise float64 arithmetic gives the bits the
     # step-by-step sums would, and the steps run on Python floats, several
@@ -211,41 +207,27 @@ def _sweep(w, c, u0, u1, i, stop, step, mark, cap, limit=None,
     kc = 12.0 - 10.0 * wc
     # Step t is taken at grid index i + t step and has center wc[t + 1].
     # The tail rule may stop the sweep after the steps before tail: every
-    # later step qualifies, and the step at mark is done if want_trip.
-    n = wc.size - 2
-    if n < 0:                       # stop behind the seeds: no step
-        return 0, 0, None
-    at_mark = (mark - i) * step
-    # a mark behind the seeds has no step
-    tail = max(at_mark + 1, 0) if want_trip else 0
-    if tail < n:
-        big = wc > 0.5
-        bad = np.flatnonzero(~((kc[1:-1] - wc[:-2] - wc[2:] >= 1e-12)
-                               & big[:-2] & big[1:-1] & big[2:]))
-        if bad.size:
-            tail = max(tail, int(bad[-1]) + 1)
+    # later step qualifies.
+    big = wc > 0.5
+    bad = np.flatnonzero(~((kc[1:-1] - wc[:-2] - wc[2:] >= 1e-12)
+                           & big[:-2] & big[1:-1] & big[2:]))
+    tail = int(bad[-1]) + 1 if bad.size else 0
     checks = range(tail, n, _TAIL)
-    # the steps at mark - 1 and mark, in sweep order from hold
-    hold = at_mark - (step > 0)
-    at_cap = (cap - i) * step
     cuts = {*range(_CHUNK, min(tail, n), _CHUNK), *checks, n}
-    cuts.update(t for t in (hold, hold + 1, hold + 2, at_cap) if 0 < t < n)
+    cuts.update(t for t in (n - 2, n - 1) if t > 0)
     if limit is None:
         limit = math.inf
     u0, u1 = float(u0), float(u1)
     s = -1.0 if u1 < 0.0 else 1.0
     x0, x1 = s * u0, s * u1
     nodes = 0
-    nodes_to_cap = 0
-    trip = None
     amax = abs(u1)
     a = 0
     for b in sorted(cuts):
-        before = b <= at_cap
-        rescale_at = math.inf if hold <= a < hold + 2 else _RESCALE_AT
+        rescale_at = math.inf if a >= n - 2 else _RESCALE_AT
         thr = min(amax, rescale_at)
-        if a == at_mark:
-            first = s * x0          # u[mark - step]
+        if a == n - 1:
+            first = s * x0          # u[stop - 2 step]
         ws = array("d", wc[a:b + 2].tobytes())
         ks = array("d", kc[a + 1:b + 1].tobytes())
         # a step's wp is the wm of the step after next
@@ -262,10 +244,8 @@ def _sweep(w, c, u0, u1, i, stop, step, mark, cap, limit=None,
                 if (u2 < 0.0) != (s < 0.0) and u2 != 0.0 and u1 != 0.0 \
                         and a2 > 1e-12 * amax:
                     nodes += 1
-                    if before:
-                        nodes_to_cap += 1
                     if nodes > limit:
-                        return nodes, nodes_to_cap, trip
+                        return nodes, None
                 if a2 > rescale_at:
                     u1 /= _RESCALE_AT
                     u2 /= _RESCALE_AT
@@ -286,12 +266,10 @@ def _sweep(w, c, u0, u1, i, stop, step, mark, cap, limit=None,
                     thr = min(amax, rescale_at)
             x0, x1 = x1, x2
             wm, wq = wq, wp
-        if a == at_mark < b:
-            trip = (first, s * x0, s * x1)
         if b in checks and abs(x1) >= abs(x0) >= sys.float_info.min:
-            break
+            return nodes, None
         a = b
-    return nodes, nodes_to_cap, trip
+    return nodes, (first, s * x0, s * x1)
 
 
 class _InnerSolver:
@@ -326,19 +304,16 @@ class _InnerSolver:
             u0, u1 = 0.0, 1e-10
         return u0, u1, i0 + 1
 
-    def _shoot_out(self, c, mark, cap, limit=None):
-        """Outward sweep from the series-seeded start to the grid end.
+    def _shoot_out(self, c, stop, limit=None):
+        """Outward sweep from the series-seeded start to index stop.
 
-        Returns _sweep's (nodes, nodes before cap, triplet around mark),
-        or three Nones when the grid offers no accurate start.  The
-        growing-tail rule may stop the sweep from its first step, so the
-        triplet is None when the sweep ends before mark.
+        Returns _sweep's (nodes, ends), or (None, None) when the grid
+        offers no accurate start.
         """
         start = self._start(c)
         if start is None:
-            return None, None, None
-        return _sweep(self.wU, c, *start, len(self.wU) - 1, 1, mark, cap,
-                      limit, want_trip=False)
+            return None, None
+        return _sweep(self.wU, c, *start, stop, 1, limit)
 
     def _tail_ratio(self, eps):
         """u[-2] / u[-1] of a tail exp(-k r), k = sqrt(U[-1] - eps)."""
@@ -361,10 +336,9 @@ class _InnerSolver:
         eps rises and steps by one at each level.  With limit given, a
         count above it is only known to exceed it (_sweep's count limit).
         """
-        end = len(self.wU) - 1
-        n, _, trip = self._shoot_out(self.hh12 * eps, end - 1, end, limit)
-        if trip is not None:
-            u1, u2 = trip[1], trip[2]
+        n, ends = self._shoot_out(self.hh12 * eps, len(self.wU) - 1, limit)
+        if ends is not None:
+            _, u1, u2 = ends
             if not (u1 < 0.0 < u2 or u2 < 0.0 < u1) \
                     and abs(u1) > abs(u2) * self._tail_ratio(eps):
                 n += 1
@@ -374,9 +348,10 @@ class _InnerSolver:
         """Node count of the matched eigenfunction, tail artifact excluded.
 
         Genuine nodes all lie inside the classically allowed region, so the
-        outward count is capped at the outer turning point; beyond it only
-        the roundoff-injected growing mode can flip sign.  The nodes past
-        match_idx come from an inward sweep, seeded by the decaying tail.
+        outward sweep stops 10 points past the outer turning point, or at
+        match_idx if that comes first; beyond it only the roundoff-injected
+        growing mode can flip sign.  The nodes from match_idx on come from
+        an inward sweep, seeded by the decaying tail.
         """
         c = self.hh12 * eps
         allowed = np.nonzero(self.U < eps)[0]
@@ -384,13 +359,12 @@ class _InnerSolver:
         cap = m
         if allowed.size:
             cap = min(m, int(allowed[-1]) + 10)
-        _, n_match, _ = self._shoot_out(c, m, cap)
+        n_match, _ = self._shoot_out(c, cap)
         if n_match is None:
             return None
         v_end = 1e-120
-        _, n_in, _ = _sweep(self.wU, c, v_end, v_end * self._tail_ratio(eps),
-                            len(self.wU) - 2, m - 1, -1, m, m,
-                            want_trip=False)
+        n_in, _ = _sweep(self.wU, c, v_end, v_end * self._tail_ratio(eps),
+                         len(self.wU) - 2, m, -1)
         return n_match + n_in
 
     def floor(self, n_target: int):
@@ -566,9 +540,10 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
     one level count (_InnerSolver.count: the levels below eps whose tail
     decays, from one outward Numerov sweep).  160 probe energies split the
     energy window into neighbouring pairs, visited nearest E = 0 first,
-    with one count per probe on a coarse grid, each probe counted once;
-    the first pair whose defect changes sign, the bracket nearest E = 0,
-    is bisected with one count per step on the fine grid.  On either grid
+    with one count per probe on a coarse grid (OracleConfig; never finer
+    than the fine grid), each probe counted once; the first pair whose
+    defect changes sign, the bracket nearest E = 0, is bisected with one
+    count per step on the fine grid.  On either grid
     U_eff is built at each energy from parts computed once, and the result
     is confirmed by a full inner eigensolve at the final energy, which
     bisects on the same count.
@@ -607,7 +582,8 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
     # reference scale for the automatic grid: the deepest target eigenvalue
     mid = 0.5 * (e_lo + e_hi)
     eps_ref = abs(target_eigenvalue(mid, sym, p.M))
-    r_coarse = _build_grid(cfg, eps_ref, max(2000, cfg.num_points // 5))
+    r_coarse = _build_grid(cfg, eps_ref, min(cfg.num_points,
+                                             max(2000, cfg.num_points // 5)))
     r_fine = _build_grid(cfg, eps_ref)
 
     # scan for defect sign changes on the coarse grid
