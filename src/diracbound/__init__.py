@@ -38,6 +38,7 @@ from .oracle import (
     schrodinger_eigenvalue,
 )
 from .spectra import (
+    SPECTROSCOPIC_LETTERS,
     EnergyRoot,
     QuantumNumbers,
     doublet_partner,
@@ -47,6 +48,7 @@ from .spectra import (
     solve_levels,
     solve_levels_batch,
     sweep_delta,
+    table_energies,
 )
 from .wavefunctions import (
     SpinorSolution,

@@ -25,10 +25,10 @@ from .limits import (NonRelParams, coulomb_energy, hulthen_roots,
                      kratzer_fues_residual, nonrel_energy_coulomb,
                      nonrel_energy_hulthen)
 from .oracle import OracleConfig, dirac_eigenvalue, schrodinger_eigenvalue
-from .potentials import PotentialParams, SymmetryLimit
+from .potentials import (BENCHMARK_C_PSEUDO, BENCHMARK_C_SPIN,
+                         PotentialParams, SymmetryLimit, benchmark_params)
 from .spectra import (QuantumNumbers, doublet_partner, nu_residual,
-                      scan_v0_c, select_table_root, solve_levels,
-                      solve_levels_batch, sweep_delta)
+                      scan_v0_c, solve_levels, sweep_delta, table_energies)
 from .susyqm import susy_residual
 from .wavefunctions import solve_wavefunction
 
@@ -131,22 +131,17 @@ class RunConfig:
         return cls(**values)
 
     def validate(self) -> None:
-        if self.symmetry not in ("spin", "pseudospin"):
-            raise DomainError(
-                f"symmetry must be spin or pseudospin, got {self.symmetry!r}")
+        # The potential and the limit check their own fields.
+        self.symmetry_limit()
         if self.format not in ("csv", "json"):
             raise DomainError(f"format must be csv or json, got {self.format!r}")
         if self.oracle not in ("on", "off"):
             raise DomainError(f"oracle must be on or off, got {self.oracle!r}")
-        grid = [f"{axis}_{end}" for axis in _GRID_AXES
-                for end in ("start", "stop", "step")]
-        for name in ("V0", "A", "B", "delta", "M", "H", "C", *grid):
+        self.potential()
+        for name in (f"{axis}_{end}" for axis in _GRID_AXES
+                     for end in ("start", "stop", "step")):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
-        if self.delta <= 0:
-            raise DomainError(f"delta must be positive, got {self.delta}")
-        if self.M <= 0:
-            raise DomainError(f"M must be positive, got {self.M}")
         counts = {}
         for axis in _GRID_AXES:
             start, stop, step = (getattr(self, f"{axis}_{end}")
@@ -180,8 +175,8 @@ def apply_preset(cfg: RunConfig, name: str) -> RunConfig:
     if name != PRESET_NAME:
         raise DomainError(f"unknown preset {name!r}")
     return replace(
-        cfg, V0=2.0, A=1.0, B=1.0, delta=0.05, M=4.76, H=5.0,
-        C=5.0 if cfg.symmetry == "spin" else -5.0,
+        cfg, **vars(benchmark_params(H=5.0)),
+        C=BENCHMARK_C_SPIN if cfg.symmetry == "spin" else BENCHMARK_C_PSEUDO,
         delta_start=0.0, delta_stop=0.30, delta_step=0.01,
         v0_start=0.0, v0_stop=20.0, v0_step=0.5,
         c_start=-20.0, c_stop=20.0, c_step=0.5,
@@ -463,21 +458,20 @@ def cmd_table(cfg: RunConfig) -> int:
     header = [l_col, "n", "kappa", "label",
               f"E_H{h_pair[0]:g}", f"E_H{h_pair[1]:g}"]
     params = [cfg.potential(H=h) for h in h_pair]
-    found = iter(solve_levels_batch([(qn, sym, p) for qn in states
-                                     for p in params]))
+    found = iter(table_energies([(qn, sym, p) for qn in states
+                                 for p in params]).tolist())
     rows = []
     for qn in states:
-        energies = []
+        l_value = qn.l if sym.is_spin else qn.l_tilde
+        row = [l_value, qn.n, qn.kappa, qn.label]
         for h in h_pair:
-            root = select_table_root(next(found))
-            if root is None:
+            E = next(found)
+            if math.isnan(E):
                 print(f"error: no bound state for {qn.label} in the "
                       f"{sym.kind} limit at H={h:g}", file=sys.stderr)
                 return EXIT_SOLVER
-            energies.append(root.E)
-        l_value = qn.l if sym.is_spin else qn.l_tilde
-        rows.append([l_value, qn.n, qn.kappa, qn.label,
-                     energies[0], energies[1]])
+            row.append(E)
+        rows.append(row)
     path = write_rows(cfg, f"table_{cfg.symmetry}", header, rows,
                       units={f"E_H{h_pair[0]:g}": "fm^-1",
                              f"E_H{h_pair[1]:g}": "fm^-1"})
@@ -490,11 +484,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     states = parse_states(cfg.states, cfg.symmetry, "sweep")
     sym = cfg.symmetry_limit()
     deltas = _grid(cfg.delta_start, cfg.delta_stop, cfg.delta_step)
-    rows_raw = sweep_delta(states, sym, cfg.potential(), deltas)
+    rows = np.column_stack(
+        [deltas, sweep_delta(states, sym, cfg.potential(), deltas)])
     header = ["delta"] + [qn.label for qn in states]
-    # An unbound or out-of-domain cell, None here, becomes NaN.
-    rows = np.array([[row["delta"]] + [row[qn.label] for qn in states]
-                     for row in rows_raw], dtype=float)
     units = {"delta": "fm^-1"}
     units.update({qn.label: "fm^-1" for qn in states})
     path = write_rows(cfg, f"sweep_{cfg.symmetry}", header, rows, units)
@@ -530,14 +522,13 @@ def cmd_wavefunction(cfg: RunConfig) -> int:
     p = cfg.potential()
     header = ["r", "F", "G"]
     units = {"r": "fm", "F": "fm^-1/2", "G": "fm^-1/2"}
-    found = solve_levels_batch([(qn, sym, p) for qn in states])
-    for qn, roots in zip(states, found):
-        root = select_table_root(roots)
-        if root is None:
+    found = table_energies([(qn, sym, p) for qn in states]).tolist()
+    for qn, E in zip(states, found):
+        if math.isnan(E):
             print(f"error: no bound state for {qn.label} in the "
                   f"{sym.kind} limit", file=sys.stderr)
             return EXIT_SOLVER
-        solution = solve_wavefunction(qn, sym, p, root.E)
+        solution = solve_wavefunction(qn, sym, p, E)
         path = write_rows(cfg, f"wavefunction_{cfg.symmetry}"
                           f"_{_safe_label(qn)}", header, solution.samples,
                           units)
@@ -583,25 +574,23 @@ def _verify_degeneracy(cfg: RunConfig) -> tuple[str, str]:
     """H=0 doublet partners coincide; the tensor term must split them."""
     worst_h0 = 0.0
     min_split = math.inf
-    pairs = (("spin", 5.0, QuantumNumbers(0, -2)),
-             ("spin", 5.0, QuantumNumbers(1, -3)),
-             ("pseudospin", -5.0, QuantumNumbers(1, -1)),
-             ("pseudospin", -5.0, QuantumNumbers(2, -2)))
+    spin = SymmetryLimit.spin(BENCHMARK_C_SPIN)
+    pseudo = SymmetryLimit.pseudospin(BENCHMARK_C_PSEUDO)
+    pairs = ((spin, QuantumNumbers(0, -2)), (spin, QuantumNumbers(1, -3)),
+             (pseudo, QuantumNumbers(1, -1)), (pseudo, QuantumNumbers(2, -2)))
     cases, queries = [], []
-    for kind, c, qn in pairs:
-        sym = SymmetryLimit(kind, c)
+    for sym, qn in pairs:
         partner = doublet_partner(qn, sym)
         for h in (0.0, 5.0):
-            p = PotentialParams(V0=cfg.V0, A=cfg.A, B=cfg.B,
-                                delta=cfg.delta, H=h, M=cfg.M)
+            p = cfg.potential(H=h)
             cases.append((qn, h))
             queries += [(qn, sym, p), (partner, sym, p)]
-    found = iter(map(select_table_root, solve_levels_batch(queries)))
+    found = iter(table_energies(queries).tolist())
     for qn, h in cases:
         e1, e2 = next(found), next(found)
-        if e1 is None or e2 is None:
+        if math.isnan(e1) or math.isnan(e2):
             return "FAIL", f"missing root for {qn.label} pair at H={h:g}"
-        gap = abs(e1.E - e2.E)
+        gap = abs(e1 - e2)
         if h == 0.0:
             worst_h0 = max(worst_h0, gap)
         else:
@@ -667,8 +656,8 @@ def _verify_oracle(cfg: RunConfig) -> tuple[str, str]:
         return "FAIL", (f"screened s-wave: eps={eps:.8f} vs closed "
                         f"{target:.8f}")
     # One relativistic spin-limit state against the analytic root.
-    p = PotentialParams(V0=2.0, A=1.0, B=1.0, delta=0.05, H=0.0, M=4.76)
-    sym = SymmetryLimit.spin(5.0)
+    p = benchmark_params(H=0.0)
+    sym = SymmetryLimit.spin(BENCHMARK_C_SPIN)
     qn = QuantumNumbers(0, -2)
     roots = [r for r in solve_levels(qn, sym, p)
              if r.nu_branch > 0 and r.sqrt_domain_ok and r.C_bound_ok
@@ -687,17 +676,16 @@ def _verify_oracle(cfg: RunConfig) -> tuple[str, str]:
 
 def _verify_normalization(cfg: RunConfig) -> tuple[str, str]:
     """Solved components integrate to unit norm on the sampling grid."""
-    p = PotentialParams(V0=2.0, A=1.0, B=1.0, delta=0.05, H=5.0, M=4.76)
-    states = [(QuantumNumbers(0, 1), SymmetryLimit("spin", 5.0)),
-              (QuantumNumbers(0, 2), SymmetryLimit("pseudospin", -5.0))]
-    found = solve_levels_batch([(qn, sym, p) for qn, sym in states])
+    p = benchmark_params(H=5.0)
+    queries = [(QuantumNumbers(0, 1), SymmetryLimit.spin(BENCHMARK_C_SPIN), p),
+               (QuantumNumbers(0, 2),
+                SymmetryLimit.pseudospin(BENCHMARK_C_PSEUDO), p)]
     worst = 0.0
-    for (qn, sym), roots in zip(states, found):
-        root = select_table_root(roots)
-        if root is None:
+    for (qn, sym, _), E in zip(queries, table_energies(queries).tolist()):
+        if math.isnan(E):
             return "FAIL", (f"no bound state for {qn.label} in the "
                             f"{sym.kind} limit")
-        solution = solve_wavefunction(qn, sym, p, root.E)
+        solution = solve_wavefunction(qn, sym, p, E)
         r = solution.samples[:, 0]
         solved = solution.samples[:, 1 if sym.is_spin else 2]
         norm = np.trapezoid(solved ** 2, r)

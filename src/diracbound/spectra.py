@@ -16,18 +16,18 @@ matrices (polynomial roots are companion-matrix eigenvalues), maps the real
 roots t >= 0 back to E and polishes all of them together by bisection on g
 itself.  Each row follows exactly the steps it would follow alone, so a
 row's roots do not depend on the rest of its batch.  `solve_levels` is a
-batch of one, and the tables send their whole parameter set as one batch.
-The grid scans and delta sweeps keep one energy per row, the one
-`select_table_root` picks, so they select it from the arrays of roots and
-build no EnergyRoot.  That energy must lie on one side of E = 0 (E > 0
-for spin, E < 0 for pseudospin), and most rows of a scan hold no root
-there, so each row is first proved empty or kept.  The proof takes the
-row's polynomial, built once for both, on the x interval of the energies
-within 1e-4 of that side (1e-4 lies far above how far bisection moves a
-root from its companion root), written in the Bernstein basis: if every
-coefficient has one sign, with a margin far above rounding, the residual
-has no zero there, and the row gets NaN without an eigensolve.  A kept
-row is solved exactly as before, so every selected energy keeps its bits.
+batch of one.  The tables, delta sweeps, grid scans and spinors keep one
+energy per query, the one `select_table_root` picks; `table_energies`
+selects it from the arrays of roots and builds no EnergyRoot.  That
+energy must lie on one side of E = 0 (E > 0 for spin, E < 0 for
+pseudospin), and most rows of a scan hold no root there, so each row is
+first proved empty or kept.  The proof takes the row's polynomial, built
+once for both, on the x interval of the energies within 1e-4 of that side
+(1e-4 lies far above how far bisection moves a root from its companion
+root), written in the Bernstein basis: if every coefficient has one sign,
+with a margin far above rounding, the residual has no zero there, and the
+row gets NaN without an eigensolve.  A kept row is solved exactly as
+before, so every selected energy keeps its bits.
 
 The residual is built from the squared form of the quantization relation.
 That form admits two root families, distinguished by the sign of the
@@ -60,6 +60,7 @@ __all__ = [
     "solve_levels",
     "solve_levels_batch",
     "select_table_root",
+    "table_energies",
     "doublet_partner",
     "sweep_delta",
     "scan_v0_c",
@@ -74,7 +75,7 @@ _TOL = 1e-12
 # At most this many rows are solved at once, which bounds the size, and so
 # the peak memory, of the stacked arrays.
 _CHUNK = 512
-# Scans and sweeps skip rows that provably hold no selectable root (see
+# table_energies skips rows that provably hold no selectable root (see
 # _table_energies): _REACH is an energy margin above how far a root can
 # move after the eigensolve, _T_REACH a margin in t = sqrt(D) below D = 0,
 # and _SIGN_TOL bounds rounding relative to the polynomial's size.
@@ -566,6 +567,19 @@ def select_table_root(roots: list[EnergyRoot]) -> Optional[EnergyRoot]:
     return min(valid, key=lambda r: abs(r.E))
 
 
+def table_energies(queries) -> np.ndarray:
+    """The tabulated energy of each (qn, sym, p) of queries, or NaN.
+
+    Entry i is the energy of select_table_root(solve_levels(*queries[i])),
+    bit for bit, or NaN where that is None.  Only that energy is kept of
+    each query's roots, and no EnergyRoot is built (see _table_energies);
+    at most _CHUNK queries are solved at once.
+    """
+    eqs = [ReducedEquation.of(p, sym, qn) for qn, sym, p in queries]
+    return _table_energies_chunked(len(eqs),
+                                   lambda lo, hi: _stack(eqs[lo:hi]))
+
+
 def doublet_partner(qn: QuantumNumbers, sym: SymmetryLimit) -> QuantumNumbers:
     """The degeneracy partner of a state in the given symmetry limit.
 
@@ -590,30 +604,24 @@ def doublet_partner(qn: QuantumNumbers, sym: SymmetryLimit) -> QuantumNumbers:
 
 
 def sweep_delta(states: list[QuantumNumbers], sym: SymmetryLimit,
-                p: PotentialParams, deltas) -> list[dict]:
+                p: PotentialParams, deltas) -> np.ndarray:
     """Tabulated energy of each state as the screening parameter varies.
 
-    Returns one dict per delta value with key "delta" plus one key per state
-    label holding the selected bound-state energy, or None where the state
-    is unbound or the parameter point is out of domain (delta <= 0).  Every
-    state at every delta is solved in one batch.
+    Returns an array of shape (len(deltas), len(states)): the energy
+    table_energies selects, or NaN where the state is unbound or the
+    parameter point is out of domain (delta <= 0).  Every state at every
+    delta is solved in one batch.
     """
-    deltas = np.asarray(deltas, dtype=float).tolist()
-    # Every delta is checked, with or without states; "not d <= 0" keeps a
+    deltas = np.asarray(deltas, dtype=float)
+    # Every delta is checked, with or without states; ~(d <= 0) keeps a
     # NaN delta, which PotentialParams then rejects.
-    params = [PotentialParams(V0=p.V0, A=p.A, B=p.B, delta=d, H=p.H, M=p.M)
-              for d in deltas if not d <= 0.0]
-    eqs = [ReducedEquation.of(pd, sym, qn) for pd in params for qn in states]
-    found = iter(_table_energies_chunked(
-        len(eqs), lambda lo, hi: _stack(eqs[lo:hi])).tolist())
-    rows = []
-    for d in deltas:
-        row: dict = {"delta": d}
-        for qn in states:
-            E = math.nan if d <= 0.0 else next(found)
-            row[qn.label] = None if math.isnan(E) else E
-        rows.append(row)
-    return rows
+    solved = ~(deltas <= 0.0)
+    params = [replace(p, delta=d) for d in deltas[solved].tolist()]
+    out = np.full((deltas.size, len(states)), np.nan)
+    out[solved] = table_energies(
+        [(qn, sym, pd) for pd in params for qn in states]
+    ).reshape(len(params), len(states))
+    return out
 
 
 def scan_v0_c(qn: QuantumNumbers, sym_kind: str, p: PotentialParams,

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (DomainError, NoEigenvalueError, PoleError,
                      SingularCouplingError)
 from .potentials import PotentialParams, ReducedEquation, SymmetryLimit
-from .spectra import QuantumNumbers, select_table_root, solve_levels
+from .spectra import QuantumNumbers, table_energies
 
 __all__ = [
     "WaveContext",
@@ -323,11 +323,10 @@ def solve_wavefunction(qn: QuantumNumbers, sym: SymmetryLimit,
     are sampled on default_grid.
     """
     if E is None:
-        root = select_table_root(solve_levels(qn, sym, p))
-        if root is None:
+        E = table_energies([(qn, sym, p)])[0]
+        if math.isnan(E):
             raise NoEigenvalueError(
                 f"no bound state for {qn.label} in the {sym.kind} limit")
-        E = root.E
     ctx = wave_context(qn, sym, p, float(E))
     norm = norm_constant(ctx)
     r = default_grid(ctx)

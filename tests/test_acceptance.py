@@ -526,11 +526,12 @@ def test_ac9_delta_trends(spin_sym, pseudo_sym):
               -1.0))
     for sym, states, overlaps, sign in cases:
         qns = [QuantumNumbers(n, k) for n, k in states]
-        rows = sweep_delta(qns, sym, bench(5.0), deltas)
-        series = {qn.label: [row[qn.label] for row in rows] for qn in qns}
+        energies = sweep_delta(qns, sym, bench(5.0), deltas)
+        series = {qn.label: column
+                  for qn, column in zip(qns, energies.T.tolist())}
         for vals in series.values():
             steps = [(a, b) for a, b in zip(vals, vals[1:])
-                     if a is not None and b is not None]
+                     if not (math.isnan(a) or math.isnan(b))]
             assert steps, "sweep produced no consecutive bound energies"
             monotone = monotone and all(sign * (b - a) > 0.0
                                         for a, b in steps)
@@ -543,11 +544,11 @@ def test_ac9_delta_trends(spin_sym, pseudo_sym):
             worst_pair_gap = max(worst_pair_gap, gap_ref)
             for i in range(len(deltas)):
                 ea, eb = series[la][i], series[lb][i]
-                if ea is None or eb is None:
+                if math.isnan(ea) or math.isnan(eb):
                     continue
                 others = [series[label][i] for label in series
                           if label not in (la, lb)
-                          and series[label][i] is not None]
+                          and not math.isnan(series[label][i])]
                 nearest = min(abs(ea - other) for other in others)
                 worst_ratio = max(worst_ratio, abs(ea - eb) / nearest)
     ok = monotone and worst_pair_gap <= 1e-4 and worst_ratio <= 0.15

@@ -17,3 +17,14 @@ def test_every_exported_name_resolves(layer):
     missing = [name for name in module.__all__
                if not hasattr(module, name)]
     assert not missing, f"{layer}.__all__ names missing attributes {missing}"
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_the_package_reexports_every_layer_name(layer):
+    # `from diracbound import name` must reach every public name, so one
+    # added to a layer's __all__ cannot be left out of the package.
+    package = importlib.import_module("diracbound")
+    module = importlib.import_module(f"diracbound.{layer}")
+    missing = [name for name in module.__all__
+               if getattr(package, name, None) is not getattr(module, name)]
+    assert not missing, f"diracbound does not re-export {missing}"

@@ -811,6 +811,24 @@ def _hydrogen_solver(r_max, num_points):
     return oracle._InnerSolver(_hydrogen(r), r)
 
 
+def test_interior_nodes_counts_a_node_at_match_idx_once():
+    # On a 5.778 fm grid the n = 1 hydrogen level has its node about
+    # halfway between r[match_idx - 1] and r[match_idx]: the outward sweep
+    # to match_idx crosses it and the inward sweep to match_idx does not,
+    # but one to match_idx - 1 would.  Splitting the count anywhere but at
+    # match_idx counts the node twice or not at all.
+    solver = _hydrogen_solver(5.778, 1000)
+    eps, nodes = solver.eigenvalue(1)
+    m, c = solver.match_idx, solver.hh12 * eps
+    start = solver._start(c)
+    tail = (1e-120, 1e-120 * solver._tail_ratio(eps), len(solver.wU) - 2)
+    assert [_sweep(solver.wU, c, *start, stop, 1)[0]
+            for stop in (m - 1, m)] == [0, 1]
+    assert [_sweep(solver.wU, c, *tail, stop, -1)[0]
+            for stop in (m, m - 1)] == [0, 1]
+    assert nodes == solver.interior_nodes(eps) == 1
+
+
 @pytest.mark.parametrize("grid", [(30.0, 1000), (60.0, 1000), (60.0, 3000),
                                   (200.0, 3000)], ids=_grid_id)
 def test_level_count_never_falls_and_steps_by_one(grid):

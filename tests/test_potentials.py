@@ -60,6 +60,8 @@ _TAKES_SYM = {
     "solve_levels": lambda sym: diracbound.solve_levels(_QN, sym, _P),
     "solve_levels_batch":
         lambda sym: diracbound.solve_levels_batch([(_QN, sym, _P)]),
+    "table_energies":
+        lambda sym: diracbound.table_energies([(_QN, sym, _P)]),
     "sweep_delta": lambda sym: diracbound.sweep_delta([_QN], sym, _P, [0.05]),
     "nu_residual": lambda sym: diracbound.nu_residual(0.3, _P, sym, _QN),
     "doublet_partner": lambda sym: diracbound.doublet_partner(_QN, sym),

@@ -24,6 +24,7 @@ from diracbound import (
     solve_levels,
     solve_levels_batch,
     sweep_delta,
+    table_energies,
 )
 from diracbound import spectra
 from diracbound.spectra import (_dedupe, _polynomial, _stack,
@@ -229,13 +230,14 @@ def test_doublet_partner_maps(spin_sym, pseudo_sym):
 
 def test_sweep_delta_rows_and_out_of_domain(params_h5, spin_sym):
     states = [QuantumNumbers(0, 1), QuantumNumbers(0, 2)]
-    rows = sweep_delta(states, spin_sym, params_h5, [0.0, 0.05, 0.10])
-    assert [row["delta"] for row in rows] == [0.0, 0.05, 0.10]
-    assert all(row[qn.label] is None for qn in states for row in rows[:1])
-    assert rows[1]["0p1/2"] == pytest.approx(0.26229015, abs=1e-6)
+    energies = sweep_delta(states, spin_sym, params_h5, [0.0, 0.05, 0.10])
+    # One row per delta, one column per state; delta = 0 is out of domain.
+    assert energies.shape == (3, 2)
+    assert np.isnan(energies[0]).all()
+    assert states[0].label == "0p1/2"
+    assert energies[1, 0] == pytest.approx(0.26229015, abs=1e-6)
     # Spin energies rise with the screening parameter.
-    for qn in states:
-        assert rows[2][qn.label] > rows[1][qn.label]
+    assert (energies[2] > energies[1]).all()
 
 
 def test_scan_grid_shape_and_classification(params_h5):
@@ -323,17 +325,11 @@ def _cell_grid(qn, kind, p, v0, c):
 
 
 def _cell_sweep(states, sym, p, deltas):
-    """sweep_delta's rows, one solve_levels per cell."""
-    rows = []
-    for d in deltas:
-        row = {"delta": d}
-        for qn in states:
-            E = np.nan if d <= 0.0 else _table_energy(
-                qn, sym, PotentialParams(V0=p.V0, A=p.A, B=p.B, delta=d,
-                                         H=p.H, M=p.M))
-            row[qn.label] = None if np.isnan(E) else E
-        rows.append(row)
-    return rows
+    """sweep_delta's array, one solve_levels per cell."""
+    return [[np.nan if d <= 0.0
+             else _table_energy(qn, sym, PotentialParams(
+                 V0=p.V0, A=p.A, B=p.B, delta=d, H=p.H, M=p.M))
+             for qn in states] for d in deltas]
 
 
 def test_scan_with_a_zero_v0_column_matches_solve_levels(params_h5):
@@ -501,7 +497,9 @@ def test_scan_equals_per_cell_solves(qn, kind, p, v0, c):
        _axis(st.one_of(st.just(0.0), st.just(-0.05), st.floats(0.01, 0.25))))
 def test_sweep_equals_per_cell_solves(states, kind, c, p, deltas):
     sym = SymmetryLimit(kind, c)
-    assert repr(sweep_delta(states, sym, p, deltas)) \
+    energies = sweep_delta(states, sym, p, deltas)
+    assert energies.shape == (len(deltas), len(states))
+    assert repr(energies.tolist()) \
         == repr(_cell_sweep(states, sym, p, deltas))
 
 
@@ -511,6 +509,15 @@ def test_table_energies_pick_what_select_table_root_picks(problems):
     eq = _stack([ReducedEquation.of(p, sym, qn) for p, sym, qn in problems])
     assert repr(_table_energies(eq).tolist()) \
         == repr([_table_energy(qn, sym, p) for p, sym, qn in problems])
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(st.lists(_problems(), max_size=12))
+def test_table_energies_of_queries_pick_what_select_table_root_picks(
+        problems):
+    queries = [(qn, sym, p) for p, sym, qn in problems]
+    assert repr(table_energies(queries).tolist()) \
+        == repr([_table_energy(*query) for query in queries])
 
 
 def test_scan_and_sweep_across_a_chunk_boundary(params_h5, pseudo_sym):
@@ -529,12 +536,11 @@ def test_scan_and_sweep_across_a_chunk_boundary(params_h5, pseudo_sym):
     states = [QuantumNumbers(1, -1), QuantumNumbers(0, 2),
               QuantumNumbers(2, -2), QuantumNumbers(1, 2)]
     deltas = [0.002 * (i + 1) for i in range(130)]
-    rows = sweep_delta(states, pseudo_sym, params_h5, deltas)
-    assert repr(rows) \
+    energies = sweep_delta(states, pseudo_sym, params_h5, deltas)
+    assert repr(energies.tolist()) \
         == repr(_cell_sweep(states, pseudo_sym, params_h5, deltas))
-    cells = [row[qn.label] for row in rows for qn in states]
-    for part in (cells[:512], cells[512:]):
-        assert None in part and any(E is not None for E in part)
+    for cells in (energies.flat[:512], energies.flat[512:]):
+        assert np.isnan(cells).any() and not np.isnan(cells).all()
 
 
 def test_scan_with_an_empty_axis(params_h5):
@@ -542,7 +548,8 @@ def test_scan_with_an_empty_axis(params_h5):
     assert scan_v0_c(qn, "spin", params_h5, [1.0, 2.0], []).shape == (0, 2)
     assert scan_v0_c(qn, "spin", params_h5, [], [5.0, 6.0]).shape == (2, 0)
     assert scan_v0_c(qn, "spin", params_h5, [], []).shape == (0, 0)
-    assert sweep_delta([qn], SymmetryLimit.spin(5.0), params_h5, []) == []
+    assert sweep_delta([qn], SymmetryLimit.spin(5.0), params_h5,
+                       []).shape == (0, 1)
 
 
 def test_dedupe_compares_with_the_last_kept_root():
@@ -562,8 +569,8 @@ def test_scan_and_sweep_validate_their_inputs(params_h5, spin_sym):
             scan_v0_c(qn, "spin", params_h5, [2.0], [5.0, bad])
         with pytest.raises(DomainError):
             scan_v0_c(qn, "spin", params_h5, [2.0, bad], [5.0])
-    rows = sweep_delta([qn], spin_sym, params_h5, [-0.05, 0.0, 0.05])
-    assert [row[qn.label] is None for row in rows] == [True, True, False]
+    energies = sweep_delta([qn], spin_sym, params_h5, [-0.05, 0.0, 0.05])
+    assert np.isnan(energies[:, 0]).tolist() == [True, True, False]
     with pytest.raises(DomainError):
         sweep_delta([qn], spin_sym, params_h5, [0.05, np.nan])
 
@@ -579,5 +586,5 @@ def test_scan_and_sweep_validate_beside_an_empty_axis(params_h5, spin_sym):
         scan_v0_c(QuantumNumbers(0, -2), "bogus", params_h5, [1.0], [])
     with pytest.raises(DomainError):
         scan_v0_c(QuantumNumbers(0, -2), "bogus", params_h5, [], [])
-    assert sweep_delta([], spin_sym, params_h5, [-0.05, 0.05]) == [
-        {"delta": -0.05}, {"delta": 0.05}]
+    assert sweep_delta([], spin_sym, params_h5, [-0.05, 0.05]).shape \
+        == (2, 0)
