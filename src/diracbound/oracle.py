@@ -66,6 +66,7 @@ class OracleConfig:
     def __post_init__(self):
         if self.r_max is not None and not (
                 isinstance(self.r_max, numbers.Real)
+                and not isinstance(self.r_max, bool)
                 and math.isfinite(self.r_max) and self.r_max > _R_MIN):
             raise DomainError(f"r_max must be a finite number above the "
                               f"grid start {_R_MIN:g}, got {self.r_max!r}")
@@ -81,13 +82,16 @@ class OracleConfig:
 class OracleResult:
     """Self-consistent eigenvalue from `dirac_eigenvalue`, with diagnostics.
 
-    converged is False when the final |eps_inner(E) - eps_target(E)| exceeds
-    1e-8, or when U_eff falls to the centre (see dirac_eigenvalue); E is
+    defect_bound bounds |eps_inner(E) - eps_target(E)|: it is 1e-8 where
+    two level counts certify the inner level within 1e-8 of eps_target(E),
+    and the defect of a full inner eigensolve where they do not or U_eff
+    falls to the centre (see dirac_eigenvalue).  converged is False when
+    defect_bound exceeds 1e-8, or when U_eff falls to the centre; E is
     then still returned, so callers must check the flag.
     """
 
     E: float
-    inner_eigenvalue: float
+    defect_bound: float
     node_count: int
     outer_iters: int
     converged: bool
@@ -392,23 +396,14 @@ class _InnerSolver:
         n = self.count(eps, n_target)
         return None if n is None else n <= n_target
 
-    def eigenvalue(self, n_target: int, guess: Optional[float] = None):
+    def eigenvalue(self, n_target: int):
         """(eps, interior nodes) of the level with n_target levels below it.
 
         A single bisection on the level count (see count and _below) finds
-        eps; the node count is interior_nodes at eps, -1 when that sweep
-        is lost.  Raises NoEigenvalueError when the level is not in the
-        window (floor, 0) or a sweep inside it is lost.
-
-        guess, when given, is checked before bisecting: if eps lies below
-        the eigenvalue at guess - _OUTER_TOL and not at guess + _OUTER_TOL,
-        midpoints outside that window are sent to the side the check
-        implies, without a sweep, and only those inside it are swept.  The
-        level count never falls as eps rises, so each skipped midpoint goes
-        where its sweep would have sent it: the midpoints, the final
-        bracket and the result are those of the bisection without a guess.
-        A refuted guess (or one whose sweep is lost) costs up to two
-        evaluations of _below and leaves the bisection as it is.
+        eps to a relative width of 1e-14; the node count is interior_nodes
+        at eps, -1 when that sweep is lost.  Raises NoEigenvalueError when
+        the level is not in the window (floor, 0) or a sweep inside it is
+        lost.
         """
         found = self.floor(n_target)
         if found is None:
@@ -421,23 +416,11 @@ class _InnerSolver:
                 f"no eigenvalue with {n_target} nodes in the search window "
                 f"(level count spans [{n_lo}, {n_hi}))")
         a, b = lo, 0.0
-        # midpoints at or below x_lo go to a, at or above x_hi to b
-        x_lo, x_hi = -math.inf, math.inf
-        if guess is not None and \
-                self._below(guess - _OUTER_TOL, n_target) is True and \
-                self._below(guess + _OUTER_TOL, n_target) is False:
-            x_lo, x_hi = guess - _OUTER_TOL, guess + _OUTER_TOL
         for _ in range(220):
             mid = 0.5 * (a + b)
-            if mid <= x_lo:
-                below = True
-            elif mid >= x_hi:
-                below = False
-            else:
-                below = self._below(mid, n_target)
-                if below is None:
-                    raise NoEigenvalueError(
-                        "integration lost inside the window")
+            below = self._below(mid, n_target)
+            if below is None:
+                raise NoEigenvalueError("integration lost inside the window")
             if below:
                 a = mid
             else:
@@ -544,27 +527,28 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
     than the fine grid), each probe counted once; the first pair whose
     defect changes sign, the bracket nearest E = 0, is bisected with one
     count per step on the fine grid.  On either grid
-    U_eff is built at each energy from parts computed once, and the result
-    is confirmed by a full inner eigensolve at the final energy, which
-    bisects on the same count.
+    U_eff is built at each energy from parts computed once.
 
-    That eigensolve is given eps_target(E) as a guess: when the outer
-    bisection has converged, the inner eigenvalue lies within 1e-8 of it,
-    so the inner bisection skips the midpoints outside that window.  Each
-    skipped midpoint goes to the side its sweep would have sent it to, so
-    every output bit is that of the bisection without a guess; a guess the
-    window check refutes (converged=False) costs up to two evaluations more.
+    Two more counts on the fine grid certify the final energy (Johnson's
+    Sturm count, J. Chem. Phys. 69, 4678 (1978)): the count never falls as
+    eps rises, so the level lies in (eps_target - 1e-8, eps_target + 1e-8]
+    exactly when at most n_target levels lie below the lower end and more
+    than n_target below the upper one.  Then defect_bound is 1e-8 and the
+    node count is interior_nodes at eps_target.  Where the counts refute
+    that, a sweep is lost, or U_eff falls to the centre (below; its count
+    is only the grid's), a full inner eigensolve bisects on the same count
+    instead, and defect_bound is its |eps_inner - eps_target|.
 
     Raises NoEigenvalueError when no self-consistent bound state exists in
-    the window, and NotConvergedError only when the inner eigensolve at the
-    bisected energy fails.  A final defect |eps_inner - eps_target| above
-    1e-8, including one left by a bisection cut short by a lost sweep or a
-    bracket around a jump of the defect rather than a root, does not raise:
-    the result comes back with converged=False, so callers must check the
-    flag.  Raising there instead waits for the benchmark to accept a typed
-    failure (ROADMAP items 1 and 2).  converged is also False where U_eff
-    ~ lam / r^2 at r[0] with lam < -1/4 (spin (0, -3) at H = 2.5, C = 7):
-    U_eff then falls to the centre, and has no lowest level to converge to.
+    the window, and NotConvergedError only when that inner eigensolve
+    fails.  A final defect above 1e-8, including one left by a bisection
+    cut short by a lost sweep or a bracket around a jump of the defect
+    rather than a root, does not raise: the result comes back with
+    converged=False, so callers must check the flag.  Raising there
+    instead waits for the benchmark to accept a typed failure (ROADMAP
+    items 1 and 2).  converged is also False where U_eff ~ lam / r^2 at
+    r[0] with lam < -1/4 (spin (0, -3) at H = 2.5, C = 7): U_eff then
+    falls to the centre, and has no lowest level to converge to.
     """
     cfg = cfg or OracleConfig()
     eq = ReducedEquation.of(p, sym, qn)
@@ -625,16 +609,24 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
     E = 0.5 * (lo + hi)
     eps_t = target_eigenvalue(E, sym, p.M)
     solver = _InnerSolver(_u_eff(parts, E), r_fine)
-    try:
-        eps_inner, nodes = solver.eigenvalue(n_target, guess=eps_t)
-    except NoEigenvalueError as err:
-        raise NotConvergedError(
-            f"bisected to E={E:.8f} but the inner eigensolve failed there: "
-            f"{err}") from err
-    defect = eps_inner - eps_t
-    # U_eff ~ lam / r^2, 1 + 4 lam < 0: eps_inner is only the grid's level
+    # U_eff ~ lam / r^2, 1 + 4 lam < 0: U_eff has no lowest level, so the
+    # count is only the grid's and certifies nothing
     falls = 1.0 + 4.0 * solver.U[0] * r_fine[0] * r_fine[0] < 0.0
-    converged = abs(defect) <= _OUTER_TOL and not falls
-    return OracleResult(E=float(E), inner_eigenvalue=float(eps_inner),
+    if not falls and solver._below(eps_t - _OUTER_TOL, n_target) is True \
+            and solver._below(eps_t + _OUTER_TOL, n_target) is False:
+        defect_bound = _OUTER_TOL
+        nodes = solver.interior_nodes(eps_t)
+        if nodes is None:
+            nodes = -1
+    else:
+        try:
+            eps_inner, nodes = solver.eigenvalue(n_target)
+        except NoEigenvalueError as err:
+            raise NotConvergedError(
+                f"bisected to E={E:.8f} but the inner eigensolve failed "
+                f"there: {err}") from err
+        defect_bound = abs(eps_inner - eps_t)
+    converged = defect_bound <= _OUTER_TOL and not falls
+    return OracleResult(E=float(E), defect_bound=float(defect_bound),
                         node_count=int(nodes), outer_iters=outer,
                         converged=bool(converged))

@@ -1,11 +1,14 @@
 """The public names each layer module declares."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
 LAYERS = ("potentials", "spectra", "susyqm", "wavefunctions", "limits",
           "oracle")
+SRC = Path(__file__).resolve().parent.parent / "src" / "diracbound"
 
 
 @pytest.mark.parametrize("layer", LAYERS)
@@ -28,3 +31,48 @@ def test_the_package_reexports_every_layer_name(layer):
     missing = [name for name in module.__all__
                if getattr(package, name, None) is not getattr(module, name)]
     assert not missing, f"diracbound does not re-export {missing}"
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def _defined(body):
+    """Names that function, class and assignment statements bind in body."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        yield leaf.id
+
+
+def test_every_private_helper_has_a_caller():
+    # A module- or class-level _name that nothing reads or imports is dead
+    # code: a reference is a loaded name or attribute, or an imported name,
+    # anywhere in the package.
+    trees = [ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))]
+    assert trees, SRC
+    defined, used = set(), set()
+    for tree in trees:
+        defined.update(_defined(tree.body))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                defined.update(_defined(node.body))
+            elif isinstance(node, ast.Name) \
+                    and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = sorted(name for name in defined - used if _private(name))
+    assert not unused, f"private names without a caller: {unused}"

@@ -12,6 +12,7 @@ from diracbound import (
     DiracboundError,
     DomainError,
     NoEigenvalueError,
+    NotConvergedError,
     NonRelParams,
     OracleConfig,
     PotentialParams,
@@ -531,21 +532,23 @@ def test_outward_start_stops_before_the_matching_point(first_near, start):
 
 # dirac_eigenvalue and schrodinger_eigenvalue outputs pinned as float.hex:
 # a faster oracle must keep every bit.  Dirac cases: (limit, C, V0 = 2 A = 2 B, H, (n, kappa), centrifugal mode,
-# num_points) -> (E, inner_eigenvalue, node_count, outer_iters, converged).
+# num_points) -> (E, defect_bound, node_count, outer_iters, converged).
 # The pseudospin case is the charge conjugate of the spin one (V0, A, B, C
 # and eta negated), on its own grid.  The last case ended 0.083 off its
 # target while its probes ran on 2001 points, finer than its solve grid.
+# Every case is certified by the two level counts: defect_bound is 1e-8.
+_CERTIFIED = "0x1.5798ee2308c3ap-27"
 _PINNED_DIRAC = {
     ("spin", 5.0, 2.0, 0.0, (0, -2), "approximated", 1000):
-        ("0x1.b16af40227f8cp-2", "-0x1.96e95ba44e344p-1", 0, 29, True),
+        ("0x1.b16af40227f8cp-2", _CERTIFIED, 0, 29, True),
     ("pseudospin", -5.0, -2.0, 0.0, (0, -1), "approximated", 1500):
-        ("-0x1.b16b7f1e734fcp-2", "-0x1.96ea7c8a30c68p-1", 0, 29, True),
+        ("-0x1.b16b7f1e734fcp-2", _CERTIFIED, 0, 29, True),
     ("spin", 7.0, 2.0, 0.0, (0, -1), "exact", 2000):
-        ("0x1.22863ba72514ap+1", "-0x1.2f2a11e744b2dp-4", 0, 28, True),
+        ("0x1.22863ba72514ap+1", _CERTIFIED, 0, 28, True),
     ("spin", 5.0, 2.0, 5.0, (1, -2), "approximated", 2000):
-        ("0x1.37d064f0902a8p+0", "-0x1.bb68d31f916dcp+1", 1, 29, True),
+        ("0x1.37d064f0902a8p+0", _CERTIFIED, 1, 29, True),
     ("spin", 6.0903, 0.6306, 2.9848, (2, -1), "approximated", 1000):
-        ("0x1.f013194ade9c9p+1", "-0x1.2023c6baa75eep+1", 2, 28, True),
+        ("0x1.f013194ade9c9p+1", _CERTIFIED, 2, 28, True),
 }
 _PINNED_HYDROGEN = {0: "-0x1.0006283fef2c8p+0", 1: "-0x1.000251fe6e248p-2"}
 
@@ -557,7 +560,7 @@ def test_oracle_outputs_are_pinned():
         res = dirac_eigenvalue(QuantumNumbers(*nk), SymmetryLimit(kind, C),
                                p, OracleConfig(num_points=num,
                                                centrifugal_mode=mode))
-        got = (res.E.hex(), res.inner_eigenvalue.hex(), res.node_count,
+        got = (res.E.hex(), res.defect_bound.hex(), res.node_count,
                res.outer_iters, res.converged)
         assert got == want, (kind, C, nk)
     with pytest.raises(NoEigenvalueError) as err:
@@ -607,66 +610,110 @@ _UNCONVERGED = ("spin", 4.7241, 2.5171, 4.9842, (1, 1), "approximated", 1000,
 _FALLS = ("spin", 7.0, 2.0, 2.5, (0, -3), "approximated", 2000)
 
 
-def _final_eigensolve(key, monkeypatch):
-    """dirac_eigenvalue's result, with its final solver, n_target, guess."""
-    calls = []
-    real = oracle._InnerSolver.eigenvalue
+# On 1001 points unless stated: a state whose final eigensolve finds no
+# bound spectrum on its 5001-point grid; one whose U_eff falls to the
+# centre, where the two counts hold but the eigensolve finds no floor; one
+# whose bracket holds a jump of the defect (final defect 24.8); and one
+# whose level count steps where the outward sweep's start index moves,
+# 4.5e-9 above eps_target.
+_NO_SPECTRUM = ("spin", -1.0534, -0.8742, 0.9394, (0, -3), "approximated",
+                5000, -0.3801, 1.7679)
+_NO_FLOOR = ("spin", 0.0, 0.0, 0.0, (0, -3), "approximated", 1000, 0.0, 1.0)
+_JUMP = ("spin", -2.2103, 0.858, 4.6935, (0, 2), "approximated", 1000,
+         -0.6888, -0.7218)
+_START_STEP = ("pseudospin", 0.0, -1.4639074292756025, 0.0, (2, -2),
+               "approximated", 1000, 0.5757924780141548, 0.0)
 
-    def spy(self, n_target, guess=None):
-        calls.append((self, n_target, guess))
-        return real(self, n_target, guess)
 
-    monkeypatch.setattr(oracle._InnerSolver, "eigenvalue", spy)
-    res = dirac_eigenvalue(*_pinned_inputs(*key))
-    monkeypatch.undo()
-    return res, calls[-1]
+def _check_certificate(qn, sym, p, cfg):
+    """dirac_eigenvalue's outcome against a full inner eigensolve at its E.
+
+    Only the scan and the outer bisection raise NoEigenvalueError; past
+    them, the last solver built is the final one.  The reference is the
+    eigensolve the certificate replaces, _InnerSolver.eigenvalue on that
+    solver.  Returns "certified" or "solved" (the eigensolve ran), or the
+    error type both raise.
+    """
+    last = []
+
+    class Recorded(oracle._InnerSolver):
+        def __init__(self, U, r):
+            super().__init__(U, r)
+            last[:] = [self]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_InnerSolver", Recorded)
+        try:
+            res, err = dirac_eigenvalue(qn, sym, p, cfg), None
+        except DiracboundError as e:
+            res, err = None, type(e)
+    if err is NoEigenvalueError:
+        return err
+    solver, = last
+    n_target = ReducedEquation.of(p, sym, qn).degree
+    try:
+        eps_ref, nodes_ref = solver.eigenvalue(n_target)
+    except NoEigenvalueError:
+        assert err is NotConvergedError
+        return err
+    assert err is None
+    eps_t = target_eigenvalue(res.E, sym, p.M)
+    defect = abs(eps_ref - eps_t)
+    falls = 1.0 + 4.0 * solver.U[0] * solver.r[0] * solver.r[0] < 0.0
+    if res.node_count != nodes_ref:
+        # The outward sweep starts at another index at eps_t than at the
+        # reference level, and the count steps with it there.
+        start = [solver._start(solver.hh12 * eps)[2] for eps in (eps_t,
+                                                                  eps_ref)]
+        assert start[0] != start[1]
+    assert res.converged == (defect <= _OUTER_TOL and not falls)
+    if not falls and solver._below(eps_t - _OUTER_TOL, n_target) is True \
+            and solver._below(eps_t + _OUTER_TOL, n_target) is False:
+        assert defect <= _OUTER_TOL
+        assert res.defect_bound == _OUTER_TOL
+        return "certified"
+    assert res.defect_bound == defect
+    return "solved"
 
 
-@pytest.mark.parametrize("key", [
-    *(pytest.param(key, id=f"pinned{i}")
+@pytest.mark.parametrize("key, outcome", [
+    *(pytest.param(key, "certified", id=f"pinned{i}")
       for i, key in enumerate(_PINNED_DIRAC)),
-    pytest.param(_SPOT, id="spot", marks=pytest.mark.slow),
-    pytest.param(_NEAR_FALL, id="near-fall", marks=pytest.mark.slow),
-    pytest.param(_UNCONVERGED, id="unconverged"),
+    pytest.param(_SPOT, "certified", id="spot", marks=pytest.mark.slow),
+    pytest.param(_NEAR_FALL, "certified", id="near-fall",
+                 marks=pytest.mark.slow),
+    pytest.param(_UNCONVERGED, "solved", id="unconverged"),
+    pytest.param(_FALLS, "solved", id="falls"),
+    pytest.param(_NO_SPECTRUM, NotConvergedError, id="no-spectrum"),
+    pytest.param(_NO_FLOOR, NotConvergedError, id="no-floor"),
+    pytest.param(_JUMP, "solved", id="jump"),
+    pytest.param(_START_STEP, "certified", id="start-step"),
 ])
-def test_a_guess_never_changes_the_inner_eigenvalue(key, monkeypatch):
-    # A guess that the window check accepts skips sweeps; one it refutes
-    # costs at most two more.  Either way the bisection ends on the bits
-    # it ends on without a guess.
-    res, (solver, n_target, eps_t) = _final_eigensolve(key, monkeypatch)
-    _, sym, p, _ = _pinned_inputs(*key)
-    assert eps_t == target_eigenvalue(res.E, sym, p.M)
-    sweeps = []
-    real_count = oracle._InnerSolver.count
-    monkeypatch.setattr(oracle._InnerSolver, "count",
-                        lambda self, eps, limit=None: sweeps.append(eps)
-                        or real_count(self, eps, limit))
+def test_two_counts_certify_what_the_eigensolve_finds(key, outcome):
+    # Where U_eff has a lowest level and the two level counts hold, the
+    # level lies within 1e-8 of eps_target; elsewhere the eigensolve runs
+    # as before.  Either way converged and the error type are the
+    # eigensolve's, and so is the node count, but where the outward start
+    # moves within the 1e-8 window.
+    assert _check_certificate(*_pinned_inputs(*key)) == outcome
 
-    def solve(guess):
-        sweeps.clear()
-        eps, nodes = solver.eigenvalue(n_target, guess)
-        return (eps.hex(), nodes), len(sweeps)
 
-    want, bare = solve(None)
-    assert want == (res.inner_eigenvalue.hex(), res.node_count)
-    eig = res.inner_eigenvalue
-    half = 0.5 * _OUTER_TOL
-    for guess in (eps_t, eps_t - half, eps_t + half):
-        got, cost = solve(guess)
-        assert got == want, guess
-        if res.converged:
-            assert cost < bare, guess
-    for guess in (eig - 1e-3, eig + 1e-3, 0.5 * solver.floor(n_target)[0]):
-        got, cost = solve(guess)
-        assert got == want, guess
-        assert bare < cost <= bare + 2, guess
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from(["spin", "pseudospin"]), st.floats(-4.0, 4.0),
+       st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-8.0, 8.0),
+       st.floats(0.0, 6.0), st.integers(0, 2),
+       st.sampled_from([-3, -2, -1, 1, 2, 3]))
+def test_two_counts_certify_what_the_eigensolve_finds_anywhere(
+        kind, V0, A, B, C, H, n, kappa):
+    p = PotentialParams(V0=V0, A=A, B=B, delta=0.05, H=H, M=4.76)
+    _check_certificate(QuantumNumbers(n, kappa), SymmetryLimit(kind, C), p,
+                       OracleConfig(num_points=1000))
 
 
 def test_a_state_off_its_target_or_falling_to_the_centre_is_not_converged():
     qn, sym, p, cfg = _pinned_inputs(*_UNCONVERGED)
     res = dirac_eigenvalue(qn, sym, p, cfg)
-    assert abs(res.inner_eigenvalue
-               - target_eigenvalue(res.E, sym, p.M)) > _OUTER_TOL
+    assert res.defect_bound > _OUTER_TOL
     assert not res.converged
     # The two searches meet on the grid's own lowest level, which is no
     # level of a U_eff without one.
@@ -676,8 +723,7 @@ def test_a_state_off_its_target_or_falling_to_the_centre_is_not_converged():
     lam = effective_potential(r, res.E, p, sym, qn,
                               cfg.centrifugal_mode)[0] * r[0] ** 2
     assert 1.0 + 4.0 * lam < 0.0
-    assert abs(res.inner_eigenvalue
-               - target_eigenvalue(res.E, sym, p.M)) <= _OUTER_TOL
+    assert res.defect_bound <= _OUTER_TOL
     assert not res.converged
 
 
@@ -689,12 +735,12 @@ def test_sweep_count_budget(monkeypatch):
     # E = 0 first, and stops at the first sign change: 8 of the 160
     # probes for the spot state, 3 for the near-fall state.  On the
     # 20001-point fine grid each level count is one outward sweep: the
-    # spot state takes 59 sweeps with the guess accepted (82 without it),
-    # and the near-fall state 57 (83 without); each count includes the
-    # final interior_nodes' outward and inward sweeps.  The step budgets
-    # are the exact counts with every sweep stopping on a growing tail
-    # from its first step, and interior_nodes' outward sweep ending at
-    # its cap.
+    # spot state takes 34 sweeps with the two counts that certify its
+    # level (59 with the inner eigensolve they replace), and the near-fall
+    # state 33 (57); each count includes the final interior_nodes' outward
+    # and inward sweeps.  The step budgets are the exact counts with every
+    # sweep stopping on a growing tail from its first step, and
+    # interior_nodes' outward sweep ending at its cap.
     sweeps = Counter()
     real = oracle._sweep
 
@@ -704,8 +750,8 @@ def test_sweep_count_budget(monkeypatch):
 
     monkeypatch.setattr(oracle, "_sweep", spy)
     steps = _count_steps(monkeypatch)
-    for key, probes, budget, step_budget in ((_SPOT, 8, 59, 404_094),
-                                             (_NEAR_FALL, 3, 57, 947_196)):
+    for key, probes, budget, step_budget in ((_SPOT, 8, 34, 195_030),
+                                             (_NEAR_FALL, 3, 33, 503_045)):
         sweeps.clear()
         before = steps()
         dirac_eigenvalue(*_pinned_inputs(*key))
@@ -724,6 +770,7 @@ def test_sweep_count_budget(monkeypatch):
     {"num_points": 999},
     {"centrifugal_mode": "other"},
     {"r_max": "40"},
+    {"r_max": True},
 ])
 def test_oracle_config_rejects_bad_values(kwargs):
     with pytest.raises(DomainError):
