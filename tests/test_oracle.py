@@ -689,10 +689,11 @@ def _check_certificate(qn, sym, p, cfg):
     pytest.param(_JUMP, "solved", id="jump"),
     pytest.param(_START_STEP, "certified", id="start-step"),
 ])
-def test_two_counts_certify_what_the_eigensolve_finds(key, outcome):
-    # Where U_eff has a lowest level and the two level counts hold, the
-    # level lies within 1e-8 of eps_target; elsewhere the eigensolve runs
-    # as before.  Either way converged and the error type are the
+def test_a_guess_never_changes_the_inner_eigenvalue(key, outcome):
+    # eps_target is the guess of the inner eigenvalue that the two level
+    # counts check.  Where U_eff has a lowest level and the counts hold,
+    # the level lies within 1e-8 of it; elsewhere the eigensolve runs as
+    # before.  Either way converged and the error type are the
     # eigensolve's, and so is the node count, but where the outward start
     # moves within the 1e-8 window.
     assert _check_certificate(*_pinned_inputs(*key)) == outcome
@@ -703,7 +704,7 @@ def test_two_counts_certify_what_the_eigensolve_finds(key, outcome):
        st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-8.0, 8.0),
        st.floats(0.0, 6.0), st.integers(0, 2),
        st.sampled_from([-3, -2, -1, 1, 2, 3]))
-def test_two_counts_certify_what_the_eigensolve_finds_anywhere(
+def test_a_guess_never_changes_the_inner_eigenvalue_anywhere(
         kind, V0, A, B, C, H, n, kappa):
     p = PotentialParams(V0=V0, A=A, B=B, delta=0.05, H=H, M=4.76)
     _check_certificate(QuantumNumbers(n, kappa), SymmetryLimit(kind, C), p,
