@@ -57,7 +57,6 @@ from .wavefunctions import (
     default_grid,
     hyp2f1_terminating,
     jacobi_p,
-    jacobi_rodrigues,
     norm_constant,
     paired_component,
     solve_wavefunction,

@@ -31,7 +31,6 @@ __all__ = [
     "SpinorSolution",
     "hyp2f1_terminating",
     "jacobi_p",
-    "jacobi_rodrigues",
     "wave_context",
     "solved_component",
     "paired_component",
@@ -66,16 +65,6 @@ def hyp2f1_terminating(n: int, b: float, c: float, s):
     return total
 
 
-def _hyp2f1_deriv(n: int, b: float, c: float, s):
-    """d/ds of 2F1(-n, b; c; s); zero for n = 0."""
-    if n == 0:
-        s = np.asarray(s, dtype=float)
-        return float(0.0) if s.ndim == 0 else np.zeros_like(s)
-    if c == 0.0:
-        raise PoleError(f"derivative of 2F1 undefined: c = 0")
-    return (-n) * b / c * hyp2f1_terminating(n - 1, b + 1.0, c + 1.0, s)
-
-
 def jacobi_p(n: int, a: float, b: float, x):
     """Jacobi polynomial P_n^(a,b)(x) by the three-term recurrence."""
     if n < 0:
@@ -93,32 +82,6 @@ def jacobi_p(n: int, a: float, b: float, x):
         c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
         p_prev, p_cur = p_cur, ((c2 + c3 * x) * p_cur - c4 * p_prev) / c1
     return float(p_cur) if x.ndim == 0 else p_cur
-
-
-def _falling(z: float, k: int) -> float:
-    out = 1.0
-    for i in range(k):
-        out *= z - i
-    return out
-
-
-def jacobi_rodrigues(n: int, a: float, b: float, x):
-    """Jacobi polynomial from the expanded Rodrigues representation.
-
-    The n-th derivative in the Rodrigues formula is expanded by the Leibniz
-    rule into a finite sum, so the evaluation is exact up to rounding and
-    independent of the recurrence in jacobi_p.
-    """
-    if n < 0:
-        raise DomainError(f"degree must be >= 0, got {n}")
-    x = np.asarray(x, dtype=float)
-    total = np.zeros_like(x)
-    for k in range(n + 1):
-        coeff = math.comb(n, k) * ((-1.0) ** k) \
-            * _falling(a + n, k) * _falling(b + n, n - k)
-        total = total + coeff * (1.0 - x) ** (n - k) * (1.0 + x) ** k
-    total = total * ((-1.0) ** n) / (2.0 ** n * math.factorial(n))
-    return float(total) if x.ndim == 0 else total
 
 
 @dataclass(frozen=True)
@@ -170,68 +133,65 @@ def wave_context(qn: QuantumNumbers, sym: SymmetryLimit, p: PotentialParams,
     )
 
 
-def _s_vars(r, delta: float):
+def _components(r, ctx: WaveContext, norm: float, paired: bool):
+    """The solved component and, when paired is true, the paired one.
+
+    Returns (chi, other): chi = pre * y with pre = norm * prefac * s^beta
+    (1-s)^xi and y = 2F1(-m, 2b+2x+m; 1+2b; s), both formed once; other is
+    the first-order relation applied to chi and its analytic derivative
+    (ds/dr = -2 delta s), or None when paired is false.  Scalar r gives
+    Python floats.  Raises SingularCouplingError, before any evaluation,
+    when the paired component is asked for and the coupling vanishes.
+    """
+    if paired and ctx.coupling == 0.0:
+        raise SingularCouplingError(
+            "first-order coupling factor vanishes (exact-symmetry "
+            "singular case); the paired component is undefined")
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise DomainError("r must be positive")
-    s = np.exp(-2.0 * delta * r)
-    one_minus_s = -np.expm1(-2.0 * delta * r)
-    return r, s, one_minus_s
-
-
-def _poly_prefactor(ctx: WaveContext) -> float:
-    """(2beta+1)_m / m! in the hypergeometric form of the solved component."""
-    m, tb = ctx.degree, 2.0 * ctx.beta
-    return math.exp(math.lgamma(m + tb + 1.0) - math.lgamma(tb + 1.0)
-                    - math.lgamma(m + 1.0))
+    d, m = ctx.p.delta, ctx.degree
+    s = np.exp(-2.0 * d * r)
+    oms = -np.expm1(-2.0 * d * r)
+    tb = 2.0 * ctx.beta
+    b, c = tb + 2.0 * ctx.xi + m, 1.0 + tb
+    # (2beta+1)_m / m!
+    prefac = math.exp(math.lgamma(m + tb + 1.0) - math.lgamma(tb + 1.0)
+                      - math.lgamma(m + 1.0))
+    y = hyp2f1_terminating(m, b, c, s)
+    pre = norm * prefac * s ** ctx.beta * oms ** ctx.xi
+    chi = pre * y
+    other = None
+    if paired:
+        dy = 0.0 if m == 0 else (-m) * b / c * hyp2f1_terminating(
+            m - 1, b + 1.0, c + 1.0, s)
+        dchi = pre * (2.0 * d * (ctx.xi * s / oms - ctx.beta) * y
+                      - 2.0 * d * s * dy)
+        eta = ctx.qn.kappa + ctx.p.H
+        other = (dchi + ctx.symmetry.sign * (eta / r) * chi) / ctx.coupling
+    if r.ndim == 0:
+        return float(chi), None if other is None else float(other)
+    return chi, other
 
 
 def solved_component(r, ctx: WaveContext, norm: float = 1.0):
     """The component the reduced equation solves: F (spin) or G (pseudospin).
 
     norm * s^beta (1-s)^xi * prefac * 2F1(-m, 2b+2x+m; 1+2b; s), with
-    prefac = (2beta+1)_m / m!.
+    s = e^(-2 delta r) and prefac = (2beta+1)_m / m!.
     """
-    r, s, oms = _s_vars(r, ctx.p.delta)
-    m, tb = ctx.degree, 2.0 * ctx.beta
-    y = hyp2f1_terminating(m, tb + 2.0 * ctx.xi + m, 1.0 + tb, s)
-    out = norm * _poly_prefactor(ctx) \
-        * s ** ctx.beta * oms ** ctx.xi * y
-    return float(out) if out.ndim == 0 else out
-
-
-def _solved_component_deriv(r, ctx: WaveContext, norm: float):
-    """Analytic d/dr of the solved component (chain rule, ds/dr = -2 delta s)."""
-    r, s, oms = _s_vars(r, ctx.p.delta)
-    d, m = ctx.p.delta, ctx.degree
-    tb = 2.0 * ctx.beta
-    b_arg = tb + 2.0 * ctx.xi + m
-    y = hyp2f1_terminating(m, b_arg, 1.0 + tb, s)
-    dy = _hyp2f1_deriv(m, b_arg, 1.0 + tb, s)
-    pre = norm * _poly_prefactor(ctx) * s ** ctx.beta * oms ** ctx.xi
-    out = pre * (2.0 * d * (ctx.xi * s / oms - ctx.beta) * y
-                 - 2.0 * d * s * dy)
-    return float(out) if out.ndim == 0 else out
+    return _components(r, ctx, norm, False)[0]
 
 
 def paired_component(r, ctx: WaveContext, norm: float = 1.0):
     """The component built from the solved one: G (spin) or F (pseudospin).
 
-    It is [chi' + s (eta/r) chi] / coupling with chi the solved component
-    and s = +1 (spin) or -1 (pseudospin), so G = [F' + (eta/r) F]/(M+E-C)
-    and F = [G' - (eta/r) G]/(M-E+C).  Raises SingularCouplingError when
-    the coupling factor vanishes.
+    It is [chi' + sign (eta/r) chi] / coupling with chi the solved
+    component and sign = +1 (spin) or -1 (pseudospin), so
+    G = [F' + (eta/r) F]/(M+E-C) and F = [G' - (eta/r) G]/(M-E+C).  Raises
+    SingularCouplingError when the coupling factor vanishes.
     """
-    if ctx.coupling == 0.0:
-        raise SingularCouplingError(
-            "first-order coupling factor vanishes (exact-symmetry "
-            "singular case); the paired component is undefined")
-    r = np.asarray(r, dtype=float)
-    eta = ctx.qn.kappa + ctx.p.H
-    chi = solved_component(r, ctx, norm)
-    dchi = _solved_component_deriv(r, ctx, norm)
-    out = (dchi + ctx.symmetry.sign * (eta / r) * chi) / ctx.coupling
-    return float(out) if np.ndim(out) == 0 else out
+    return _components(r, ctx, norm, True)[1]
 
 
 def norm_constant(ctx: WaveContext) -> float:
@@ -330,8 +290,7 @@ def solve_wavefunction(qn: QuantumNumbers, sym: SymmetryLimit,
     ctx = wave_context(qn, sym, p, float(E))
     norm = norm_constant(ctx)
     r = default_grid(ctx)
-    solved = solved_component(r, ctx, norm)
-    paired = paired_component(r, ctx, norm)
+    solved, paired = _components(r, ctx, norm, True)
     F, G = (solved, paired) if sym.is_spin else (paired, solved)
     return SpinorSolution(
         qn=qn, symmetry=sym, E=float(E), beta_exp=ctx.beta, xi_exp=ctx.xi,

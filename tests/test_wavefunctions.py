@@ -4,25 +4,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_jacobi
 
 from diracbound import (
     DomainError,
     NoEigenvalueError,
+    PotentialParams,
     QuantumNumbers,
     SingularCouplingError,
     SymmetryLimit,
     WaveContext,
     count_nodes,
     default_grid,
+    effective_potential,
     hyp2f1_terminating,
     jacobi_p,
-    jacobi_rodrigues,
     norm_constant,
     paired_component,
+    select_table_root,
+    solve_levels,
+    solve_levels_batch,
     solve_wavefunction,
     solved_component,
+    target_eigenvalue,
     wave_context,
 )
 from diracbound.potentials import ReducedEquation
@@ -39,6 +46,29 @@ def test_jacobi_polynomial_against_scipy_reference():
         ours = jacobi_p(n, a, b, x)
         ref = eval_jacobi(n, a, b, x)
         assert np.allclose(ours, ref, rtol=1e-10, atol=1e-12)
+
+
+def _falling(z: float, k: int) -> float:
+    out = 1.0
+    for i in range(k):
+        out *= z - i
+    return out
+
+
+def jacobi_rodrigues(n: int, a: float, b: float, x):
+    """Jacobi polynomial from the expanded Rodrigues representation.
+
+    The n-th derivative in the Rodrigues formula is expanded by the Leibniz
+    rule into a finite sum, so the evaluation is exact up to rounding and
+    independent of the recurrence in jacobi_p.
+    """
+    x = np.asarray(x, dtype=float)
+    total = np.zeros_like(x)
+    for k in range(n + 1):
+        coeff = math.comb(n, k) * ((-1.0) ** k) \
+            * _falling(a + n, k) * _falling(b + n, n - k)
+        total = total + coeff * (1.0 - x) ** (n - k) * (1.0 + x) ** k
+    return total * ((-1.0) ** n) / (2.0 ** n * math.factorial(n))
 
 
 def test_jacobi_rodrigues_matches_series_form():
@@ -171,6 +201,8 @@ def test_singular_coupling_raises(params_h0, spin_sym):
                          degree=base.degree, coupling=0.0)
     with pytest.raises(SingularCouplingError):
         paired_component(np.array([1.0]), forced)
+    # The solved component does not need the coupling.
+    assert solved_component(1.0, forced) == solved_component(1.0, base)
 
 
 def test_default_grid_covers_the_tail(params_h5, pseudo_sym):
@@ -211,3 +243,126 @@ def test_pseudospin_constructed_component(params_h5, pseudo_sym):
             / ctx.coupling
         got = paired_component(np.array([r0]), ctx, nc)[0]
         assert got == pytest.approx(expected, rel=1e-6)
+
+
+# The radii (fm) at which both residual checks compare the components.
+_ODE_R = np.linspace(0.5, 60.0, 600)
+
+
+def _ode_residual(ctx):
+    """Residual of u'' = [U_eff - eps] u for the solved component u.
+
+    u'' is the second difference with h = 3e-4 fm; the largest residual on
+    _ODE_R is divided by the largest of the equation's three terms.
+    """
+    h = 3e-4
+    lo, u, hi = (solved_component(_ODE_R + k * h, ctx) for k in (-1, 0, 1))
+    d2u = (hi - 2.0 * u + lo) / h ** 2
+    pot = effective_potential(_ODE_R, ctx.E, ctx.p, ctx.symmetry, ctx.qn) * u
+    eps = target_eigenvalue(ctx.E, ctx.symmetry, ctx.p.M) * u
+    scale = max(np.max(np.abs(t)) for t in (d2u, pot, eps))
+    return np.max(np.abs(d2u - pot + eps)) / scale
+
+
+def _first_order_residual(ctx):
+    """paired_component against a five-point derivative of the solved one,
+    relative to the largest term of the first-order relation."""
+    h = 1e-3
+    f = [solved_component(_ODE_R + k * h, ctx) for k in (-2, -1, 0, 1, 2)]
+    du = (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / (12.0 * h)
+    eta = ctx.qn.kappa + ctx.p.H
+    cent = ctx.symmetry.sign * (eta / _ODE_R) * f[2]
+    paired = paired_component(_ODE_R, ctx) * ctx.coupling
+    scale = max(np.max(np.abs(t)) for t in (du, cent, paired))
+    return np.max(np.abs(paired - du - cent)) / scale
+
+
+_STATE_SET = [QuantumNumbers(n, kappa) for n in range(3)
+              for kappa in (-3, -2, -1, 1, 2, 3)]
+
+
+def _q_positive_contexts(kind, V0, A, B, delta, H, C):
+    """A context for every nu_branch = +1 root, of every state in
+    _STATE_SET, that wave_context accepts."""
+    p = PotentialParams(V0=V0, A=A, B=B, delta=delta, H=H, M=4.76)
+    sym = SymmetryLimit(kind, C)
+    levels = solve_levels_batch([(qn, sym, p) for qn in _STATE_SET])
+    out = []
+    for qn, roots in zip(_STATE_SET, levels):
+        for root in roots:
+            if root.nu_branch == 1:
+                try:
+                    out.append(wave_context(qn, sym, p, root.E))
+                except DomainError:
+                    pass
+    return out
+
+
+_POTENTIALS = st.tuples(
+    st.sampled_from(["spin", "pseudospin"]), st.floats(-4.0, 4.0),
+    st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.02, 0.25),
+    st.floats(0.0, 6.0), st.floats(-8.0, 8.0))
+
+
+# Worst cases measured over these draws (about 600 and 530 roots, 75 and 80
+# with D < 1): 2.2e-5 for the second-order equation and 2.5e-8 for the
+# first-order relation.  Both are the closed form's rounding (up to about
+# 1e-11 of chi where its 2F1 cancels) divided by h^2 and h: the worst
+# second-order state gives 5.6e-8 from 40-digit values of chi.
+_ODE_BOUND = 1e-4
+_FIRST_ORDER_BOUND = 1e-7
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_POTENTIALS)
+# The three kappa = -3 roots of this potential have D = 0.053 < 1: there
+# the solved component starts as r^(1/2 + sqrt D), where a wrong branch of
+# the origin exponent would show.  The draws hold D < 1 roots too.
+@example(("pseudospin", 0.0, -1.25, 0.0, 0.225, 3.73, 3.12))
+def test_q_positive_spinors_solve_the_second_order_equation(potential):
+    for ctx in _q_positive_contexts(*potential):
+        assert _ode_residual(ctx) <= _ODE_BOUND, ctx
+
+
+def test_a_table_root_spinor_fails_the_second_order_equation(params_h5,
+                                                             spin_sym):
+    # The preset spin 0p1/2 table root is a Q < 0 zero of the squared
+    # relation, not an eigenvalue, so the residual test has to reject it.
+    qn = QuantumNumbers(0, 1)
+    root = select_table_root(solve_levels(qn, spin_sym, params_h5))
+    assert root.nu_branch == -1
+    ctx = wave_context(qn, spin_sym, params_h5, root.E)
+    assert _ode_residual(ctx) > 1e3 * _ODE_BOUND
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_POTENTIALS)
+@example(("pseudospin", 0.0, -1.25, 0.0, 0.225, 3.73, 3.12))
+def test_q_positive_paired_components_follow_the_first_order_relation(
+        potential):
+    for ctx in _q_positive_contexts(*potential):
+        assert _first_order_residual(ctx) <= _FIRST_ORDER_BOUND, ctx
+
+
+def test_solve_wavefunction_samples_the_component_functions_bit_for_bit(
+        params_h5, spin_sym, pseudo_sym):
+    for sym, qn, degree in ((spin_sym, QuantumNumbers(0, 1), 0),
+                            (spin_sym, QuantumNumbers(1, -2), 1),
+                            (pseudo_sym, QuantumNumbers(0, -1), 0),
+                            (pseudo_sym, QuantumNumbers(0, 2), 1)):
+        sol = solve_wavefunction(qn, sym, params_h5)
+        ctx = wave_context(qn, sym, params_h5, sol.E)
+        assert ctx.degree == degree
+        r, F, G = sol.samples.T
+        solved = solved_component(r, ctx, sol.norm_const)
+        paired = paired_component(r, ctx, sol.norm_const)
+        assert np.array_equal((F, G) if sym.is_spin else (G, F),
+                              (solved, paired))
+        # A scalar r gives a Python float.  numpy may evaluate a lone
+        # element by another code path than an array, so only the value,
+        # not every bit, is compared.
+        for i in (0, 999, -1):
+            one = (solved_component(float(r[i]), ctx, sol.norm_const),
+                   paired_component(float(r[i]), ctx, sol.norm_const))
+            assert [type(v) for v in one] == [float, float]
+            assert one == pytest.approx((solved[i], paired[i]), rel=1e-14)
