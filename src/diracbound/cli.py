@@ -633,7 +633,7 @@ def _verify_oracle(cfg: RunConfig) -> tuple[str, str]:
     if cfg.oracle == "off":
         return "SKIPPED", "oracle disabled (--oracle off)"
     # Hydrogen 1s in the inner solver.
-    ocfg = OracleConfig(r_max=60.0, num_points=12000)
+    ocfg = OracleConfig(r_max=60.0)
 
     def hydrogen(r):
         return -2.0 / r
@@ -646,7 +646,7 @@ def _verify_oracle(cfg: RunConfig) -> tuple[str, str]:
 
     def hulthen_u(r):
         s = np.exp(-2.0 * delta * r)
-        return -2.0 * m_mass * v0 * s / (1.0 - s)
+        return -2.0 * m_mass * v0 * s / -np.expm1(-2.0 * delta * r)
 
     target = 2.0 * m_mass * nonrel_energy_hulthen(
         NonRelParams(m=m_mass, l=0, Ze2=v0 / (2.0 * delta), A=0.0, B=0.0,

@@ -7,6 +7,14 @@ Because U_eff itself depends on E, a bound state of the original problem is
 the self-consistent point where the inner eigenvalue eps_inner(E) crosses
 the target curve eps_target(E) fixed by the symmetry limit.
 
+The sweeps run on a logarithmic mesh, x = ln r, in Liouville form (W. R.
+Johnson, Atomic Structure Theory, Springer 2007, ch. 2): y = r^(-1/2) u
+has the nodes of u and obeys y'' = [r^2 (U_eff - eps) + 1/4] y in x.
+Near r = 0 that coefficient tends to D = 1/4 + lim r^2 U_eff, and the
+regular solution is y ~ exp(sqrt(D) x), which seeds every outward sweep
+exactly, also where D < 1 and both solutions of u are square-integrable
+at the origin.
+
 Nothing in this module uses the closed-form spectrum; it exists to check it.
 """
 
@@ -37,30 +45,29 @@ __all__ = [
 _RESCALE_AT = 1e250
 _CHUNK = 2048            # weights per array that a scalar sweep converts
 _TAIL = 64               # steps between growing-tail checks of a sweep
-_R_MIN = 1e-6            # first grid point (fm)
-_MATCH_FRACTION = 0.35   # matching point, as a fraction of the grid length
+_R_MIN = 1e-6            # first mesh point (fm)
+_FLOOR_FROM = 0.5        # an inner search's floor is min U over r >= this (fm)
 _OUTER_TOL = 1e-8        # largest final |eps_inner - eps_target| for converged
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Grid settings for the shooting solver.
+    """Mesh settings for the shooting solver.
 
-    The grid runs from r = 1e-6 fm to r_max with num_points steps.
-    r_max=None picks 40 fm for schrodinger_eigenvalue, and for
-    dirac_eigenvalue max(40, 12/sqrt(|eps_ref|)) fm from the problem's own
-    energy scale, eps_ref being eps_target at the middle of the energy
-    window.  dirac_eigenvalue places 160 probe energies across the window
-    and counts levels at them, nearest E = 0 first, on a second grid of
-    min(num_points, max(2000, num_points // 5)) steps over the same span:
-    a fifth of the solve grid from 10000 points on, 2000 steps from 2000
-    to 10000 points, and the solve grid itself below 2000.
-    centrifugal_mode selects the approximated (screened) or exact (1/r^2
-    plus exact potential) radial equation.
+    The mesh is uniform in x = ln r, from r = 1e-6 fm to r_max, with
+    num_points intervals (default 3000, at least 1000); the probe scan,
+    both bisections and the node count all run on it.  r_max=None picks
+    40 fm for schrodinger_eigenvalue, and for dirac_eigenvalue
+    2 max(40, 12/sqrt(|eps_ref|)) fm from the problem's own energy scale,
+    eps_ref being eps_target at the middle of the energy window; an
+    explicit r_max is used as given.  Each sweep ends before its first
+    Numerov weight of at most 1/2, deep in the forbidden region, so a
+    large box costs few steps.  centrifugal_mode selects the approximated
+    (screened) or exact (1/r^2 plus exact potential) radial equation.
     """
 
     r_max: Optional[float] = None
-    num_points: int = 20000
+    num_points: int = 3000
     centrifugal_mode: str = "approximated"
 
     def __post_init__(self):
@@ -121,20 +128,6 @@ def numerov_integrate(r: np.ndarray, Q: np.ndarray, u0: float, u1: float):
         if abs(u[i + 1]) > _RESCALE_AT:
             u[:i + 2] /= _RESCALE_AT
     return u
-
-
-def _series_seed(f0, f1, r0, r1):
-    """Leading small-r behavior of u for f(r) ~ lam/r^2 - c1/r + O(1).
-
-    Extracts lam and c1 numerically from the first two samples of f and
-    returns the exponent p and the curvature coefficient a1 of
-    u ~ r^p (1 + a1 r).
-    """
-    lam = f0 * r0 * r0
-    c1 = (lam / (r1 * r1) - f1) * r1
-    p = 0.5 * (1.0 + math.sqrt(max(1.0 + 4.0 * lam, 0.0)))
-    a1 = -c1 / (2.0 * p)
-    return p, a1
 
 
 def _sweep(w, c, u0, u1, i, stop, step, limit=None):
@@ -277,133 +270,119 @@ def _sweep(w, c, u0, u1, i, stop, step, limit=None):
 
 
 class _InnerSolver:
-    """Level and node counts of u'' = [U(r) - eps] u for a fixed U(r)."""
+    """Level and node counts of u'' = [U(r) - eps] u for a fixed U(r).
+
+    r is a logarithmic mesh (_mesh) with step h in x = ln r.  The sweeps
+    run on y = r^(-1/2) u, whose Numerov weights at eps are
+    w_j = wU_j + eps (h^2/12) r_j^2, with wU_j = 1 - (h^2/12)(r_j^2 U_j +
+    1/4); they are built as one array per count and passed to _sweep with
+    c = 0.  Every outward sweep starts from the regular solution at r[0],
+    y0 = 1 and y1 = exp(sqrt(D) h), D = 1/4 + r[0]^2 U[0].  D includes
+    every 1/r^2 term of U, and D < 0 is the fall to the centre, where U
+    has no lowest level.
+    """
 
     def __init__(self, U: np.ndarray, r: np.ndarray):
         self.U = U
         self.r = r
-        self.h = r[1] - r[0]
-        self.match_idx = int(_MATCH_FRACTION * r.size)
-        self.hh12 = self.h * self.h / 12.0
-        self.wU = 1.0 - self.hh12 * U
-        self.p, self.a1 = _series_seed(U[0], U[1], r[0], r[1])
+        self.h = math.log(r[-1] / r[0]) / (r.size - 1)
+        hh12 = self.h * self.h / 12.0
+        r2 = r * r
+        self.g = hh12 * r2
+        self.wU = 1.0 - hh12 * (r2 * U + 0.25)
+        self.D = float(0.25 + r2[0] * U[0])
+        self.y1 = math.exp(math.sqrt(max(self.D, 0.0)) * self.h)
 
-    def _start(self, c):
-        """Series-seeded (u0, u1, i) for the outward sweep, or None.
-
-        The sweep starts at the first index i0 where the weight is close
-        enough to 1 for the recurrence to be accurate, and no later than
-        two points before match_idx.  u ~ r^p (1 + a1 r) at r[i0] and
-        r[i0 + 1]; a tiny linear start replaces it when the series does
-        not give finite, nonzero values.
+    def _weights(self, eps: float):
+        """The weights at eps and the end of a sweep: the point before the
+        first weight <= 1/2, deep in the forbidden region, where the
+        recurrence stops following the equation (the mesh end if none).
         """
-        near = np.abs(1.0 - (self.wU[:self.match_idx - 1] + c)) <= 0.05
-        i0 = int(near.argmax())
-        if not near[i0]:
-            return None
-        r0, r1 = self.r[i0], self.r[i0 + 1]
-        u0 = (r0 ** self.p) * (1.0 + self.a1 * r0)
-        u1 = (r1 ** self.p) * (1.0 + self.a1 * r1)
-        if not (math.isfinite(u0) and math.isfinite(u1)) or u1 == 0.0:
-            u0, u1 = 0.0, 1e-10
-        return u0, u1, i0 + 1
+        w = self.wU + eps * self.g
+        low = np.flatnonzero(w <= 0.5)
+        return w, (int(low[0]) if low.size else w.size) - 1
 
-    def _shoot_out(self, c, stop, limit=None):
-        """Outward sweep from the series-seeded start to index stop.
-
-        Returns _sweep's (nodes, ends), or (None, None) when the grid
-        offers no accurate start.
-        """
-        start = self._start(c)
-        if start is None:
-            return None, None
-        return _sweep(self.wU, c, *start, stop, 1, limit)
-
-    def _tail_ratio(self, eps):
-        """u[-2] / u[-1] of a tail exp(-k r), k = sqrt(U[-1] - eps)."""
-        f_end = float(self.U[-1]) - eps
+    def _tail_ratio(self, eps: float, end: int) -> float:
+        """y[end - 1] / y[end] of a tail u ~ exp(-k r), k = sqrt(U[end] - eps)."""
+        f_end = float(self.U[end]) - eps
         k = math.sqrt(f_end) if f_end > 0.0 else 0.0
-        return math.exp(min(k * self.h, 300.0))
+        r0, r1 = float(self.r[end - 1]), float(self.r[end])
+        return math.exp(min(k * (r1 - r0), 300.0)) * math.sqrt(r1 / r0)
 
-    def count(self, eps: float,
-              limit: Optional[int] = None) -> Optional[int]:
-        """The number of levels below eps whose tail decays, or None.
+    def count(self, eps: float, limit: Optional[int] = None) -> int:
+        """The number of levels below eps whose tail decays.
 
         The Sturm count of B. R. Johnson (J. Chem. Phys. 69, 4678 (1978))
-        for the end condition u[-2] = _tail_ratio(eps) u[-1] that seeds
-        the inward sweep: the nodes of one outward sweep over the whole
-        grid, plus one when it ends in a tail that decays faster (no sign
-        change from u[-2] to u[-1], and |u[-2]| > |u[-1]| _tail_ratio).
-        Just below a level the outward tail grows; at the level it meets
-        the end condition; just above it, it decays faster and then
-        crosses zero, at first past the end.  So the count never falls as
-        eps rises and steps by one at each level.  With limit given, a
-        count above it is only known to exceed it (_sweep's count limit).
+        for the end condition y[end - 1] = _tail_ratio(eps, end) y[end]
+        that seeds the inward sweep: the nodes of one outward sweep to the
+        end (_weights), plus one when it ends in a tail that decays faster
+        (no sign change from y[end - 1] to y[end], and |y[end - 1]| >
+        |y[end]| _tail_ratio).  Just below a level the outward tail grows;
+        at the level it meets the end condition; just above it, it decays
+        faster and then crosses zero, at first past the end.  So the count
+        never falls as eps rises and steps by one at each level.  With
+        limit given, a count above it is only known to exceed it
+        (_sweep's count limit).
         """
-        n, ends = self._shoot_out(self.hh12 * eps, len(self.wU) - 1, limit)
+        w, end = self._weights(eps)
+        n, ends = _sweep(w, 0.0, 1.0, self.y1, 1, end, 1, limit)
         if ends is not None:
-            _, u1, u2 = ends
-            if not (u1 < 0.0 < u2 or u2 < 0.0 < u1) \
-                    and abs(u1) > abs(u2) * self._tail_ratio(eps):
+            _, y1, y2 = ends
+            if not (y1 < 0.0 < y2 or y2 < 0.0 < y1) \
+                    and abs(y1) > abs(y2) * self._tail_ratio(eps, end):
                 n += 1
         return n
 
-    def interior_nodes(self, eps: float) -> Optional[int]:
+    def interior_nodes(self, eps: float) -> int:
         """Node count of the matched eigenfunction, tail artifact excluded.
 
-        Genuine nodes all lie inside the classically allowed region, so the
-        outward sweep stops 10 points past the outer turning point, or at
-        match_idx if that comes first; beyond it only the roundoff-injected
-        growing mode can flip sign.  The nodes from match_idx on come from
-        an inward sweep, seeded by the decaying tail.
+        The sweeps match at the outer turning point m, the first point
+        past the last one where U < eps: genuine nodes all lie before it,
+        and past it only the roundoff-injected growing mode of the outward
+        sweep can flip sign.  So the outward sweep stops at m, and the
+        nodes from m on come from an inward sweep from the end (_weights),
+        seeded by the decaying tail.
         """
-        c = self.hh12 * eps
-        allowed = np.nonzero(self.U < eps)[0]
-        m = self.match_idx
-        cap = m
-        if allowed.size:
-            cap = min(m, int(allowed[-1]) + 10)
-        n_match, _ = self._shoot_out(c, cap)
-        if n_match is None:
-            return None
+        w, end = self._weights(eps)
+        allowed = np.flatnonzero(self.U[:end + 1] < eps)
+        m = min(int(allowed[-1]) + 1, end) if allowed.size else 1
+        n_out, _ = _sweep(w, 0.0, 1.0, self.y1, 1, m, 1)
         v_end = 1e-120
-        n_in, _ = _sweep(self.wU, c, v_end, v_end * self._tail_ratio(eps),
-                         len(self.wU) - 2, m, -1)
-        return n_match + n_in
+        n_in, _ = _sweep(w, 0.0, v_end, v_end * self._tail_ratio(eps, end),
+                         end - 1, m, -1)
+        return n_out + n_in
 
     def floor(self, n_target: int):
         """A search floor below the n_target eigenvalue and its level count.
 
-        The raw grid minimum of U can be dominated by an attractive
-        singularity at tiny r, so the floor starts from the minimum over the
-        resolvable region and deepens adaptively until the level count at
+        U near r_min can be dominated by an attractive singularity (-2e6
+        for hydrogen's -2/r), so the floor starts from the minimum of U
+        over r >= 0.5 fm and deepens adaptively until the level count at
         the floor does not exceed n_target.  Returns (floor, count) or None.
         """
-        i_skip = min(np.searchsorted(self.r, 100.0 * self.h), self.U.size - 2)
+        i_skip = min(int(np.searchsorted(self.r, _FLOOR_FROM)), self.U.size - 2)
         floor = float(self.U[i_skip:].min())
         if floor >= 0.0:
             return None
         for _ in range(6):
             n = self.count(floor, n_target)
-            if n is not None and n <= n_target:
+            if n <= n_target:
                 return floor, n
             floor *= 4.0
         return None
 
-    def _below(self, eps: float, n_target: int) -> Optional[bool]:
+    def _below(self, eps: float, n_target: int) -> bool:
         """Whether eps lies below the n_target eigenvalue (at most n_target
-        levels below eps), or None when the sweep was lost."""
-        n = self.count(eps, n_target)
-        return None if n is None else n <= n_target
+        levels below eps)."""
+        return self.count(eps, n_target) <= n_target
 
     def eigenvalue(self, n_target: int):
         """(eps, interior nodes) of the level with n_target levels below it.
 
         A single bisection on the level count (see count and _below) finds
         eps to a relative width of 1e-14; the node count is interior_nodes
-        at eps, -1 when that sweep is lost.  Raises NoEigenvalueError when
-        the level is not in the window (floor, 0) or a sweep inside it is
-        lost.
+        at eps.  Raises NoEigenvalueError when the level is not in the
+        window (floor, 0).
         """
         found = self.floor(n_target)
         if found is None:
@@ -411,33 +390,30 @@ class _InnerSolver:
                 "potential admits no bound spectrum on this grid")
         lo, n_lo = found
         n_hi = self.count(0.0, n_target)
-        if n_hi is None or n_hi <= n_target:
+        if n_hi <= n_target:
             raise NoEigenvalueError(
                 f"no eigenvalue with {n_target} nodes in the search window "
                 f"(level count spans [{n_lo}, {n_hi}))")
         a, b = lo, 0.0
         for _ in range(220):
             mid = 0.5 * (a + b)
-            below = self._below(mid, n_target)
-            if below is None:
-                raise NoEigenvalueError("integration lost inside the window")
-            if below:
+            if self._below(mid, n_target):
                 a = mid
             else:
                 b = mid
             if b - a <= 1e-14 * max(1.0, abs(a), abs(b)):
                 break
         eps = 0.5 * (a + b)
-        n_final = self.interior_nodes(eps)
-        return eps, (n_final if n_final is not None else -1)
+        return eps, self.interior_nodes(eps)
 
 
-def _build_grid(cfg: OracleConfig, eps_ref: float, num_points: Optional[int] = None):
-    n = num_points if num_points is not None else cfg.num_points
-    r_max = cfg.r_max
-    if r_max is None:
-        r_max = max(40.0, 12.0 / math.sqrt(max(abs(eps_ref), 1e-12)))
-    return np.linspace(_R_MIN, r_max, n + 1)
+def _mesh(cfg: OracleConfig, r_max: float) -> np.ndarray:
+    """The logarithmic mesh from _R_MIN to cfg.r_max, or to r_max when the
+    config leaves it unset, with cfg.num_points intervals."""
+    if cfg.r_max is not None:
+        r_max = cfg.r_max
+    return np.exp(np.linspace(math.log(_R_MIN), math.log(r_max),
+                              cfg.num_points + 1))
 
 
 def schrodinger_eigenvalue(U_eff: Callable, n_target: int,
@@ -445,18 +421,20 @@ def schrodinger_eigenvalue(U_eff: Callable, n_target: int,
     """Eigenvalue eps of u'' = [U(r) - eps] u with n_target interior nodes.
 
     U_eff is a callable that maps an array of radii to an array of real
-    values of the same shape.  When the config leaves r_max unset, the
-    grid ends at 40 fm.  Returns (eps, nodes); raises DomainError for an
-    n_target that is not a nonnegative integer (QuantumNumbers' rule) or a
-    U_eff that does not return one real value per radius, and
-    NoEigenvalueError when the requested level does not exist in the
-    searchable window (eps < 0) or when the eigenfunction found there has
-    another number of interior nodes than n_target.
+    values of the same shape.  It is solved on the config's logarithmic
+    mesh (OracleConfig), which ends at 40 fm when the config leaves r_max
+    unset; the search floor is the minimum of U over r >= 0.5 fm.
+    Returns (eps, nodes); raises DomainError for an n_target that is not a
+    nonnegative integer (QuantumNumbers' rule) or a U_eff that does not
+    return one real value per radius, and NoEigenvalueError when the
+    requested level does not exist in the searchable window (eps < 0) or
+    when the eigenfunction found there has another number of interior
+    nodes than n_target.
     """
     if not isinstance(n_target, numbers.Integral) or n_target < 0:
         raise DomainError(f"n_target must be an integer >= 0, "
                           f"got {n_target!r}")
-    r = _build_grid(cfg, 1.0)
+    r = _mesh(cfg, 40.0)
     U = np.asarray(U_eff(r))
     if U.shape != r.shape or U.dtype.kind not in "iuf":
         raise DomainError(f"U_eff must return one real value per radius, "
@@ -479,21 +457,22 @@ def _u_eff(parts, E: float):
 
 
 def _defect_sign(parts, sym: SymmetryLimit, M: float, r: np.ndarray,
-                 E: float):
+                 E: float) -> Optional[int]:
     """Sign of eps_inner(E) - eps_target(E) via the level count.
 
-    parts are _effective_parts on the grid r; the node target is the
+    parts are _effective_parts on the mesh r; the node target is the
     degree of their equation.  The inner eigenvalue exceeds the target
     exactly when at most degree levels lie below eps_target, so one
     outward sweep (_InnerSolver.count) decides the sign without solving
-    the inner eigenproblem.  Returns +1, -1 or None (integration
-    impossible).
+    the inner eigenproblem.  Returns +1 or -1, or None where U_eff falls
+    to the centre (D < 0): it has no lowest level there, and its count is
+    only the mesh's.
     """
     solver = _InnerSolver(_u_eff(parts, E), r)
+    if solver.D < 0.0:
+        return None
     degree = parts[0].degree
     n = solver.count(target_eigenvalue(E, sym, M), degree)
-    if n is None:
-        return None
     return +1 if n <= degree else -1
 
 
@@ -519,36 +498,39 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
 
     Solves eps_inner(E) = eps_target(E) where eps_inner is the inner
     eigenvalue with the node count fixed by the quantum numbers (the degree
-    of the polynomial factor of the solved component).  Every search uses
-    one level count (_InnerSolver.count: the levels below eps whose tail
-    decays, from one outward Numerov sweep).  160 probe energies split the
-    energy window into neighbouring pairs, visited nearest E = 0 first,
-    with one count per probe on a coarse grid (OracleConfig; never finer
-    than the fine grid), each probe counted once; the first pair whose
-    defect changes sign, the bracket nearest E = 0, is bisected with one
-    count per step on the fine grid.  On either grid
-    U_eff is built at each energy from parts computed once.
+    of the polynomial factor of the solved component).  Every search runs
+    on one logarithmic mesh (OracleConfig: num_points intervals, 3000 by
+    default, up to r_max = 2 max(40, 12/sqrt(|eps_ref|)) fm unless the
+    config sets it) and uses one level count (_InnerSolver.count: the
+    levels below eps whose tail decays, from one outward Numerov sweep).
+    160 probe energies split the energy window into neighbouring pairs,
+    visited nearest E = 0 first, with one count per probe, each probe
+    counted once; the first pair whose defect changes sign, the bracket
+    nearest E = 0, is bisected with one count per step.  A probe where
+    U_eff falls to the centre (U_eff ~ lam / r^2 at r[0] with lam < -1/4,
+    as for spin (0, -3) at H = 2.5, C = 7) carries no sign: U_eff has no
+    lowest level there.  U_eff is built at each energy from parts computed
+    once.
 
-    Two more counts on the fine grid certify the final energy (Johnson's
-    Sturm count, J. Chem. Phys. 69, 4678 (1978)): the count never falls as
-    eps rises, so the level lies in (eps_target - 1e-8, eps_target + 1e-8]
-    exactly when at most n_target levels lie below the lower end and more
-    than n_target below the upper one.  Then defect_bound is 1e-8 and the
-    node count is interior_nodes at eps_target.  Where the counts refute
-    that, a sweep is lost, or U_eff falls to the centre (below; its count
-    is only the grid's), a full inner eigensolve bisects on the same count
+    Two more counts certify the final energy (Johnson's Sturm count,
+    J. Chem. Phys. 69, 4678 (1978)): the count never falls as eps rises,
+    so the level lies in (eps_target - 1e-8, eps_target + 1e-8] exactly
+    when at most n_target levels lie below the lower end and more than
+    n_target below the upper one.  Then defect_bound is 1e-8 and the node
+    count is interior_nodes at eps_target.  Where the counts refute that,
+    or U_eff falls to the centre at the final energy (its count is then
+    only the mesh's), a full inner eigensolve bisects on the same count
     instead, and defect_bound is its |eps_inner - eps_target|.
 
     Raises NoEigenvalueError when no self-consistent bound state exists in
     the window, and NotConvergedError only when that inner eigensolve
-    fails.  A final defect above 1e-8, including one left by a bisection
-    cut short by a lost sweep or a bracket around a jump of the defect
-    rather than a root, does not raise: the result comes back with
-    converged=False, so callers must check the flag.  Raising there
-    instead waits for the benchmark to accept a typed failure (ROADMAP
-    items 1 and 2).  converged is also False where U_eff ~ lam / r^2 at
-    r[0] with lam < -1/4 (spin (0, -3) at H = 2.5, C = 7): U_eff then
-    falls to the centre, and has no lowest level to converge to.
+    fails.  A final defect above 1e-8, including one left by a bracket
+    around a jump of the defect rather than a root, does not raise: the
+    result comes back with converged=False, so callers must check the
+    flag.  Raising there instead waits for the benchmark to accept a typed
+    failure (ROADMAP items 1 and 2).  converged is also False where U_eff
+    falls to the centre at the final energy, which the scan leaves only
+    to rounding: the bracket's ends do not fall, and lam is linear in E.
     """
     cfg = cfg or OracleConfig()
     eq = ReducedEquation.of(p, sym, qn)
@@ -563,15 +545,12 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
     if e_hi <= e_lo:
         raise NoEigenvalueError("empty energy window")
 
-    # reference scale for the automatic grid: the deepest target eigenvalue
+    # reference scale for the automatic box: the deepest target eigenvalue
     mid = 0.5 * (e_lo + e_hi)
     eps_ref = abs(target_eigenvalue(mid, sym, p.M))
-    r_coarse = _build_grid(cfg, eps_ref, min(cfg.num_points,
-                                             max(2000, cfg.num_points // 5)))
-    r_fine = _build_grid(cfg, eps_ref)
+    r = _mesh(cfg, 2.0 * max(40.0, 12.0 / math.sqrt(max(eps_ref, 1e-12))))
+    parts = _effective_parts(r, p, sym, qn, cfg.centrifugal_mode)
 
-    # scan for defect sign changes on the coarse grid
-    coarse = _effective_parts(r_coarse, p, sym, qn, cfg.centrifugal_mode)
     probes = np.linspace(e_lo, e_hi, 160)
     pairs = [(float(probes[i]), float(probes[i + 1]))
              for i in range(len(probes) - 1)]
@@ -583,7 +562,7 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
                     key=lambda i: abs(0.5 * (pairs[i][0] + pairs[i][1]))):
         for j in (i, i + 1):
             if j not in signs:
-                signs[j] = _defect_sign(coarse, sym, p.M, r_coarse, probes[j])
+                signs[j] = _defect_sign(parts, sym, p.M, r, probes[j])
         if None not in (signs[i], signs[i + 1]) and signs[i] != signs[i + 1]:
             lo, hi = pairs[i]
             break
@@ -592,15 +571,11 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
             "no self-consistent bound state in the energy window "
             f"[{e_lo:.4f}, {e_hi:.4f}]")
 
-    parts = _effective_parts(r_fine, p, sym, qn, cfg.centrifugal_mode)
     outer = 0
-    s_lo = _defect_sign(parts, sym, p.M, r_fine, lo)
+    s_lo = _defect_sign(parts, sym, p.M, r, lo)
     while hi - lo > 1e-10 and outer < 200:
         mid = 0.5 * (lo + hi)
-        s_mid = _defect_sign(parts, sym, p.M, r_fine, mid)
-        if s_mid is None:
-            break
-        if s_mid == s_lo:
+        if _defect_sign(parts, sym, p.M, r, mid) == s_lo:
             lo = mid
         else:
             hi = mid
@@ -608,16 +583,14 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
 
     E = 0.5 * (lo + hi)
     eps_t = target_eigenvalue(E, sym, p.M)
-    solver = _InnerSolver(_u_eff(parts, E), r_fine)
-    # U_eff ~ lam / r^2, 1 + 4 lam < 0: U_eff has no lowest level, so the
-    # count is only the grid's and certifies nothing
-    falls = 1.0 + 4.0 * solver.U[0] * r_fine[0] * r_fine[0] < 0.0
-    if not falls and solver._below(eps_t - _OUTER_TOL, n_target) is True \
-            and solver._below(eps_t + _OUTER_TOL, n_target) is False:
+    solver = _InnerSolver(_u_eff(parts, E), r)
+    # U_eff ~ lam / r^2, D = 1/4 + lam < 0: U_eff has no lowest level, so
+    # the count is only the mesh's and certifies nothing
+    falls = solver.D < 0.0
+    if not falls and solver._below(eps_t - _OUTER_TOL, n_target) \
+            and not solver._below(eps_t + _OUTER_TOL, n_target):
         defect_bound = _OUTER_TOL
         nodes = solver.interior_nodes(eps_t)
-        if nodes is None:
-            nodes = -1
     else:
         try:
             eps_inner, nodes = solver.eigenvalue(n_target)

@@ -161,11 +161,12 @@ def exact_potential(r, p: PotentialParams):
 
         V(r) = -V0 s/(1-s) - A e^{-delta r}/r - B e^{-2 delta r}/r^2
 
-    with s = e^{-2 delta r}.  Accepts scalars or arrays, r > 0.
+    with s = e^{-2 delta r}, 1 - s formed by expm1 without cancellation at
+    small r.  Accepts scalars or arrays, r > 0.
     """
     rr = _check_r(r)
     s = np.exp(-2.0 * p.delta * rr)
-    hulthen = -p.V0 * s / (1.0 - s)
+    hulthen = -p.V0 * s / -np.expm1(-2.0 * p.delta * rr)
     yukawa = -p.A * np.exp(-p.delta * rr) / rr
     iq_yukawa = -p.B * s / rr ** 2
     return _maybe_scalar(hulthen + yukawa + iq_yukawa, r)
@@ -179,20 +180,21 @@ def approx_potential(r, p: PotentialParams):
 
         V'(r) = -(V0 + 2 A delta) s/(1-s) - 4 B delta^2 s^2/(1-s)^2
 
-    with s = e^{-2 delta r}.  This is the form the closed-form spectrum
-    solves exactly.
+    with s = e^{-2 delta r} (1 - s by expm1).  This is the form the
+    closed-form spectrum solves exactly.
     """
     rr = _check_r(r)
     s = np.exp(-2.0 * p.delta * rr)
-    u = s / (1.0 - s)
+    u = s / -np.expm1(-2.0 * p.delta * rr)
     return _maybe_scalar(-(p.V0 + p.v0_prime) * u - p.b_prime * u ** 2, r)
 
 
 def centrifugal_approx(r, delta: float):
-    """Screened stand-in for 1/r^2: 4 delta^2 s/(1-s)^2, s = e^{-2 delta r}."""
+    """Screened stand-in for 1/r^2: 4 delta^2 s/(1-s)^2, s = e^{-2 delta r}
+    (1 - s by expm1)."""
     rr = _check_r(r)
-    s = np.exp(-2.0 * delta * rr)
-    return _maybe_scalar(4.0 * delta ** 2 * s / (1.0 - s) ** 2, r)
+    x = -2.0 * delta * rr
+    return _maybe_scalar(4.0 * delta ** 2 * np.exp(x) / np.expm1(x) ** 2, r)
 
 
 def centrifugal_exact(r):

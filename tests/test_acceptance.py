@@ -5,10 +5,13 @@ records both through the conftest hook (the terminal summary prints one
 line per criterion regardless of outcome), then asserts.  AC-5 checks the
 shooting oracle against the normalizable (Q > 0) branch of the closed
 form and pins that the benchmark table energies, which sit on the Q < 0
-branch, are not eigenvalues of the integrated radial equation.
+branch, are not eigenvalues of the integrated radial equation.  The
+oracle accuracy contract beside it holds the oracle to that branch over
+random draws in both limits.
 """
 
 import math
+import random
 import time
 
 import numpy as np
@@ -20,6 +23,7 @@ from diracbound import (
     NonRelParams,
     PotentialParams,
     QuantumNumbers,
+    ReducedEquation,
     SymmetryLimit,
     approx_potential,
     coulomb_energy,
@@ -298,6 +302,79 @@ def test_ac5_oracle_cross_check():
           f"NoEigenvalueError where that branch has no root in the "
           f"window; and the table energy (Q < 0 branch) at least "
           f"{TABLE_MIN_GAP:g} from any oracle energy.")
+
+
+# Oracle accuracy contract.  The draws come from random.Random(7); per draw,
+# in this order: the limit, V0 in [-4, 4], A and B in [-2, 2], C in
+# [-8, 8], H in [0, 6], n in {0, 1, 2} and kappa in {-3, -2, -1, 1, 2, 3};
+# delta = 0.05 and M = 4.76.  The first 40 draws with a normalizable root
+# are kept; 4 of them have D < 1 at their root (D = 0.13 to 0.77), where
+# both solutions r^(1/2 +- sqrt D) of the radial equation are
+# square-integrable at the origin.  On the default 3000-point mesh the
+# worst gap to the nearest root was 1.83e-8 (pseudospin, D = 40) and the
+# worst with D < 1 was 1.31e-10; the uniform 20001-point grid of earlier
+# versions was 6.2e-6 off on a D < 1 draw.  The bounds hold those
+# measurements: at most 2e-8, and 3e-10 (about twice the worst) for D < 1.
+CONTRACT_DRAWS = 40
+CONTRACT_TOL = 2e-8
+CONTRACT_TOL_LOW_D = 3e-10
+
+
+def contract_draws():
+    """(qn, sym, p, roots) of the contract's 40 draws, in draw order."""
+    rng = random.Random(7)
+    kept = []
+    while len(kept) < CONTRACT_DRAWS:
+        kind = rng.choice(["spin", "pseudospin"])
+        V0 = rng.uniform(-4.0, 4.0)
+        A = rng.uniform(-2.0, 2.0)
+        B = rng.uniform(-2.0, 2.0)
+        C = rng.uniform(-8.0, 8.0)
+        H = rng.uniform(0.0, 6.0)
+        n = rng.choice([0, 1, 2])
+        kappa = rng.choice([-3, -2, -1, 1, 2, 3])
+        p = PotentialParams(V0=V0, A=A, B=B, delta=0.05, H=H, M=MASS)
+        qn, sym = QuantumNumbers(n, kappa), SymmetryLimit(kind, C)
+        roots = normalizable_roots(qn, sym, p)
+        if roots:
+            kept.append((qn, sym, p, roots))
+    return kept
+
+
+@pytest.mark.slow
+def test_oracle_accuracy_contract():
+    # Every draw and every AC-5 spot state with a normalizable root: the
+    # oracle converges, with the node count of the polynomial degree,
+    # within the bound of the nearest root (the tighter one where D < 1
+    # at that root); where there is no root, it raises NoEigenvalueError.
+    states = contract_draws()
+    for n, kappa, kind in ORACLE_SPOT_STATES:
+        sym = (SymmetryLimit.spin(5.0) if kind == "spin"
+               else SymmetryLimit.pseudospin(-5.0))
+        for h in (0.0, 5.0):
+            qn, p = QuantumNumbers(n, kappa), bench(h)
+            states.append((qn, sym, p, normalizable_roots(qn, sym, p)))
+    bad = []
+    low_d = set()
+    for qn, sym, p, roots in states:
+        what = (sym.kind, qn.n, qn.kappa, p)
+        if not roots:
+            with pytest.raises(NoEigenvalueError):
+                dirac_eigenvalue(qn, sym, p)
+            continue
+        eq = ReducedEquation.of(p, sym, qn)
+        res = dirac_eigenvalue(qn, sym, p)
+        root = min(roots, key=lambda e: abs(e - res.E))
+        D = eq.terms(root)[4]
+        tol = CONTRACT_TOL_LOW_D if D < 1.0 else CONTRACT_TOL
+        if D < 1.0:
+            low_d.add(sym.kind)
+        if not (res.converged and res.node_count == eq.degree
+                and abs(res.E - root) <= tol):
+            bad.append((what, D, res, root))
+    assert not bad, bad
+    # the draws reach D < 1 in both limits
+    assert low_d == {"spin", "pseudospin"}
 
 
 # ---------------------------------------------------------------------------

@@ -464,6 +464,24 @@ def test_verify_passes_without_oracle(tmp_path, capsys):
     assert out.rstrip().endswith("verify: PASS")
 
 
+def test_verify_output_is_pinned(tmp_path, capsys):
+    # The full report with the oracle on: every figure, the oracle's spot
+    # gap included, is pinned character for character.
+    assert main(["verify", "--preset", "paper-benchmark",
+                 "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (
+        "quantization-equivalence: PASS (max relative gap 4.59e-15 over 50 "
+        "draws)\n"
+        "degeneracy: PASS (H=0 max gap 0.00e+00, H=5 min split 1.50e-02)\n"
+        "dual-path: PASS (hulthen roots, coulomb reduction, hydrogen all "
+        "agree)\n"
+        "oracle-health: PASS (hydrogen, screened s-wave, dirac spot state "
+        "all within 1e-4 (spot gap 2.4e-11))\n"
+        "normalization: PASS (max |norm - 1| = 1.38e-05 (trapezoid "
+        "quadrature))\n"
+        "verify: PASS\n")
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["table", "--delta", "-1", "--states", "none",
                  "--out", str(tmp_path)]) == 1

@@ -425,6 +425,12 @@ def test_sweep_matches_its_per_step_form(case):
         assert _hex(got[1]) == _hex(want[1])
 
 
+def _log_mesh(r_max, num_points):
+    """The oracle's logarithmic mesh to r_max with num_points intervals."""
+    return oracle._mesh(OracleConfig(r_max=r_max, num_points=num_points),
+                        r_max)
+
+
 def _count_steps(monkeypatch):
     """A function giving the recurrence steps _sweep has taken since the
     call: each chunk makes its weights' array, then its centers' array,
@@ -446,14 +452,14 @@ def test_node_only_sweeps_stop_on_a_growing_tail(monkeypatch):
     # is positive everywhere, so every step of every probe qualifies for
     # the growing-tail rule and each level count, with a count limit or
     # without, stops before its first step: it reads the triplet at the
-    # grid end only when the sweep gets there.
+    # sweep's end only when the sweep gets there.
     qn, sym, p = QuantumNumbers(1, -1), SymmetryLimit.pseudospin(-5.0), \
         benchmark_params(H=0.0)
     steps = _count_steps(monkeypatch)
     with pytest.raises(NoEigenvalueError):
         dirac_eigenvalue(qn, sym, p, OracleConfig(num_points=1000))
     assert steps() == 0
-    r = np.linspace(1e-6, 60.0, 4001)
+    r = _log_mesh(60.0, 4000)
     lo, hi = _energy_window(ReducedEquation.of(p, sym, qn))
     for E in np.linspace(lo + 1e-6, hi - 1e-6, 5):
         solver = oracle._InnerSolver(
@@ -467,90 +473,85 @@ def test_node_only_sweeps_stop_on_a_growing_tail(monkeypatch):
 
 def test_sweep_stop_points_are_pinned(monkeypatch):
     # Steps of the level count's outward sweep for the spot state (spin
-    # 0p3/2, H = 0) on 4001-point grids, with a count limit of 0 and
-    # without, which only a step count shows: the stop rules leave every
-    # returned value as a full sweep has it.  On the 60 fm grid the sweep
-    # stops on the growing tail, on the first _TAIL check after the last
-    # step that breaks the certificate (at E = 0.3 no step breaks it),
-    # or on the node past the limit, which the tail stop finds too at
-    # E = 0.45.  On the 12 fm grid, just above the level, u still decays
-    # at the grid end: the sweep runs all 3997 steps from its start, and
-    # the tail test adds the level.
+    # 0p3/2, H = 0) on 4000-interval log meshes, with a count limit of 0
+    # and without, which only a step count shows: the stop rules leave
+    # every returned value as a full sweep has it.  On the 60 fm mesh the
+    # sweep stops on the growing tail, on the first _TAIL check after the
+    # last step that breaks the certificate (at E = 0.3 no step breaks
+    # it), or on the node past the limit, which the tail stop finds too
+    # at E = 0.45.  On the 12 fm mesh, 1e-9 above its level, y still
+    # decays at the mesh end: the sweep runs all 3999 steps from its
+    # start, and the tail test adds the level.
     p = PotentialParams(V0=2.0, A=1.0, B=1.0, delta=0.05, H=0.0, M=4.76)
     qn, sym = QuantumNumbers(0, -2), SymmetryLimit.spin(5.0)
     steps = _count_steps(monkeypatch)
     got = []
     for r_max, E in ((60.0, 0.3), (60.0, 0.42), (60.0, 0.45),
-                     (12.0, 0.42326196521618)):
-        r = np.linspace(1e-6, r_max, 4001)
+                     (12.0, 0.4232619662)):
+        r = _log_mesh(r_max, 4000)
         solver = oracle._InnerSolver(
             effective_potential(r, E, p, sym, qn, "approximated"), r)
         eps = target_eigenvalue(E, sym, p.M)
         for limit in (0, None):
             before = steps()
             got.append((solver.count(eps, limit), steps() - before))
-    assert got == [(0, 0), (0, 0), (0, 414), (0, 414), (1, 294), (1, 294),
-                   (1, 3997), (1, 3997)]
+    assert got == [(0, 0), (0, 0), (0, 3541), (0, 3541), (1, 3423),
+                   (1, 3423), (1, 3999), (1, 3999)]
+
+
+def test_a_sweep_ends_before_its_first_weight_of_one_half():
+    # On a 2000 fm mesh the weights of hydrogen's equation at eps < 0 fall
+    # to 1/2 and then far below it (to -67 at eps = -4) deep in the
+    # forbidden region, where the recurrence no longer follows the
+    # equation: a sweep over the whole mesh counts hundreds of false
+    # nodes there.  The level count ends the sweep at the point before
+    # the first weight <= 1/2 and reads hydrogen's levels, -1/(n + 1)^2.
+    r = _log_mesh(2000.0, 3000)
+    solver = oracle._InnerSolver(_hydrogen(r), r)
+    for eps, levels in ((-4.0, 0), (-1.5, 0), (-0.5, 1), (-0.2, 2),
+                        (-0.1, 3)):
+        w, end = solver._weights(eps)
+        assert w[end] > 0.5 >= w[end + 1]
+        assert (w[1:end + 1] > 0.5).all() and w[-1] < 0.0
+        assert _sweep(w, 0.0, 1.0, solver.y1, 1, w.size - 1, 1)[0] > 10
+        assert solver.count(eps) == levels, eps
 
 
 def test_interior_nodes_with_the_turning_point_behind_the_start():
-    # The well ends at index 19, so the outward sweep stops at index 29,
-    # and a barrier puts the first weight near 1, and the start, at index
-    # 40: the outward sweep takes no step, and the inward one finds no
-    # node in the forbidden region past match_idx.
-    r = np.linspace(1e-6, 10.0, 1001)
-    U = np.where(np.arange(r.size) < 20, -1e5,
-                 np.where(np.arange(r.size) < 40, 1e5, 1.0))
+    # U < eps only at r[0], so the outer turning point is index 1, where
+    # the outward sweep starts: it takes no step, and the inward one
+    # finds no node in the forbidden region behind it.
+    r = _log_mesh(10.0, 1000)
+    U = np.where(np.arange(r.size) < 1, -1e5, 1.0)
     solver = oracle._InnerSolver(U, r)
-    c = solver.hh12 * -1.0
-    assert solver._start(c)[2] == 41
-    assert solver._shoot_out(c, 29) == (0, None)
+    w, end = solver._weights(-1.0)
+    assert end == r.size - 1
+    assert _sweep(w, 0.0, 1.0, solver.y1, 1, 1, 1) == (0, None)
     assert solver.interior_nodes(-1.0) == 0
 
 
-@pytest.mark.parametrize("first_near, start", [(-1, None), (-2, -2)])
-def test_outward_start_stops_before_the_matching_point(first_near, start):
-    # The weights come within 0.05 of 1 only from match_idx + first_near
-    # on.  A sweep may start no later than match_idx - 2, so at
-    # match_idx - 1 the solver finds no start.
-    r = np.linspace(1e-6, 10.0, 1001)
-    eps = -1.0
-    m = int(oracle._MATCH_FRACTION * r.size)
-    U = np.where(np.arange(r.size) < m + first_near, 1e5, 0.0)
-    solver = oracle._InnerSolver(U, r)
-    assert solver.match_idx == m
-    c = solver.hh12 * eps
-    near = np.abs(1.0 - (solver.wU + c)) <= 0.05
-    assert int(near.argmax()) == m + first_near
-    if start is None:
-        assert solver.count(eps) is None
-        assert solver._start(c) is None
-    else:
-        assert isinstance(solver.count(eps), int)
-        assert solver._start(c)[2] == m + start + 1
-
-
 # dirac_eigenvalue and schrodinger_eigenvalue outputs pinned as float.hex:
-# a faster oracle must keep every bit.  Dirac cases: (limit, C, V0 = 2 A = 2 B, H, (n, kappa), centrifugal mode,
-# num_points) -> (E, defect_bound, node_count, outer_iters, converged).
-# The pseudospin case is the charge conjugate of the spin one (V0, A, B, C
-# and eta negated), on its own grid.  The last case ended 0.083 off its
-# target while its probes ran on 2001 points, finer than its solve grid.
-# Every case is certified by the two level counts: defect_bound is 1e-8.
+# a faster oracle must keep every bit.  Dirac cases: (limit, C, V0 = 2 A =
+# 2 B, H, (n, kappa), centrifugal mode, num_points) -> (E, defect_bound,
+# node_count, outer_iters, converged).  The pseudospin case is the charge
+# conjugate of the spin one (V0, A, B, C and eta negated), on its own
+# mesh.  The approximated cases lie within 4.1e-8 of their closed-form
+# roots, the last one on 1000 points.  Every case is certified by the two
+# level counts: defect_bound is 1e-8.
 _CERTIFIED = "0x1.5798ee2308c3ap-27"
 _PINNED_DIRAC = {
     ("spin", 5.0, 2.0, 0.0, (0, -2), "approximated", 1000):
-        ("0x1.b16af40227f8cp-2", _CERTIFIED, 0, 29, True),
+        ("0x1.b16b95c122956p-2", _CERTIFIED, 0, 29, True),
     ("pseudospin", -5.0, -2.0, 0.0, (0, -1), "approximated", 1500):
-        ("-0x1.b16b7f1e734fcp-2", _CERTIFIED, 0, 29, True),
+        ("-0x1.b16b95c4c6192p-2", _CERTIFIED, 0, 29, True),
     ("spin", 7.0, 2.0, 0.0, (0, -1), "exact", 2000):
-        ("0x1.22863ba72514ap+1", _CERTIFIED, 0, 28, True),
+        ("0x1.22863f5596ef2p+1", _CERTIFIED, 0, 28, True),
     ("spin", 5.0, 2.0, 5.0, (1, -2), "approximated", 2000):
-        ("0x1.37d064f0902a8p+0", _CERTIFIED, 1, 29, True),
+        ("0x1.37d065e289fb6p+0", _CERTIFIED, 1, 29, True),
     ("spin", 6.0903, 0.6306, 2.9848, (2, -1), "approximated", 1000):
-        ("0x1.f013194ade9c9p+1", _CERTIFIED, 2, 28, True),
+        ("0x1.f01fee10d24fbp+1", _CERTIFIED, 2, 28, True),
 }
-_PINNED_HYDROGEN = {0: "-0x1.0006283fef2c8p+0", 1: "-0x1.000251fe6e248p-2"}
+_PINNED_HYDROGEN = {0: "-0x1.000000000e134p+0", 1: "-0x1.00000000438dcp-2"}
 
 
 def test_oracle_outputs_are_pinned():
@@ -587,7 +588,7 @@ def _pinned_inputs(kind, C, V0, H, nk, mode, num, A=None, B=None):
 def test_u_eff_from_parts_is_effective_potential():
     # The outer bisection builds U(E) from parts computed once; it must be
     # effective_potential's U, bit for bit, in both centrifugal modes.
-    r = np.linspace(1e-6, 60.0, 2001)
+    r = _log_mesh(60.0, 2000)
     for key in _PINNED_DIRAC:
         qn, sym, p, cfg = _pinned_inputs(*key)
         mode = cfg.centrifugal_mode
@@ -599,23 +600,26 @@ def test_u_eff_from_parts_is_effective_potential():
 
 
 # The verify spot state and a state near the fall to the centre (1 + 4 lam
-# = 0.23 for U_eff ~ lam / r^2 at its energy), both on the default grid; a
-# state whose final defect is 9.6e-8 (converged=False, on 1001 points,
-# 1 + 4 lam = 164); and a state whose U_eff falls to the centre
-# (1 + 4 lam < 0).
-_SPOT = ("spin", 5.0, 2.0, 0.0, (0, -2), "approximated", 20000)
-_NEAR_FALL = ("spin", 7.2786, 2.0, 2.2314, (0, -3), "approximated", 20000)
+# = 0.23 for U_eff ~ lam / r^2 at its energy), both on the default mesh; a
+# state whose final defect was 9.6e-8 on the 1001-point uniform grid of
+# earlier versions (converged=False, 1 + 4 lam = 164); and a state whose
+# U_eff falls to the centre (1 + 4 lam < 0) over the upper part of its
+# energy window.
+_SPOT = ("spin", 5.0, 2.0, 0.0, (0, -2), "approximated", 3000)
+_NEAR_FALL = ("spin", 7.2786, 2.0, 2.2314, (0, -3), "approximated", 3000)
 _UNCONVERGED = ("spin", 4.7241, 2.5171, 4.9842, (1, 1), "approximated", 1000,
                 -1.4149, 0.6642)
 _FALLS = ("spin", 7.0, 2.0, 2.5, (0, -3), "approximated", 2000)
 
 
-# On 1001 points unless stated: a state whose final eigensolve finds no
-# bound spectrum on its 5001-point grid; one whose U_eff falls to the
-# centre, where the two counts hold but the eigensolve finds no floor; one
-# whose bracket holds a jump of the defect (final defect 24.8); and one
-# whose level count steps where the outward sweep's start index moves,
-# 4.5e-9 above eps_target.
+# More states that the uniform grids of earlier versions got wrong, on
+# 1000 points unless stated: two without a normalizable root, whose
+# brackets held the energy where U_eff starts to fall to the centre (the
+# final eigensolve then found no bound spectrum, on 5000 points, or no
+# floor) and which now find no bracket; one whose bracket held a jump of
+# the defect (final defect 24.8); and one whose level count stepped where
+# the outward sweep's start index moved, 4.5e-9 above eps_target, and
+# which returned E = 1.42973.
 _NO_SPECTRUM = ("spin", -1.0534, -0.8742, 0.9394, (0, -3), "approximated",
                 5000, -0.3801, 1.7679)
 _NO_FLOOR = ("spin", 0.0, 0.0, 0.0, (0, -3), "approximated", 1000, 0.0, 1.0)
@@ -623,6 +627,21 @@ _JUMP = ("spin", -2.2103, 0.858, 4.6935, (0, 2), "approximated", 1000,
          -0.6888, -0.7218)
 _START_STEP = ("pseudospin", 0.0, -1.4639074292756025, 0.0, (2, -2),
                "approximated", 1000, 0.5757924780141548, 0.0)
+
+
+@pytest.mark.parametrize("key, root", [(_UNCONVERGED, 1.775929351832813),
+                                       (_JUMP, 2.8160304044128193),
+                                       (_START_STEP, 1.3329506701737843)],
+                         ids=["unconverged", "jump", "start-step"])
+def test_grid_artifacts_give_way_to_the_closed_form_root(key, root):
+    # Each state's only normalizable root (AC-5's normalizable_roots); on
+    # 1000 points the oracle lands within 1.3e-7 of it, with the node
+    # count of the degree.  _START_STEP once returned E = 1.42973.
+    qn, sym, p, cfg = _pinned_inputs(*key)
+    res = dirac_eigenvalue(qn, sym, p, cfg)
+    assert res.converged
+    assert res.node_count == ReducedEquation.of(p, sym, qn).degree
+    assert abs(res.E - root) < 1e-6
 
 
 def _check_certificate(qn, sym, p, cfg):
@@ -660,15 +679,10 @@ def _check_certificate(qn, sym, p, cfg):
     eps_t = target_eigenvalue(res.E, sym, p.M)
     defect = abs(eps_ref - eps_t)
     falls = 1.0 + 4.0 * solver.U[0] * solver.r[0] * solver.r[0] < 0.0
-    if res.node_count != nodes_ref:
-        # The outward sweep starts at another index at eps_t than at the
-        # reference level, and the count steps with it there.
-        start = [solver._start(solver.hh12 * eps)[2] for eps in (eps_t,
-                                                                  eps_ref)]
-        assert start[0] != start[1]
+    assert res.node_count == nodes_ref
     assert res.converged == (defect <= _OUTER_TOL and not falls)
-    if not falls and solver._below(eps_t - _OUTER_TOL, n_target) is True \
-            and solver._below(eps_t + _OUTER_TOL, n_target) is False:
+    if not falls and solver._below(eps_t - _OUTER_TOL, n_target) \
+            and not solver._below(eps_t + _OUTER_TOL, n_target):
         assert defect <= _OUTER_TOL
         assert res.defect_bound == _OUTER_TOL
         return "certified"
@@ -682,20 +696,19 @@ def _check_certificate(qn, sym, p, cfg):
     pytest.param(_SPOT, "certified", id="spot", marks=pytest.mark.slow),
     pytest.param(_NEAR_FALL, "certified", id="near-fall",
                  marks=pytest.mark.slow),
-    pytest.param(_UNCONVERGED, "solved", id="unconverged"),
-    pytest.param(_FALLS, "solved", id="falls"),
-    pytest.param(_NO_SPECTRUM, NotConvergedError, id="no-spectrum"),
-    pytest.param(_NO_FLOOR, NotConvergedError, id="no-floor"),
-    pytest.param(_JUMP, "solved", id="jump"),
+    pytest.param(_UNCONVERGED, "certified", id="unconverged"),
+    pytest.param(_FALLS, NoEigenvalueError, id="falls"),
+    pytest.param(_NO_SPECTRUM, NoEigenvalueError, id="no-spectrum"),
+    pytest.param(_NO_FLOOR, NoEigenvalueError, id="no-floor"),
+    pytest.param(_JUMP, "certified", id="jump"),
     pytest.param(_START_STEP, "certified", id="start-step"),
 ])
 def test_a_guess_never_changes_the_inner_eigenvalue(key, outcome):
     # eps_target is the guess of the inner eigenvalue that the two level
     # counts check.  Where U_eff has a lowest level and the counts hold,
     # the level lies within 1e-8 of it; elsewhere the eigensolve runs as
-    # before.  Either way converged and the error type are the
-    # eigensolve's, and so is the node count, but where the outward start
-    # moves within the 1e-8 window.
+    # before.  Either way converged, the node count and the error type
+    # are the eigensolve's.
     assert _check_certificate(*_pinned_inputs(*key)) == outcome
 
 
@@ -711,37 +724,41 @@ def test_a_guess_never_changes_the_inner_eigenvalue_anywhere(
                        OracleConfig(num_points=1000))
 
 
-def test_a_state_off_its_target_or_falling_to_the_centre_is_not_converged():
+def test_a_state_off_its_target_or_falling_to_the_centre_is_not_converged(
+        monkeypatch):
+    # With a tolerance of 1e-13 the two counts cannot certify
+    # _UNCONVERGED's level, so the inner eigensolve runs; its defect is
+    # above that tolerance, and the result is not converged.
     qn, sym, p, cfg = _pinned_inputs(*_UNCONVERGED)
+    monkeypatch.setattr(oracle, "_OUTER_TOL", 1e-13)
     res = dirac_eigenvalue(qn, sym, p, cfg)
-    assert res.defect_bound > _OUTER_TOL
+    assert res.defect_bound > 1e-13
     assert not res.converged
-    # The two searches meet on the grid's own lowest level, which is no
-    # level of a U_eff without one.
+    # U_eff falls to the centre at the energy that the grid's own lowest
+    # level once gave (2.2464, returned with converged=False): it has no
+    # lowest level there, so the scan gives such energies no sign, and no
+    # bound state is found.
     qn, sym, p, cfg = _pinned_inputs(*_FALLS)
-    res = dirac_eigenvalue(qn, sym, p, cfg)
+    with pytest.raises(NoEigenvalueError):
+        dirac_eigenvalue(qn, sym, p, cfg)
     r = np.array([1e-6])
-    lam = effective_potential(r, res.E, p, sym, qn,
+    lam = effective_potential(r, 2.2464, p, sym, qn,
                               cfg.centrifugal_mode)[0] * r[0] ** 2
     assert 1.0 + 4.0 * lam < 0.0
-    assert res.defect_bound <= _OUTER_TOL
-    assert not res.converged
 
 
 @pytest.mark.slow
 def test_sweep_count_budget(monkeypatch):
     # Sweeps and recurrence steps per dirac_eigenvalue, which no timing
-    # shows on a machine of another speed.  The scan sweeps a probe once
-    # on the 4001-point coarse grid when its pair is visited, nearest
-    # E = 0 first, and stops at the first sign change: 8 of the 160
-    # probes for the spot state, 3 for the near-fall state.  On the
-    # 20001-point fine grid each level count is one outward sweep: the
-    # spot state takes 34 sweeps with the two counts that certify its
-    # level (59 with the inner eigensolve they replace), and the near-fall
-    # state 33 (57); each count includes the final interior_nodes' outward
-    # and inward sweeps.  The step budgets are the exact counts with every
-    # sweep stopping on a growing tail from its first step, and
-    # interior_nodes' outward sweep ending at its cap.
+    # shows on a machine of another speed.  Every sweep runs on the one
+    # 3001-point log mesh.  The scan sweeps a probe once when its pair is
+    # visited, nearest E = 0 first, and stops at the first sign change: 8
+    # of the 160 probes for the spot state, 3 for the near-fall state.
+    # Each level count is one outward sweep: with the outer bisection's
+    # (30 and 29), the two counts that certify the level and the final
+    # interior_nodes' outward and inward sweeps, the spot state takes 42
+    # sweeps and the near-fall state 36.  The step budgets are the exact
+    # counts, every sweep ending on a growing tail or at its end.
     sweeps = Counter()
     real = oracle._sweep
 
@@ -750,15 +767,24 @@ def test_sweep_count_budget(monkeypatch):
         return real(w, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "_sweep", spy)
+    signs = []
+    real_sign = oracle._defect_sign
+
+    def sign_spy(*args):
+        signs.append(args)
+        return real_sign(*args)
+
+    monkeypatch.setattr(oracle, "_defect_sign", sign_spy)
     steps = _count_steps(monkeypatch)
-    for key, probes, budget, step_budget in ((_SPOT, 8, 34, 195_030),
-                                             (_NEAR_FALL, 3, 33, 503_045)):
+    for key, probes, budget, step_budget in ((_SPOT, 8, 42, 99_181),
+                                             (_NEAR_FALL, 3, 36, 97_475)):
         sweeps.clear()
+        signs.clear()
         before = steps()
-        dirac_eigenvalue(*_pinned_inputs(*key))
-        assert sweeps.keys() == {4001, 20001}, key
-        assert sweeps[4001] == probes, key
-        assert sweeps[20001] <= budget, key
+        res = dirac_eigenvalue(*_pinned_inputs(*key))
+        assert sweeps.keys() == {3001}, key
+        assert len(signs) - 1 - res.outer_iters == probes, key
+        assert sweeps[3001] <= budget, key
         assert steps() - before <= step_budget, key
 
 
@@ -807,9 +833,11 @@ def _hydrogen(r):
 
 # Hydrogen, u'' = (-2/r - eps) u, has its level n at -1/(n + 1)^2.  Each
 # bound on |eps + 1/(n + 1)^2| is about twice the largest gap measured on
-# its grid (9.4e-5, 1.5e-6, 3.3e-7 and 3.4e-3, at n = 0 each time).
-_HYDROGEN_GRIDS = {(60.0, 3000): 2e-4, (60.0, 12000): 3e-6,
-                   (60.0, 20000): 1e-6, (200.0, 3000): 5e-3}
+# its log mesh (4.7e-8, 4.5e-8, 3.6e-9 and 5.0e-11, at n = 3 each time;
+# on the 60 fm meshes that gap is the box's, whose end cuts the n = 3
+# tail, and n = 0 to 2 are within 2.0e-9 and 2.5e-11).
+_HYDROGEN_GRIDS = {(60.0, 1000): 1e-7, (60.0, 3000): 1e-7,
+                   (120.0, 1000): 8e-9, (200.0, 3000): 1e-10}
 
 
 def test_inner_solver_on_coulomb_levels():
@@ -855,25 +883,26 @@ def test_schrodinger_eigenvalue_raises_on_another_node_count(monkeypatch,
 
 
 def _hydrogen_solver(r_max, num_points):
-    r = np.linspace(1e-6, r_max, num_points + 1)
+    r = _log_mesh(r_max, num_points)
     return oracle._InnerSolver(_hydrogen(r), r)
 
 
 def test_interior_nodes_counts_a_node_at_match_idx_once():
-    # On a 5.778 fm grid the n = 1 hydrogen level has its node about
-    # halfway between r[match_idx - 1] and r[match_idx]: the outward sweep
-    # to match_idx crosses it and the inward sweep to match_idx does not,
-    # but one to match_idx - 1 would.  Splitting the count anywhere but at
-    # match_idx counts the node twice or not at all.
-    solver = _hydrogen_solver(5.778, 1000)
+    # The n = 1 hydrogen level has its node at r = 2 fm, between r[j - 1]
+    # and r[j] on a 30 fm, 1000-interval mesh: the outward sweep to j
+    # crosses it and the inward sweep to j does not, but one to j - 1
+    # would.  So a split at any index counts a node on either side of it
+    # once, as interior_nodes' split at the outer turning point (past
+    # r = 8 fm) does.
+    solver = _hydrogen_solver(30.0, 1000)
     eps, nodes = solver.eigenvalue(1)
-    m, c = solver.match_idx, solver.hh12 * eps
-    start = solver._start(c)
-    tail = (1e-120, 1e-120 * solver._tail_ratio(eps), len(solver.wU) - 2)
-    assert [_sweep(solver.wU, c, *start, stop, 1)[0]
-            for stop in (m - 1, m)] == [0, 1]
-    assert [_sweep(solver.wU, c, *tail, stop, -1)[0]
-            for stop in (m, m - 1)] == [0, 1]
+    w, end = solver._weights(eps)
+    j = int(np.searchsorted(solver.r, 2.0))
+    tail = (1e-120, 1e-120 * solver._tail_ratio(eps, end), end - 1)
+    assert [_sweep(w, 0.0, 1.0, solver.y1, 1, stop, 1)[0]
+            for stop in (j - 1, j)] == [0, 1]
+    assert [_sweep(w, 0.0, *tail, stop, -1)[0]
+            for stop in (j, j - 1)] == [0, 1]
     assert nodes == solver.interior_nodes(eps) == 1
 
 
@@ -895,32 +924,35 @@ def test_level_count_never_falls_and_steps_by_one(grid):
 
 
 def _johnson_count(solver, eps):
-    """The level count in its matching form: the outward nodes up to
-    match_idx, the nodes from it on of an inward sweep seeded with the
-    decaying tail exp(-k r), k = sqrt(U[-1] - eps), and one more when the
-    log-derivative mismatch dout - din at match_idx is negative (it falls
+    """The level count in its matching form: the outward nodes up to the
+    matching point m (the mesh point nearest 0.35 r_max), the nodes from
+    it on of an inward sweep from the sweep end seeded with the decaying
+    tail u ~ exp(-k r), k = sqrt(U[end] - eps), and one more when the
+    log-derivative mismatch dout - din at m is negative (it falls
     through zero at each level).  The counts come from _sweep; the
-    triplets around match_idx from the per-step loop, since near match_idx
-    both solutions often grow, where _sweep stops short of them."""
-    c = solver.hh12 * eps
-    m, end = solver.match_idx, len(solver.wU) - 1
-    start = solver._start(c)
-    k = math.sqrt(max(float(solver.U[-1]) - eps, 0.0))
+    triplets around m from the per-step loop, since near m both
+    solutions often grow, where _sweep stops short of them."""
+    w, end = solver._weights(eps)
+    m = int(np.searchsorted(solver.r, 0.35 * solver.r[-1]))
+    start = (1.0, solver.y1, 1)
+    k = math.sqrt(max(float(solver.U[end]) - eps, 0.0))
+    r0, r1 = float(solver.r[end - 1]), float(solver.r[end])
     v_end = 1e-120
-    tail = (v_end, v_end * math.exp(min(k * solver.h, 300.0)), end - 1)
-    n_out = _sweep(solver.wU, c, *start, m, 1)[0]
-    n_in = _sweep(solver.wU, c, *tail, m, -1)[0]
-    u0, u1, u2 = _per_step_sweep(solver.wU, c, *start, m + 1, 1)[1]
-    v2, v1, v0 = _per_step_sweep(solver.wU, c, *tail, m - 1, -1)[1]
+    tail = (v_end, v_end * math.exp(min(k * (r1 - r0), 300.0))
+            * math.sqrt(r1 / r0), end - 1)
+    n_out = _sweep(w, 0.0, *start, m, 1)[0]
+    n_in = _sweep(w, 0.0, *tail, m, -1)[0]
+    u0, u1, u2 = _per_step_sweep(w, 0.0, *start, m + 1, 1)[1]
+    v2, v1, v0 = _per_step_sweep(w, 0.0, *tail, m - 1, -1)[1]
     dout = (u2 - u0) / (2.0 * solver.h * u1)
     din = (v2 - v0) / (2.0 * solver.h * v1)
     return n_out + n_in + (dout - din < 0.0)
 
 
 def _spot_solver():
-    # the spot state's U_eff at its energy, on a 4001-point grid
+    # the spot state's U_eff at its energy, on a 4000-interval log mesh
     p = PotentialParams(V0=2.0, A=1.0, B=1.0, delta=0.05, H=0.0, M=4.76)
-    r = np.linspace(1e-6, 60.0, 4001)
+    r = _log_mesh(60.0, 4000)
     return oracle._InnerSolver(effective_potential(
         r, 0.4232619652, p, SymmetryLimit.spin(5.0), QuantumNumbers(0, -2),
         "approximated"), r)
@@ -933,8 +965,8 @@ def _spot_solver():
 ], ids=["hydrogen-60", "hydrogen-25", "spot"])
 def test_level_count_is_the_matching_count(make, lo, levels):
     # The end test holds count to the matching form: in exact arithmetic
-    # the outward solution meets the inward one at match_idx exactly when
-    # its ratio at the grid end is the inward seed's.  The two agree at
+    # the outward solution meets the inward one at the matching point
+    # exactly when its ratio at the sweep end is the inward seed's.  The two agree at
     # every eps of a fine grid over [lo, -0.01] and at 1e-2 ... 1e-10
     # from each level on both sides; only eps within 1e-11 (1 + |level|)
     # of a level, where roundoff decides both, are left out.
@@ -961,7 +993,7 @@ def test_level_count_is_the_matching_count(make, lo, levels):
 
 def test_inner_solver_on_screened_coulomb_closed_form():
     delta, v0 = 0.05, 0.1
-    cfg = OracleConfig(r_max=60.0, num_points=12000)
+    cfg = OracleConfig(r_max=60.0)
 
     def screened(r):
         s = np.exp(-2.0 * delta * r)
@@ -972,7 +1004,7 @@ def test_inner_solver_on_screened_coulomb_closed_form():
     target = 2.0 * nonrel_energy_hulthen(nrp, 0)
     eps, nodes = schrodinger_eigenvalue(screened, 0, cfg)
     assert nodes == 0
-    assert eps == pytest.approx(target, abs=1e-4)
+    assert eps == pytest.approx(target, abs=1e-9)
 
 
 def test_inner_solver_reports_missing_level():

@@ -140,6 +140,35 @@ def test_potentials_agree_in_the_small_screening_regime():
     assert np.max(gap) < 1e-6
 
 
+@pytest.mark.parametrize("r", [1e-9, 1e-7, 1e-6])
+def test_screened_factors_keep_full_precision_at_tiny_radius(r):
+    # 1 - e^(-2 delta r) comes from expm1: formed by subtraction it keeps
+    # about 1e-6 relative accuracy at r = 1e-9 fm, and it feeds the
+    # oracle's origin exponent D = 1/4 + r^2 U(r) at its first mesh point.
+    # Against 50-digit mpmath every screened form is within 1e-14.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for p in (PotentialParams(V0=2.0, A=1.0, B=1.5, delta=0.05, H=0.0,
+                                  M=4.76),
+                  PotentialParams(V0=-3.0, A=0.0, B=0.0, delta=0.3, H=0.0,
+                                  M=4.76)):
+            R, d = mpmath.mpf(r), mpmath.mpf(p.delta)
+            s = mpmath.exp(-2 * d * R)
+            u = s / (1 - s)
+            want = {
+                "exact": -p.V0 * u - p.A * mpmath.exp(-d * R) / R
+                - p.B * s / R ** 2,
+                "approx": -(p.V0 + 2 * p.A * d) * u - 4 * p.B * d ** 2 * u ** 2,
+                "centrifugal": 4 * d ** 2 * s / (1 - s) ** 2,
+            }
+            got = {"exact": exact_potential(r, p),
+                   "approx": approx_potential(r, p),
+                   "centrifugal": centrifugal_approx(r, p.delta)}
+            for name, value in got.items():
+                rel = abs((value - want[name]) / want[name])
+                assert rel <= 1e-14, (name, p, float(rel))
+
+
 def test_exact_potential_rejects_nonpositive_radius():
     p = benchmark_params()
     with pytest.raises(DomainError):
