@@ -31,9 +31,11 @@ class SingularCouplingError(DiracboundError, ZeroDivisionError):
 
 class NoEigenvalueError(DiracboundError, RuntimeError):
     """The shooting solver could not bracket an eigenvalue with the requested
-    node count inside its search window."""
+    node count inside its search window, or the potential falls to the
+    centre at the energy it bisected to."""
 
 
 class NotConvergedError(DiracboundError, RuntimeError):
-    """The shooting solver bisected to an energy but the final inner
-    eigensolve there failed (raised by dirac_eigenvalue)."""
+    """The shooting solver bisected to an energy, but the two level counts
+    there refute that the requested level lies within 1e-8 of its target
+    (raised by dirac_eigenvalue)."""

@@ -47,7 +47,7 @@ _CHUNK = 2048            # weights per array that a scalar sweep converts
 _TAIL = 64               # steps between growing-tail checks of a sweep
 _R_MIN = 1e-6            # first mesh point (fm)
 _FLOOR_FROM = 0.5        # an inner search's floor is min U over r >= this (fm)
-_OUTER_TOL = 1e-8        # largest final |eps_inner - eps_target| for converged
+_OUTER_TOL = 1e-8        # half-width of the certificate's window at eps_target
 
 
 @dataclass(frozen=True)
@@ -89,19 +89,22 @@ class OracleConfig:
 class OracleResult:
     """Self-consistent eigenvalue from `dirac_eigenvalue`, with diagnostics.
 
-    defect_bound bounds |eps_inner(E) - eps_target(E)|: it is 1e-8 where
-    two level counts certify the inner level within 1e-8 of eps_target(E),
-    and the defect of a full inner eigensolve where they do not or U_eff
-    falls to the centre (see dirac_eigenvalue).  converged is False when
-    defect_bound exceeds 1e-8, or when U_eff falls to the centre; E is
-    then still returned, so callers must check the flag.
+    Two level counts certify that the inner level at E lies within 1e-8
+    of eps_target(E) (see dirac_eigenvalue, which raises where they do
+    not); node_count is that level's interior node count and outer_iters
+    the number of outer bisection steps.
     """
 
     E: float
-    defect_bound: float
     node_count: int
     outer_iters: int
-    converged: bool
+
+    @property
+    def converged(self) -> bool:
+        """Always True: dirac_eigenvalue raises instead of returning an
+        uncertified energy.  Kept read-only for readers of the old flag
+        (perfbench/worker.py and perfbench/workloads.py)."""
+        return True
 
 
 def numerov_integrate(r: np.ndarray, Q: np.ndarray, u0: float, u1: float):
@@ -371,18 +374,14 @@ class _InnerSolver:
             floor *= 4.0
         return None
 
-    def _below(self, eps: float, n_target: int) -> bool:
-        """Whether eps lies below the n_target eigenvalue (at most n_target
-        levels below eps)."""
-        return self.count(eps, n_target) <= n_target
-
     def eigenvalue(self, n_target: int):
         """(eps, interior nodes) of the level with n_target levels below it.
 
-        A single bisection on the level count (see count and _below) finds
-        eps to a relative width of 1e-14; the node count is interior_nodes
-        at eps.  Raises NoEigenvalueError when the level is not in the
-        window (floor, 0).
+        A single bisection on the level count (count: eps lies below the
+        level when at most n_target levels lie below eps) finds eps to a
+        relative width of 1e-14; the node count is interior_nodes at eps.
+        Raises NoEigenvalueError when the level is not in the window
+        (floor, 0).
         """
         found = self.floor(n_target)
         if found is None:
@@ -397,7 +396,7 @@ class _InnerSolver:
         a, b = lo, 0.0
         for _ in range(220):
             mid = 0.5 * (a + b)
-            if self._below(mid, n_target):
+            if self.count(mid, n_target) <= n_target:
                 a = mid
             else:
                 b = mid
@@ -516,21 +515,17 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
     J. Chem. Phys. 69, 4678 (1978)): the count never falls as eps rises,
     so the level lies in (eps_target - 1e-8, eps_target + 1e-8] exactly
     when at most n_target levels lie below the lower end and more than
-    n_target below the upper one.  Then defect_bound is 1e-8 and the node
-    count is interior_nodes at eps_target.  Where the counts refute that,
-    or U_eff falls to the centre at the final energy (its count is then
-    only the mesh's), a full inner eigensolve bisects on the same count
-    instead, and defect_bound is its |eps_inner - eps_target|.
+    n_target below the upper one.  The node count is then interior_nodes
+    at eps_target.
 
-    Raises NoEigenvalueError when no self-consistent bound state exists in
-    the window, and NotConvergedError only when that inner eigensolve
-    fails.  A final defect above 1e-8, including one left by a bracket
-    around a jump of the defect rather than a root, does not raise: the
-    result comes back with converged=False, so callers must check the
-    flag.  Raising there instead waits for the benchmark to accept a typed
-    failure (ROADMAP items 1 and 2).  converged is also False where U_eff
-    falls to the centre at the final energy, which the scan leaves only
-    to rounding: the bracket's ends do not fall, and lam is linear in E.
+    Every failure raises; a returned result is certified.  Raises
+    NoEigenvalueError when no self-consistent bound state exists in the
+    window: no energy admits a decaying tail, no probe pair changes sign,
+    or U_eff falls to the centre at the final energy (D < 0, which the
+    scan leaves only to rounding: the bracket's ends do not fall, and lam
+    is linear in E).  Raises NotConvergedError when the two counts refute
+    the final level, as where the bracket holds a jump of the defect
+    rather than a root; its message names both counts and eps_target.
     """
     cfg = cfg or OracleConfig()
     eq = ReducedEquation.of(p, sym, qn)
@@ -584,22 +579,19 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
     E = 0.5 * (lo + hi)
     eps_t = target_eigenvalue(E, sym, p.M)
     solver = _InnerSolver(_u_eff(parts, E), r)
-    # U_eff ~ lam / r^2, D = 1/4 + lam < 0: U_eff has no lowest level, so
-    # the count is only the mesh's and certifies nothing
-    falls = solver.D < 0.0
-    if not falls and solver._below(eps_t - _OUTER_TOL, n_target) \
-            and not solver._below(eps_t + _OUTER_TOL, n_target):
-        defect_bound = _OUTER_TOL
-        nodes = solver.interior_nodes(eps_t)
-    else:
-        try:
-            eps_inner, nodes = solver.eigenvalue(n_target)
-        except NoEigenvalueError as err:
-            raise NotConvergedError(
-                f"bisected to E={E:.8f} but the inner eigensolve failed "
-                f"there: {err}") from err
-        defect_bound = abs(eps_inner - eps_t)
-    converged = defect_bound <= _OUTER_TOL and not falls
-    return OracleResult(E=float(E), defect_bound=float(defect_bound),
-                        node_count=int(nodes), outer_iters=outer,
-                        converged=bool(converged))
+    if solver.D < 0.0:
+        # U_eff ~ lam / r^2 with D = 1/4 + lam < 0: no lowest level, so
+        # the count is only the mesh's and certifies nothing
+        raise NoEigenvalueError(
+            f"U_eff falls to the centre at the bisected E={E:.8f} "
+            f"(D = {solver.D:.6g} < 0): no lowest level")
+    n_lo = solver.count(eps_t - _OUTER_TOL, n_target)
+    n_hi = solver.count(eps_t + _OUTER_TOL, n_target)
+    if not n_lo <= n_target < n_hi:
+        raise NotConvergedError(
+            f"bisected to E={E:.8f}, but the level counts at eps_target "
+            f"-/+ {_OUTER_TOL:g} (eps_target = {eps_t:.10g}) are "
+            f"({n_lo}, {n_hi}), not (at most {n_target}, above {n_target}); "
+            f"a count above {n_target} is only a lower bound")
+    return OracleResult(E=float(E), node_count=solver.interior_nodes(eps_t),
+                        outer_iters=outer)

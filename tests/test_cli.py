@@ -294,6 +294,23 @@ def test_flag_precedence(tmp_path):
     assert flags.V0 == 3.5 and flags.H == 2.0 and flags.C == 5.0
 
 
+def test_one_parser_serves_every_call(tmp_path):
+    # main builds its parser once per process; no flag of one call may
+    # reach the next.
+    assert cli.build_parser() is cli.build_parser()
+    first, second = tmp_path / "first.ini", tmp_path / "second.ini"
+    assert main(["table", "--preset", PRESET, "--H", "2.5", "--states",
+                 "0,-2", "--out", str(tmp_path / "a"),
+                 "--save-config", str(first)]) == 0
+    assert main(["sweep", "--preset", PRESET, "--format", "json",
+                 "--states", "0,1", "--out", str(tmp_path / "b"),
+                 "--save-config", str(second)]) == 0
+    table, sweep = (RunConfig.from_ini(f.read_text()) for f in (first, second))
+    assert (table.H, table.format) == (2.5, "csv")
+    assert (sweep.H, sweep.format) == (5.0, "json")
+    assert [f.name for f in (tmp_path / "b").iterdir()] == ["sweep_spin.json"]
+
+
 def test_saved_config_reproduces_run(tmp_path):
     saved = tmp_path / "run.ini"
     out1 = tmp_path / "a"

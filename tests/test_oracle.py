@@ -31,8 +31,7 @@ from diracbound import (
 )
 from diracbound import oracle
 from diracbound.potentials import _effective_parts
-from diracbound.oracle import (_OUTER_TOL, _RESCALE_AT, _energy_window,
-                               _sweep, _u_eff)
+from diracbound.oracle import _RESCALE_AT, _energy_window, _sweep, _u_eff
 
 
 def test_numerov_reproduces_sine_solution():
@@ -532,24 +531,22 @@ def test_interior_nodes_with_the_turning_point_behind_the_start():
 
 # dirac_eigenvalue and schrodinger_eigenvalue outputs pinned as float.hex:
 # a faster oracle must keep every bit.  Dirac cases: (limit, C, V0 = 2 A =
-# 2 B, H, (n, kappa), centrifugal mode, num_points) -> (E, defect_bound,
-# node_count, outer_iters, converged).  The pseudospin case is the charge
-# conjugate of the spin one (V0, A, B, C and eta negated), on its own
-# mesh.  The approximated cases lie within 4.1e-8 of their closed-form
-# roots, the last one on 1000 points.  Every case is certified by the two
-# level counts: defect_bound is 1e-8.
-_CERTIFIED = "0x1.5798ee2308c3ap-27"
+# 2 B, H, (n, kappa), centrifugal mode, num_points) -> (E, node_count,
+# outer_iters, converged).  The pseudospin case is the charge conjugate of
+# the spin one (V0, A, B, C and eta negated), on its own mesh.  The
+# approximated cases lie within 4.1e-8 of their closed-form roots, the
+# last one on 1000 points.
 _PINNED_DIRAC = {
     ("spin", 5.0, 2.0, 0.0, (0, -2), "approximated", 1000):
-        ("0x1.b16b95c122956p-2", _CERTIFIED, 0, 29, True),
+        ("0x1.b16b95c122956p-2", 0, 29, True),
     ("pseudospin", -5.0, -2.0, 0.0, (0, -1), "approximated", 1500):
-        ("-0x1.b16b95c4c6192p-2", _CERTIFIED, 0, 29, True),
+        ("-0x1.b16b95c4c6192p-2", 0, 29, True),
     ("spin", 7.0, 2.0, 0.0, (0, -1), "exact", 2000):
-        ("0x1.22863f5596ef2p+1", _CERTIFIED, 0, 28, True),
+        ("0x1.22863f5596ef2p+1", 0, 28, True),
     ("spin", 5.0, 2.0, 5.0, (1, -2), "approximated", 2000):
-        ("0x1.37d065e289fb6p+0", _CERTIFIED, 1, 29, True),
+        ("0x1.37d065e289fb6p+0", 1, 29, True),
     ("spin", 6.0903, 0.6306, 2.9848, (2, -1), "approximated", 1000):
-        ("0x1.f01fee10d24fbp+1", _CERTIFIED, 2, 28, True),
+        ("0x1.f01fee10d24fbp+1", 2, 28, True),
 }
 _PINNED_HYDROGEN = {0: "-0x1.000000000e134p+0", 1: "-0x1.00000000438dcp-2"}
 
@@ -561,8 +558,7 @@ def test_oracle_outputs_are_pinned():
         res = dirac_eigenvalue(QuantumNumbers(*nk), SymmetryLimit(kind, C),
                                p, OracleConfig(num_points=num,
                                                centrifugal_mode=mode))
-        got = (res.E.hex(), res.defect_bound.hex(), res.node_count,
-               res.outer_iters, res.converged)
+        got = (res.E.hex(), res.node_count, res.outer_iters, res.converged)
         assert got == want, (kind, C, nk)
     with pytest.raises(NoEigenvalueError) as err:
         dirac_eigenvalue(QuantumNumbers(1, -1), SymmetryLimit.pseudospin(-5.0),
@@ -644,50 +640,80 @@ def test_grid_artifacts_give_way_to_the_closed_form_root(key, root):
     assert abs(res.E - root) < 1e-6
 
 
-def _check_certificate(qn, sym, p, cfg):
+def _check_certificate(qn, sym, p, cfg, final_D=None):
     """dirac_eigenvalue's outcome against a full inner eigensolve at its E.
 
-    Only the scan and the outer bisection raise NoEigenvalueError; past
-    them, the last solver built is the final one.  The reference is the
-    eigensolve the certificate replaces, _InnerSolver.eigenvalue on that
-    solver.  Returns "certified" or "solved" (the eigensolve ran), or the
-    error type both raise.
+    The solvers that _defect_sign builds for the scan and the outer
+    bisection are not recorded, so the one recorded, if any, is the final
+    solver, and its level counts are the certificate's two.  final_D, when
+    given, replaces that solver's D.  The reference is the eigensolve the
+    certificate replaces, _InnerSolver.eigenvalue on that solver.  Returns
+    "certified", or the error type raised: NoEigenvalueError from the scan,
+    or where U_eff falls to the centre at the final energy (the message
+    names D), and NotConvergedError where the two counts refute the level
+    (the message names both).
     """
-    last = []
+    scanning, last = [], []
 
     class Recorded(oracle._InnerSolver):
         def __init__(self, U, r):
             super().__init__(U, r)
-            last[:] = [self]
+            self.counts = []
+            if not scanning:
+                last.append(self)
+                if final_D is not None:
+                    self.D = final_D
+
+        def count(self, eps, limit=None):
+            n = super().count(eps, limit)
+            self.counts.append((eps, n))
+            return n
+
+    real_sign = oracle._defect_sign
+
+    def sign(*args):
+        scanning.append(True)
+        try:
+            return real_sign(*args)
+        finally:
+            scanning.pop()
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_InnerSolver", Recorded)
+        mp.setattr(oracle, "_defect_sign", sign)
         try:
             res, err = dirac_eigenvalue(qn, sym, p, cfg), None
         except DiracboundError as e:
-            res, err = None, type(e)
-    if err is NoEigenvalueError:
-        return err
+            res, err = None, e
+    if not last:
+        assert type(err) is NoEigenvalueError
+        return NoEigenvalueError
     solver, = last
-    n_target = ReducedEquation.of(p, sym, qn).degree
+    if solver.D < 0.0:
+        assert type(err) is NoEigenvalueError
+        assert f"D = {solver.D:.6g}" in str(err)
+        assert solver.counts == []
+        return NoEigenvalueError
+    degree = ReducedEquation.of(p, sym, qn).degree
+    tol = oracle._OUTER_TOL
+    (eps_lo, n_lo), (eps_hi, n_hi) = solver.counts
     try:
-        eps_ref, nodes_ref = solver.eigenvalue(n_target)
+        eps_ref, nodes_ref = solver.eigenvalue(degree)
     except NoEigenvalueError:
-        assert err is NotConvergedError
-        return err
-    assert err is None
-    eps_t = target_eigenvalue(res.E, sym, p.M)
-    defect = abs(eps_ref - eps_t)
-    falls = 1.0 + 4.0 * solver.U[0] * solver.r[0] * solver.r[0] < 0.0
-    assert res.node_count == nodes_ref
-    assert res.converged == (defect <= _OUTER_TOL and not falls)
-    if not falls and solver._below(eps_t - _OUTER_TOL, n_target) \
-            and not solver._below(eps_t + _OUTER_TOL, n_target):
-        assert defect <= _OUTER_TOL
-        assert res.defect_bound == _OUTER_TOL
+        eps_ref = None
+    if n_lo <= degree < n_hi:
+        assert err is None
+        eps_t = target_eigenvalue(res.E, sym, p.M)
+        assert (eps_lo, eps_hi) == (eps_t - tol, eps_t + tol)
+        assert abs(eps_ref - eps_t) <= tol
+        assert res.node_count == nodes_ref == degree
         return "certified"
-    assert res.defect_bound == defect
-    return "solved"
+    assert type(err) is NotConvergedError
+    assert f"({n_lo}, {n_hi})" in str(err)
+    # the reference agrees: no level inside the window
+    slack = 1e-14 * max(1.0, abs(eps_lo))
+    assert eps_ref is None or not eps_lo + slack < eps_ref < eps_hi - slack
+    return NotConvergedError
 
 
 @pytest.mark.parametrize("key, outcome", [
@@ -706,9 +732,8 @@ def _check_certificate(qn, sym, p, cfg):
 def test_a_guess_never_changes_the_inner_eigenvalue(key, outcome):
     # eps_target is the guess of the inner eigenvalue that the two level
     # counts check.  Where U_eff has a lowest level and the counts hold,
-    # the level lies within 1e-8 of it; elsewhere the eigensolve runs as
-    # before.  Either way converged, the node count and the error type
-    # are the eigensolve's.
+    # the level lies within 1e-8 of it, with the eigensolve's node count,
+    # which is the degree; elsewhere dirac_eigenvalue raises.
     assert _check_certificate(*_pinned_inputs(*key)) == outcome
 
 
@@ -727,13 +752,15 @@ def test_a_guess_never_changes_the_inner_eigenvalue_anywhere(
 def test_a_state_off_its_target_or_falling_to_the_centre_is_not_converged(
         monkeypatch):
     # With a tolerance of 1e-13 the two counts cannot certify
-    # _UNCONVERGED's level, so the inner eigensolve runs; its defect is
-    # above that tolerance, and the result is not converged.
-    qn, sym, p, cfg = _pinned_inputs(*_UNCONVERGED)
-    monkeypatch.setattr(oracle, "_OUTER_TOL", 1e-13)
-    res = dirac_eigenvalue(qn, sym, p, cfg)
-    assert res.defect_bound > 1e-13
-    assert not res.converged
+    # _UNCONVERGED's level: NotConvergedError, whose message names both
+    # counts, and the eigensolve finds the level outside the window.
+    inputs = _pinned_inputs(*_UNCONVERGED)
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "_OUTER_TOL", 1e-13)
+        assert _check_certificate(*inputs) is NotConvergedError
+    # A fall to the centre at the final energy, which the scan leaves only
+    # to rounding, forced: NoEigenvalueError, whose message names D.
+    assert _check_certificate(*inputs, final_D=-0.01) is NoEigenvalueError
     # U_eff falls to the centre at the energy that the grid's own lowest
     # level once gave (2.2464, returned with converged=False): it has no
     # lowest level there, so the scan gives such energies no sign, and no
