@@ -26,7 +26,8 @@ from .limits import (NonRelParams, coulomb_energy, hulthen_roots,
                      nonrel_energy_hulthen)
 from .oracle import OracleConfig, dirac_eigenvalue, schrodinger_eigenvalue
 from .potentials import (BENCHMARK_C_PSEUDO, BENCHMARK_C_SPIN,
-                         PotentialParams, SymmetryLimit, benchmark_params)
+                         PotentialParams, SymmetryLimit, _screening,
+                         benchmark_params)
 from .spectra import (QuantumNumbers, doublet_partner, nu_residual,
                       scan_v0_c, solve_levels, sweep_delta, table_energies)
 from .susyqm import susy_residual
@@ -43,6 +44,8 @@ _TABLE_H_PAIR_DEFAULT = 5.0
 
 # sweep and scan grids: <axis>_start, <axis>_stop, <axis>_step
 _GRID_AXES = ("delta", "v0", "c")
+_GRID_FIELDS = tuple(f"{axis}_{end}" for axis in _GRID_AXES
+                     for end in ("start", "stop", "step"))
 
 # Most points one grid axis, or the V0 x C plane of a scan, may hold.
 _MAX_GRID_POINTS = 10 ** 6
@@ -138,8 +141,7 @@ class RunConfig:
         if self.oracle not in ("on", "off"):
             raise DomainError(f"oracle must be on or off, got {self.oracle!r}")
         self.potential()
-        for name in (f"{axis}_{end}" for axis in _GRID_AXES
-                     for end in ("start", "stop", "step")):
+        for name in _GRID_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
         counts = {}
@@ -171,15 +173,16 @@ class RunConfig:
 
 
 def apply_preset(cfg: RunConfig, name: str) -> RunConfig:
-    """The named benchmark parameter set; C is signed by the symmetry kind."""
+    """The named benchmark parameter set; C is signed by the symmetry kind.
+
+    The sweep and scan grids go back to RunConfig's defaults.
+    """
     if name != PRESET_NAME:
         raise DomainError(f"unknown preset {name!r}")
     return replace(
         cfg, **vars(benchmark_params(H=5.0)),
         C=BENCHMARK_C_SPIN if cfg.symmetry == "spin" else BENCHMARK_C_PSEUDO,
-        delta_start=0.0, delta_stop=0.30, delta_step=0.01,
-        v0_start=0.0, v0_stop=20.0, v0_step=0.5,
-        c_start=-20.0, c_stop=20.0, c_step=0.5,
+        **{field: getattr(RunConfig, field) for field in _GRID_FIELDS},
     )
 
 
@@ -645,8 +648,8 @@ def _verify_oracle(cfg: RunConfig) -> tuple[str, str]:
     m_mass, v0, delta = 1.0, 0.1, 0.05
 
     def hulthen_u(r):
-        s = np.exp(-2.0 * delta * r)
-        return -2.0 * m_mass * v0 * s / -np.expm1(-2.0 * delta * r)
+        _, s, oms = _screening(r, delta)
+        return -2.0 * m_mass * v0 * s / oms
 
     target = 2.0 * m_mass * nonrel_energy_hulthen(
         NonRelParams(m=m_mass, l=0, Ze2=v0 / (2.0 * delta), A=0.0, B=0.0,

@@ -11,7 +11,9 @@ class DiracboundError(Exception):
 
 class DomainError(DiracboundError, ValueError):
     """An input lies outside the mathematical domain of the requested quantity
-    (r <= 0, negative square-root discriminant, nonpositive Gamma argument)."""
+    (a radius that is not positive, NaN included; an index that is not an
+    integer at its floor; negative square-root discriminant, nonpositive
+    Gamma argument)."""
 
 
 class PoleError(DiracboundError, ValueError):

@@ -22,13 +22,13 @@ with kappa > 0 the degree is n + 1, everywhere else it is n.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .potentials import PotentialParams, SymmetryLimit
+from .potentials import (PotentialParams, SymmetryLimit, _index, _like,
+                         _screening)
 from .spectra import QuantumNumbers, radial_poly_degree
 from .wavefunctions import jacobi_p
 
@@ -47,13 +47,6 @@ __all__ = [
     "swave_wavefunction",
     "yukawa_residual",
 ]
-
-
-def _check_degree(n: int) -> int:
-    if not isinstance(n, numbers.Integral) or n < 0:
-        raise DomainError(
-            f"radial index must be a nonnegative integer, got {n!r}")
-    return int(n)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +88,7 @@ def swave_residual(E: float, p: PotentialParams, sym: SymmetryLimit,
     index n is the polynomial degree directly, so the pseudospin form at
     degree n matches the general residual at label (n - 1, kappa = +1).
     """
-    n = _check_degree(n)
+    n = _index(n, "radial index n")
     lhs, alpha2, gamma2, lam = _swave_pieces(E, p, sym)
     disc = 0.25 + gamma2 + lam
     if disc < 0.0:
@@ -138,18 +131,11 @@ def swave_wavefunction(r, E: float, p: PotentialParams, sym: SymmetryLimit,
     limit the lower component G.  E should be an eigenvalue of
     ``swave_residual`` for the same n.
     """
-    n = _check_degree(n)
+    n = _index(n, "radial index n")
     theta, zeta = swave_exponents(E, p, sym)
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise DomainError("r must be positive")
-    s = np.exp(-2.0 * p.delta * r)
-    one_minus_s = -np.expm1(-2.0 * p.delta * r)
-    value = (np.exp(-theta * r) * one_minus_s ** (0.5 * (1.0 + zeta))
-             * jacobi_p(n, theta / p.delta, zeta, 1.0 - 2.0 * s))
-    if np.ndim(r) == 0:
-        return float(value)
-    return value
+    rr, s, one_minus_s = _screening(r, p.delta)
+    return _like(np.exp(-theta * rr) * one_minus_s ** (0.5 * (1.0 + zeta))
+                 * jacobi_p(n, theta / p.delta, zeta, 1.0 - 2.0 * s), r)
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +371,7 @@ class NonRelParams:
                 raise DomainError(f"{name} must be finite, got {value!r}")
         if self.m <= 0:
             raise DomainError(f"mass must be positive, got {self.m}")
-        if not isinstance(self.l, numbers.Integral) or self.l < 0:
-            raise DomainError(
-                f"l must be a nonnegative integer, got {self.l!r}")
+        _index(self.l, "l")
         if self.delta <= 0:
             raise DomainError(f"delta must be positive, got {self.delta}")
 
@@ -414,7 +398,7 @@ def nonrel_energy(nrp: NonRelParams, n: int) -> float:
            + (2n+1) sqrt(W))) / (n + 1/2 + sqrt(W)) ]^2
     with W = l(l+1) + 1/4 - 2 m B.  Raises DomainError when W < 0.
     """
-    n = _check_degree(n)
+    n = _index(n, "radial index n")
     w = nrp.l * (nrp.l + 1.0) + 0.25 - 2.0 * nrp.m * nrp.B
     if w < 0.0:
         raise DomainError(
@@ -433,7 +417,7 @@ def nonrel_energy_hulthen(nrp: NonRelParams, n: int) -> float:
     E_nl = -(1/2m) [ (delta (l + n + 1)^2 - m (A + Ze2)) / (l + n + 1) ]^2.
     nrp.B is ignored.
     """
-    n = _check_degree(n)
+    n = _index(n, "radial index n")
     big_n = nrp.l + n + 1.0
     num = nrp.delta * big_n ** 2 - nrp.m * (nrp.A + nrp.Ze2)
     return -(num / big_n) ** 2 / (2.0 * nrp.m)
@@ -444,6 +428,6 @@ def nonrel_energy_coulomb(nrp: NonRelParams, n: int) -> float:
 
     The delta -> 0, A = 0, B = 0 limit; only m, l and Ze2 enter.
     """
-    n = _check_degree(n)
+    n = _index(n, "radial index n")
     big_n = nrp.l + n + 1.0
     return -nrp.m * nrp.Ze2 ** 2 / (2.0 * big_n ** 2)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, NoEigenvalueError, NotConvergedError
 from .potentials import (PotentialParams, ReducedEquation, SymmetryLimit,
-                         _effective_parts, target_eigenvalue)
+                         _effective_parts, _index, _u_eff, target_eigenvalue)
 from .spectra import QuantumNumbers
 
 __all__ = [
@@ -77,10 +77,7 @@ class OracleConfig:
                 and math.isfinite(self.r_max) and self.r_max > _R_MIN):
             raise DomainError(f"r_max must be a finite number above the "
                               f"grid start {_R_MIN:g}, got {self.r_max!r}")
-        if not isinstance(self.num_points, numbers.Integral) \
-                or self.num_points < 1000:
-            raise DomainError(f"num_points must be an integer of at least "
-                              f"1000, got {self.num_points!r}")
+        _index(self.num_points, "num_points", low=1000)
         if self.centrifugal_mode not in ("approximated", "exact"):
             raise DomainError("centrifugal_mode must be 'approximated' or 'exact'")
 
@@ -430,9 +427,7 @@ def schrodinger_eigenvalue(U_eff: Callable, n_target: int,
     when the eigenfunction found there has another number of interior
     nodes than n_target.
     """
-    if not isinstance(n_target, numbers.Integral) or n_target < 0:
-        raise DomainError(f"n_target must be an integer >= 0, "
-                          f"got {n_target!r}")
+    n_target = _index(n_target, "n_target")
     r = _mesh(cfg, 40.0)
     U = np.asarray(U_eff(r))
     if U.shape != r.shape or U.dtype.kind not in "iuf":
@@ -444,15 +439,6 @@ def schrodinger_eigenvalue(U_eff: Callable, n_target: int,
             f"the level found at eps={eps:.8g} has {nodes} interior nodes, "
             f"not {n_target}")
     return eps, nodes
-
-
-def _u_eff(parts, E: float):
-    """U_eff(r; E) from the parts _effective_parts returns.
-
-    The sum is effective_potential's, in its order, so the bits are its.
-    """
-    eq, lam_cent, pot = parts
-    return lam_cent + eq.s * eq.coupling(E) * pot
 
 
 def _defect_sign(parts, sym: SymmetryLimit, M: float, r: np.ndarray,
@@ -567,7 +553,7 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
             f"[{e_lo:.4f}, {e_hi:.4f}]")
 
     outer = 0
-    s_lo = _defect_sign(parts, sym, p.M, r, lo)
+    s_lo = signs[i]
     while hi - lo > 1e-10 and outer < 200:
         mid = 0.5 * (lo + hi)
         if _defect_sign(parts, sym, p.M, r, mid) == s_lo:

@@ -15,6 +15,7 @@ and the numerical oracle can solve either form.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,17 +141,36 @@ def benchmark_params(H: float = 0.0) -> PotentialParams:
     return PotentialParams(V0=2.0, A=1.0, B=1.0, delta=0.05, H=H, M=4.76)
 
 
-def _check_r(r):
+# Input rules and the screened variable shared by every layer module.
+
+def _radii(r):
+    """r as a float array; DomainError unless every radius is > 0 (NaN is
+    not)."""
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
+    if not np.all(r > 0.0):
         raise DomainError("r must be positive")
     return r
 
 
-def _maybe_scalar(values, r):
-    if np.isscalar(r) or np.ndim(r) == 0:
-        return float(values)
-    return values
+def _screening(r, delta: float):
+    """(r, s, 1 - s) with r checked by _radii and s = e^{-2 delta r}; 1 - s
+    is formed by expm1, without cancellation at small r."""
+    r = _radii(r)
+    x = -2.0 * delta * r
+    return r, np.exp(x), -np.expm1(x)
+
+
+def _like(values, r):
+    """values as a Python float when r is a scalar, else as they are."""
+    return float(values) if np.ndim(r) == 0 else values
+
+
+def _index(value, name: str, low: int = 0) -> int:
+    """value as an int; DomainError unless it is an integer >= low."""
+    if not isinstance(value, numbers.Integral) or value < low:
+        raise DomainError(
+            f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def exact_potential(r, p: PotentialParams):
@@ -161,15 +181,13 @@ def exact_potential(r, p: PotentialParams):
 
         V(r) = -V0 s/(1-s) - A e^{-delta r}/r - B e^{-2 delta r}/r^2
 
-    with s = e^{-2 delta r}, 1 - s formed by expm1 without cancellation at
-    small r.  Accepts scalars or arrays, r > 0.
+    with s = e^{-2 delta r}.  Accepts scalars or arrays, r > 0.
     """
-    rr = _check_r(r)
-    s = np.exp(-2.0 * p.delta * rr)
-    hulthen = -p.V0 * s / -np.expm1(-2.0 * p.delta * rr)
+    rr, s, oms = _screening(r, p.delta)
+    hulthen = -p.V0 * s / oms
     yukawa = -p.A * np.exp(-p.delta * rr) / rr
     iq_yukawa = -p.B * s / rr ** 2
-    return _maybe_scalar(hulthen + yukawa + iq_yukawa, r)
+    return _like(hulthen + yukawa + iq_yukawa, r)
 
 
 def approx_potential(r, p: PotentialParams):
@@ -180,27 +198,23 @@ def approx_potential(r, p: PotentialParams):
 
         V'(r) = -(V0 + 2 A delta) s/(1-s) - 4 B delta^2 s^2/(1-s)^2
 
-    with s = e^{-2 delta r} (1 - s by expm1).  This is the form the
-    closed-form spectrum solves exactly.
+    with s = e^{-2 delta r}.  This is the form the closed-form spectrum
+    solves exactly.
     """
-    rr = _check_r(r)
-    s = np.exp(-2.0 * p.delta * rr)
-    u = s / -np.expm1(-2.0 * p.delta * rr)
-    return _maybe_scalar(-(p.V0 + p.v0_prime) * u - p.b_prime * u ** 2, r)
+    _, s, oms = _screening(r, p.delta)
+    u = s / oms
+    return _like(-(p.V0 + p.v0_prime) * u - p.b_prime * u ** 2, r)
 
 
 def centrifugal_approx(r, delta: float):
-    """Screened stand-in for 1/r^2: 4 delta^2 s/(1-s)^2, s = e^{-2 delta r}
-    (1 - s by expm1)."""
-    rr = _check_r(r)
-    x = -2.0 * delta * rr
-    return _maybe_scalar(4.0 * delta ** 2 * np.exp(x) / np.expm1(x) ** 2, r)
+    """Screened stand-in for 1/r^2: 4 delta^2 s/(1-s)^2, s = e^{-2 delta r}."""
+    _, s, oms = _screening(r, delta)
+    return _like(4.0 * delta ** 2 * s / oms ** 2, r)
 
 
 def centrifugal_exact(r):
     """The exact centrifugal radial factor 1/r^2."""
-    rr = _check_r(r)
-    return _maybe_scalar(1.0 / rr ** 2, r)
+    return _like(1.0 / _radii(r) ** 2, r)
 
 
 def radial_poly_degree(qn, kind: str) -> int:
@@ -209,8 +223,12 @@ def radial_poly_degree(qn, kind: str) -> int:
     The spin reduction solves for the upper component, whose node count (and
     polynomial degree) equals the radial label n.  The pseudospin reduction
     solves for the lower component, which carries one extra node when
-    kappa > 0, so its polynomial degree is n + 1 there.
+    kappa > 0, so its polynomial degree is n + 1 there.  Raises DomainError
+    for a kind other than "spin" or "pseudospin".
     """
+    if kind not in ("spin", "pseudospin"):
+        raise DomainError(
+            f"kind must be 'spin' or 'pseudospin', got {kind!r}")
     if kind == "pseudospin" and qn.kappa > 0:
         return qn.n + 1
     return qn.n
@@ -318,17 +336,15 @@ def effective_potential(r, E: float, p: PotentialParams, sym: SymmetryLimit,
         mode: "approximated" (screened centrifugal + approximated potential)
             or "exact" (1/r^2 centrifugal + exact potential).
     """
-    eq, lam_cent, pot = _effective_parts(r, p, sym, qn, mode)
-    return lam_cent + eq.s * eq.coupling(E) * pot
+    return _u_eff(_effective_parts(r, p, sym, qn, mode), E)
 
 
 def _effective_parts(r, p: PotentialParams, sym: SymmetryLimit, qn,
                      mode: str):
     """(eq, lam c(r), V(r)): the E-independent parts of U_eff.
 
-    U_eff(r; E) = lam c(r) + (eq.s * eq.coupling(E)) V(r), evaluated in
-    that order, which is what effective_potential returns.  A caller that
-    needs U_eff at many energies builds it from these parts.
+    A caller that needs U_eff at many energies builds it from these parts
+    with _u_eff.
     """
     if mode not in ("approximated", "exact"):
         raise DomainError(f"mode must be 'approximated' or 'exact', got {mode!r}")
@@ -340,3 +356,10 @@ def _effective_parts(r, p: PotentialParams, sym: SymmetryLimit, qn,
         cent = centrifugal_exact(r)
         pot = exact_potential(r, p)
     return eq, eq.lam * cent, pot
+
+
+def _u_eff(parts, E):
+    """U_eff(r; E) = lam c(r) + (eq.s * eq.coupling(E)) V(r), in that
+    order, from the parts _effective_parts returns."""
+    eq, lam_cent, pot = parts
+    return lam_cent + eq.s * eq.coupling(E) * pot

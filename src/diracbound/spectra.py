@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import DomainError
 from .potentials import (PotentialParams, ReducedEquation, SymmetryLimit,
-                         radial_poly_degree)
+                         _index, radial_poly_degree)
 
 __all__ = [
     "QuantumNumbers",
@@ -96,14 +96,10 @@ class QuantumNumbers:
     kappa: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, numbers.Integral)
-                and isinstance(self.kappa, numbers.Integral)):
-            raise DomainError(f"n and kappa must be integers, got "
-                              f"({self.n!r}, {self.kappa!r})")
-        if self.n < 0:
-            raise DomainError(f"n must be >= 0, got {self.n}")
-        if self.kappa == 0:
-            raise DomainError("kappa must be a nonzero integer")
+        _index(self.n, "n")
+        if not isinstance(self.kappa, numbers.Integral) or self.kappa == 0:
+            raise DomainError(
+                f"kappa must be a nonzero integer, got {self.kappa!r}")
 
     @property
     def l(self) -> int:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidBranchError
-from .potentials import PotentialParams, ReducedEquation, SymmetryLimit
+from .potentials import (PotentialParams, ReducedEquation, SymmetryLimit,
+                         _index, _like, _screening)
 from .spectra import QuantumNumbers
 
 __all__ = [
@@ -79,26 +80,16 @@ def solve_constants(E: float, p: PotentialParams, sym, qn: QuantumNumbers
     return SuperpotentialConstants(A_w=a_w, B_w=b_w)
 
 
-def _s_of(r, delta: float):
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise DomainError("r must be positive")
-    s = np.exp(-2.0 * delta * r)
-    return s, -np.expm1(-2.0 * delta * r)
-
-
 def superpotential_at(r, consts: SuperpotentialConstants, delta: float):
     """W(r) = A_w - B_w s/(1-s) with s = e^(-2 delta r)."""
-    s, oms = _s_of(r, delta)
-    out = consts.A_w - consts.B_w * s / oms
-    return float(out) if out.ndim == 0 else out
+    _, s, oms = _screening(r, delta)
+    return _like(consts.A_w - consts.B_w * s / oms, r)
 
 
 def superpotential_deriv_at(r, consts: SuperpotentialConstants, delta: float):
     """dW/dr = 2 delta B_w s/(1-s)^2."""
-    s, oms = _s_of(r, delta)
-    out = 2.0 * delta * consts.B_w * s / oms ** 2
-    return float(out) if out.ndim == 0 else out
+    _, s, oms = _screening(r, delta)
+    return _like(2.0 * delta * consts.B_w * s / oms ** 2, r)
 
 
 def partner_potentials_at(r, consts: SuperpotentialConstants, delta: float):
@@ -109,16 +100,14 @@ def partner_potentials_at(r, consts: SuperpotentialConstants, delta: float):
 
     identical to W^2 -/+ W' by the Riccati relation.
     """
-    s, oms = _s_of(r, delta)
+    _, s, oms = _screening(r, delta)
     a, b = consts.A_w, consts.B_w
     ratio = s / oms
-    ratio2 = (s / oms) ** 2 * np.ones_like(s)
+    ratio2 = ratio ** 2
     tb = 2.0 * delta * b
     v_minus = a * a - (2.0 * a * b + tb) * ratio + (b * b - tb) * ratio2
     v_plus = a * a - (2.0 * a * b - tb) * ratio + (b * b + tb) * ratio2
-    if v_minus.ndim == 0:
-        return float(v_minus), float(v_plus)
-    return v_minus, v_plus
+    return _like(v_minus, r), _like(v_plus, r)
 
 
 def shape_invariance_remainder(i: int, consts: SuperpotentialConstants,
@@ -128,10 +117,9 @@ def shape_invariance_remainder(i: int, consts: SuperpotentialConstants,
 
     With B_i = B_w + 2 i delta and A(b) = -b/2 + 2 delta^2 g / b (g the
     combination alpha^2 + gamma^2), the remainder is A(B_{i-1})^2 - A(B_i)^2,
-    independent of r.  Requires i >= 1.
+    independent of r.  Raises DomainError unless i is an integer >= 1.
     """
-    if i < 1:
-        raise DomainError(f"shape-invariance index must be >= 1, got {i}")
+    i = _index(i, "shape-invariance index i", low=1)
 
     def a_of(b: float) -> float:
         return -0.5 * b + 2.0 * delta ** 2 * alpha2_plus_gamma2 / b
@@ -181,7 +169,6 @@ def ground_state_unnormalized(r, consts: SuperpotentialConstants,
     (see the module docstring); callers that need a decaying profile pass
     constants with A_w > 0.
     """
-    s, oms = _s_of(r, delta)
-    r = np.asarray(r, dtype=float)
-    out = np.exp(-consts.A_w * r) * oms ** (consts.B_w / (2.0 * delta))
-    return float(out) if out.ndim == 0 else out
+    rr, _, oms = _screening(r, delta)
+    return _like(np.exp(-consts.A_w * rr)
+                 * oms ** (consts.B_w / (2.0 * delta)), r)

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import (DomainError, NoEigenvalueError, PoleError,
                      SingularCouplingError)
-from .potentials import PotentialParams, ReducedEquation, SymmetryLimit
+from .potentials import (PotentialParams, ReducedEquation, SymmetryLimit,
+                         _index, _like, _screening)
 from .spectra import QuantumNumbers, table_energies
 
 __all__ = [
@@ -48,31 +49,26 @@ def hyp2f1_terminating(n: int, b: float, c: float, s):
     exactly n+1 terms.  Scalar or array s.  Raises PoleError when the
     Pochhammer factor (c)_k vanishes before the series terminates.
     """
-    if n < 0 or n != int(n):
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
+    n = _index(n, "n")
     s = np.asarray(s, dtype=float)
-    total = np.ones_like(s)
-    term = np.ones_like(s)
-    for k in range(int(n)):
+    total = term = np.ones_like(s)
+    for k in range(n):
         ck = c + k
         if ck == 0.0:
             raise PoleError(
                 f"2F1(-{n}, {b}; {c}; s) hits a pole: (c)_{k + 1} = 0")
         term = term * ((-n + k) * (b + k)) / (ck * (k + 1)) * s
         total = total + term
-    if total.ndim == 0:
-        return float(total)
-    return total
+    return _like(total, s)
 
 
 def jacobi_p(n: int, a: float, b: float, x):
     """Jacobi polynomial P_n^(a,b)(x) by the three-term recurrence."""
-    if n < 0:
-        raise DomainError(f"degree must be >= 0, got {n}")
+    n = _index(n, "n")
     x = np.asarray(x, dtype=float)
     p_prev = np.ones_like(x)
     if n == 0:
-        return float(p_prev) if x.ndim == 0 else p_prev
+        return _like(p_prev, x)
     p_cur = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
     for k in range(2, n + 1):
         c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
@@ -81,7 +77,7 @@ def jacobi_p(n: int, a: float, b: float, x):
             * (2.0 * k + a + b)
         c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
         p_prev, p_cur = p_cur, ((c2 + c3 * x) * p_cur - c4 * p_prev) / c1
-    return float(p_cur) if x.ndim == 0 else p_cur
+    return _like(p_cur, x)
 
 
 @dataclass(frozen=True)
@@ -147,12 +143,8 @@ def _components(r, ctx: WaveContext, norm: float, paired: bool):
         raise SingularCouplingError(
             "first-order coupling factor vanishes (exact-symmetry "
             "singular case); the paired component is undefined")
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise DomainError("r must be positive")
+    rr, s, oms = _screening(r, ctx.p.delta)
     d, m = ctx.p.delta, ctx.degree
-    s = np.exp(-2.0 * d * r)
-    oms = -np.expm1(-2.0 * d * r)
     tb = 2.0 * ctx.beta
     b, c = tb + 2.0 * ctx.xi + m, 1.0 + tb
     # (2beta+1)_m / m!
@@ -168,10 +160,9 @@ def _components(r, ctx: WaveContext, norm: float, paired: bool):
         dchi = pre * (2.0 * d * (ctx.xi * s / oms - ctx.beta) * y
                       - 2.0 * d * s * dy)
         eta = ctx.qn.kappa + ctx.p.H
-        other = (dchi + ctx.symmetry.sign * (eta / r) * chi) / ctx.coupling
-    if r.ndim == 0:
-        return float(chi), None if other is None else float(other)
-    return chi, other
+        other = _like((dchi + ctx.symmetry.sign * (eta / rr) * chi)
+                      / ctx.coupling, r)
+    return _like(chi, r), other
 
 
 def solved_component(r, ctx: WaveContext, norm: float = 1.0):

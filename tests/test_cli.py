@@ -294,6 +294,26 @@ def test_flag_precedence(tmp_path):
     assert flags.V0 == 3.5 and flags.H == 2.0 and flags.C == 5.0
 
 
+def test_preset_resets_the_grids_a_config_file_set(tmp_path):
+    # The preset is the benchmark parameter set with RunConfig's own sweep
+    # and scan grids, whatever grid a --config file asked for.
+    cfg_file = tmp_path / "grids.ini"
+    cfg_file.write_text("[sweep]\ndelta_start = 0.1\ndelta_stop = 0.2\n"
+                        "delta_step = 0.05\n[scan]\nv0_start = 1.0\n"
+                        "v0_stop = 3.0\nv0_step = 1.0\nc_start = -2.0\n"
+                        "c_stop = 2.0\nc_step = 1.0\n")
+    saved = tmp_path / "saved.ini"
+    assert main(["sweep", "--config", str(cfg_file), "--preset", PRESET,
+                 "--states", "none", "--out", str(tmp_path),
+                 "--save-config", str(saved)]) == 0
+    got, default = RunConfig.from_ini(saved.read_text()), RunConfig()
+    for name in cli._GRID_FIELDS:
+        assert getattr(got, name) == getattr(default, name), name
+    base = RunConfig.from_ini(cfg_file.read_text())
+    assert all(getattr(base, name) != getattr(default, name)
+               for name in cli._GRID_FIELDS)
+
+
 def test_one_parser_serves_every_call(tmp_path):
     # main builds its parser once per process; no flag of one call may
     # reach the next.

@@ -76,3 +76,15 @@ def test_every_private_helper_has_a_caller():
                 used.add(node.name)
     unused = sorted(name for name in defined - used if _private(name))
     assert not unused, f"private names without a caller: {unused}"
+
+
+def test_only_potentials_forms_the_screened_variable():
+    # 1 - e^(-2 delta r) is formed once, by potentials._screening with
+    # expm1; a module that calls expm1 itself restates it.
+    callers = sorted(
+        path.name for path in SRC.glob("*.py") if path.name != "potentials.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and "expm1" in (getattr(node.func, "attr", None),
+                        getattr(node.func, "id", None)))
+    assert not callers, f"modules that call expm1: {callers}"

@@ -140,6 +140,93 @@ def test_potentials_agree_in_the_small_screening_regime():
     assert np.max(gap) < 1e-6
 
 
+# Every public function that takes radii, called with r in their place
+# and otherwise valid arguments for the benchmark point.  (The grid of
+# numerov_integrate is a coordinate, not a radius: it may start at 0.)
+_SPIN = SymmetryLimit.spin(5.0)
+_CONSTS = diracbound.SuperpotentialConstants(A_w=-0.5, B_w=1.0)
+_TAKES_RADII = {
+    "exact_potential": lambda r: exact_potential(r, _P),
+    "approx_potential": lambda r: approx_potential(r, _P),
+    "centrifugal_approx": lambda r: centrifugal_approx(r, 0.05),
+    "centrifugal_exact": centrifugal_exact,
+    "effective_potential[approximated]": lambda r: effective_potential(
+        r, 0.3, _P, _SPIN, _QN),
+    "effective_potential[exact]": lambda r: effective_potential(
+        r, 0.3, _P, _SPIN, _QN, "exact"),
+    "superpotential_at":
+        lambda r: diracbound.superpotential_at(r, _CONSTS, 0.05),
+    "superpotential_deriv_at":
+        lambda r: diracbound.superpotential_deriv_at(r, _CONSTS, 0.05),
+    "partner_potentials_at":
+        lambda r: diracbound.partner_potentials_at(r, _CONSTS, 0.05),
+    "ground_state_unnormalized":
+        lambda r: diracbound.ground_state_unnormalized(r, _CONSTS, 0.05),
+    "solved_component": lambda r: diracbound.solved_component(
+        r, diracbound.wave_context(_QN, _SPIN, _P, 0.3)),
+    "paired_component": lambda r: diracbound.paired_component(
+        r, diracbound.wave_context(_QN, _SPIN, _P, 0.3)),
+    "swave_wavefunction": lambda r: diracbound.swave_wavefunction(
+        r, 0.3, _P, _SPIN, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAKES_RADII))
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+def test_a_radius_that_is_not_positive_is_a_domain_error(name, bad):
+    # Zero, a negative radius or NaN, alone or among valid radii.
+    call = _TAKES_RADII[name]
+    call(1.0)
+    call(np.array([1.0, 2.0]))
+    with pytest.raises(DomainError, match="r must be positive"):
+        call(bad)
+    with pytest.raises(DomainError, match="r must be positive"):
+        call(np.array([1.0, bad]))
+
+
+# Every index argument, called with i in its place and otherwise valid
+# arguments, and the floor of that index.
+_NRP = diracbound.NonRelParams(m=4.76, l=0, Ze2=1.0, A=1.0, B=0.0,
+                               delta=0.05)
+_TAKES_INDEX = {
+    "QuantumNumbers.n": (lambda i: QuantumNumbers(i, -2), 0),
+    "NonRelParams.l": (lambda i: diracbound.NonRelParams(
+        m=4.76, l=i, Ze2=1.0, A=1.0, B=0.0, delta=0.05), 0),
+    "OracleConfig.num_points":
+        (lambda i: diracbound.OracleConfig(num_points=i), 1000),
+    "schrodinger_eigenvalue": (lambda i: diracbound.schrodinger_eigenvalue(
+        lambda r: -2.0 / r, i, diracbound.OracleConfig(r_max=60.0)), 0),
+    "hyp2f1_terminating":
+        (lambda i: diracbound.hyp2f1_terminating(i, 1.0, 2.0, 0.5), 0),
+    "jacobi_p": (lambda i: diracbound.jacobi_p(i, 1.0, 1.0, 0.5), 0),
+    "shape_invariance_remainder":
+        (lambda i: diracbound.shape_invariance_remainder(
+            i, _CONSTS, 1.0, 0.05), 1),
+    "swave_residual":
+        (lambda i: diracbound.swave_residual(0.3, _P, _SPIN, i), 0),
+    "swave_wavefunction": (lambda i: diracbound.swave_wavefunction(
+        1.0, 0.3, _P, _SPIN, i), 0),
+    "nonrel_energy": (lambda i: diracbound.nonrel_energy(_NRP, i), 0),
+    "nonrel_energy_hulthen":
+        (lambda i: diracbound.nonrel_energy_hulthen(_NRP, i), 0),
+    "nonrel_energy_coulomb":
+        (lambda i: diracbound.nonrel_energy_coulomb(_NRP, i), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAKES_INDEX))
+def test_an_index_that_is_not_an_integer_at_its_floor_is_a_domain_error(
+        name):
+    # A fraction, a digit string, NaN and one below the floor each fail
+    # typed; the floor itself, also as a numpy integer, is accepted.
+    call, low = _TAKES_INDEX[name]
+    call(low)
+    call(np.int64(low))
+    for bad in (1.5, "2", float("nan"), low - 1):
+        with pytest.raises(DomainError):
+            call(bad)
+
+
 @pytest.mark.parametrize("r", [1e-9, 1e-7, 1e-6])
 def test_screened_factors_keep_full_precision_at_tiny_radius(r):
     # 1 - e^(-2 delta r) comes from expm1: formed by subtraction it keeps

@@ -71,6 +71,14 @@ def test_radial_poly_degree_index_shift():
     assert radial_poly_degree(QuantumNumbers(2, 3), "pseudospin") == 3
 
 
+def test_radial_poly_degree_rejects_an_unknown_kind():
+    # Without the check an abbreviation gets the spin degree: 0 here,
+    # where the pseudospin degree is 1.
+    for kind in ("pseudo", "Spin", "", None):
+        with pytest.raises(DomainError):
+            radial_poly_degree(QuantumNumbers(0, 1), kind)
+
+
 def test_residual_vanishes_at_reference_roots(params_h0, params_h5):
     qn = QuantumNumbers(0, -2)
     e0, e5 = SPIN_TABLE[(0, -2)]
