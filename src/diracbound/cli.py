@@ -2,8 +2,8 @@
 
 The ``spectra`` entry point reproduces every numeric artifact of the solver
 as CSV or JSON files and exposes a self-verification suite.  Exit codes:
-0 success, 1 usage or configuration error, 2 solver failure (missing root
-or non-convergence), 3 verification failure.
+0 success, 1 usage, configuration or write error, 2 solver failure
+(missing root or non-convergence), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+import textwrap
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -55,46 +56,65 @@ _MAX_GRID_POINTS = 10 ** 6
 # Run configuration
 # ---------------------------------------------------------------------------
 
+def _ini_parser() -> configparser.ConfigParser:
+    """An INI parser that keeps key case and has no DEFAULT section, so a
+    [DEFAULT] in a file is a section like any other."""
+    parser = configparser.ConfigParser(default_section="")
+    parser.optionxform = str
+    return parser
+
+
+def _setting(default, section: str, help: str, choices=None):
+    """A RunConfig field: its default, INI section, flag help and choices."""
+    return field(default=default, metadata={
+        "section": section, "help": help, "choices": choices})
+
+
 @dataclass
 class RunConfig:
     """Every knob of a CLI run; serializes to flat INI-style text."""
 
-    V0: float = 2.0
-    A: float = 1.0
-    B: float = 1.0
-    delta: float = 0.05
-    M: float = 4.76
-    H: float = 0.0
-    symmetry: str = "spin"
-    C: float = 0.0
-    states: str = "default"
-    delta_start: float = 0.0
-    delta_stop: float = 0.30
-    delta_step: float = 0.01
-    v0_start: float = 0.0
-    v0_stop: float = 20.0
-    v0_step: float = 0.5
-    c_start: float = -20.0
-    c_stop: float = 20.0
-    c_step: float = 0.5
-    out: str = "."
-    format: str = "csv"
-    oracle: str = "on"
+    V0: float = _setting(2.0, "potential", "Hulthen strength (fm^-1)")
+    A: float = _setting(1.0, "potential", "Yukawa strength (fm^-1)")
+    B: float = _setting(1.0, "potential", "inversely quadratic strength")
+    delta: float = _setting(0.05, "potential", "screening parameter (fm^-1)")
+    M: float = _setting(4.76, "potential", "mass (fm^-1)")
+    H: float = _setting(0.0, "potential", "tensor strength")
+    symmetry: str = _setting("spin", "symmetry",
+                             "which symmetry limit (default: spin)",
+                             ("spin", "pseudospin"))
+    C: float = _setting(0.0, "symmetry", "symmetry constant C (fm^-1)")
+    states: str = _setting("default", "states",
+                           "state list: 'default', 'none' or "
+                           "'n,kappa;n,kappa;...'")
+    delta_start: float = _setting(0.0, "sweep", "first delta (fm^-1)")
+    delta_stop: float = _setting(0.30, "sweep", "last delta (fm^-1)")
+    delta_step: float = _setting(0.01, "sweep", "delta step (fm^-1)")
+    v0_start: float = _setting(0.0, "scan", "first V0 = A = B (fm^-1)")
+    v0_stop: float = _setting(20.0, "scan", "last V0 = A = B (fm^-1)")
+    v0_step: float = _setting(0.5, "scan", "V0 step (fm^-1)")
+    c_start: float = _setting(-20.0, "scan", "first C (fm^-1)")
+    c_stop: float = _setting(20.0, "scan", "last C (fm^-1)")
+    c_step: float = _setting(0.5, "scan", "C step (fm^-1)")
+    out: str = _setting(".", "output", "output directory (default: .)")
+    format: str = _setting("csv", "output",
+                           "output file format (default: csv)",
+                           ("csv", "json"))
+    oracle: str = _setting("on", "output",
+                           "enable the shooting-method cross-check",
+                           ("on", "off"))
 
-    _SECTIONS = (
-        ("potential", ("V0", "A", "B", "delta", "M", "H")),
-        ("symmetry", ("symmetry", "C")),
-        ("states", ("states",)),
-        ("sweep", ("delta_start", "delta_stop", "delta_step")),
-        ("scan", ("v0_start", "v0_stop", "v0_step",
-                  "c_start", "c_stop", "c_step")),
-        ("output", ("out", "format", "oracle")),
-    )
+    @classmethod
+    def sections(cls) -> dict[str, list[str]]:
+        """Each INI section's keys, in field order."""
+        sections: dict = {}
+        for f in fields(cls):
+            sections.setdefault(f.metadata["section"], []).append(f.name)
+        return sections
 
     def to_ini(self) -> str:
-        parser = configparser.ConfigParser()
-        parser.optionxform = str
-        for section, keys in self._SECTIONS:
+        parser = _ini_parser()
+        for section, keys in self.sections().items():
             parser[section] = {}
             for key in keys:
                 value = getattr(self, key)
@@ -107,39 +127,39 @@ class RunConfig:
 
     @classmethod
     def from_ini(cls, text: str) -> "RunConfig":
-        parser = configparser.ConfigParser()
-        parser.optionxform = str
+        """The RunConfig that text declares; DomainError unless every key
+        is a field, in its own section."""
+        parser = _ini_parser()
         try:
             parser.read_string(text)
         except configparser.Error as exc:
             raise DomainError(f"bad config file: {exc}") from exc
-        float_fields = {f.name for f in fields(cls)
-                        if f.type in ("float", float)}
-        known = {key: section for section, keys in cls._SECTIONS
-                 for key in keys}
+        declared = {f.name: f for f in fields(cls)}
         values: dict = {}
         for section in parser.sections():
             for key, raw in parser[section].items():
-                if key not in known:
+                if key not in declared:
                     raise DomainError(f"unknown config key {key!r}")
-                if key in float_fields:
-                    try:
-                        values[key] = float(raw)
-                    except ValueError as exc:
-                        raise DomainError(
-                            f"config key {key!r}: not a number: {raw!r}"
-                        ) from exc
-                else:
-                    values[key] = raw
+                home = declared[key].metadata["section"]
+                if section != home:
+                    raise DomainError(f"config key {key!r} belongs in "
+                                      f"[{home}], not [{section}]")
+                try:
+                    values[key] = (float(raw) if declared[key].type == "float"
+                                   else raw)
+                except ValueError as exc:
+                    raise DomainError(
+                        f"config key {key!r}: not a number: {raw!r}") from exc
         return cls(**values)
 
     def validate(self) -> None:
+        for f in fields(self):
+            value, choices = getattr(self, f.name), f.metadata["choices"]
+            if choices and value not in choices:
+                raise DomainError(f"{f.name} must be {' or '.join(choices)}, "
+                                  f"got {value!r}")
         # The potential and the limit check their own fields.
         self.symmetry_limit()
-        if self.format not in ("csv", "json"):
-            raise DomainError(f"format must be csv or json, got {self.format!r}")
-        if self.oracle not in ("on", "off"):
-            raise DomainError(f"oracle must be on or off, got {self.oracle!r}")
         self.potential()
         for name in _GRID_FIELDS:
             if not math.isfinite(getattr(self, name)):
@@ -182,7 +202,7 @@ def apply_preset(cfg: RunConfig, name: str) -> RunConfig:
     return replace(
         cfg, **vars(benchmark_params(H=5.0)),
         C=BENCHMARK_C_SPIN if cfg.symmetry == "spin" else BENCHMARK_C_PSEUDO,
-        **{field: getattr(RunConfig, field) for field in _GRID_FIELDS},
+        **{name: getattr(RunConfig, name) for name in _GRID_FIELDS},
     )
 
 
@@ -371,60 +391,42 @@ def _format_block(block: np.ndarray) -> str:
     return text.translate(None, b"\0").decode("ascii")
 
 
-def _is_float_block(rows) -> bool:
-    return isinstance(rows, np.ndarray) and rows.dtype.kind == "f"
-
-
-def write_csv(path: str, header: list[str],
-              rows: np.ndarray | list[list]) -> None:
-    """rows: a 2-D float array (NaN writes NA) or a list of mixed rows."""
-    text = ",".join(_csv_quote(h) for h in header) + "\r\n"
-    if _is_float_block(rows):
-        text += _format_block(rows)
-    else:
-        text += "".join(",".join(_csv_quote(format_cell(c)) for c in row)
-                        + "\r\n" for row in rows)
+def write_csv(path: str, header: list[str], block: np.ndarray,
+              keys=()) -> None:
+    """block: a 2-D float array (NaN writes NA); keys: per row, the int
+    or str cells written before its floats (none when empty)."""
+    text = _format_block(block)
+    if keys:
+        text = "".join(",".join([*(_csv_quote(format_cell(c)) for c in key),
+                                 line]) + "\r\n"
+                       for key, line in zip(keys, text.split("\r\n")))
     with open(path, "w", newline="") as fh:
-        fh.write(text)
+        fh.write(",".join(_csv_quote(h) for h in header) + "\r\n" + text)
 
 
-def _json_cell(cell):
-    if cell is None:
-        return None
-    if isinstance(cell, str):
-        return cell
-    if isinstance(cell, (int, np.integer)):
-        return int(cell)
-    value = float(cell)
-    if math.isnan(value):
-        return None
-    return float(format_cell(value))
-
-
-def write_json(path: str, header: list[str], rows: np.ndarray | list[list],
-               units: dict) -> None:
-    """rows as ``write_csv`` takes them; a float array reads its cells back
+def write_json(path: str, header: list[str], block: np.ndarray, units: dict,
+               keys=()) -> None:
+    """block and keys as ``write_csv`` takes them; the floats are read back
     from the CSV text, so both formats hold the same numbers."""
-    if _is_float_block(rows) and rows.size:
-        cells = [[None if token == "NA" else float(token)
-                  for token in line.split(",")]
-                 for line in _format_block(rows).split("\r\n")[:-1]]
-    else:
-        cells = [[_json_cell(c) for c in row] for row in rows]
-    payload = {"header": header, "units": units, "rows": cells}
+    rows = [[None if token == "NA" else float(token)
+             for token in line.split(",")]
+            for line in _format_block(block).split("\r\n")[:-1]]
+    if keys:
+        rows = [[*key, *row] for key, row in zip(keys, rows)]
+    payload = {"header": header, "units": units, "rows": rows}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
 def write_rows(cfg: RunConfig, stem: str, header: list[str],
-               rows: np.ndarray | list[list], units: dict) -> str:
+               block: np.ndarray, units: dict, keys=()) -> str:
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, f"{stem}.{cfg.format}")
     if cfg.format == "csv":
-        write_csv(path, header, rows)
+        write_csv(path, header, block, keys)
     else:
-        write_json(path, header, rows, units)
+        write_json(path, header, block, units, keys)
     return path
 
 
@@ -460,25 +462,21 @@ def cmd_table(cfg: RunConfig) -> int:
     l_col = "l" if sym.is_spin else "l_tilde"
     header = [l_col, "n", "kappa", "label",
               f"E_H{h_pair[0]:g}", f"E_H{h_pair[1]:g}"]
-    params = [cfg.potential(H=h) for h in h_pair]
-    found = iter(table_energies([(qn, sym, p) for qn in states
-                                 for p in params]).tolist())
-    rows = []
-    for qn in states:
-        l_value = qn.l if sym.is_spin else qn.l_tilde
-        row = [l_value, qn.n, qn.kappa, qn.label]
-        for h in h_pair:
-            E = next(found)
-            if math.isnan(E):
-                print(f"error: no bound state for {qn.label} in the "
-                      f"{sym.kind} limit at H={h:g}", file=sys.stderr)
-                return EXIT_SOLVER
-            row.append(E)
-        rows.append(row)
-    path = write_rows(cfg, f"table_{cfg.symmetry}", header, rows,
+    queries = [(qn, sym, cfg.potential(H=h)) for qn in states
+               for h in h_pair]
+    energies = table_energies(queries)
+    for (qn, _, p), E in zip(queries, energies.tolist()):
+        if math.isnan(E):
+            print(f"error: no bound state for {qn.label} in the "
+                  f"{sym.kind} limit at H={p.H:g}", file=sys.stderr)
+            return EXIT_SOLVER
+    keys = [(qn.l if sym.is_spin else qn.l_tilde, qn.n, qn.kappa, qn.label)
+            for qn in states]
+    path = write_rows(cfg, f"table_{cfg.symmetry}", header,
+                      energies.reshape(-1, 2),
                       units={f"E_H{h_pair[0]:g}": "fm^-1",
-                             f"E_H{h_pair[1]:g}": "fm^-1"})
-    print(f"wrote {path} ({len(rows)} states)")
+                             f"E_H{h_pair[1]:g}": "fm^-1"}, keys=keys)
+    print(f"wrote {path} ({len(states)} states)")
     return EXIT_OK
 
 
@@ -642,7 +640,7 @@ def _verify_oracle(cfg: RunConfig) -> tuple[str, str]:
         return -2.0 / r
 
     eps, nodes = schrodinger_eigenvalue(hydrogen, 0, ocfg)
-    if abs(eps + 1.0) > 1e-4 or nodes != 0:
+    if abs(eps + 1.0) > 1e-8 or nodes != 0:
         return "FAIL", f"hydrogen 1s: eps={eps:.6f}, nodes={nodes}"
     # Nonrelativistic screened potential against the closed form.
     m_mass, v0, delta = 1.0, 0.1, 0.05
@@ -655,7 +653,7 @@ def _verify_oracle(cfg: RunConfig) -> tuple[str, str]:
         NonRelParams(m=m_mass, l=0, Ze2=v0 / (2.0 * delta), A=0.0, B=0.0,
                      delta=delta), 0)
     eps, nodes = schrodinger_eigenvalue(hulthen_u, 0, ocfg)
-    if abs(eps - target) > 1e-4:
+    if abs(eps - target) > 1e-8:
         return "FAIL", (f"screened s-wave: eps={eps:.8f} vs closed "
                         f"{target:.8f}")
     # One relativistic spin-limit state against the analytic root.
@@ -669,11 +667,11 @@ def _verify_oracle(cfg: RunConfig) -> tuple[str, str]:
         return "FAIL", "no analytic bound root for the spot state"
     analytic = roots[0].E
     result = dirac_eigenvalue(qn, sym, p)
-    if abs(result.E - analytic) > 1e-4:
+    if abs(result.E - analytic) > 1e-8:
         return "FAIL", (f"dirac spot check: oracle {result.E:.8f} vs "
                         f"analytic {analytic:.8f}")
     return "PASS", (f"hydrogen, screened s-wave, dirac spot state all "
-                    f"within 1e-4 (spot gap "
+                    f"within 1e-8 (spot gap "
                     f"{abs(result.E - analytic):.1e})")
 
 
@@ -731,79 +729,58 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-_EPILOG = """\
-configuration precedence (lowest to highest):
-  built-in defaults < --config FILE < --preset < explicit flags
+def _epilog() -> str:
+    keys = ", ".join(f"[{section}] {' '.join(names)}"
+                     for section, names in RunConfig.sections().items())
+    return (
+        "configuration precedence (lowest to highest):\n"
+        "  built-in defaults < --config FILE < --preset < explicit flags\n\n"
+        + textwrap.fill(f"config file format: INI sections {keys}.  Each key "
+                        f"belongs in its own section.  --save-config writes "
+                        f"the effective configuration of the run in that "
+                        f"format.", 72)
+        + "\n\nstates syntax: 'default' (per-command set), 'none', or "
+        "'n,kappa;n,kappa;...'\n")
 
-config file format: INI sections [potential] V0 A B delta M H,
-[symmetry] symmetry C, [states] states, [sweep] delta_start delta_stop
-delta_step, [scan] v0_start v0_stop v0_step c_start c_stop c_step,
-[output] out format oracle.  --save-config writes the effective
-configuration of the run in that format.
 
-states syntax: 'default' (per-command set), 'none', or 'n,kappa;n,kappa;...'
-"""
+_COMMANDS = {
+    "table": "energy table without and with the tensor term",
+    "sweep": "energies versus the screening parameter",
+    "scan": "bound-state map over the (V0, C) plane",
+    "wavefunction": "normalized spinor components per state",
+    "verify": "run the self-verification suites",
+}
 
 
 @functools.cache
 def build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--preset", choices=[PRESET_NAME],
-                        help="named benchmark parameter set")
-    common.add_argument("--config", metavar="FILE",
-                        help="INI config file to load")
-    common.add_argument("--save-config", metavar="FILE",
-                        help="write the effective run configuration")
-    common.add_argument("--out", help="output directory (default: .)")
-    common.add_argument("--format", choices=["csv", "json"],
-                        help="output file format (default: csv)")
-    common.add_argument("--oracle", choices=["on", "off"],
-                        help="enable the shooting-method cross-check")
-    common.add_argument("--symmetry", choices=["spin", "pseudospin"],
-                        help="which symmetry limit (default: spin)")
-    common.add_argument("--C", type=float,
-                        help="symmetry constant C (fm^-1)")
-    common.add_argument("--H", type=float, help="tensor strength")
-    common.add_argument("--V0", type=float, help="Hulthen strength (fm^-1)")
-    common.add_argument("--A", type=float, help="Yukawa strength (fm^-1)")
-    common.add_argument("--B", type=float,
-                        help="inversely quadratic strength")
-    common.add_argument("--delta", type=float,
-                        help="screening parameter (fm^-1)")
-    common.add_argument("--M", type=float, help="mass (fm^-1)")
-    common.add_argument("--states",
-                        help="state list: 'default', 'none' or "
-                             "'n,kappa;n,kappa;...'")
-
+    """One flag per RunConfig field; a field whose section is named after
+    a command (the sweep and scan grids) is a flag of that command only."""
     parser = _Parser(
         prog="spectra",
         description="Relativistic bound-state spectra and wavefunctions "
                     "for a screened Coulomb potential family with tensor "
                     "coupling.",
-        epilog=_EPILOG,
+        epilog=_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="command")
-    sub.add_parser("table", parents=[common],
-                   help="energy table without and with the tensor term")
-    sweep = sub.add_parser("sweep", parents=[common],
-                           help="energies versus the screening parameter")
-    sweep.add_argument("--delta-start", type=float, dest="delta_start")
-    sweep.add_argument("--delta-stop", type=float, dest="delta_stop")
-    sweep.add_argument("--delta-step", type=float, dest="delta_step")
-    scan = sub.add_parser("scan", parents=[common],
-                          help="bound-state map over the (V0, C) plane")
-    scan.add_argument("--v0-start", type=float, dest="v0_start")
-    scan.add_argument("--v0-stop", type=float, dest="v0_stop")
-    scan.add_argument("--v0-step", type=float, dest="v0_step")
-    scan.add_argument("--c-start", type=float, dest="c_start")
-    scan.add_argument("--c-stop", type=float, dest="c_stop")
-    scan.add_argument("--c-step", type=float, dest="c_step")
-    sub.add_parser("wavefunction", parents=[common],
-                   help="normalized spinor components per state")
-    sub.add_parser("verify", parents=[common],
-                   help="run the self-verification suites")
+    for command, text in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=text)
+        cmd.add_argument("--preset", choices=[PRESET_NAME],
+                         help="named benchmark parameter set")
+        cmd.add_argument("--config", metavar="FILE",
+                         help="INI config file to load")
+        cmd.add_argument("--save-config", metavar="FILE",
+                         help="write the effective run configuration")
+        for f in fields(RunConfig):
+            section = f.metadata["section"]
+            if section == command or section not in _COMMANDS:
+                cmd.add_argument(
+                    "--" + f.name.replace("_", "-"), dest=f.name,
+                    type=float if f.type == "float" else None,
+                    choices=f.metadata["choices"], help=f.metadata["help"])
     return parser
 
 
@@ -838,22 +815,19 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"spectra: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.save_config:
-        with open(args.save_config, "w") as fh:
-            fh.write(cfg.to_ini())
-        print(f"wrote {args.save_config}")
-    dispatch = {
-        "table": cmd_table,
-        "sweep": cmd_sweep,
-        "scan": cmd_scan,
-        "wavefunction": cmd_wavefunction,
-        "verify": cmd_verify,
-    }
     try:
-        return dispatch[args.command](cfg)
+        if args.save_config:
+            with open(args.save_config, "w") as fh:
+                fh.write(cfg.to_ini())
+            print(f"wrote {args.save_config}")
+        # Looked up when called, so a wrapped cmd_* function is the one run.
+        return globals()[f"cmd_{args.command}"](cfg)
     except DiracboundError as exc:
         print(f"spectra: solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except OSError as exc:
+        print(f"spectra: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

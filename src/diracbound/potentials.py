@@ -143,10 +143,19 @@ def benchmark_params(H: float = 0.0) -> PotentialParams:
 
 # Input rules and the screened variable shared by every layer module.
 
+def _reals(x, name: str):
+    """x as a float array; DomainError unless it holds ints or floats (a
+    str, bytes, bool or complex value is none of them)."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be real, got {x.dtype.name} input")
+    return np.asarray(x, dtype=float)
+
+
 def _radii(r):
-    """r as a float array; DomainError unless every radius is > 0 (NaN is
-    not)."""
-    r = np.asarray(r, dtype=float)
+    """r as _reals gives it; DomainError unless every radius is > 0 (NaN
+    is not)."""
+    r = _reals(r, "r")
     if not np.all(r > 0.0):
         raise DomainError("r must be positive")
     return r

@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import DomainError
 from .potentials import (PotentialParams, ReducedEquation, SymmetryLimit,
-                         _index, radial_poly_degree)
+                         _index, _reals, radial_poly_degree)
 
 __all__ = [
     "QuantumNumbers",
@@ -175,7 +175,7 @@ def nu_residual(E, p: PotentialParams, sym: SymmetryLimit,
     points so window scans can skip domain holes.
     """
     eq = ReducedEquation.of(p, sym, qn)
-    E = np.asarray(E, dtype=float)
+    E = _reals(E, "E")
     g, _, D = _parts(E, eq)
     if np.ndim(E) == 0:
         if not np.isfinite(g):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidBranchError
 from .potentials import (PotentialParams, ReducedEquation, SymmetryLimit,
-                         _index, _like, _screening)
+                         _index, _like, _reals, _screening)
 from .spectra import QuantumNumbers
 
 __all__ = [
@@ -143,7 +143,7 @@ def susy_residual(E, p: PotentialParams, sym: SymmetryLimit,
     square-root domain, array E yields NaN there.
     """
     eq = ReducedEquation.of(p, sym, qn)
-    E = np.asarray(E, dtype=float)
+    E = _reals(E, "E")
     _, lhs, alpha2, gamma2, disc = eq.terms(E)
     m = eq.degree
     sqrt_disc = np.sqrt(np.where(disc >= 0.0, disc, np.nan))

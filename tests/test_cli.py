@@ -8,6 +8,8 @@ PATH, otherwise the entry point declared in pyproject.toml, called the way
 its generated wrapper calls it, against the package under test.
 """
 
+import argparse
+import dataclasses
 import json
 import math
 import os
@@ -129,16 +131,24 @@ def _float_blocks(draw):
 @example(block=np.random.default_rng(2000).normal(size=(2000, 3))
          * [30.0, 0.3, 0.3])
 def test_block_writer_follows_the_cell_rule(tmp_path, block):
+    # Both writers against a reference built cell by cell from
+    # format_cell, without and with key cells before each row's floats.
     header = [f"x{j}" for j in range(block.shape[1])]
-    lines = [header] + [[format_cell(c) for c in row] for row in block]
-    expected = "".join(",".join(_csv_quote(c) for c in line) + "\r\n"
-                       for line in lines)
-    write_csv(tmp_path / "block.csv", header, block)
-    assert (tmp_path / "block.csv").read_bytes() == expected.encode()
-    write_json(tmp_path / "array.json", header, block, {})
-    write_json(tmp_path / "lists.json", header, block.tolist(), {})
-    assert ((tmp_path / "array.json").read_bytes()
-            == (tmp_path / "lists.json").read_bytes())
+    cells = [[format_cell(c) for c in row] for row in block]
+    for keys in ((), [(i, f"s,{i}") for i in range(len(block))]):
+        lead = keys or [()] * len(block)
+        lines = [header] + [[*map(format_cell, key), *row]
+                            for key, row in zip(lead, cells)]
+        expected = "".join(",".join(map(_csv_quote, line)) + "\r\n"
+                           for line in lines)
+        write_csv(tmp_path / "block.csv", header, block, keys)
+        assert (tmp_path / "block.csv").read_bytes() == expected.encode()
+        rows = [[*key, *(None if c == "NA" else float(c) for c in row)]
+                for key, row in zip(lead, cells)]
+        reference = {"header": header, "units": {}, "rows": rows}
+        write_json(tmp_path / "block.json", header, block, {}, keys)
+        assert ((tmp_path / "block.json").read_text()
+                == json.dumps(reference, indent=1, sort_keys=True) + "\n")
 
 
 def _percent_block(block):
@@ -262,6 +272,38 @@ def test_config_rejects_bad_keys_and_values():
         RunConfig.from_ini("[sweep]\ndelta_step = nan\n").validate()
 
 
+def test_default_config_text_is_pinned():
+    assert RunConfig().to_ini() == (
+        "[potential]\nV0 = 2.0\nA = 1.0\nB = 1.0\ndelta = 0.05\nM = 4.76\n"
+        "H = 0.0\n\n[symmetry]\nsymmetry = spin\nC = 0.0\n\n[states]\n"
+        "states = default\n\n[sweep]\ndelta_start = 0.0\ndelta_stop = 0.3\n"
+        "delta_step = 0.01\n\n[scan]\nv0_start = 0.0\nv0_stop = 20.0\n"
+        "v0_step = 0.5\nc_start = -20.0\nc_stop = 20.0\nc_step = 0.5\n\n"
+        "[output]\nout = .\nformat = csv\noracle = on\n\n")
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nV0 = 9\n",
+    "[output]\nV0 = 9\n",
+    "[potentail]\nV0 = 9\n",
+    "[potential]\nV0 = 1\n[symmetry]\nV0 = 9\n",
+], ids=["DEFAULT", "other-section", "misspelt-section", "two-sections"])
+def test_a_config_key_outside_its_section_is_rejected(text, tmp_path,
+                                                      capsys):
+    with pytest.raises(DomainError, match=r"'V0' belongs in \[potential\]"):
+        RunConfig.from_ini(text)
+    cfg_file = tmp_path / "run.ini"
+    cfg_file.write_text(text)
+    assert main(["table", "--config", str(cfg_file), "--states", "none",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "spectra: error: config key 'V0' belongs in [potential]")
+    assert not (tmp_path / "out").exists()
+    # Twice in its own section is a parse error.
+    with pytest.raises(DomainError, match="bad config file"):
+        RunConfig.from_ini("[potential]\nV0 = 1\nV0 = 9\n")
+
+
 def test_preset_values():
     cfg = apply_preset(RunConfig(), PRESET)
     assert (cfg.V0, cfg.A, cfg.B) == (2.0, 1.0, 1.0)
@@ -329,6 +371,61 @@ def test_one_parser_serves_every_call(tmp_path):
     assert (table.H, table.format) == (2.5, "csv")
     assert (sweep.H, sweep.format) == (5.0, "json")
     assert [f.name for f in (tmp_path / "b").iterdir()] == ["sweep_spin.json"]
+
+
+def test_each_setting_is_one_flag_of_the_commands_its_section_serves():
+    # A field is a flag --<name-with-dashes> of every command, except the
+    # sweep and scan grids, which are flags of their own command only;
+    # the --help epilog lists it under its INI section.
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(commands) == ["table", "sweep", "scan", "wavefunction",
+                              "verify"]
+    grids = {f.name: f.metadata["section"] for f in dataclasses.fields(
+        RunConfig) if f.name in cli._GRID_FIELDS}
+    assert set(grids.values()) == {"sweep", "scan"}
+    for f in dataclasses.fields(RunConfig):
+        flag = "--" + f.name.replace("_", "-")
+        section = f.metadata["section"]
+        served = [section] if f.name in grids else list(commands)
+        for command, sub in commands.items():
+            actions = [a for a in sub._actions if flag in a.option_strings]
+            assert len(actions) == (command in served), (f.name, command)
+            for action in actions:
+                assert action.option_strings == [flag]
+                assert action.dest == f.name
+                assert action.type is (float if f.type == "float" else None)
+                assert action.choices == f.metadata["choices"]
+                assert action.default is None
+        assert re.search(rf"\[{section}\][^[]*\b{f.name}\b",
+                         parser.epilog), f.name
+    assert [f.metadata["choices"] for f in dataclasses.fields(RunConfig)
+            if f.metadata["choices"]] == [("spin", "pseudospin"),
+                                          ("csv", "json"), ("on", "off")]
+
+
+def test_main_runs_the_command_and_writer_it_finds_when_called(
+        tmp_path, monkeypatch):
+    # A wrapper put in place after the parser is built is the one run.
+    cli.build_parser()
+    calls = []
+
+    def recorder(name):
+        original = getattr(cli, name)
+
+        def record(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, record)
+
+    recorder("cmd_table")
+    recorder("write_rows")
+    assert main(["table", "--preset", PRESET, "--states", "0,-2",
+                 "--out", str(tmp_path)]) == 0
+    assert calls == ["cmd_table", "write_rows"]
+    assert (tmp_path / "table_spin.csv").exists()
 
 
 def test_saved_config_reproduces_run(tmp_path):
@@ -513,7 +610,7 @@ def test_verify_output_is_pinned(tmp_path, capsys):
         "dual-path: PASS (hulthen roots, coulomb reduction, hydrogen all "
         "agree)\n"
         "oracle-health: PASS (hydrogen, screened s-wave, dirac spot state "
-        "all within 1e-4 (spot gap 2.4e-11))\n"
+        "all within 1e-8 (spot gap 2.4e-11))\n"
         "normalization: PASS (max |norm - 1| = 1.38e-05 (trapezoid "
         "quadrature))\n"
         "verify: PASS\n")
@@ -547,6 +644,22 @@ def test_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 1
+
+
+def test_a_failed_write_exits_1(tmp_path, capsys):
+    # --save-config into a missing directory, and --out naming a file.
+    missing = tmp_path / "no-such-dir" / "run.ini"
+    assert main(["table", "--states", "none", "--out", str(tmp_path),
+                 "--save-config", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("spectra: error: ") and str(missing) in err
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert main(["table", "--preset", PRESET, "--states", "0,-2",
+                 "--out", str(blocker)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("spectra: error: ") and str(blocker) in err
+    assert blocker.read_text() == ""
 
 
 @pytest.mark.parametrize("error, builtin", [

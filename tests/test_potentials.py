@@ -184,6 +184,28 @@ def test_a_radius_that_is_not_positive_is_a_domain_error(name, bad):
         call(np.array([1.0, bad]))
 
 
+# The residuals, called with the energy E in its place.
+_TAKES_ENERGY = {
+    "nu_residual": lambda E: diracbound.nu_residual(E, _P, _SPIN, _QN),
+    "susy_residual": lambda E: diracbound.susy_residual(E, _P, _SPIN, _QN),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAKES_RADII) + sorted(_TAKES_ENERGY))
+def test_a_radius_or_energy_that_is_not_real_is_a_domain_error(name):
+    # str, bytes, bool and complex input, alone or in a sequence; int
+    # scalars and sequences give the bits of their float twins.
+    call = {**_TAKES_RADII, **_TAKES_ENERGY}[name]
+    for bad in ("0.3", b"0.3", "a", True, np.True_, 1 + 2j, ["0.3"],
+                [1.0, "x"], np.array([1.0 + 0j])):
+        with pytest.raises(DomainError, match="must be real"):
+            call(bad)
+    for value, twin in ((1, 1.0), ([1, 0.5], np.array([1.0, 0.5]))):
+        got, want = call(value), call(twin)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 # Every index argument, called with i in its place and otherwise valid
 # arguments, and the floor of that index.
 _NRP = diracbound.NonRelParams(m=4.76, l=0, Ze2=1.0, A=1.0, B=0.0,
