@@ -57,9 +57,9 @@ _MAX_GRID_POINTS = 10 ** 6
 # ---------------------------------------------------------------------------
 
 def _ini_parser() -> configparser.ConfigParser:
-    """An INI parser that keeps key case and has no DEFAULT section, so a
-    [DEFAULT] in a file is a section like any other."""
-    parser = configparser.ConfigParser(default_section="")
+    """An INI parser that keeps key case, reads '%' as itself and has no
+    DEFAULT section, so a [DEFAULT] in a file is a section like any other."""
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
     parser.optionxform = str
     return parser
 

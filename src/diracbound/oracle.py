@@ -130,18 +130,18 @@ def numerov_integrate(r: np.ndarray, Q: np.ndarray, u0: float, u1: float):
     return u
 
 
-def _sweep(w, c, u0, u1, i, stop, step, limit=None):
-    """Numerov sweep of u'' = f u with weights w[j] + c, in direction step.
+def _sweep(w, u0, u1, i, stop, step, limit=None):
+    """Numerov sweep of u'' = f u with weights w, in direction step.
 
     u0 = u[i - step] and u1 = u[i] seed the recurrence, which fills
     u[i + step], ... up to index stop (step = +1 outward, -1 inward).
     Returns (nodes, ends): nodes counts the sign changes above the roundoff
     floor, so the noise that takes over deep in a forbidden region cannot
-    fake one, and ends is (u[stop - 2 step], u[stop - step], u[stop]) when
-    the sweep reaches stop, None when it stops early or takes no step
-    (stop at or behind i).  |u| is rescaled whenever it passes _RESCALE_AT,
-    except on the last two steps, so ends holds one scale; only ratios of
-    u are meaningful.
+    fake one, and ends is (u[stop - step], u[stop]) when the sweep reaches
+    stop, None when it stops early or takes no step (stop at or behind i).
+    |u| is rescaled whenever it passes _RESCALE_AT; a rescale divides both
+    values of the pair, so ends holds one scale; only ratios of u are
+    meaningful.
 
     Two rules end the sweep before stop, and neither changes nodes:
     - Count limit.  With limit given, the sweep returns as soon as nodes
@@ -155,14 +155,14 @@ def _sweep(w, c, u0, u1, i, stop, step, limit=None):
       u1's sign and 0 < |u1| <= |u2|: by induction no later step changes
       sign.  This holds in floating point: with wm + wp < k < 7 the
       rounding of a step is a few ulp of 14 |u1|, far below 1e-12 |u1|
-      once |u0| is a normal float; |u| grows less than 27-fold per step,
-      so it never overflows; and the rescale by _RESCALE_AT divides both
-      values, changing their ratio by an ulp; the last two steps, which
-      never rescale, leave |u| below 27^2 _RESCALE_AT.  So once every
-      later step qualifies and u0, u1 do, no later step adds a node, and
-      the sweep returns.  The rule is checked after every _TAIL steps
-      past the last step that does not qualify, so the recurrence's own
-      steps cost what they did.
+      once |u0| is a normal float; |u| grows less than 27-fold per step
+      and is rescaled once it passes _RESCALE_AT, so it stays below
+      27 _RESCALE_AT and never overflows; and the rescale divides both
+      values, changing their ratio by an ulp.  So once every later step
+      qualifies and u0, u1 do, no later step adds a node, and the sweep
+      returns.  The rule is checked after every _TAIL steps past the
+      last step that does not qualify, so the recurrence's own steps
+      cost what they did.
 
     The common step costs the recurrence and two comparisons (one more
     and a store while |u| grows); every returned bit is that of a loop
@@ -178,27 +178,24 @@ def _sweep(w, c, u0, u1, i, stop, step, limit=None):
       recurrence does, applies the node rule and the rescale to it, and
       sets s from its sign.
     - New maximum.  amax and the rescale are touched only when x2 passes
-      thr = min(amax, the chunk's rescale threshold); below that
-      threshold, x2 is a new amax and thr.
-    - Chunk cuts instead of per-step index tests.  The last two steps
-      form chunks without rescale, and the last step is a chunk of its
-      own: ends is its u0 and the state it leaves.  When the count limit
-      trips on it, the sweep returns before ends is recorded.  Only the
-      cuts every _TAIL steps from tail test the growing-tail rule, so the
-      other cuts do not move where the sweep stops.
+      thr = min(amax, _RESCALE_AT); below _RESCALE_AT, x2 is a new amax
+      and thr.
+    - Chunks.  The weights are converted a chunk at a time, and only the
+      cuts every _TAIL steps from tail test the growing-tail rule, so
+      the other cuts do not move where the sweep stops.
     """
     n = (stop - i) * step           # the number of steps
     if n < 1:
         return 0, None
-    # The weights w[j] + c and 12 - 10 (w[j] + c) of the swept span, in
-    # sweep order.  Elementwise float64 arithmetic gives the bits the
-    # step-by-step sums would, and the steps run on Python floats, several
-    # times faster than on numpy scalars.  The doubles are copied a chunk
-    # at a time into an array.array, whose iteration makes each float as
-    # its step needs it, from the float free list; a list made up front
-    # costs about 10 % more per step.
+    # The weights w[j] and 12 - 10 w[j] of the swept span, in sweep order.
+    # Elementwise float64 arithmetic gives the bits the step-by-step
+    # products would, and the steps run on Python floats, several times
+    # faster than on numpy scalars.  The doubles are copied a chunk at a
+    # time into an array.array, whose iteration makes each float as its
+    # step needs it, from the float free list; a list made up front costs
+    # about 10 % more per step.
     lo, hi = sorted((i - step, stop))
-    wc = np.asarray(w[lo:hi + 1], dtype=float) + c
+    wc = np.asarray(w[lo:hi + 1], dtype=float)
     if step < 0:
         wc = wc[::-1]
     kc = 12.0 - 10.0 * wc
@@ -210,8 +207,7 @@ def _sweep(w, c, u0, u1, i, stop, step, limit=None):
                            & big[:-2] & big[1:-1] & big[2:]))
     tail = int(bad[-1]) + 1 if bad.size else 0
     checks = range(tail, n, _TAIL)
-    cuts = {*range(_CHUNK, min(tail, n), _CHUNK), *checks, n}
-    cuts.update(t for t in (n - 2, n - 1) if t > 0)
+    cuts = sorted({*range(_CHUNK, min(tail, n), _CHUNK), *checks, n})
     if limit is None:
         limit = math.inf
     u0, u1 = float(u0), float(u1)
@@ -219,12 +215,9 @@ def _sweep(w, c, u0, u1, i, stop, step, limit=None):
     x0, x1 = s * u0, s * u1
     nodes = 0
     amax = abs(u1)
+    thr = min(amax, _RESCALE_AT)
     a = 0
-    for b in sorted(cuts):
-        rescale_at = math.inf if a >= n - 2 else _RESCALE_AT
-        thr = min(amax, rescale_at)
-        if a == n - 1:
-            first = s * x0          # u[stop - 2 step]
+    for b in cuts:
         ws = array("d", wc[a:b + 2].tobytes())
         ks = array("d", kc[a + 1:b + 1].tobytes())
         # a step's wp is the wm of the step after next
@@ -243,16 +236,16 @@ def _sweep(w, c, u0, u1, i, stop, step, limit=None):
                     nodes += 1
                     if nodes > limit:
                         return nodes, None
-                if a2 > rescale_at:
+                if a2 > _RESCALE_AT:
                     u1 /= _RESCALE_AT
                     u2 /= _RESCALE_AT
                     amax /= _RESCALE_AT
                 s = -1.0 if u2 < 0.0 else 1.0
                 x1, x2 = s * u1, s * u2
-                thr = min(amax, rescale_at)
+                thr = min(amax, _RESCALE_AT)
             elif x2 > thr:
-                if x2 <= rescale_at:
-                    # then x2 passes amax <= rescale_at: a new maximum
+                if x2 <= _RESCALE_AT:
+                    # then x2 passes amax <= _RESCALE_AT: a new maximum
                     amax = thr = x2
                 else:
                     if x2 > amax:
@@ -260,13 +253,13 @@ def _sweep(w, c, u0, u1, i, stop, step, limit=None):
                     x1 /= _RESCALE_AT
                     x2 /= _RESCALE_AT
                     amax /= _RESCALE_AT
-                    thr = min(amax, rescale_at)
+                    thr = min(amax, _RESCALE_AT)
             x0, x1 = x1, x2
             wm, wq = wq, wp
         if b in checks and abs(x1) >= abs(x0) >= sys.float_info.min:
             return nodes, None
         a = b
-    return nodes, (first, s * x0, s * x1)
+    return nodes, (s * x0, s * x1)
 
 
 class _InnerSolver:
@@ -275,8 +268,8 @@ class _InnerSolver:
     r is a logarithmic mesh (_mesh) with step h in x = ln r.  The sweeps
     run on y = r^(-1/2) u, whose Numerov weights at eps are
     w_j = wU_j + eps (h^2/12) r_j^2, with wU_j = 1 - (h^2/12)(r_j^2 U_j +
-    1/4); they are built as one array per count and passed to _sweep with
-    c = 0.  Every outward sweep starts from the regular solution at r[0],
+    1/4); they are built as one array per count and passed to _sweep.
+    Every outward sweep starts from the regular solution at r[0],
     y0 = 1 and y1 = exp(sqrt(D) h), D = 1/4 + r[0]^2 U[0].  D includes
     every 1/r^2 term of U, and D < 0 is the fall to the centre, where U
     has no lowest level.
@@ -325,9 +318,9 @@ class _InnerSolver:
         (_sweep's count limit).
         """
         w, end = self._weights(eps)
-        n, ends = _sweep(w, 0.0, 1.0, self.y1, 1, end, 1, limit)
+        n, ends = _sweep(w, 1.0, self.y1, 1, end, 1, limit)
         if ends is not None:
-            _, y1, y2 = ends
+            y1, y2 = ends
             if not (y1 < 0.0 < y2 or y2 < 0.0 < y1) \
                     and abs(y1) > abs(y2) * self._tail_ratio(eps, end):
                 n += 1
@@ -346,9 +339,9 @@ class _InnerSolver:
         w, end = self._weights(eps)
         allowed = np.flatnonzero(self.U[:end + 1] < eps)
         m = min(int(allowed[-1]) + 1, end) if allowed.size else 1
-        n_out, _ = _sweep(w, 0.0, 1.0, self.y1, 1, m, 1)
+        n_out, _ = _sweep(w, 1.0, self.y1, 1, m, 1)
         v_end = 1e-120
-        n_in, _ = _sweep(w, 0.0, v_end, v_end * self._tail_ratio(eps, end),
+        n_in, _ = _sweep(w, v_end, v_end * self._tail_ratio(eps, end),
                          end - 1, m, -1)
         return n_out + n_in
 

@@ -314,10 +314,11 @@ def target_eigenvalue(E: float, sym: SymmetryLimit, M: float) -> float:
 
     Bound states need eps < 0 (exponential decay at large r).  It is not
     computed as -lhs: the squares here are products, and a float's E**2
-    can differ from E*E in the last bit.
+    can differ from E*E in the last bit.  E: a real number or array.
     """
     s = SymmetryLimit.checked(sym).sign
-    return E * E - M * M + s * sym.constant * (M - s * E)
+    E = _reals(E, "E")
+    return _like(E * E - M * M + s * sym.constant * (M - s * E), E)
 
 
 def effective_potential(r, E: float, p: PotentialParams, sym: SymmetryLimit,
@@ -338,14 +339,15 @@ def effective_potential(r, E: float, p: PotentialParams, sym: SymmetryLimit,
 
     Args:
         r: radius or array of radii (fm), positive.
-        E: trial energy (fm^-1).
+        E: trial energy or array of them (fm^-1), real.
         p: potential parameters.
         sym: symmetry limit in force.
         qn: quantum numbers (only kappa is used here).
         mode: "approximated" (screened centrifugal + approximated potential)
             or "exact" (1/r^2 centrifugal + exact potential).
     """
-    return _u_eff(_effective_parts(r, p, sym, qn, mode), E)
+    U = _u_eff(_effective_parts(r, p, sym, qn, mode), _reals(E, "E"))
+    return float(U) if np.ndim(U) == 0 else U
 
 
 def _effective_parts(r, p: PotentialParams, sym: SymmetryLimit, qn,

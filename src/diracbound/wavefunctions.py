@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (DomainError, NoEigenvalueError, PoleError,
                      SingularCouplingError)
 from .potentials import (PotentialParams, ReducedEquation, SymmetryLimit,
-                         _index, _like, _screening)
+                         _index, _like, _reals, _screening)
 from .spectra import QuantumNumbers, table_energies
 
 __all__ = [
@@ -108,9 +108,13 @@ def wave_context(qn: QuantumNumbers, sym: SymmetryLimit, p: PotentialParams,
                  E: float) -> WaveContext:
     """Build the evaluation context for a solved energy.
 
-    Raises DomainError when the energy does not correspond to a bound state
-    (non-positive beta^2) or the barrier discriminant is negative.
+    Raises DomainError when E is not one real number or not a bound state
+    (non-positive beta^2), or when the barrier discriminant is negative.
     """
+    E = _reals(E, "E")
+    if E.ndim:
+        raise DomainError(f"E must be one energy, got shape {E.shape}")
+    E = float(E)
     eq = ReducedEquation.of(p, sym, qn)
     coupling, lhs, _, _, disc = eq.terms(E)
     beta2 = lhs / eq.four_d2
@@ -121,7 +125,7 @@ def wave_context(qn: QuantumNumbers, sym: SymmetryLimit, p: PotentialParams,
         raise DomainError(
             f"barrier discriminant negative ({disc:.6g}) at E={E:.8f}")
     return WaveContext(
-        qn=qn, symmetry=sym, E=float(E), p=p,
+        qn=qn, symmetry=sym, E=E, p=p,
         beta=math.sqrt(beta2),
         xi=0.5 + math.sqrt(disc),
         degree=eq.degree,
@@ -278,12 +282,12 @@ def solve_wavefunction(qn: QuantumNumbers, sym: SymmetryLimit,
         if math.isnan(E):
             raise NoEigenvalueError(
                 f"no bound state for {qn.label} in the {sym.kind} limit")
-    ctx = wave_context(qn, sym, p, float(E))
+    ctx = wave_context(qn, sym, p, E)
     norm = norm_constant(ctx)
     r = default_grid(ctx)
     solved, paired = _components(r, ctx, norm, True)
     F, G = (solved, paired) if sym.is_spin else (paired, solved)
     return SpinorSolution(
-        qn=qn, symmetry=sym, E=float(E), beta_exp=ctx.beta, xi_exp=ctx.xi,
+        qn=qn, symmetry=sym, E=ctx.E, beta_exp=ctx.beta, xi_exp=ctx.xi,
         norm_const=norm, samples=np.column_stack([r, F, G]),
     )

@@ -10,6 +10,7 @@ oracle accuracy contract beside it holds the oracle to that branch over
 random draws in both limits.
 """
 
+import itertools
 import math
 import random
 import time
@@ -320,11 +321,10 @@ CONTRACT_TOL = 2e-8
 CONTRACT_TOL_LOW_D = 3e-10
 
 
-def contract_draws():
-    """(qn, sym, p, roots) of the contract's 40 draws, in draw order."""
+def random_states():
+    """(qn, sym, p) of every draw of random.Random(7), in draw order."""
     rng = random.Random(7)
-    kept = []
-    while len(kept) < CONTRACT_DRAWS:
+    while True:
         kind = rng.choice(["spin", "pseudospin"])
         V0 = rng.uniform(-4.0, 4.0)
         A = rng.uniform(-2.0, 2.0)
@@ -334,11 +334,18 @@ def contract_draws():
         n = rng.choice([0, 1, 2])
         kappa = rng.choice([-3, -2, -1, 1, 2, 3])
         p = PotentialParams(V0=V0, A=A, B=B, delta=0.05, H=H, M=MASS)
-        qn, sym = QuantumNumbers(n, kappa), SymmetryLimit(kind, C)
+        yield QuantumNumbers(n, kappa), SymmetryLimit(kind, C), p
+
+
+def contract_draws():
+    """(qn, sym, p, roots) of the contract's 40 draws, in draw order."""
+    kept = []
+    for qn, sym, p in random_states():
         roots = normalizable_roots(qn, sym, p)
         if roots:
             kept.append((qn, sym, p, roots))
-    return kept
+            if len(kept) == CONTRACT_DRAWS:
+                return kept
 
 
 @pytest.mark.slow
@@ -375,6 +382,54 @@ def test_oracle_accuracy_contract():
     assert not bad, bad
     # the draws reach D < 1 in both limits
     assert low_d == {"spin", "pseudospin"}
+
+
+# The contract's |E| >= M stratum.  normalizable_roots keeps |E| < M only;
+# beyond_mass_roots keeps the other Q > 0 roots in the oracle's window.  Of
+# the first 200 draws above, 21 have such a root and none below M.  On the
+# default mesh 20 of them converge onto it, the worst 2.70e-9 off (spin
+# (2, -3), E = -4.952), and the bound holds about twice that.  The oracle
+# misses draw 64 (spin (1, -2), root E = -7.5722 with D = 0.018): U_eff
+# starts to fall to the centre 0.019 above the root, inside the root's
+# probe pair, so that pair's upper probe carries no sign and the scan
+# raises NoEigenvalueError.  The miss is pinned here, not set aside.
+CONTRACT_BEYOND_M_DRAWS = 200
+CONTRACT_TOL_BEYOND_M = 5e-9
+CONTRACT_BEYOND_M_MISSED = [64]
+
+
+def beyond_mass_roots(qn, sym, p):
+    """Closed-form roots on the Q > 0 branch in the oracle's energy window
+    with |E| >= M: the roots normalizable_roots leaves out."""
+    return [r.E for r in solve_levels(qn, sym, p)
+            if r.nu_branch > 0 and r.sqrt_domain_ok and r.C_bound_ok
+            and abs(r.E) >= p.M and target_eigenvalue(r.E, sym, p.M) < 0.0]
+
+
+@pytest.mark.slow
+def test_oracle_accuracy_contract_beyond_the_mass():
+    # Every draw with a root at |E| >= M and none below M: the oracle
+    # converges onto it, with the node count of the polynomial degree,
+    # within CONTRACT_TOL_BEYOND_M, but on the pinned misses.
+    met, missed, bad = 0, [], []
+    for k, (qn, sym, p) in enumerate(
+            itertools.islice(random_states(), CONTRACT_BEYOND_M_DRAWS)):
+        roots = beyond_mass_roots(qn, sym, p)
+        if not roots or normalizable_roots(qn, sym, p):
+            continue
+        try:
+            res = dirac_eigenvalue(qn, sym, p)
+        except NoEigenvalueError:
+            missed.append(k)
+            continue
+        root = min(roots, key=lambda e: abs(e - res.E))
+        if (res.node_count == ReducedEquation.of(p, sym, qn).degree
+                and abs(res.E - root) <= CONTRACT_TOL_BEYOND_M):
+            met += 1
+        else:
+            bad.append((k, sym.kind, qn.n, qn.kappa, res, root))
+    assert not bad, bad
+    assert (met, missed) == (20, CONTRACT_BEYOND_M_MISSED)
 
 
 # ---------------------------------------------------------------------------

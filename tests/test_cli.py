@@ -239,6 +239,9 @@ def test_config_ini_round_trip():
                     states="0,-1;2,2", out="results", format="json")
     assert RunConfig.from_ini(cfg.to_ini()) == cfg
     assert RunConfig.from_ini(RunConfig().to_ini()) == RunConfig()
+    # '%' is written and read as itself, so '%%' stays two characters
+    cfg = RunConfig(states="%(n)s;%%", out="res%1")
+    assert RunConfig.from_ini(cfg.to_ini()) == cfg
 
 
 def test_config_rejects_bad_keys_and_values():
@@ -430,7 +433,7 @@ def test_main_runs_the_command_and_writer_it_finds_when_called(
 
 def test_saved_config_reproduces_run(tmp_path):
     saved = tmp_path / "run.ini"
-    out1 = tmp_path / "a"
+    out1 = tmp_path / "a%1"
     out2 = tmp_path / "b"
     base = ["table", "--states", "0,-2;0,1", "--preset", PRESET]
     assert main(base + ["--out", str(out1),

@@ -78,6 +78,48 @@ def test_every_private_helper_has_a_caller():
     assert not unused, f"private names without a caller: {unused}"
 
 
+def _passed(call, positional, keyword_only):
+    """The argument node call gives each parameter, None where it leaves
+    the parameter out; None for the whole call if it unpacks * or **."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) \
+            or any(kw.arg is None for kw in call.keywords):
+        return None
+    given = dict(zip(positional, call.args))
+    given.update((kw.arg, kw.value) for kw in call.keywords)
+    return [given.get(name) for name in positional + keyword_only]
+
+
+def test_no_private_function_parameter_is_a_constant():
+    # A parameter of a private module-level function that every bare-name
+    # call in the package leaves out, or sets to one and the same literal,
+    # is a constant posing as an argument: fold it into the body.
+    trees = [ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))]
+    functions = {node.name: node for tree in trees for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and _private(node.name)}
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in functions:
+                calls.setdefault(node.func.id, []).append(node)
+    constant = []
+    for name, found in sorted(calls.items()):
+        args = functions[name].args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        keyword_only = [a.arg for a in args.kwonlyargs]
+        passed = [_passed(call, positional, keyword_only) for call in found]
+        if None in passed:
+            continue
+        for param, nodes in zip(positional + keyword_only, zip(*passed)):
+            if all(node is None for node in nodes) or (
+                    all(isinstance(node, ast.Constant) for node in nodes)
+                    and len({(type(node.value), node.value)
+                             for node in nodes}) == 1):
+                constant.append(f"{name}({param})")
+    assert not constant, f"parameters every call sets alike: {constant}"
+
+
 def test_only_potentials_forms_the_screened_variable():
     # 1 - e^(-2 delta r) is formed once, by potentials._screening with
     # expm1; a module that calls expm1 itself restates it.

@@ -106,24 +106,25 @@ def _sweep_setup(step, q, r_end, seed_solution):
 @pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
 def test_sweep_matches_numerov_integrate_at_mark(case):
     # The sweep and the reference both run in sweep order and stop one
-    # point past mark, so ends is the triplet at mark.  In the growing
+    # point past mark, so ends is the reference's last two values, at
+    # mark and past it, bit for bit, rescales included.  In the growing
     # cases every step qualifies for the growing-tail rule, which would
     # stop the sweep before its first step; the weight 1/2 at the stop
     # point keeps it going, so the rescales on the way are checked too.
     step, q, r_end, seed_solution, mark = _SWEEP_CASES[case]
     r, Q, w, order, u0, u1 = _sweep_setup(step, q, r_end, seed_solution)
     if case.endswith("growing"):
-        assert _sweep(w, 0.0, u0, u1, order[1], mark + step, step) == (0, None)
+        assert _sweep(w, u0, u1, order[1], mark + step, step) == (0, None)
         Q[mark + step] = _Q_HALF
         w[mark + step] = 0.5
-    nodes, ends = _sweep(w, 0.0, u0, u1, order[1], mark + step, step)
+    nodes, ends = _sweep(w, u0, u1, order[1], mark + step, step)
     k = int(np.nonzero(order == mark)[0][0])
     seg = order[:k + 2]
     u = numerov_integrate(r[seg], Q[seg], u0, u1)
     assert nodes == count_nodes(np.append(u, u[-1]))
-    assert list(ends) == u[k - 1:k + 2].tolist()
+    assert list(ends) == u[-2:].tolist()
     if case.endswith("growing"):
-        assert abs(ends[1]) < _RESCALE_AT < seed_solution(r[mark])
+        assert abs(ends[0]) < _RESCALE_AT < seed_solution(r[mark])
 
 
 @pytest.mark.parametrize("step", [1, -1])
@@ -132,8 +133,8 @@ def test_sweep_counts_nodes_like_count_nodes(step):
     r, Q, w, order, u0, u1 = _sweep_setup(
         step, lambda x: np.full_like(x, -9.0), 10.0, _wave)
     cap = int(np.searchsorted(r, 5.0))
-    nodes = _sweep(w, 0.0, u0, u1, order[1], order[-1], step)[0]
-    before_cap = _sweep(w, 0.0, u0, u1, order[1], cap, step)[0]
+    nodes = _sweep(w, u0, u1, order[1], order[-1], step)[0]
+    before_cap = _sweep(w, u0, u1, order[1], cap, step)[0]
     u = numerov_integrate(r[order], Q[order], u0, u1)
     kc = int(np.nonzero(order == cap)[0][0])
     assert nodes == count_nodes(u) == 9
@@ -181,19 +182,19 @@ def _bounded_sweeps(draw):
 @example(("rescale", 2.0 ** -6, 36.0, 3.0 - 1e-7, 0.0, 2250, True, 0, True))
 def test_bounded_sweep_matches_numerov_integrate_and_count_nodes(case):
     # The stop rules leave the node count (or, with a limit, a count above
-    # it) as a full sweep has it, and ends is the full sweep's last three
-    # values whenever the sweep reaches stop.  count_nodes skips exact
-    # zeros and has no roundoff floor, so draws with an exact zero or a
-    # sign change at the floor are set aside; the floor rule is pinned by
-    # the test_sweep_batch_node_* tests.
+    # it) as a full sweep has it, and ends is the full sweep's last two
+    # values, bit for bit, whenever the sweep reaches stop.  count_nodes
+    # skips exact zeros and has no roundoff floor, so draws with an exact
+    # zero or a sign change at the floor are set aside; the floor rule is
+    # pinned by the test_sweep_batch_node_* tests.
     family, h, r_end, e, ripple, stop, spike, limit, as_list = case
     r = np.arange(round(r_end / h) + 1) * h
     Q = r * r - e + ripple * np.sin(3.0 * r)
     if spike:
         Q[stop] = 6.0 / (h * h)
     w = 1.0 - (h * h / 12.0) * Q
-    nodes, ends = _sweep(w.tolist() if as_list else w, 0.0, 0.0, h, 1, stop,
-                         1, limit)
+    nodes, ends = _sweep(w.tolist() if as_list else w, 0.0, h, 1, stop, 1,
+                         limit)
     if stop < 2:
         # stop at or behind the seeds: no step
         assert (nodes, ends) == (0, None)
@@ -211,10 +212,8 @@ def test_bounded_sweep_matches_numerov_integrate_and_count_nodes(case):
     assert nodes == want
     if spike or family == "allowed-end":
         assert ends is not None
-    if ends is not None and max(abs(ends[1]), abs(ends[2])) <= _RESCALE_AT:
-        # the last two steps do not rescale, nor, below _RESCALE_AT, does
-        # the reference
-        assert list(ends) == u[-3:].tolist()
+    if ends is not None:
+        assert list(ends) == u[-2:].tolist()
 
 
 def test_growing_tail_rule_reaches_a_flip_at_the_last_step():
@@ -225,7 +224,7 @@ def test_growing_tail_rule_reaches_a_flip_at_the_last_step():
     # not stop the sweep before the grid ends.
     w = np.full(300, 1.0 - 2.0 ** -5)
     w[-2] = 1.5
-    assert _sweep(w, 0.0, 1.0, 1.0, 1, w.size - 1, 1)[0] == 1
+    assert _sweep(w, 1.0, 1.0, 1, w.size - 1, 1)[0] == 1
 
 
 # The next three tests keep the names they had when each case was also
@@ -239,7 +238,7 @@ def test_sweep_batch_node_rule_matches_sweep():
     # (A = 1 - 2**-53) or through an exact zero (A = 1) is no node, and one
     # above it (A = 1 + 2**-52, the next point) is.
     n = 1100
-    assert [_sweep(np.ones(n), 0.0, a, a - 2.0 ** -10, 1, n - 1, 1)[0]
+    assert [_sweep(np.ones(n), a, a - 2.0 ** -10, 1, n - 1, 1)[0]
             for a in (1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52)] == [0, 0, 1]
 
 
@@ -254,11 +253,11 @@ def test_sweep_batch_node_floor_follows_running_max():
     for weight, want in ((-2.0 ** 43, 0), (-2.0 ** 30, 1)):
         w = np.ones(n)
         w[f] = weight
-        assert _sweep(w, 0.0, 0.0, 1.0, 1, n - 1, 1)[0] == want
-        nodes, ends = _sweep(w, 0.0, 0.0, 1.0, 1, f, 1)
+        assert _sweep(w, 0.0, 1.0, 1, n - 1, 1)[0] == want
+        nodes, ends = _sweep(w, 0.0, 1.0, 1, f, 1)
         assert nodes == want
         if want == 0:
-            assert 1e-12 < -ends[2] < 1e-12 * ends[1]
+            assert 1e-12 < -ends[1] < 1e-12 * ends[0]
 
 
 def test_sweep_batch_node_floor_carries_across_blocks():
@@ -272,22 +271,23 @@ def test_sweep_batch_node_floor_carries_across_blocks():
     for weight, want in ((-2.0 ** 33, 0), (-2.0 ** 28, 1)):
         w = np.ones(f + 100)
         w[f] = weight
-        assert _sweep(w, 0.0, f + 1.5, f + 0.5, 1, w.size - 1, 1)[0] == want
+        assert _sweep(w, f + 1.5, f + 0.5, 1, w.size - 1, 1)[0] == want
 
 
-def _per_step_sweep(w, c, u0, u1, i, stop, step, limit=None):
+def _per_step_sweep(w, u0, u1, i, stop, step, limit=None):
     """_sweep as a plain loop: every step tests the sign, the count limit
-    and, but on the last two steps, the rescale, and no step stops on a
-    growing tail.  The reference for test_sweep_matches_its_per_step_form,
-    and the source of triplets where _sweep may stop short of them."""
-    n = (stop - i) * step
-    if n < 1:
+    and the rescale, and no step stops on a growing tail.  Returns
+    (nodes, (u[stop - step], u[stop])), or (nodes, None) where the count
+    limit trips or no step is taken.  The reference for
+    test_sweep_matches_its_per_step_form, and the source of end values
+    where _sweep may stop short of them."""
+    if (stop - i) * step < 1:
         return 0, None
-    # The weights w[j] + c and 12 - 10 (w[j] + c) of the swept span, in
-    # sweep order.  Elementwise float64 arithmetic gives the bits the
-    # step-by-step sums would.
+    # The weights w[j] and 12 - 10 w[j] of the swept span, in sweep order.
+    # Elementwise float64 arithmetic gives the bits the step-by-step
+    # products would.
     lo, hi = sorted((i - step, stop))
-    wc = np.asarray(w[lo:hi + 1], dtype=float) + c
+    wc = np.asarray(w[lo:hi + 1], dtype=float)
     if step < 0:
         wc = wc[::-1]
     kc = 12.0 - 10.0 * wc
@@ -298,7 +298,7 @@ def _per_step_sweep(w, c, u0, u1, i, stop, step, limit=None):
     amax = abs(u1)
     neg1 = u1 < 0.0
     ws = wc.tolist()
-    for t, (wm, k, wp) in enumerate(zip(ws, kc[1:-1].tolist(), ws[2:])):
+    for wm, k, wp in zip(ws, kc[1:-1].tolist(), ws[2:]):
         u2 = (k * u1 - wm * u0) / wp
         if u2 < 0.0:
             a2, neg2 = -u2, True
@@ -310,13 +310,12 @@ def _per_step_sweep(w, c, u0, u1, i, stop, step, limit=None):
             nodes += 1
             if nodes > limit:
                 return nodes, None
-        if a2 > _RESCALE_AT and t < n - 2:
+        if a2 > _RESCALE_AT:
             u1 /= _RESCALE_AT
             u2 /= _RESCALE_AT
             amax /= _RESCALE_AT
-        first = u0
         u0, u1, neg1 = u1, u2, neg2
-    return nodes, (first, u0, u1)
+    return nodes, (u0, u1)
 
 
 _SEEDS = [0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 1e-300, -5e-324, 1e200, -1e249]
@@ -335,8 +334,8 @@ def _any_sweeps(draw):
     trip on any step; "linear", weights of 1 (k = 2), so that integer
     seeds step exactly along a line that meets zero or crosses it at or
     under the 1e-12 node floor; "jump", calm weights with a tiny one that
-    makes one of the last three steps pass _RESCALE_AT, followed by
-    weights that drop |u| and then multiply it; and "tail", an
+    makes one of the last three steps pass _RESCALE_AT and rescale,
+    followed by weights that drop |u| and then multiply it; and "tail", an
     oscillating stretch before growing weights, long enough for the
     _CHUNK cuts and the growing-tail stop.  Half the draws put stop
     within a dozen steps of the start, or up to two behind it.
@@ -352,14 +351,13 @@ def _any_sweeps(draw):
     far = st.integers(i, size - 1) if step > 0 else st.integers(0, i)
     stop = draw(near | far)
     limit = draw(st.none() | st.integers(0, 6))
-    c = 0.0
     u0, u1 = draw(st.sampled_from(_SEEDS)), draw(st.sampled_from(_SEEDS))
     # the weights of the wild and jump families come from one drawn seed:
     # a draw per weight would cost most of the test's time
     pick = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).choice
     if family == "wild":
-        w = pick(_WILD, size).tolist()
-        c = draw(st.sampled_from([0.0, 2.0 ** -10]))
+        w = (pick(_WILD, size)
+             + draw(st.sampled_from([0.0, 2.0 ** -10]))).tolist()
     elif family == "oscillating":
         w = [1.3] * size
     elif family == "linear":
@@ -374,9 +372,9 @@ def _any_sweeps(draw):
         u0, u1 = draw(st.sampled_from(_SEEDS[2:6])), draw(
             st.sampled_from(_SEEDS[2:6]))
         w = pick(_CALM, size).tolist()
-        # the wp of the last step, of the one before it or of the one
-        # before the two that never rescale, then, in sweep order, weights
-        # that drop |u| tenfold and then multiply it by 1e9
+        # the wp of the last step or of one of the two before it, then, in
+        # sweep order, weights that drop |u| tenfold and then multiply it
+        # by 1e9
         at = stop - draw(st.integers(0, 2)) * step
         for j, v in enumerate((1e-300, 1.0, 10.0, 1e-7)):
             if 0 <= at + j * step < size:
@@ -386,7 +384,7 @@ def _any_sweeps(draw):
         w = [1.3] * turn + [1.0 - 2.0 ** -5] * (size - turn)
     if draw(st.booleans()):
         w = np.array(w)
-    return w, c, u0, u1, i, stop, step, limit
+    return w, u0, u1, i, stop, step, limit
 
 
 def _hex(values):
@@ -395,23 +393,23 @@ def _hex(values):
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(_any_sweeps())
-# the step before the last two passes _RESCALE_AT and must rescale; the
-# last two pass it unrescaled
-@example(([1.3] * 20 + [1e-300, 1.0, 10.0], 0.0, 1.0, 1.0, 1, 22, 1, None))
-@example(([1.3] * 20 + [1e-300, 1.0, 10.0], 0.0, 1.0, 1.0, 1, 21, 1, None))
+# |u| passes _RESCALE_AT on the third-last, the second-last or the last
+# step, which rescales
+@example(([1.3] * 20 + [1e-300, 1.0, 10.0], 1.0, 1.0, 1, 22, 1, None))
+@example(([1.3] * 20 + [1e-300, 1.0, 10.0], 1.0, 1.0, 1, 21, 1, None))
+@example(([1.3] * 20 + [1e-300, 1.0, 10.0], 1.0, 1.0, 1, 20, 1, None))
 # the count limit trips on the last step: no ends
-@example(([1.3] * 40, 0.0, 0.0, 1.0, 1, 2, 1, 0))
-@example(([1.3] * 40, 0.0, 0.0, 1.0, 38, 37, -1, 0))
+@example(([1.3] * 40, 0.0, 1.0, 1, 2, 1, 0))
+@example(([1.3] * 40, 0.0, 1.0, 38, 37, -1, 0))
 # an exact zero, then a sign change under the node floor
-@example(([1.0] * 40, 0.0, 3.0, 2.0, 1, 39, 1, None))
-@example(([1.0] * 40, 0.0, 10 * 2.0 ** 40 - 5.0, 9 * 2.0 ** 40 - 5.0,
+@example(([1.0] * 40, 3.0, 2.0, 1, 39, 1, None))
+@example(([1.0] * 40, 10 * 2.0 ** 40 - 5.0, 9 * 2.0 ** 40 - 5.0,
           1, 39, 1, None))
 # NaN weights
-@example(([1.3] * 10 + [math.nan] + [1.3] * 10, 0.0, 0.0, 1.0, 1, 20, 1,
-          None))
+@example(([1.3] * 10 + [math.nan] + [1.3] * 10, 0.0, 1.0, 1, 20, 1, None))
 # stop behind the seeds, either way: no step
-@example(([1.3] * 10, 0.0, 0.0, 1.0, 5, 1, 1, None))
-@example(([1.3] * 10, 0.0, 0.0, 1.0, 5, 9, -1, None))
+@example(([1.3] * 10, 0.0, 1.0, 5, 1, 1, None))
+@example(([1.3] * 10, 0.0, 1.0, 5, 9, -1, None))
 def test_sweep_matches_its_per_step_form(case):
     # _sweep runs in a sign-normalized frame with chunk cuts and stops
     # once the count is settled; its node count is the per-step loop's,
@@ -450,8 +448,8 @@ def test_node_only_sweeps_stop_on_a_growing_tail(monkeypatch):
     # Pseudospin 1s1/2 at C = -5, H = 0 is repulsive: U_eff - eps_target
     # is positive everywhere, so every step of every probe qualifies for
     # the growing-tail rule and each level count, with a count limit or
-    # without, stops before its first step: it reads the triplet at the
-    # sweep's end only when the sweep gets there.
+    # without, stops before its first step: it reads the end values of the
+    # sweep only when the sweep gets there.
     qn, sym, p = QuantumNumbers(1, -1), SymmetryLimit.pseudospin(-5.0), \
         benchmark_params(H=0.0)
     steps = _count_steps(monkeypatch)
@@ -512,7 +510,7 @@ def test_a_sweep_ends_before_its_first_weight_of_one_half():
         w, end = solver._weights(eps)
         assert w[end] > 0.5 >= w[end + 1]
         assert (w[1:end + 1] > 0.5).all() and w[-1] < 0.0
-        assert _sweep(w, 0.0, 1.0, solver.y1, 1, w.size - 1, 1)[0] > 10
+        assert _sweep(w, 1.0, solver.y1, 1, w.size - 1, 1)[0] > 10
         assert solver.count(eps) == levels, eps
 
 
@@ -525,7 +523,7 @@ def test_interior_nodes_with_the_turning_point_behind_the_start():
     solver = oracle._InnerSolver(U, r)
     w, end = solver._weights(-1.0)
     assert end == r.size - 1
-    assert _sweep(w, 0.0, 1.0, solver.y1, 1, 1, 1) == (0, None)
+    assert _sweep(w, 1.0, solver.y1, 1, 1, 1) == (0, None)
     assert solver.interior_nodes(-1.0) == 0
 
 
@@ -953,9 +951,9 @@ def test_interior_nodes_counts_a_node_at_match_idx_once():
     w, end = solver._weights(eps)
     j = int(np.searchsorted(solver.r, 2.0))
     tail = (1e-120, 1e-120 * solver._tail_ratio(eps, end), end - 1)
-    assert [_sweep(w, 0.0, 1.0, solver.y1, 1, stop, 1)[0]
+    assert [_sweep(w, 1.0, solver.y1, 1, stop, 1)[0]
             for stop in (j - 1, j)] == [0, 1]
-    assert [_sweep(w, 0.0, *tail, stop, -1)[0]
+    assert [_sweep(w, *tail, stop, -1)[0]
             for stop in (j, j - 1)] == [0, 1]
     assert nodes == solver.interior_nodes(eps) == 1
 
@@ -984,8 +982,10 @@ def _johnson_count(solver, eps):
     tail u ~ exp(-k r), k = sqrt(U[end] - eps), and one more when the
     log-derivative mismatch dout - din at m is negative (it falls
     through zero at each level).  The counts come from _sweep; the
-    triplets around m from the per-step loop, since near m both
-    solutions often grow, where _sweep stops short of them."""
+    pair of values ending at m from the per-step loop in each direction,
+    since near m both solutions often grow, where _sweep stops short of
+    them, and the value one step on from one more step of the
+    recurrence."""
     w, end = solver._weights(eps)
     m = int(np.searchsorted(solver.r, 0.35 * solver.r[-1]))
     start = (1.0, solver.y1, 1)
@@ -994,10 +994,13 @@ def _johnson_count(solver, eps):
     v_end = 1e-120
     tail = (v_end, v_end * math.exp(min(k * (r1 - r0), 300.0))
             * math.sqrt(r1 / r0), end - 1)
-    n_out = _sweep(w, 0.0, *start, m, 1)[0]
-    n_in = _sweep(w, 0.0, *tail, m, -1)[0]
-    u0, u1, u2 = _per_step_sweep(w, 0.0, *start, m + 1, 1)[1]
-    v2, v1, v0 = _per_step_sweep(w, 0.0, *tail, m - 1, -1)[1]
+    n_out = _sweep(w, *start, m, 1)[0]
+    n_in = _sweep(w, *tail, m, -1)[0]
+    k = 12.0 - 10.0 * w[m]
+    u0, u1 = _per_step_sweep(w, *start, m, 1)[1]
+    u2 = (k * u1 - w[m - 1] * u0) / w[m + 1]
+    v2, v1 = _per_step_sweep(w, *tail, m, -1)[1]
+    v0 = (k * v1 - w[m + 1] * v2) / w[m - 1]
     dout = (u2 - u0) / (2.0 * solver.h * u1)
     din = (v2 - v0) / (2.0 * solver.h * v1)
     return n_out + n_in + (dout - din < 0.0)

@@ -184,25 +184,40 @@ def test_a_radius_that_is_not_positive_is_a_domain_error(name, bad):
         call(np.array([1.0, bad]))
 
 
-# The residuals, called with the energy E in its place.
+# Every public function that takes an energy, called with E in its place.
+# wave_context and solve_wavefunction take one energy, not a sequence.
 _TAKES_ENERGY = {
     "nu_residual": lambda E: diracbound.nu_residual(E, _P, _SPIN, _QN),
     "susy_residual": lambda E: diracbound.susy_residual(E, _P, _SPIN, _QN),
+    "target_eigenvalue": lambda E: target_eigenvalue(E, _SPIN, _P.M),
+    "effective_potential[E]": lambda E: effective_potential(
+        1.0, E, _P, _SPIN, _QN),
+    "wave_context": lambda E: diracbound.wave_context(
+        _QN, _SPIN, _P, E).beta,
+    "solve_wavefunction": lambda E: diracbound.solve_wavefunction(
+        _QN, _SPIN, _P, E).samples,
 }
+_TAKES_ONE_ENERGY = {"wave_context", "solve_wavefunction"}
 
 
 @pytest.mark.parametrize("name", sorted(_TAKES_RADII) + sorted(_TAKES_ENERGY))
 def test_a_radius_or_energy_that_is_not_real_is_a_domain_error(name):
     # str, bytes, bool and complex input, alone or in a sequence; int
-    # scalars and sequences give the bits of their float twins.
+    # scalars and sequences give the bits of their float twins, and a
+    # sequence where one energy is taken is a DomainError too.
     call = {**_TAKES_RADII, **_TAKES_ENERGY}[name]
     for bad in ("0.3", b"0.3", "a", True, np.True_, 1 + 2j, ["0.3"],
                 [1.0, "x"], np.array([1.0 + 0j])):
         with pytest.raises(DomainError, match="must be real"):
             call(bad)
     for value, twin in ((1, 1.0), ([1, 0.5], np.array([1.0, 0.5]))):
+        if name in _TAKES_ONE_ENERGY and np.ndim(twin):
+            with pytest.raises(DomainError, match="must be one energy"):
+                call(value)
+            continue
         got, want = call(value), call(twin)
         assert type(got) is type(want)
+        assert not isinstance(got, np.generic)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
