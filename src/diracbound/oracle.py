@@ -10,10 +10,12 @@ the target curve eps_target(E) fixed by the symmetry limit.
 The sweeps run on a logarithmic mesh, x = ln r, in Liouville form (W. R.
 Johnson, Atomic Structure Theory, Springer 2007, ch. 2): y = r^(-1/2) u
 has the nodes of u and obeys y'' = [r^2 (U_eff - eps) + 1/4] y in x.
-Near r = 0 that coefficient tends to D = 1/4 + lim r^2 U_eff, and the
-regular solution is y ~ exp(sqrt(D) x), which seeds every outward sweep
-exactly, also where D < 1 and both solutions of u are square-integrable
-at the origin.
+Near r = 0 that coefficient is D + b1 r + (b2 - eps) r^2 + O(r^3), with
+D = 1/4 + lim r^2 U_eff, and the regular solution is y = exp(sqrt(D) x)
+(1 + a1 r + a2 r^2 + O(r^3)).  Every outward sweep starts at r = 1e-4 fm
+from this two-term Frobenius solution, with D, b1 and b2 read from the
+first three samples of r^2 U_eff; it picks the regular solution also where
+D < 1 and both solutions of u are square-integrable at the origin.
 
 Nothing in this module uses the closed-form spectrum; it exists to check it.
 """
@@ -45,7 +47,7 @@ __all__ = [
 _RESCALE_AT = 1e250
 _CHUNK = 2048            # weights per array that a scalar sweep converts
 _TAIL = 64               # steps between growing-tail checks of a sweep
-_R_MIN = 1e-6            # first mesh point (fm)
+_R_MIN = 1e-4            # first mesh point (fm)
 _FLOOR_FROM = 0.5        # an inner search's floor is min U over r >= this (fm)
 _OUTER_TOL = 1e-8        # half-width of the certificate's window at eps_target
 
@@ -54,8 +56,9 @@ _OUTER_TOL = 1e-8        # half-width of the certificate's window at eps_target
 class OracleConfig:
     """Mesh settings for the shooting solver.
 
-    The mesh is uniform in x = ln r, from r = 1e-6 fm to r_max, with
-    num_points intervals (default 3000, at least 1000); the probe scan,
+    The mesh is uniform in x = ln r, from r = 1e-4 fm to r_max, with
+    num_points intervals (default 2241, at least 1000; on an 80 fm box
+    the default step is h = 0.00607); the probe scan,
     both bisections and the node count all run on it.  r_max=None picks
     40 fm for schrodinger_eigenvalue, and for dirac_eigenvalue
     2 max(40, 12/sqrt(|eps_ref|)) fm from the problem's own energy scale,
@@ -67,7 +70,7 @@ class OracleConfig:
     """
 
     r_max: Optional[float] = None
-    num_points: int = 3000
+    num_points: int = 2241
     centrifugal_mode: str = "approximated"
 
     def __post_init__(self):
@@ -201,13 +204,19 @@ def _sweep(w, u0, u1, i, stop, step, limit=None):
     kc = 12.0 - 10.0 * wc
     # Step t is taken at grid index i + t step and has center wc[t + 1].
     # The tail rule may stop the sweep after the steps before tail: every
-    # later step qualifies.
-    big = wc > 0.5
-    bad = np.flatnonzero(~((kc[1:-1] - wc[:-2] - wc[2:] >= 1e-12)
-                           & big[:-2] & big[1:-1] & big[2:]))
+    # later step qualifies.  The weight test is left out when every weight
+    # passes it, as on every level count's span (_weights); a NaN weight
+    # fails wc.min() > 0.5 and keeps it.
+    ok = kc[1:-1] - wc[:-2] - wc[2:] >= 1e-12
+    if not wc.min() > 0.5:
+        big = wc > 0.5
+        ok &= big[:-2] & big[1:-1] & big[2:]
+    bad = np.flatnonzero(~ok)
     tail = int(bad[-1]) + 1 if bad.size else 0
+    # chunk cuts before tail, checks from it, then n: bad < n, so tail <= n
+    # and the three ranges are sorted and disjoint
     checks = range(tail, n, _TAIL)
-    cuts = sorted({*range(_CHUNK, min(tail, n), _CHUNK), *checks, n})
+    cuts = [*range(_CHUNK, tail, _CHUNK), *checks, n]
     if limit is None:
         limit = math.inf
     u0, u1 = float(u0), float(u1)
@@ -262,6 +271,18 @@ def _sweep(w, u0, u1, i, stop, step, limit=None):
     return nodes, (s * x0, s * x1)
 
 
+def _origin(U, r):
+    """(D, b1, b2) of f = r^2 U + 1/4 = D + b1 r + b2 r^2 + O(r^3) near
+    r = 0: the parabola through the first three samples, so D is off by
+    O(r0^3) and b2 by O(r0)."""
+    (r0, r1, r2), (u0, u1, u2) = map(float, r[:3]), map(float, U[:3])
+    f0, f1, f2 = (0.25 + r0 * r0 * u0, 0.25 + r1 * r1 * u1,
+                  0.25 + r2 * r2 * u2)
+    d01 = (f1 - f0) / (r1 - r0)
+    b2 = ((f2 - f1) / (r2 - r1) - d01) / (r2 - r0)
+    return f0 - d01 * r0 + b2 * r0 * r1, d01 - b2 * (r0 + r1), b2
+
+
 class _InnerSolver:
     """Level and node counts of u'' = [U(r) - eps] u for a fixed U(r).
 
@@ -269,10 +290,15 @@ class _InnerSolver:
     run on y = r^(-1/2) u, whose Numerov weights at eps are
     w_j = wU_j + eps (h^2/12) r_j^2, with wU_j = 1 - (h^2/12)(r_j^2 U_j +
     1/4); they are built as one array per count and passed to _sweep.
-    Every outward sweep starts from the regular solution at r[0],
-    y0 = 1 and y1 = exp(sqrt(D) h), D = 1/4 + r[0]^2 U[0].  D includes
-    every 1/r^2 term of U, and D < 0 is the fall to the centre, where U
-    has no lowest level.
+    Every outward sweep starts from the regular Frobenius solution, to
+    two terms (_origin gives D, b1 and b2 of f = r^2 U + 1/4):
+    y = r^sqrt(D) (1 + a1 r + a2 r^2), with a1 = b1 / (1 + 2 sqrt(D)) and
+    a2 = (b1 a1 + b2 - eps) / (4 (1 + sqrt(D))), since the equation's
+    coefficient is f - eps r^2; y0 = 1 and y1 = y(r1) / y(r0) (_seed).  The
+    seed's error is then O(r0^3) in y1; with the first term only it is
+    O(r0^2), which on a mesh from 1e-4 fm put a state with D = 0.018
+    3e-8 off in E.  D includes every 1/r^2 term of U, and D < 0 is the
+    fall to the centre, where U has no lowest level.
     """
 
     def __init__(self, U: np.ndarray, r: np.ndarray):
@@ -283,8 +309,16 @@ class _InnerSolver:
         r2 = r * r
         self.g = hh12 * r2
         self.wU = 1.0 - hh12 * (r2 * U + 0.25)
-        self.D = float(0.25 + r2[0] * U[0])
-        self.y1 = math.exp(math.sqrt(max(self.D, 0.0)) * self.h)
+        self.D, self._b1, self._b2 = _origin(U, r)
+
+    def _seed(self, eps: float) -> float:
+        """y1 / y0 of the regular solution at eps, to two Frobenius terms."""
+        root = math.sqrt(max(self.D, 0.0))
+        a1 = self._b1 / (1.0 + 2.0 * root)
+        a2 = (self._b1 * a1 + self._b2 - eps) / (4.0 * (1.0 + root))
+        r0, r1 = float(self.r[0]), float(self.r[1])
+        return (math.exp(root * self.h) * (1.0 + r1 * (a1 + a2 * r1))
+                / (1.0 + r0 * (a1 + a2 * r0)))
 
     def _weights(self, eps: float):
         """The weights at eps and the end of a sweep: the point before the
@@ -318,7 +352,7 @@ class _InnerSolver:
         (_sweep's count limit).
         """
         w, end = self._weights(eps)
-        n, ends = _sweep(w, 1.0, self.y1, 1, end, 1, limit)
+        n, ends = _sweep(w, 1.0, self._seed(eps), 1, end, 1, limit)
         if ends is not None:
             y1, y2 = ends
             if not (y1 < 0.0 < y2 or y2 < 0.0 < y1) \
@@ -339,7 +373,7 @@ class _InnerSolver:
         w, end = self._weights(eps)
         allowed = np.flatnonzero(self.U[:end + 1] < eps)
         m = min(int(allowed[-1]) + 1, end) if allowed.size else 1
-        n_out, _ = _sweep(w, 1.0, self.y1, 1, m, 1)
+        n_out, _ = _sweep(w, 1.0, self._seed(eps), 1, m, 1)
         v_end = 1e-120
         n_in, _ = _sweep(w, v_end, v_end * self._tail_ratio(eps, end),
                          end - 1, m, -1)
@@ -348,7 +382,7 @@ class _InnerSolver:
     def floor(self, n_target: int):
         """A search floor below the n_target eigenvalue and its level count.
 
-        U near r_min can be dominated by an attractive singularity (-2e6
+        U near r_min can be dominated by an attractive singularity (-2e4
         for hydrogen's -2/r), so the floor starts from the minimum of U
         over r >= 0.5 fm and deepens adaptively until the level count at
         the floor does not exceed n_target.  Returns (floor, count) or None.
@@ -454,6 +488,22 @@ def _defect_sign(parts, sym: SymmetryLimit, M: float, r: np.ndarray,
     return +1 if n <= degree else -1
 
 
+def _inside_the_fall(parts, r: np.ndarray, e_a: float, e_b: float) -> float:
+    """An energy just inside D > 0 in a probe pair (e_a, e_b) with D < 0 at
+    one end only.
+
+    D is linear in E (U_eff is), so D = 0 at e0, where the line through
+    the ends' D crosses zero.  The energy returned lies 1e-3 of the way
+    from e0 to the end where D > 0, so its D is 1e-3 of that end's, far
+    above the O(r0^3) error of D's extrapolation (_origin); a root between
+    the signed end and e0 escapes the new bracket only within that last
+    1e-3.
+    """
+    d_a, d_b = (_origin(_u_eff(parts, E), r)[0] for E in (e_a, e_b))
+    e0 = e_a + (e_b - e_a) * d_a / (d_a - d_b)
+    return e0 + 1e-3 * ((e_a if d_a > d_b else e_b) - e0)
+
+
 def _energy_window(eq: ReducedEquation):
     """Open interval of E where eps_target < 0 (a decaying tail is possible).
 
@@ -477,7 +527,7 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
     Solves eps_inner(E) = eps_target(E) where eps_inner is the inner
     eigenvalue with the node count fixed by the quantum numbers (the degree
     of the polynomial factor of the solved component).  Every search runs
-    on one logarithmic mesh (OracleConfig: num_points intervals, 3000 by
+    on one logarithmic mesh (OracleConfig: num_points intervals, 2241 by
     default, up to r_max = 2 max(40, 12/sqrt(|eps_ref|)) fm unless the
     config sets it) and uses one level count (_InnerSolver.count: the
     levels below eps whose tail decays, from one outward Numerov sweep).
@@ -485,10 +535,12 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
     visited nearest E = 0 first, with one count per probe, each probe
     counted once; the first pair whose defect changes sign, the bracket
     nearest E = 0, is bisected with one count per step.  A probe where
-    U_eff falls to the centre (U_eff ~ lam / r^2 at r[0] with lam < -1/4,
-    as for spin (0, -3) at H = 2.5, C = 7) carries no sign: U_eff has no
-    lowest level there.  U_eff is built at each energy from parts computed
-    once.
+    U_eff falls to the centre (U_eff ~ lam / r^2 near r = 0 with
+    lam < -1/4, D < 0, as for spin (0, -3) at H = 2.5, C = 7) carries no
+    sign: U_eff has no lowest level there.  A pair with one such end takes
+    one more probe just inside D > 0 (_inside_the_fall) in place of that
+    end, so a root just below the energy where U_eff starts to fall is
+    bracketed.  U_eff is built at each energy from parts computed once.
 
     Two more counts certify the final energy (Johnson's Sturm count,
     J. Chem. Phys. 69, 4678 (1978)): the count never falls as eps rises,
@@ -499,10 +551,10 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
 
     Every failure raises; a returned result is certified.  Raises
     NoEigenvalueError when no self-consistent bound state exists in the
-    window: no energy admits a decaying tail, no probe pair changes sign,
-    or U_eff falls to the centre at the final energy (D < 0, which the
-    scan leaves only to rounding: the bracket's ends do not fall, and lam
-    is linear in E).  Raises NotConvergedError when the two counts refute
+    window: no energy admits a decaying tail, no probe pair changes sign
+    (with its extra probe where it has one), or U_eff falls to the centre
+    at the final energy (D < 0, which the scan leaves only to rounding:
+    the bracket's ends do not fall, and D is linear in E).  Raises NotConvergedError when the two counts refute
     the final level, as where the bracket holds a jump of the defect
     rather than a root; its message names both counts and eps_target.
     """
@@ -531,14 +583,23 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
     signs = {}
     # Neighbouring probe pairs nearest E = 0 first, the lower one on a tie
     # (sorted is stable), each probe counted once; the first sign change
-    # is the bracket taken.
+    # is the bracket taken.  A pair with one end that falls to the centre
+    # takes one more probe, just inside D > 0 (_inside_the_fall), in place
+    # of that end.
     for i in sorted(range(len(pairs)),
                     key=lambda i: abs(0.5 * (pairs[i][0] + pairs[i][1]))):
         for j in (i, i + 1):
             if j not in signs:
                 signs[j] = _defect_sign(parts, sym, p.M, r, probes[j])
-        if None not in (signs[i], signs[i + 1]) and signs[i] != signs[i + 1]:
-            lo, hi = pairs[i]
+        (lo, hi), s_lo, s_hi = pairs[i], signs[i], signs[i + 1]
+        if (s_lo is None) != (s_hi is None):
+            inner = _inside_the_fall(parts, r, lo, hi)
+            s_in = _defect_sign(parts, sym, p.M, r, inner)
+            if s_lo is None:
+                lo, s_lo = inner, s_in
+            else:
+                hi, s_hi = inner, s_in
+        if None not in (s_lo, s_hi) and s_lo != s_hi:
             break
     else:
         raise NoEigenvalueError(
@@ -546,7 +607,6 @@ def dirac_eigenvalue(qn: QuantumNumbers, sym: SymmetryLimit,
             f"[{e_lo:.4f}, {e_hi:.4f}]")
 
     outer = 0
-    s_lo = signs[i]
     while hi - lo > 1e-10 and outer < 200:
         mid = 0.5 * (lo + hi)
         if _defect_sign(parts, sym, p.M, r, mid) == s_lo:

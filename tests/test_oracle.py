@@ -1,7 +1,9 @@
 """Shooting-method integrator against closed-form eigenvalues."""
 
 import math
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -492,25 +494,25 @@ def test_sweep_stop_points_are_pinned(monkeypatch):
         for limit in (0, None):
             before = steps()
             got.append((solver.count(eps, limit), steps() - before))
-    assert got == [(0, 0), (0, 0), (0, 3541), (0, 3541), (1, 3423),
-                   (1, 3423), (1, 3999), (1, 3999)]
+    assert got == [(0, 0), (0, 0), (0, 3316), (0, 3316), (1, 3202),
+                   (1, 3202), (1, 3999), (1, 3999)]
 
 
 def test_a_sweep_ends_before_its_first_weight_of_one_half():
     # On a 2000 fm mesh the weights of hydrogen's equation at eps < 0 fall
-    # to 1/2 and then far below it (to -67 at eps = -4) deep in the
+    # to 1/2 and then far below it (to -74 at eps = -4) deep in the
     # forbidden region, where the recurrence no longer follows the
     # equation: a sweep over the whole mesh counts hundreds of false
     # nodes there.  The level count ends the sweep at the point before
     # the first weight <= 1/2 and reads hydrogen's levels, -1/(n + 1)^2.
-    r = _log_mesh(2000.0, 3000)
+    r = _log_mesh(2000.0, 2241)
     solver = oracle._InnerSolver(_hydrogen(r), r)
     for eps, levels in ((-4.0, 0), (-1.5, 0), (-0.5, 1), (-0.2, 2),
                         (-0.1, 3)):
         w, end = solver._weights(eps)
         assert w[end] > 0.5 >= w[end + 1]
         assert (w[1:end + 1] > 0.5).all() and w[-1] < 0.0
-        assert _sweep(w, 1.0, solver.y1, 1, w.size - 1, 1)[0] > 10
+        assert _sweep(w, 1.0, solver._seed(eps), 1, w.size - 1, 1)[0] > 10
         assert solver.count(eps) == levels, eps
 
 
@@ -523,7 +525,7 @@ def test_interior_nodes_with_the_turning_point_behind_the_start():
     solver = oracle._InnerSolver(U, r)
     w, end = solver._weights(-1.0)
     assert end == r.size - 1
-    assert _sweep(w, 1.0, solver.y1, 1, 1, 1) == (0, None)
+    assert _sweep(w, 1.0, solver._seed(-1.0), 1, 1, 1) == (0, None)
     assert solver.interior_nodes(-1.0) == 0
 
 
@@ -532,21 +534,21 @@ def test_interior_nodes_with_the_turning_point_behind_the_start():
 # 2 B, H, (n, kappa), centrifugal mode, num_points) -> (E, node_count,
 # outer_iters, converged).  The pseudospin case is the charge conjugate of
 # the spin one (V0, A, B, C and eta negated), on its own mesh.  The
-# approximated cases lie within 4.1e-8 of their closed-form roots, the
+# approximated cases lie within 1.3e-8 of their closed-form roots, the
 # last one on 1000 points.
 _PINNED_DIRAC = {
     ("spin", 5.0, 2.0, 0.0, (0, -2), "approximated", 1000):
-        ("0x1.b16b95c122956p-2", 0, 29, True),
+        ("0x1.b16b95c4c6196p-2", 0, 29, True),
     ("pseudospin", -5.0, -2.0, 0.0, (0, -1), "approximated", 1500):
-        ("-0x1.b16b95c4c6192p-2", 0, 29, True),
+        ("-0x1.b16b95c5aefa4p-2", 0, 29, True),
     ("spin", 7.0, 2.0, 0.0, (0, -1), "exact", 2000):
         ("0x1.22863f5596ef2p+1", 0, 28, True),
     ("spin", 5.0, 2.0, 5.0, (1, -2), "approximated", 2000):
-        ("0x1.37d065e289fb6p+0", 1, 29, True),
+        ("0x1.37d065e57ed6ap+0", 1, 29, True),
     ("spin", 6.0903, 0.6306, 2.9848, (2, -1), "approximated", 1000):
-        ("0x1.f01fee10d24fbp+1", 2, 28, True),
+        ("0x1.f01fee4cdf9b8p+1", 2, 28, True),
 }
-_PINNED_HYDROGEN = {0: "-0x1.000000000e134p+0", 1: "-0x1.00000000438dcp-2"}
+_PINNED_HYDROGEN = {0: "-0x1.fffffffff79bcp-1", 1: "-0x1.00000000143aep-2"}
 
 
 def test_oracle_outputs_are_pinned():
@@ -602,6 +604,19 @@ def _u_eff_by_limit(r, E, p, sym, qn, mode):
     return cent + pot, np.abs(cent) + np.abs(pot)
 
 
+def test_the_readme_names_the_mesh_the_oracle_uses():
+    # The README's oracle paragraph states where the mesh starts and its
+    # default number of intervals; both must be the code's.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("A third, independent path")
+    paragraph = readme[start:readme.index("\n\n", start)]
+    r_min = re.search(r"x = ln r from (\S+) fm", paragraph)
+    num_points = re.search(r"\((\d+) by default", paragraph)
+    assert r_min and float(r_min.group(1)) == oracle._R_MIN
+    assert num_points and int(num_points.group(1)) == \
+        OracleConfig().num_points
+
+
 def test_u_eff_from_parts_is_effective_potential():
     # The outer bisection builds U(E) from parts computed once; it and
     # effective_potential must be the per-limit forms of U_eff, in both
@@ -625,8 +640,10 @@ def test_u_eff_from_parts_is_effective_potential():
 # earlier versions (converged=False, 1 + 4 lam = 164); and a state whose
 # U_eff falls to the centre (1 + 4 lam < 0) over the upper part of its
 # energy window.
-_SPOT = ("spin", 5.0, 2.0, 0.0, (0, -2), "approximated", 3000)
-_NEAR_FALL = ("spin", 7.2786, 2.0, 2.2314, (0, -3), "approximated", 3000)
+_SPOT = ("spin", 5.0, 2.0, 0.0, (0, -2), "approximated",
+         OracleConfig().num_points)
+_NEAR_FALL = ("spin", 7.2786, 2.0, 2.2314, (0, -3), "approximated",
+              OracleConfig().num_points)
 _UNCONVERGED = ("spin", 4.7241, 2.5171, 4.9842, (1, 1), "approximated", 1000,
                 -1.4149, 0.6642)
 _FALLS = ("spin", 7.0, 2.0, 2.5, (0, -3), "approximated", 2000)
@@ -798,11 +815,39 @@ def test_a_state_off_its_target_or_falling_to_the_centre_is_not_converged(
     assert 1.0 + 4.0 * lam < 0.0
 
 
+def test_a_root_just_below_the_fall_to_the_centre_is_found(monkeypatch):
+    # Spin (1, -3), V0 = 2 A = 2 B = 2, H = 2.2057, C = 6.6717 on the
+    # default mesh: its only normalizable root (AC-5's normalizable_roots),
+    # E = 1.99485 with D = 0.0035, lies 0.0035 below the energy where D,
+    # linear in E, crosses 0, closer than the probe spacing.  So the probe
+    # above the root falls to the centre and carries no sign; the scan
+    # then probes once more just inside D > 0 and brackets the root there,
+    # to the contract's D < 1 bound.  The oracle once raised
+    # NoEigenvalueError here.
+    qn, sym, p, cfg = _pinned_inputs("spin", 6.6717, 2.0, 2.2057, (1, -3),
+                                     "approximated", OracleConfig().num_points)
+    root = 1.9948543905290193
+    eq = ReducedEquation.of(p, sym, qn)
+    assert 0.0 < eq.terms(root)[4] < 0.01
+    inside = []
+    real = oracle._inside_the_fall
+
+    def spy(*args):
+        inside.append(real(*args))
+        return inside[-1]
+
+    monkeypatch.setattr(oracle, "_inside_the_fall", spy)
+    res = dirac_eigenvalue(qn, sym, p, cfg)
+    assert len(inside) == 1
+    assert res.node_count == eq.degree == 1
+    assert abs(res.E - root) <= 3e-10
+
+
 @pytest.mark.slow
 def test_sweep_count_budget(monkeypatch):
     # Sweeps and recurrence steps per dirac_eigenvalue, which no timing
     # shows on a machine of another speed.  Every sweep runs on the one
-    # 3001-point log mesh.  The scan sweeps a probe once when its pair is
+    # default log mesh.  The scan sweeps a probe once when its pair is
     # visited, nearest E = 0 first, and stops at the first sign change: 8
     # of the 160 probes for the spot state, 3 for the near-fall state.
     # Each level count is one outward sweep: with the outer bisection's
@@ -828,15 +873,16 @@ def test_sweep_count_budget(monkeypatch):
 
     monkeypatch.setattr(oracle, "_defect_sign", sign_spy)
     steps = _count_steps(monkeypatch)
-    for key, probes, budget, step_budget in ((_SPOT, 8, 41, 96_584),
-                                             (_NEAR_FALL, 3, 35, 94_700)):
+    size = OracleConfig().num_points + 1
+    for key, probes, budget, step_budget in ((_SPOT, 8, 41, 69_260),
+                                             (_NEAR_FALL, 3, 35, 69_652)):
         sweeps.clear()
         signs.clear()
         before = steps()
         res = dirac_eigenvalue(*_pinned_inputs(*key))
-        assert sweeps.keys() == {3001}, key
+        assert sweeps.keys() == {size}, key
         assert len(signs) - res.outer_iters == probes, key
-        assert sweeps[3001] <= budget, key
+        assert sweeps[size] <= budget, key
         assert steps() - before <= step_budget, key
 
 
@@ -885,9 +931,11 @@ def _hydrogen(r):
 
 # Hydrogen, u'' = (-2/r - eps) u, has its level n at -1/(n + 1)^2.  Each
 # bound on |eps + 1/(n + 1)^2| is about twice the largest gap measured on
-# its log mesh (4.7e-8, 4.5e-8, 3.6e-9 and 5.0e-11, at n = 3 each time;
-# on the 60 fm meshes that gap is the box's, whose end cuts the n = 3
-# tail, and n = 0 to 2 are within 2.0e-9 and 2.5e-11).
+# its log mesh from 1e-6 fm (4.7e-8, 4.5e-8, 3.6e-9 and 5.0e-11, at n = 3
+# each time; on the 60 fm meshes that gap is the box's, whose end cuts
+# the n = 3 tail, and n = 0 to 2 are within 2.0e-9 and 2.5e-11).  From
+# 1e-4 fm the gaps are 4.6e-8, 4.6e-8, 1.2e-9 and 1.7e-11 (n = 0 to 2 on
+# the 60 fm meshes within 6.1e-10 and 7.6e-12).
 _HYDROGEN_GRIDS = {(60.0, 1000): 1e-7, (60.0, 3000): 1e-7,
                    (120.0, 1000): 8e-9, (200.0, 3000): 1e-10}
 
@@ -939,6 +987,59 @@ def _hydrogen_solver(r_max, num_points):
     return oracle._InnerSolver(_hydrogen(r), r)
 
 
+def _regular_ratio(laurent, l, r0, r1):
+    """y(r1) / y(r0) of the regular solution of u'' = U u, y = r^(-1/2) u,
+    where U = sum_j laurent[j] r^(j - 2) and laurent[0] = l (l + 1): the
+    series u = r^(l + 1) sum_k c_k r^k, c_0 = 1, with
+    c_k k (k + 2 l + 1) = sum_(j >= 1) laurent[j] c_(k - j), to 12 terms."""
+    c = [1.0]
+    for k in range(1, 12):
+        c.append(sum(laurent[j] * c[k - j]
+                     for j in range(1, min(k, len(laurent) - 1) + 1))
+                 / (k * (k + 2 * l + 1)))
+    def series(r):
+        return sum(ck * r ** k for k, ck in enumerate(c))
+    return (r1 / r0) ** (l + 0.5) * series(r1) / series(r0)
+
+
+@pytest.mark.parametrize("l", [0, 1, 2])
+@pytest.mark.parametrize("screened", [False, True],
+                         ids=["hydrogen", "hulthen"])
+def test_every_outward_sweep_starts_on_the_regular_solution(l, screened):
+    # U = l (l + 1) / r^2 - 2 / r (hydrogen) or l (l + 1) / r^2 - V0 s /
+    # (1 - s), s = exp(-2 delta r) (Hulthen, with V0 = 2, delta = 0.05),
+    # whose Laurent series in r has the Bernoulli numbers as coefficients:
+    # V0 s / (1 - s) = V0 sum_k B_k (2 delta)^(k - 1) r^(k - 1) / k!.  Both
+    # have D = (l + 1/2)^2; b1 = -2 and -V0 / (2 delta) = -20 come from
+    # the potential, and the Hulthen term also has an r^0 part, V0 / 2,
+    # which a line through two samples would carry into D as an error of
+    # V0 r0 r1 / 2 = 1e-8.  The seed y1 / y0 at eps is the exact regular
+    # solution's ratio to O(r0^3 h) (measured at most 1.2e-12, against
+    # 4e-11 to 6.5e-10 with the first Frobenius term only); eps enters
+    # through the second term.
+    r = _log_mesh(80.0, OracleConfig().num_points)
+    r0, r1 = float(r[0]), float(r[1])
+    assert r0 == pytest.approx(oracle._R_MIN, rel=1e-12)
+    bernoulli = [1.0, -0.5, 1.0 / 6.0, 0.0, -1.0 / 30.0]
+    V0, delta = 2.0, 0.05
+    if screened:
+        U = l * (l + 1) / r ** 2 - V0 * np.exp(-2.0 * delta * r) / (
+            -np.expm1(-2.0 * delta * r))
+        laurent = [l * (l + 1)] + [
+            -V0 * bernoulli[j - 1] * (2.0 * delta) ** (j - 2)
+            / math.factorial(j - 1) for j in range(1, 6)]
+    else:
+        U = l * (l + 1) / r ** 2 - 2.0 / r
+        laurent = [l * (l + 1), -2.0, 0.0]
+    solver = oracle._InnerSolver(U, r)
+    assert abs(solver.D - (l + 0.5) ** 2) <= (1e-10 if screened else 1e-9)
+    assert solver._b1 == pytest.approx(laurent[1], rel=1e-6)
+    for eps in (0.0, -0.25, -30.0):
+        exact = _regular_ratio([laurent[0], laurent[1],
+                                laurent[2] - eps, *laurent[3:]], l, r0, r1)
+        assert abs(solver._seed(eps) - exact) <= 1e-11 * exact, eps
+
+
 def test_interior_nodes_counts_a_node_at_match_idx_once():
     # The n = 1 hydrogen level has its node at r = 2 fm, between r[j - 1]
     # and r[j] on a 30 fm, 1000-interval mesh: the outward sweep to j
@@ -951,7 +1052,7 @@ def test_interior_nodes_counts_a_node_at_match_idx_once():
     w, end = solver._weights(eps)
     j = int(np.searchsorted(solver.r, 2.0))
     tail = (1e-120, 1e-120 * solver._tail_ratio(eps, end), end - 1)
-    assert [_sweep(w, 1.0, solver.y1, 1, stop, 1)[0]
+    assert [_sweep(w, 1.0, solver._seed(eps), 1, stop, 1)[0]
             for stop in (j - 1, j)] == [0, 1]
     assert [_sweep(w, *tail, stop, -1)[0]
             for stop in (j, j - 1)] == [0, 1]
@@ -988,7 +1089,7 @@ def _johnson_count(solver, eps):
     recurrence."""
     w, end = solver._weights(eps)
     m = int(np.searchsorted(solver.r, 0.35 * solver.r[-1]))
-    start = (1.0, solver.y1, 1)
+    start = (1.0, solver._seed(eps), 1)
     k = math.sqrt(max(float(solver.U[end]) - eps, 0.0))
     r0, r1 = float(solver.r[end - 1]), float(solver.r[end])
     v_end = 1e-120
