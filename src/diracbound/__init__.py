@@ -34,7 +34,6 @@ from .oracle import (
     OracleConfig,
     OracleResult,
     dirac_eigenvalue,
-    numerov_integrate,
     schrodinger_eigenvalue,
 )
 from .spectra import (
@@ -53,7 +52,6 @@ from .spectra import (
 from .wavefunctions import (
     SpinorSolution,
     WaveContext,
-    count_nodes,
     default_grid,
     hyp2f1_terminating,
     jacobi_p,

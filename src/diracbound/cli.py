@@ -609,8 +609,9 @@ def _verify_dual_path(cfg: RunConfig) -> tuple[str, str]:
     sym = SymmetryLimit.spin(5.0)
     qn = QuantumNumbers(0, 1)
     general = sorted(r.E for r in solve_levels(qn, sym, p))
+    # solve_levels' window, |E| <= M + |C| + 1
     special = [e for e in hulthen_roots(p, sym, qn)
-               if -p.M - 6.0 <= e <= p.M + 6.0]
+               if abs(e) <= p.M + abs(sym.constant) + 1.0]
     if (len(general) != len(special)
             or any(abs(a - b) > 1e-10 for a, b in zip(general, special))):
         problems.append("hulthen root mismatch")

@@ -15,7 +15,7 @@ normalization.
 
 Wherever a closed form has a radial index, the polynomial degree of the
 solved component is plugged in, following the same labeling convention as
-the general solver (``spectra.radial_poly_degree``): for pseudospin states
+the general solver (``potentials.radial_poly_degree``): for pseudospin states
 with kappa > 0 the degree is n + 1, everywhere else it is n.
 """
 
@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import DomainError
 from .potentials import (PotentialParams, SymmetryLimit, _index, _like,
-                         _screening)
-from .spectra import QuantumNumbers, radial_poly_degree
+                         _screening, radial_poly_degree)
+from .spectra import QuantumNumbers
 from .wavefunctions import jacobi_p
 
 __all__ = [

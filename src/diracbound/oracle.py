@@ -39,7 +39,6 @@ from .spectra import QuantumNumbers
 __all__ = [
     "OracleConfig",
     "OracleResult",
-    "numerov_integrate",
     "schrodinger_eigenvalue",
     "dirac_eigenvalue",
 ]
@@ -105,32 +104,6 @@ class OracleResult:
         uncertified energy.  Kept read-only for readers of the old flag
         (perfbench/worker.py and perfbench/workloads.py)."""
         return True
-
-
-def numerov_integrate(r: np.ndarray, Q: np.ndarray, u0: float, u1: float):
-    """Forward Numerov integration of u'' = Q(r) u on a uniform grid.
-
-    Starts from the first two samples u0, u1 and returns the full solution
-    array.  Fourth-order accurate per step.  When |u| exceeds an overflow
-    threshold the whole solution so far is rescaled; the returned array is
-    therefore proportional to the true solution, which is all that node
-    counting and log-derivative matching need.
-    """
-    r = np.asarray(r, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    if r.ndim != 1 or r.size < 3 or r.shape != Q.shape:
-        raise DomainError("need matching 1-d grids with at least 3 points")
-    h = r[1] - r[0]
-    if not np.allclose(np.diff(r), h, rtol=0, atol=1e-9 * abs(h)):
-        raise DomainError("grid must be uniform")
-    w = 1.0 - (h * h / 12.0) * Q
-    u = np.empty(r.size)
-    u[0], u[1] = u0, u1
-    for i in range(1, r.size - 1):
-        u[i + 1] = ((12.0 - 10.0 * w[i]) * u[i] - w[i - 1] * u[i - 1]) / w[i + 1]
-        if abs(u[i + 1]) > _RESCALE_AT:
-            u[:i + 2] /= _RESCALE_AT
-    return u
 
 
 def _sweep(w, u0, u1, i, stop, step, limit=None):

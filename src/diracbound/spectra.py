@@ -49,13 +49,12 @@ import numpy as np
 
 from .errors import DomainError
 from .potentials import (PotentialParams, ReducedEquation, SymmetryLimit,
-                         _index, _reals, radial_poly_degree)
+                         _index, _reals)
 
 __all__ = [
     "QuantumNumbers",
     "EnergyRoot",
     "SPECTROSCOPIC_LETTERS",
-    "radial_poly_degree",
     "nu_residual",
     "solve_levels",
     "solve_levels_batch",

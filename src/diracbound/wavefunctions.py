@@ -1,4 +1,4 @@
-"""Closed-form spinor components, normalization constants and node counts.
+"""Closed-form spinor components, normalization constants and sample grids.
 
 The solved radial component of a bound state is
 
@@ -36,7 +36,6 @@ __all__ = [
     "solved_component",
     "paired_component",
     "norm_constant",
-    "count_nodes",
     "default_grid",
     "solve_wavefunction",
 ]
@@ -212,22 +211,6 @@ def norm_constant(ctx: WaveContext) -> float:
               - math.lgamma(m + 2.0 * beta + 1.0)
               - math.lgamma(m + 2.0 * xi))
     return math.exp(0.5 * log_c2)
-
-
-def count_nodes(samples) -> int:
-    """Strict sign changes of a sampled component, endpoints excluded.
-
-    Exact zeros are skipped so that a tangential touch does not count
-    twice and a sampled zero crossing counts once.
-    """
-    v = np.asarray(samples, dtype=float)
-    if v.ndim != 1 or v.size < 2:
-        raise DomainError("need a 1-d array of at least 2 samples")
-    interior = v[1:-1]
-    nz = interior[interior != 0.0]
-    if nz.size < 2:
-        return 0
-    return int(np.count_nonzero(np.signbit(nz[1:]) != np.signbit(nz[:-1])))
 
 
 def default_grid(ctx: WaveContext) -> np.ndarray:

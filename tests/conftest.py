@@ -7,7 +7,8 @@ terminal at a glance.
 
 scan_roots() is the one grid scan the tests use as an independent
 reference for root enumeration; pointwise() lets it scan the scalar
-residuals of ``limits``.
+residuals of ``limits``.  count_nodes() is the node-count reference for
+sampled spinor components and for the oracle's Numerov sweep.
 """
 
 import numpy as np
@@ -65,6 +66,22 @@ def scan_roots(f, grid, tol):
         lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
     roots = np.concatenate([grid[g == 0.0], 0.5 * (lo + hi)[kept]])
     return np.sort(roots).tolist()
+
+
+def count_nodes(samples) -> int:
+    """Strict sign changes of a sampled component, endpoints excluded.
+
+    Exact zeros are skipped so that a tangential touch does not count
+    twice and a sampled zero crossing counts once.
+    """
+    v = np.asarray(samples, dtype=float)
+    if v.ndim != 1 or v.size < 2:
+        raise DomainError("need a 1-d array of at least 2 samples")
+    interior = v[1:-1]
+    nz = interior[interior != 0.0]
+    if nz.size < 2:
+        return 0
+    return int(np.count_nonzero(np.signbit(nz[1:]) != np.signbit(nz[:-1])))
 
 
 def pointwise(f):

@@ -28,7 +28,6 @@ from diracbound import (
     SymmetryLimit,
     approx_potential,
     coulomb_energy,
-    count_nodes,
     dirac_eigenvalue,
     doublet_partner,
     exact_potential,
@@ -53,7 +52,7 @@ from diracbound import (
 from diracbound.errors import DomainError
 from diracbound.limits import _screened_coulomb_roots
 
-from conftest import pointwise, record_criterion, scan_roots
+from conftest import count_nodes, pointwise, record_criterion, scan_roots
 from reference_data import (ORACLE_SPOT_STATES, PSEUDO_H0_EXEMPT,
                             PSEUDO_TABLE, SCAN_PSEUDO_STATES,
                             SCAN_SPIN_STATES, SPIN_TABLE,

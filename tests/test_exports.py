@@ -33,6 +33,17 @@ def test_the_package_reexports_every_layer_name(layer):
     assert not missing, f"diracbound does not re-export {missing}"
 
 
+def test_each_public_name_has_one_home():
+    # A layer that re-exports another's name gives it two import paths,
+    # and the package one more; each name is declared by one layer only.
+    homes = {}
+    for layer in LAYERS:
+        for name in importlib.import_module(f"diracbound.{layer}").__all__:
+            homes.setdefault(name, []).append(layer)
+    shared = {name: found for name, found in homes.items() if len(found) > 1}
+    assert not shared, f"names in more than one layer's __all__: {shared}"
+
+
 def _private(name):
     return name.startswith("_") and not (name.startswith("__")
                                          and name.endswith("__"))

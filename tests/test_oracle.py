@@ -25,15 +25,41 @@ from diracbound import (
     dirac_eigenvalue,
     effective_potential,
     nonrel_energy_hulthen,
-    numerov_integrate,
     schrodinger_eigenvalue,
-    count_nodes,
     solve_levels,
     target_eigenvalue,
 )
 from diracbound import oracle
 from diracbound.potentials import _effective_parts, _u_eff
 from diracbound.oracle import _RESCALE_AT, _energy_window, _sweep
+
+from conftest import count_nodes
+
+
+def numerov_integrate(r: np.ndarray, Q: np.ndarray, u0: float, u1: float):
+    """Forward Numerov integration of u'' = Q(r) u on a uniform grid.
+
+    Starts from the first two samples u0, u1 and returns the full solution
+    array.  Fourth-order accurate per step.  When |u| exceeds an overflow
+    threshold the whole solution so far is rescaled; the returned array is
+    therefore proportional to the true solution, which is all that node
+    counting and log-derivative matching need.
+    """
+    r = np.asarray(r, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    if r.ndim != 1 or r.size < 3 or r.shape != Q.shape:
+        raise DomainError("need matching 1-d grids with at least 3 points")
+    h = r[1] - r[0]
+    if not np.allclose(np.diff(r), h, rtol=0, atol=1e-9 * abs(h)):
+        raise DomainError("grid must be uniform")
+    w = 1.0 - (h * h / 12.0) * Q
+    u = np.empty(r.size)
+    u[0], u[1] = u0, u1
+    for i in range(1, r.size - 1):
+        u[i + 1] = ((12.0 - 10.0 * w[i]) * u[i] - w[i - 1] * u[i - 1]) / w[i + 1]
+        if abs(u[i + 1]) > _RESCALE_AT:
+            u[:i + 2] /= _RESCALE_AT
+    return u
 
 
 def test_numerov_reproduces_sine_solution():
@@ -1194,3 +1220,66 @@ def test_dirac_oracle_agrees_with_principal_branch_root(params_h0, spin_sym):
 def test_dirac_oracle_raises_when_no_bound_state(params_h0, pseudo_sym):
     with pytest.raises(NoEigenvalueError):
         dirac_eigenvalue(QuantumNumbers(1, -1), pseudo_sym, params_h0)
+
+
+@pytest.mark.parametrize("sym, message", [
+    # C = 2M in spin, -2M in pseudospin: eps_target = (E -+ M)^2 >= 0
+    (SymmetryLimit.spin(9.52), "no energy admits a decaying tail"),
+    (SymmetryLimit.pseudospin(-9.52), "no energy admits a decaying tail"),
+    # just past 2M the window is narrower than its two 1e-6 margins
+    (SymmetryLimit.spin(9.520000001), "empty energy window"),
+])
+def test_dirac_oracle_raises_without_an_energy_window(sym, message):
+    p = benchmark_params()
+    qn = QuantumNumbers(0, -2)
+    window = _energy_window(ReducedEquation.of(p, sym, qn))
+    assert (window is None) == message.startswith("no energy")
+    with pytest.raises(NoEigenvalueError, match=f"^{message}$"):
+        dirac_eigenvalue(qn, sym, p)
+
+
+def _recorded_floor(monkeypatch, U):
+    """_InnerSolver.floor(0) for U on the 40 fm default mesh, with the
+    energies at which it counted levels."""
+    counted = []
+    count = oracle._InnerSolver.count
+
+    def recorded(self, eps, limit=None):
+        counted.append(eps)
+        return count(self, eps, limit)
+
+    monkeypatch.setattr(oracle._InnerSolver, "count", recorded)
+    r = _log_mesh(40.0, OracleConfig().num_points)
+    return oracle._InnerSolver(U(r), r).floor(0), counted
+
+
+def test_a_well_deeper_than_the_floor_deepens_it(monkeypatch):
+    # U = -20/r has its 1s level at -100, below the floor min U over
+    # r >= 0.5 fm (-39.93): one level lies under that floor, so it deepens
+    # once, fourfold, and the bisection starts below the level.
+    found, counted = _recorded_floor(monkeypatch, lambda r: -20.0 / r)
+    assert counted == [counted[0], 4.0 * counted[0]]
+    assert found == (4.0 * counted[0], 0)
+    assert found[0] == pytest.approx(-159.7278, abs=1e-4)
+    eps, nodes = schrodinger_eigenvalue(lambda r: -20.0 / r, 0,
+                                        OracleConfig(r_max=40.0))
+    assert nodes == 0
+    assert eps == pytest.approx(-100.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("U, floors", [
+    # repulsive everywhere: min U over r >= 0.5 fm is positive
+    (lambda r: 1.0 / r, 0),
+    # falls to the centre (D = 1/4 - 10 < 0): every floor has levels below
+    (lambda r: -10.0 / (r * r), 6),
+])
+def test_a_potential_without_a_floor_has_no_bound_spectrum(monkeypatch, U,
+                                                            floors):
+    found, counted = _recorded_floor(monkeypatch, U)
+    assert found is None
+    assert len(counted) == floors
+    assert counted == [counted[0] * 4.0 ** k for k in range(floors)]
+    with pytest.raises(NoEigenvalueError,
+                       match="^potential admits no bound spectrum on this "
+                             "grid$"):
+        schrodinger_eigenvalue(U, 0, OracleConfig(r_max=40.0))

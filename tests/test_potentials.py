@@ -141,8 +141,7 @@ def test_potentials_agree_in_the_small_screening_regime():
 
 
 # Every public function that takes radii, called with r in their place
-# and otherwise valid arguments for the benchmark point.  (The grid of
-# numerov_integrate is a coordinate, not a radius: it may start at 0.)
+# and otherwise valid arguments for the benchmark point.
 _SPIN = SymmetryLimit.spin(5.0)
 _CONSTS = diracbound.SuperpotentialConstants(A_w=-0.5, B_w=1.0)
 _TAKES_RADII = {

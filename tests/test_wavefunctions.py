@@ -17,7 +17,6 @@ from diracbound import (
     SingularCouplingError,
     SymmetryLimit,
     WaveContext,
-    count_nodes,
     default_grid,
     effective_potential,
     hyp2f1_terminating,
@@ -32,8 +31,9 @@ from diracbound import (
     target_eigenvalue,
     wave_context,
 )
-from diracbound.potentials import ReducedEquation
-from diracbound.spectra import radial_poly_degree
+from diracbound.potentials import ReducedEquation, radial_poly_degree
+
+from conftest import count_nodes
 
 
 def test_jacobi_polynomial_against_scipy_reference():
