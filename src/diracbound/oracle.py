@@ -2,7 +2,9 @@
 
 The reduced radial problem is u'' = [U_eff(r; E) - eps] u.  For a fixed
 trial energy E this is a linear Sturm-Liouville eigenproblem in eps, solved
-here by bisection on a Sturm level count from outward Numerov sweeps.
+here on a Sturm level count from outward Numerov sweeps: a few bisection
+steps on the count, then a secant estimate on the matching condition that
+two more counts certify (bisection to the end where they do not).
 Because U_eff itself depends on E, a bound state of the original problem is
 the self-consistent point where the inner eigenvalue eps_inner(E) crosses
 the target curve eps_target(E) fixed by the symmetry limit.
@@ -49,6 +51,8 @@ _TAIL = 64               # steps between growing-tail checks of a sweep
 _R_MIN = 1e-4            # first mesh point (fm)
 _FLOOR_FROM = 0.5        # an inner search's floor is min U over r >= this (fm)
 _OUTER_TOL = 1e-8        # half-width of the certificate's window at eps_target
+_SECANT_AFTER = 8        # count bisections before the inner level's estimate
+_LEVEL_TOL = 1e-12       # relative half-width of the inner level's certificate
 
 
 @dataclass(frozen=True)
@@ -271,7 +275,10 @@ class _InnerSolver:
     seed's error is then O(r0^3) in y1; with the first term only it is
     O(r0^2), which on a mesh from 1e-4 fm put a state with D = 0.018
     3e-8 off in E.  D includes every 1/r^2 term of U, and D < 0 is the
-    fall to the centre, where U has no lowest level.
+    fall to the centre, where U has no lowest level.  The level count
+    (count) brackets a level; a secant on the matching mismatch
+    (_mismatch, _estimate) estimates it, and the count certifies the
+    estimate (eigenvalue).
     """
 
     def __init__(self, U: np.ndarray, r: np.ndarray):
@@ -371,14 +378,71 @@ class _InnerSolver:
             floor *= 4.0
         return None
 
+    def _mismatch(self, eps: float, j: int) -> Optional[float]:
+        """F(eps) = y_out[j - 1] / y_out[j] - y_in[j - 1] / y_in[j], or None.
+
+        y_out comes from an outward sweep to j from the regular solution
+        (_seed), y_in from an inward sweep to j - 1 from the sweep's end
+        (_weights), seeded with the decaying tail as in interior_nodes.  F
+        is zero where the two make one discrete eigenvector, and rises
+        through zero at a level (Cooley's matching condition, J. W.
+        Cooley, Math. Comp. 15, 363 (1961)).  None when a sweep returns no
+        end pair or ends on a zero.
+        """
+        w, end = self._weights(eps)
+        _, out = _sweep(w, 1.0, self._seed(eps), 1, j, 1)
+        v_end = 1e-120
+        _, inward = _sweep(w, v_end, v_end * self._tail_ratio(eps, end),
+                           end - 1, j - 1, -1)
+        if out is None or inward is None or not out[1] or not inward[0]:
+            return None
+        return out[0] / out[1] - inward[1] / inward[0]
+
+    def _estimate(self, a: float, b: float) -> Optional[float]:
+        """A secant estimate of a level in the count bracket (a, b), or None.
+
+        The match point j is fixed from the weights at a: the last index
+        where w[j - 1] and w[j] are above 1, inside the allowed region;
+        the weights grow with eps, so it stays inside over (a, b).  Secant
+        steps on _mismatch at j start from a and b and end at the first
+        step within _LEVEL_TOL max(1, |x|) of the point before it.  A
+        secant, not Cooley's Newton step: that step needs sum r^2 y^2, so
+        a sweep that stores y, and the secant needs only the end pairs
+        _sweep returns.  None when no index qualifies as j, a mismatch is
+        None, a step leaves (a, b) or ten steps do not settle; the count
+        certifies whatever is returned (eigenvalue).
+        """
+        w, _ = self._weights(a)
+        inside = np.flatnonzero((w[:-1] > 1.0) & (w[1:] > 1.0))
+        if not inside.size:
+            return None
+        j = int(inside[-1]) + 1
+        x0, f0, x1, f1 = a, self._mismatch(a, j), b, self._mismatch(b, j)
+        for _ in range(10):
+            if f0 is None or f1 is None or f0 == f1:
+                return None
+            x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
+            if not a < x2 < b:
+                return None
+            if abs(x2 - x1) <= _LEVEL_TOL * max(1.0, abs(x2)):
+                return x2
+            x0, f0, x1, f1 = x1, f1, x2, self._mismatch(x2, j)
+        return None
+
     def eigenvalue(self, n_target: int):
         """(eps, interior nodes) of the level with n_target levels below it.
 
-        A single bisection on the level count (count: eps lies below the
-        level when at most n_target levels lie below eps) finds eps to a
-        relative width of 1e-14; the node count is interior_nodes at eps.
-        Raises NoEigenvalueError when the level is not in the window
-        (floor, 0).
+        Bisection on the level count (count: eps lies below the level when
+        at most n_target levels lie below eps) runs _SECANT_AFTER steps;
+        then the secant estimate x (_estimate) is certified by two counts
+        (Johnson's Sturm count, as in dirac_eigenvalue): at most n_target
+        levels below x - tol and more than n_target below x + tol, with
+        tol = _LEVEL_TOL max(1, |x|), put the level within tol of x, and x
+        is returned.  Without an estimate, or where the counts refute it,
+        the bisection goes on to a relative width of 1e-14 and returns
+        the midpoint, as it would with no estimate tried.  The node count
+        is interior_nodes at eps.  Raises NoEigenvalueError when the level
+        is not in the window (floor, 0).
         """
         found = self.floor(n_target)
         if found is None:
@@ -391,7 +455,14 @@ class _InnerSolver:
                 f"no eigenvalue with {n_target} nodes in the search window "
                 f"(level count spans [{n_lo}, {n_hi}))")
         a, b = lo, 0.0
-        for _ in range(220):
+        for step in range(220):
+            if step == _SECANT_AFTER:
+                x = self._estimate(a, b)
+                if x is not None:
+                    tol = _LEVEL_TOL * max(1.0, abs(x))
+                    if self.count(x - tol, n_target) <= n_target \
+                            < self.count(x + tol, n_target):
+                        return x, self.interior_nodes(x)
             mid = 0.5 * (a + b)
             if self.count(mid, n_target) <= n_target:
                 a = mid
@@ -419,7 +490,11 @@ def schrodinger_eigenvalue(U_eff: Callable, n_target: int,
     U_eff is a callable that maps an array of radii to an array of real
     values of the same shape.  It is solved on the config's logarithmic
     mesh (OracleConfig), which ends at 40 fm when the config leaves r_max
-    unset; the search floor is the minimum of U over r >= 0.5 fm.
+    unset; the search floor is the minimum of U over r >= 0.5 fm.  The
+    level is bracketed on the level count and estimated by a secant on
+    the matching condition, which two counts certify to within 1e-12
+    max(1, |eps|); where they do not, the count bisection runs to a
+    relative width of 1e-14 (_InnerSolver.eigenvalue).
     Returns (eps, nodes); raises DomainError for an n_target that is not a
     nonnegative integer (QuantumNumbers' rule) or a U_eff that does not
     return one real value per radius, and NoEigenvalueError when the

@@ -30,7 +30,7 @@ from diracbound import (
     target_eigenvalue,
 )
 from diracbound import oracle
-from diracbound.potentials import _effective_parts, _u_eff
+from diracbound.potentials import _effective_parts, _screening, _u_eff
 from diracbound.oracle import _RESCALE_AT, _energy_window, _sweep
 
 from conftest import count_nodes
@@ -555,13 +555,17 @@ def test_interior_nodes_with_the_turning_point_behind_the_start():
     assert solver.interior_nodes(-1.0) == 0
 
 
-# dirac_eigenvalue and schrodinger_eigenvalue outputs pinned as float.hex:
-# a faster oracle must keep every bit.  Dirac cases: (limit, C, V0 = 2 A =
-# 2 B, H, (n, kappa), centrifugal mode, num_points) -> (E, node_count,
-# outer_iters, converged).  The pseudospin case is the charge conjugate of
-# the spin one (V0, A, B, C and eta negated), on its own mesh.  The
-# approximated cases lie within 1.3e-8 of their closed-form roots, the
-# last one on 1000 points.
+# dirac_eigenvalue and schrodinger_eigenvalue outputs pinned as float.hex.
+# A faster oracle must keep every bit of the Dirac pins: the outer search
+# and its certificate decide them.  The hydrogen pins are the secant
+# estimates the inner solve certifies (_InnerSolver.eigenvalue), within
+# 1e-12 of the count bisection's midpoints (-0x1.fffffffff79bcp-1 and
+# -0x1.00000000143aep-2); a change to that solve may move them.  Dirac
+# cases: (limit, C, V0 = 2 A = 2 B, H, (n, kappa), centrifugal mode,
+# num_points) -> (E, node_count, outer_iters, converged).  The pseudospin
+# case is the charge conjugate of the spin one (V0, A, B, C and eta
+# negated), on its own mesh.  The approximated cases lie within 1.3e-8 of
+# their closed-form roots, the last one on 1000 points.
 _PINNED_DIRAC = {
     ("spin", 5.0, 2.0, 0.0, (0, -2), "approximated", 1000):
         ("0x1.b16b95c4c6196p-2", 0, 29, True),
@@ -574,7 +578,7 @@ _PINNED_DIRAC = {
     ("spin", 6.0903, 0.6306, 2.9848, (2, -1), "approximated", 1000):
         ("0x1.f01fee4cdf9b8p+1", 2, 28, True),
 }
-_PINNED_HYDROGEN = {0: "-0x1.fffffffff79bcp-1", 1: "-0x1.00000000143aep-2"}
+_PINNED_HYDROGEN = {0: "-0x1.fffffffff71dcp-1", 1: "-0x1.0000000014380p-2"}
 
 
 def test_oracle_outputs_are_pinned():
@@ -912,6 +916,48 @@ def test_sweep_count_budget(monkeypatch):
         assert steps() - before <= step_budget, key
 
 
+def _verify_screened(r):
+    # verify's screened s-wave, -2 m v0 s / (1 - s) with m = 1, v0 = 0.1
+    # and delta = 0.05, written as verify writes it
+    _, s, oms = _screening(r, 0.05)
+    return -2.0 * 1.0 * 0.1 * s / oms
+
+
+def test_inner_solve_sweep_budget(monkeypatch):
+    # Sweeps and recurrence steps of verify's two schrodinger_eigenvalue
+    # solves on OracleConfig(r_max=60.0), exact.  Each takes two floor and
+    # window counts, 8 bisection counts, the mismatch's two sweeps at the
+    # bracket's ends and at each secant point (3 and 4 of them), the two
+    # counts that certify the estimate and interior_nodes' two sweeps: 24
+    # and 26 sweeps.  With the estimate taken away the count bisection
+    # runs to a relative width of 1e-14: 53 sweeps each, about three times
+    # the steps.
+    sweeps = []
+    real = oracle._sweep
+
+    def spy(*args, **kwargs):
+        sweeps.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_sweep", spy)
+    steps = _count_steps(monkeypatch)
+    cfg = OracleConfig(r_max=60.0)
+
+    def budget():
+        got = []
+        for U in (_hydrogen, _verify_screened):
+            sweeps.clear()
+            before = steps()
+            schrodinger_eigenvalue(U, 0, cfg)
+            got.append((len(sweeps), steps() - before))
+        return got
+
+    assert budget() == [(24, 34_500), (26, 36_701)]
+    monkeypatch.setattr(oracle._InnerSolver, "_estimate",
+                        lambda self, a, b: None)
+    assert budget() == [(53, 101_643), (53, 101_669)]
+
+
 @pytest.mark.parametrize("kwargs", [
     {"r_max": float("nan")},
     {"r_max": float("inf")},
@@ -993,6 +1039,138 @@ def test_schrodinger_eigenvalue_returns_the_asked_level_or_raises(
         return
     assert nodes == n
     assert eps < 0.0
+
+
+def _with_and_without_the_estimate(U, n, cfg):
+    """schrodinger_eigenvalue's outcome as it is and with the secant
+    estimate taken away, so that the count bisection runs to a relative
+    width of 1e-14: (eps, nodes) or the error type raised, each."""
+    outcomes = []
+    for estimate in (oracle._InnerSolver._estimate, lambda self, a, b: None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle._InnerSolver, "_estimate", estimate)
+            try:
+                outcomes.append(schrodinger_eigenvalue(U, n, cfg))
+            except DiracboundError as err:
+                outcomes.append(type(err))
+    return outcomes
+
+
+def _same_level(got, full):
+    # 2e-12 max(1, |eps|): the certificate's 1e-12 half-width, with room;
+    # the widest gap measured over these meshes is 9.3e-13
+    assert got[1] == full[1]
+    assert abs(got[0] - full[0]) <= 2e-12 * max(1.0, abs(full[0]))
+
+
+@pytest.mark.slow
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(0, 5), st.sampled_from([30.0, 60.0, 100.0, 200.0]),
+       st.sampled_from([1000, 3000, 12000]))
+@example(5, 200.0, 3000)
+@example(4, 30.0, 1000)
+def test_the_certified_estimate_is_the_bisected_level(n, r_max, num_points):
+    # Where the two counts certify the secant estimate, it lies within
+    # 2e-12 of the full count bisection's level, with its node count.
+    # Where they refute it, or there is none, the bisection runs on and
+    # returns its own bits: n = 5 on 200 fm and 3000 points, where the
+    # bracket after 8 steps also holds n = 6 and 7 and the secant settles
+    # on n = 7, and n = 4 on 30 fm, where the allowed region reaches the
+    # mesh end and the inward sweep to the match point takes no step.
+    # Where one raises, both raise alike.
+    got, full = _with_and_without_the_estimate(
+        _hydrogen, n, OracleConfig(r_max=r_max, num_points=num_points))
+    if isinstance(full, type):
+        assert got is full
+    else:
+        _same_level(got, full)
+
+
+def test_verify_solves_are_the_bisected_levels():
+    for U in (_hydrogen, _verify_screened):
+        _same_level(*_with_and_without_the_estimate(
+            U, 0, OracleConfig(r_max=60.0)))
+
+
+def test_a_refuted_estimate_gives_the_bisected_bits(monkeypatch):
+    # An estimate 1e-6 above the level: the first certifying count, at the
+    # estimate less 1e-12 max(1, |eps|), already holds the level, so it
+    # refutes the estimate, and the bisection goes on from its eighth step
+    # and returns its own midpoint, bit for bit.
+    cfg = OracleConfig(r_max=60.0)
+    real = oracle._InnerSolver._estimate
+    real_count = oracle._InnerSolver.count
+    estimates, counts = [], []
+
+    def off(self, a, b):
+        estimates.append(real(self, a, b) + 1e-6)
+        return estimates[-1]
+
+    def counted(self, eps, limit=None):
+        counts.append(eps)
+        return real_count(self, eps, limit)
+
+    for U in (_hydrogen, _verify_screened):
+        _, full = _with_and_without_the_estimate(U, 0, cfg)
+        estimates.clear()
+        counts.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(oracle._InnerSolver, "_estimate", off)
+            mp.setattr(oracle._InnerSolver, "count", counted)
+            got = schrodinger_eigenvalue(U, 0, cfg)
+        assert (got[0].hex(), got[1]) == (full[0].hex(), full[1])
+        x, = estimates
+        assert abs(x - full[0] - 1e-6) <= 2e-12
+        # the floor and window counts, the bisection's 49 steps and, after
+        # its eighth, the one refuting count
+        assert counts[10] == x - oracle._LEVEL_TOL * max(1.0, abs(x))
+        assert len(counts) == 2 + 49 + 1
+
+
+def test_no_estimate_without_a_match_point_or_a_settled_secant(monkeypatch):
+    # Below -1e4 hydrogen has no allowed region on this mesh (r^2 (U -
+    # eps) + 1/4 > 0 everywhere), so no index qualifies as the match
+    # point.  And a mismatch with a triple root, (eps + 1/4)^3, slows the
+    # secant to linear steps: ten of them, after the two at the bracket's
+    # ends, do not settle to 1e-12.  Neither gives an estimate.
+    solver = _hydrogen_solver(60.0, 3000)
+    assert solver._estimate(-1e4, -0.5) is None
+    calls = []
+
+    def triple(self, eps, j):
+        calls.append(eps)
+        return (eps + 0.25) ** 3
+
+    monkeypatch.setattr(oracle._InnerSolver, "_mismatch", triple)
+    assert solver._estimate(-1.0, 0.0) is None
+    assert len(calls) == 12
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_the_mismatch_rises_through_zero_at_the_level(monkeypatch, n):
+    # At the one match point j an inner solve uses, the mismatch F changes
+    # sign from - to + across the level, which holds F to its sign: one
+    # secant step from level -/+ d then lands within d / 10 of the level,
+    # where a step with the wrong sign would leave the bracket.
+    solver = _hydrogen_solver(60.0, 3000)
+    js = set()
+    real = oracle._InnerSolver._mismatch
+
+    def spy(self, eps, j):
+        js.add(j)
+        return real(self, eps, j)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle._InnerSolver, "_mismatch", spy)
+        level, nodes = solver.eigenvalue(n)
+    j, = js
+    assert nodes == n
+    for d in (1e-2 / (n + 1) ** 2, 1e-4, 1e-7):
+        below, above = (solver._mismatch(level - d, j),
+                        solver._mismatch(level + d, j))
+        assert below < 0.0 < above, d
+        step = (level + d) - above * 2.0 * d / (above - below)
+        assert abs(step - level) <= d / 10.0, d
 
 
 @pytest.mark.parametrize("found", [1, None])

@@ -236,6 +236,20 @@ def test_doublet_partner_maps(spin_sym, pseudo_sym):
         == QuantumNumbers(1, -1)
 
 
+@pytest.mark.parametrize("qn, limit, message", [
+    ((1, -1), "spin", "1s1/2 has no spin doublet partner"),
+    ((0, -2), "pseudospin",
+     "0p3/2 has no pseudospin partner (n would be negative)"),
+    ((1, 1), "pseudospin", "1p1/2 has no pseudospin doublet partner"),
+])
+def test_doublet_partner_raises_where_there_is_none(spin_sym, pseudo_sym, qn,
+                                                    limit, message):
+    sym = spin_sym if limit == "spin" else pseudo_sym
+    with pytest.raises(DomainError) as err:
+        doublet_partner(QuantumNumbers(*qn), sym)
+    assert str(err.value) == message
+
+
 def test_sweep_delta_rows_and_out_of_domain(params_h5, spin_sym):
     states = [QuantumNumbers(0, 1), QuantumNumbers(0, 2)]
     energies = sweep_delta(states, spin_sym, params_h5, [0.0, 0.05, 0.10])
