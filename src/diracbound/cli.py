@@ -662,8 +662,7 @@ def _verify_oracle(cfg: RunConfig) -> tuple[str, str]:
     sym = SymmetryLimit.spin(BENCHMARK_C_SPIN)
     qn = QuantumNumbers(0, -2)
     roots = [r for r in solve_levels(qn, sym, p)
-             if r.nu_branch > 0 and r.sqrt_domain_ok and r.C_bound_ok
-             and abs(r.E) < p.M]
+             if r.nu_branch > 0 and r.C_bound_ok and abs(r.E) < p.M]
     if not roots:
         return "FAIL", "no analytic bound root for the spot state"
     analytic = roots[0].E

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError
 from .potentials import (PotentialParams, SymmetryLimit, _index, _like,
-                         _screening, radial_poly_degree)
+                         _real, _screening, radial_poly_degree)
 from .spectra import QuantumNumbers
 from .wavefunctions import jacobi_p
 
@@ -366,9 +366,7 @@ class NonRelParams:
 
     def __post_init__(self):
         for name in ("m", "Ze2", "A", "B", "delta"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
+            _real(getattr(self, name), name)
         if self.m <= 0:
             raise DomainError(f"mass must be positive, got {self.m}")
         _index(self.l, "l")

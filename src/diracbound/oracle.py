@@ -25,7 +25,6 @@ Nothing in this module uses the closed-form spectrum; it exists to check it.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from array import array
 from dataclasses import dataclass
@@ -35,7 +34,8 @@ import numpy as np
 
 from .errors import DomainError, NoEigenvalueError, NotConvergedError
 from .potentials import (PotentialParams, ReducedEquation, SymmetryLimit,
-                         _effective_parts, _index, _u_eff, target_eigenvalue)
+                         _effective_parts, _index, _real, _u_eff,
+                         target_eigenvalue)
 from .spectra import QuantumNumbers
 
 __all__ = [
@@ -77,12 +77,9 @@ class OracleConfig:
     centrifugal_mode: str = "approximated"
 
     def __post_init__(self):
-        if self.r_max is not None and not (
-                isinstance(self.r_max, numbers.Real)
-                and not isinstance(self.r_max, bool)
-                and math.isfinite(self.r_max) and self.r_max > _R_MIN):
-            raise DomainError(f"r_max must be a finite number above the "
-                              f"grid start {_R_MIN:g}, got {self.r_max!r}")
+        if self.r_max is not None and _real(self.r_max, "r_max") <= _R_MIN:
+            raise DomainError(f"r_max must be above the grid start "
+                              f"{_R_MIN:g}, got {self.r_max!r}")
         _index(self.num_points, "num_points", low=1000)
         if self.centrifugal_mode not in ("approximated", "exact"):
             raise DomainError("centrifugal_mode must be 'approximated' or 'exact'")

@@ -61,9 +61,7 @@ class PotentialParams:
 
     def __post_init__(self):
         for name in ("V0", "A", "B", "delta", "H", "M"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
+            _real(getattr(self, name), name)
         if self.delta <= 0:
             raise DomainError(f"delta must be positive, got {self.delta}")
         if self.M <= 0:
@@ -96,8 +94,7 @@ class SymmetryLimit:
         if self.kind not in ("spin", "pseudospin"):
             raise DomainError(
                 f"kind must be 'spin' or 'pseudospin', got {self.kind!r}")
-        if not math.isfinite(self.constant):
-            raise DomainError("symmetry constant must be finite")
+        _real(self.constant, "symmetry constant")
 
     @property
     def is_spin(self) -> bool:
@@ -175,11 +172,23 @@ def _like(values, r):
 
 
 def _index(value, name: str, low: int = 0) -> int:
-    """value as an int; DomainError unless it is an integer >= low."""
-    if not isinstance(value, numbers.Integral) or value < low:
+    """value as an int; DomainError unless it is an integer >= low (a
+    bool is not)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+            or value < low:
         raise DomainError(
             f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    """value as a float; DomainError unless it is a finite real number (a
+    bool, str, None or complex value is not)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) \
+            or not math.isfinite(value):
+        raise DomainError(
+            f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 def exact_potential(r, p: PotentialParams):

@@ -96,7 +96,8 @@ class QuantumNumbers:
 
     def __post_init__(self):
         _index(self.n, "n")
-        if not isinstance(self.kappa, numbers.Integral) or self.kappa == 0:
+        if not isinstance(self.kappa, numbers.Integral) \
+                or isinstance(self.kappa, bool) or self.kappa == 0:
             raise DomainError(
                 f"kappa must be a nonzero integer, got {self.kappa!r}")
 
@@ -130,22 +131,18 @@ class EnergyRoot:
     """A solved energy with validity classification.
 
     Flags are recomputed from the energy when the root is built:
-        sqrt_domain_ok: the discriminant under the square root is >= 0.
-        M_bound_ok: |E| < M.
         C_bound_ok: the coupling factor (M+E-C spin, M-E+C pseudospin) is > 0.
         sign_ok: the root is on the physically selected side (positive
             energy for spin, negative energy away from E = M + C for
             pseudospin).
         nu_branch: +1 if the intermediate quantity Q is positive at the root
             (normalizable-exponent branch), -1 otherwise.
+    Every root lies where the discriminant D under the square root is
+    >= 0: each is bisected inside a bracket whose ends have D >= 0, and D
+    is linear in E.
     """
 
     E: float
-    symmetry: SymmetryLimit
-    qn: QuantumNumbers
-    residual: float
-    sqrt_domain_ok: bool
-    M_bound_ok: bool
     C_bound_ok: bool
     sign_ok: bool
     nu_branch: int
@@ -507,19 +504,12 @@ def _solve_chunk(queries) -> list[list[EnergyRoot]]:
     eq = _stack([ReducedEquation.of(p, sym, qn) for qn, sym, p in queries])
     row, E = _roots(eq)
     eq = _take(eq, row)
-    g, Q, D = _parts(E, eq)
-    flags = zip(
-        E.tolist(), row.tolist(), g.tolist(),
-        (D >= 0.0).tolist(), (np.abs(E) < eq.M).tolist(),
-        (eq.coupling(E) > 0.0).tolist(), _sign_ok(E, eq).tolist(),
-        (Q > 0.0).tolist())
+    flags = zip(E.tolist(), (eq.coupling(E) > 0.0).tolist(),
+                _sign_ok(E, eq).tolist(),
+                np.where(_parts(E, eq)[1] > 0.0, 1, -1).tolist())
     out: list[list[EnergyRoot]] = [[] for _ in queries]
-    for E, i, residual, domain, m_ok, c_ok, sign_ok, positive in flags:
-        qn, sym, _ = queries[i]
-        out[i].append(EnergyRoot(
-            E=E, symmetry=sym, qn=qn, residual=residual,
-            sqrt_domain_ok=domain, M_bound_ok=m_ok, C_bound_ok=c_ok,
-            sign_ok=sign_ok, nu_branch=+1 if positive else -1))
+    for i, root in zip(row.tolist(), flags):
+        out[i].append(EnergyRoot(*root))
     return out
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidBranchError
 from .potentials import (PotentialParams, ReducedEquation, SymmetryLimit,
-                         _index, _like, _reals, _screening)
+                         _index, _like, _real, _reals, _screening)
 from .spectra import QuantumNumbers
 
 __all__ = [
@@ -52,7 +52,8 @@ class SuperpotentialConstants:
     B_w: float
 
     def __post_init__(self):
-        if self.B_w <= 0.0:
+        _real(self.A_w, "A_w")
+        if _real(self.B_w, "B_w") <= 0.0:
             raise InvalidBranchError(
                 f"B_w must be positive, got {self.B_w:.6g}")
 

@@ -132,6 +132,15 @@ def wave_context(qn: QuantumNumbers, sym: SymmetryLimit, p: PotentialParams,
     )
 
 
+def _exp(x: float, what: str) -> float:
+    """e^x for the log-space value x of what; DomainError where it
+    overflows a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise DomainError(f"{what} overflows a float (log {x:.6g})") from None
+
+
 def _components(r, ctx: WaveContext, norm: float, paired: bool):
     """The solved component and, when paired is true, the paired one.
 
@@ -140,7 +149,8 @@ def _components(r, ctx: WaveContext, norm: float, paired: bool):
     the first-order relation applied to chi and its analytic derivative
     (ds/dr = -2 delta s), or None when paired is false.  Scalar r gives
     Python floats.  Raises SingularCouplingError, before any evaluation,
-    when the paired component is asked for and the coupling vanishes.
+    when the paired component is asked for and the coupling vanishes, and
+    DomainError when prefac overflows a float.
     """
     if paired and ctx.coupling == 0.0:
         raise SingularCouplingError(
@@ -151,8 +161,8 @@ def _components(r, ctx: WaveContext, norm: float, paired: bool):
     tb = 2.0 * ctx.beta
     b, c = tb + 2.0 * ctx.xi + m, 1.0 + tb
     # (2beta+1)_m / m!
-    prefac = math.exp(math.lgamma(m + tb + 1.0) - math.lgamma(tb + 1.0)
-                      - math.lgamma(m + 1.0))
+    prefac = _exp(math.lgamma(m + tb + 1.0) - math.lgamma(tb + 1.0)
+                  - math.lgamma(m + 1.0), "the polynomial prefactor")
     y = hyp2f1_terminating(m, b, c, s)
     pre = norm * prefac * s ** ctx.beta * oms ** ctx.xi
     chi = pre * y
@@ -195,7 +205,7 @@ def norm_constant(ctx: WaveContext) -> float:
               / [ (m+xi) Gamma(2beta) Gamma(m+2beta+1) Gamma(m+2xi) ] )
 
     evaluated in log-Gamma space.  Raises DomainError if any Gamma argument
-    or algebraic factor is non-positive.
+    or algebraic factor is non-positive, or if C overflows a float.
     """
     m, beta, xi = ctx.degree, ctx.beta, ctx.xi
     args = (2.0 * beta, 2.0 * beta + 1.0, m + 2.0 * beta + 1.0,
@@ -210,7 +220,7 @@ def norm_constant(ctx: WaveContext) -> float:
               - math.log(m + xi) - math.lgamma(2.0 * beta)
               - math.lgamma(m + 2.0 * beta + 1.0)
               - math.lgamma(m + 2.0 * xi))
-    return math.exp(0.5 * log_c2)
+    return _exp(0.5 * log_c2, "the normalization constant")
 
 
 def default_grid(ctx: WaveContext) -> np.ndarray:
@@ -239,14 +249,10 @@ class SpinorSolution:
     samples has one row (r, F, G) per grid point; norm_const normalizes the
     solved component (F in the spin limit, G in the pseudospin limit) to
     unit L2 norm, and the paired component is constructed from the same
-    normalized solution.
+    normalized solution.  The exponents beta and xi are wave_context's.
     """
 
-    qn: QuantumNumbers
-    symmetry: SymmetryLimit
     E: float
-    beta_exp: float
-    xi_exp: float
     norm_const: float
     samples: np.ndarray
 
@@ -270,7 +276,5 @@ def solve_wavefunction(qn: QuantumNumbers, sym: SymmetryLimit,
     r = default_grid(ctx)
     solved, paired = _components(r, ctx, norm, True)
     F, G = (solved, paired) if sym.is_spin else (paired, solved)
-    return SpinorSolution(
-        qn=qn, symmetry=sym, E=ctx.E, beta_exp=ctx.beta, xi_exp=ctx.xi,
-        norm_const=norm, samples=np.column_stack([r, F, G]),
-    )
+    return SpinorSolution(E=ctx.E, norm_const=norm,
+                          samples=np.column_stack([r, F, G]))

@@ -231,7 +231,7 @@ def normalizable_roots(qn, sym, p):
     window, where eps_target < 0 so a decaying tail exists.
     """
     return [r.E for r in solve_levels(qn, sym, p)
-            if r.nu_branch > 0 and r.sqrt_domain_ok and r.C_bound_ok
+            if r.nu_branch > 0 and r.C_bound_ok
             and abs(r.E) < p.M and target_eigenvalue(r.E, sym, p.M) < 0.0]
 
 
@@ -433,7 +433,7 @@ def beyond_mass_roots(qn, sym, p):
     """Closed-form roots on the Q > 0 branch in the oracle's energy window
     with |E| >= M: the roots normalizable_roots leaves out."""
     return [r.E for r in solve_levels(qn, sym, p)
-            if r.nu_branch > 0 and r.sqrt_domain_ok and r.C_bound_ok
+            if r.nu_branch > 0 and r.C_bound_ok
             and abs(r.E) >= p.M and target_eigenvalue(r.E, sym, p.M) < 0.0]
 
 

@@ -1,7 +1,12 @@
-"""The public names each layer module declares."""
+"""The public names each layer module declares, and the README's use of
+them."""
 
 import ast
 import importlib
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -141,3 +146,18 @@ def test_only_potentials_forms_the_screened_variable():
         and "expm1" in (getattr(node.func, "attr", None),
                         getattr(node.func, "id", None)))
     assert not callers, f"modules that call expm1: {callers}"
+
+
+def test_the_readme_library_example_runs():
+    # The README's one python block, run on this checkout's src in a new
+    # interpreter, so a renamed or removed name or field cannot leave it
+    # broken; its first line is the table root.
+    readme = (SRC.parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", blocks[0]], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert f"{float(run.stdout.splitlines()[0]):.8f}" == "0.24725816"

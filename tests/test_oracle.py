@@ -1385,7 +1385,7 @@ def test_dirac_oracle_agrees_with_principal_branch_root(params_h0, spin_sym):
     # positive quantization branch to far better than its own tolerance.
     qn = QuantumNumbers(0, -2)
     roots = [r for r in solve_levels(qn, spin_sym, params_h0)
-             if r.nu_branch > 0 and r.sqrt_domain_ok and r.C_bound_ok
+             if r.nu_branch > 0 and r.C_bound_ok
              and abs(r.E) < params_h0.M]
     assert roots, "no principal-branch bound root for the spot state"
     result = dirac_eigenvalue(qn, spin_sym, params_h0)

@@ -1,6 +1,7 @@
 """Potential shapes, symmetry-limit containers, and parameter validation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -250,15 +251,46 @@ _TAKES_INDEX = {
 }
 
 
+# Every scalar field of a parameter record, called with x in its place and
+# otherwise valid values.
+_TAKES_SCALAR = {
+    **{f"PotentialParams.{field}": lambda x, field=field: replace(
+        _P, **{field: x}) for field in ("V0", "A", "B", "delta", "H", "M")},
+    "SymmetryLimit.constant": lambda x: SymmetryLimit("spin", x),
+    **{f"NonRelParams.{field}": lambda x, field=field: replace(
+        _NRP, **{field: x}) for field in ("m", "Ze2", "A", "B", "delta")},
+    "OracleConfig.r_max": lambda x: diracbound.OracleConfig(r_max=x),
+    "SuperpotentialConstants.A_w":
+        lambda x: diracbound.SuperpotentialConstants(A_w=x, B_w=1.0),
+    "SuperpotentialConstants.B_w":
+        lambda x: diracbound.SuperpotentialConstants(A_w=-0.5, B_w=x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAKES_SCALAR))
+def test_a_scalar_that_is_not_a_finite_real_is_a_domain_error(name):
+    # A digit string, None, a bool, a complex number, NaN and inf each fail
+    # typed; an int, a float and a numpy float are accepted.  None is
+    # r_max's default, so it is not a bad r_max.
+    call = _TAKES_SCALAR[name]
+    for good in (1, 1.0, np.float64(1.0)):
+        call(good)
+    for bad in ("0.3", None, True, 1 + 2j, float("nan"), float("inf")):
+        if bad is None and name == "OracleConfig.r_max":
+            continue
+        with pytest.raises(DomainError, match="must be a finite real"):
+            call(bad)
+
+
 @pytest.mark.parametrize("name", sorted(_TAKES_INDEX))
 def test_an_index_that_is_not_an_integer_at_its_floor_is_a_domain_error(
         name):
-    # A fraction, a digit string, NaN and one below the floor each fail
-    # typed; the floor itself, also as a numpy integer, is accepted.
+    # A fraction, a digit string, NaN, a bool and one below the floor each
+    # fail typed; the floor itself, also as a numpy integer, is accepted.
     call, low = _TAKES_INDEX[name]
     call(low)
     call(np.int64(low))
-    for bad in (1.5, "2", float("nan"), low - 1):
+    for bad in (1.5, "2", float("nan"), True, low - 1):
         with pytest.raises(DomainError):
             call(bad)
 

@@ -55,7 +55,7 @@ def test_quantum_number_validation():
         QuantumNumbers(-1, -2)
     with pytest.raises(DomainError):
         QuantumNumbers(0, 0)
-    for n, kappa in ((0.5, -2), (1, 1.5), (1.0, 2)):
+    for n, kappa in ((0.5, -2), (1, 1.5), (1.0, 2), (True, -1), (1, True)):
         with pytest.raises(DomainError):
             QuantumNumbers(n, kappa)
     # numpy integers are integers.
@@ -121,8 +121,9 @@ def test_solve_levels_finds_both_quantization_branches(params_h0, spin_sym):
     assert table and principal
     assert table[0].nu_branch == -1 and table[0].sign_ok
     assert principal[0].nu_branch == +1
+    eq = ReducedEquation.of(params_h0, spin_sym, QuantumNumbers(0, -2))
     for r in roots:
-        assert r.sqrt_domain_ok
+        assert eq.terms(r.E)[4] >= 0.0
 
 
 def test_select_table_root_prefers_smallest_valid_energy(params_h0, spin_sym,
@@ -306,6 +307,11 @@ def test_solve_levels_batch_rows_are_independent(problems, rng):
         alone = repr(solve_levels(*query))
         assert repr(roots) == alone, query
         assert repr(reversed_roots) == alone, query
+        # Each root is bisected inside a bracket whose ends have D >= 0,
+        # and D is linear in E, so D >= 0 at the root too.
+        qn, sym, p = query
+        eq = ReducedEquation.of(p, sym, qn)
+        assert all(eq.terms(r.E)[4] >= 0.0 for r in roots), query
 
 
 def test_solve_levels_batch_resolves_close_root_pair_among_others():

@@ -205,6 +205,23 @@ def test_singular_coupling_raises(params_h0, spin_sym):
     assert solved_component(1.0, forced) == solved_component(1.0, base)
 
 
+# At delta = 1e-12 fm^-1, beta is about 2.6e11 at E = 0.3, and a value
+# the components take from log space overflows a float.
+_FAINT = PotentialParams(V0=2.0, A=1.0, B=1.0, delta=1e-12, H=0.0, M=4.76)
+
+
+def test_a_normalization_constant_beyond_a_float_is_a_domain_error(
+        spin_sym):
+    with pytest.raises(DomainError, match="normalization constant overflows"):
+        solve_wavefunction(QuantumNumbers(0, -50), spin_sym, _FAINT, 0.3)
+
+
+def test_a_polynomial_prefactor_beyond_a_float_is_a_domain_error(spin_sym):
+    ctx = wave_context(QuantumNumbers(60, -2), spin_sym, _FAINT, 0.3)
+    with pytest.raises(DomainError, match="polynomial prefactor overflows"):
+        solved_component(1.0, ctx)
+
+
 def test_default_grid_covers_the_tail(params_h5, pseudo_sym):
     qn = QuantumNumbers(0, 2)
     sol = solve_wavefunction(qn, pseudo_sym, params_h5)
